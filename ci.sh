@@ -5,7 +5,9 @@
 #   ./ci.sh                # the default gate
 #   ./ci.sh --bench-smoke  # gate + compile the Criterion benches + tiny
 #                          # end-to-end runs of the baseline recorders
-#                          # (bench_pairwise; bench_kernels, which fails
+#                          # (bench_pairwise, gated against its committed
+#                          # baseline with `adalsh bench diff`;
+#                          # bench_kernels, which fails
 #                          # unless DOPH beats the classic batched
 #                          # MinHash kernel at width 128; bench_serve,
 #                          # which fails if 16 concurrent readers tank
@@ -234,8 +236,13 @@ if [ "$bench_smoke" = 1 ]; then
     echo "==> cargo bench --no-run (compile gate)"
     cargo bench --workspace --no-run --quiet
 
-    echo "==> bench_pairwise --smoke"
-    cargo run --release -p adalsh-bench --bin bench_pairwise -- --smoke
+    echo "==> bench_pairwise --smoke (regression gate)"
+    # The smoke size is one of the committed baseline's, so the fresh
+    # timings diff against it key by key.
+    pairwise_fresh=$(mktemp /tmp/adalsh-bench-pairwise-XXXXXX.json)
+    cargo run --release -p adalsh-bench --bin bench_pairwise -- --smoke --out "$pairwise_fresh"
+    ./target/release/adalsh bench diff "$pairwise_fresh" BENCH_pairwise.json --smoke
+    rm -f "$pairwise_fresh"
 
     echo "==> bench_kernels --smoke (doph-beats-classic gate)"
     cargo run --release -p adalsh-bench --bin bench_kernels -- --smoke

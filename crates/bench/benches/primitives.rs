@@ -308,6 +308,7 @@ fn bench_transitive_and_pairwise(c: &mut Criterion) {
                     &dataset,
                     &ids,
                     1,
+                    1,
                     &mut stats,
                 ))
             },

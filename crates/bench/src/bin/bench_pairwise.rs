@@ -10,12 +10,16 @@
 //!
 //! ```sh
 //! cargo run --release -p adalsh-bench --bin bench_pairwise
-//! cargo run --release -p adalsh-bench --bin bench_pairwise -- --smoke
+//! cargo run --release -p adalsh-bench --bin bench_pairwise -- --smoke --out /tmp/pairwise.json
 //! ```
 //!
-//! `--smoke` (used by `ci.sh --bench-smoke`) runs a single tiny size so
-//! CI exercises the recorder end-to-end in under a second; it does not
-//! overwrite the committed baseline.
+//! `--smoke` (used by `ci.sh --bench-smoke`) runs only the 256-record
+//! size and does not overwrite the committed baseline. `--out <path>`
+//! writes the JSON to `<path>` in either mode; because the smoke size is
+//! one of the baseline's, CI diffs a fresh smoke run against the
+//! committed file with `adalsh bench diff`. Keys are
+//! `scalar_seconds/<regime>/<n>` and `wavefront_seconds/<regime>/<n>`
+//! (lower is better) and `speedup/<regime>/<n>` (higher is better).
 
 use adalsh_bench::pairwise_bench::{match_dense, match_sparse};
 use adalsh_bench::recorder::provenance_fields;
@@ -67,8 +71,13 @@ fn time_pair(dataset: &Dataset, rule: &MatchRule, threads: usize) -> (f64, f64) 
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let sizes: &[usize] = if smoke { &[64] } else { &[256, 1024, 4096] };
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out_path = args
+        .iter()
+        .position(|a| a == "--out")
+        .map(|i| args.get(i + 1).expect("--out needs a path").clone());
+    let sizes: &[usize] = if smoke { &[256] } else { &[256, 1024, 4096] };
     let threads = default_threads();
 
     let mut rows: Vec<(String, f64, f64)> = Vec::new();
@@ -90,12 +99,16 @@ fn main() {
     ));
     for (name, scalar, wavefront) in &rows {
         json.push_str(&format!(
-            ",\n  \"scalar/{name}\": {scalar:.6},\n  \"wavefront/{name}\": {wavefront:.6},\n  \"speedup/{name}\": {:.3}",
+            ",\n  \"scalar_seconds/{name}\": {scalar:.6},\n  \"wavefront_seconds/{name}\": {wavefront:.6},\n  \"speedup/{name}\": {:.3}",
             scalar / wavefront
         ));
     }
     json.push_str("\n}\n");
 
+    if let Some(path) = &out_path {
+        std::fs::write(path, &json).expect("write --out");
+        println!("wrote {path}");
+    }
     if smoke {
         println!("smoke mode: baseline not written");
         return;

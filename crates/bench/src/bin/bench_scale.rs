@@ -5,7 +5,8 @@
 //! wall-clock, and the peak RSS of each phase (`VmHWM` from
 //! `/proc/self/status`, reset between phases via
 //! `/proc/self/clear_refs`) to `BENCH_scale.json` at the workspace
-//! root. At every scale the store also gets materialized into an
+//! root, with the gold recall of the filter's top-k output. At every
+//! scale the store also gets materialized into an
 //! in-RAM [`Dataset`] so the baseline records how much memory the
 //! out-of-core path avoids: streaming ingest must peak far below the
 //! materialized footprint, and the mapped filter peaks at the engine's
@@ -29,7 +30,7 @@ use std::time::Instant;
 
 use adalsh_bench::recorder::{peak_rss_bytes, provenance_fields};
 use adalsh_core::algorithm::{AdaLsh, AdaLshConfig, FilterOutput};
-use adalsh_core::MinhashScheme;
+use adalsh_core::metrics::set_metrics;
 use adalsh_data::{Dataset, RecordStore};
 use adalsh_datagen::{scale_match_rule, ScaleConfig, ScaleGenerator};
 use adalsh_store::{StoreBuilder, StoreView};
@@ -55,15 +56,12 @@ struct ScaleRow {
     filter_secs: f64,
     filter_peak_rss: u64,
     output_records: usize,
+    recall_gold: f64,
     materialized_peak_rss: u64,
 }
 
 fn filter_config() -> AdaLshConfig {
-    let mut config = AdaLshConfig::new(scale_match_rule());
-    // DOPH is the scale-tier kernel: all K·L slots in one pass per
-    // record instead of one set traversal per slot.
-    config.minhash_scheme = MinhashScheme::Doph;
-    config
+    AdaLshConfig::new(scale_match_rule())
 }
 
 fn run_filter(store: &dyn RecordStore) -> FilterOutput {
@@ -112,6 +110,7 @@ fn run_scale(records: usize, check_identity: bool) -> (ScaleRow, bool) {
     let mapped_out = run_filter(&view);
     let filter_secs = start.elapsed().as_secs_f64();
     let filter_peak_rss = peak_rss_bytes().unwrap_or(0);
+    let recall_gold = set_metrics(&mapped_out.records(), &view.gold_records(K)).recall;
 
     // Phase 3: materialize the whole store in RAM — the footprint the
     // mapped path avoids. The filter re-run doubles as the bit-identity
@@ -147,6 +146,7 @@ fn run_scale(records: usize, check_identity: bool) -> (ScaleRow, bool) {
         filter_secs,
         filter_peak_rss,
         output_records: mapped_out.records().len(),
+        recall_gold,
         materialized_peak_rss,
     };
     (row, identical)
@@ -172,7 +172,8 @@ fn main() {
         all_identical &= identical;
         println!(
             "scale {:>9}: ingest {:.2}s ({:.0} rec/s, peak {} MiB), file {} MiB, \
-             filter {:.2}s (peak {} MiB, {} output records), materialized peak {} MiB",
+             filter {:.2}s (peak {} MiB, {} output records, recall gold {:.4}), \
+             materialized peak {} MiB",
             row.records,
             row.ingest_secs,
             row.ingest_rps,
@@ -181,6 +182,7 @@ fn main() {
             row.filter_secs,
             row.filter_peak_rss >> 20,
             row.output_records,
+            row.recall_gold,
             row.materialized_peak_rss >> 20,
         );
         rows.push(row);
@@ -188,8 +190,9 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"_meta\": {{ \"k\": {K}, \"seed\": {SEED}, \"minhash_scheme\": \"doph\", \
+        "  \"_meta\": {{ \"k\": {K}, \"seed\": {SEED}, \"minhash_scheme\": \"{}\", \
          \"rss_source\": \"VmHWM per phase (clear_refs reset)\", {} }}",
+        filter_config().minhash_scheme,
         provenance_fields()
     ));
     for r in &rows {
@@ -198,7 +201,8 @@ fn main() {
              \"ingest_secs\": {:.3}, \"ingest_records_per_sec\": {:.0}, \
              \"file_bytes\": {}, \"ingest_peak_rss_bytes\": {}, \
              \"filter_secs\": {:.3}, \"filter_peak_rss_bytes\": {}, \
-             \"output_records\": {}, \"materialized_peak_rss_bytes\": {} }}",
+             \"output_records\": {}, \"recall_gold\": {:.4}, \
+             \"materialized_peak_rss_bytes\": {} }}",
             r.records,
             r.records,
             r.entities,
@@ -209,6 +213,7 @@ fn main() {
             r.filter_secs,
             r.filter_peak_rss,
             r.output_records,
+            r.recall_gold,
             r.materialized_peak_rss,
         ));
     }

@@ -27,11 +27,13 @@ use rand::{Rng, SeedableRng};
 use crate::bins::BinIndex;
 use crate::cost::CostModel;
 use crate::hashing::{RecordHashState, SequenceHasher};
-use crate::oracle::{NoisyOracle, OracleMode, OracleSpend, SpendLedger, VerdictOverlay};
-use crate::pairwise::{apply_pairwise_oracle, apply_pairwise_traced, DEFAULT_PAIR_BLOCK};
+use crate::oracle::{
+    ExactOracle, NoisyOracle, OracleMode, OracleSpend, SpendLedger, VerdictOverlay,
+};
+use crate::pairwise::{apply_pairwise_with, DEFAULT_PAIR_BLOCK};
 use crate::sequence::{design, SequenceSpec};
 use crate::stats::Stats;
-use crate::transitive::apply_transitive_threaded;
+use crate::transitive::apply_transitive;
 
 /// Which cluster to process next. Largest-First is the paper's (provably
 /// optimal) choice; the others exist for the optimality ablation.
@@ -415,7 +417,7 @@ impl AdaLsh {
         stats.modeled_cost += predicted;
         let before = stats;
         let round_start = sink.enabled().then(Instant::now);
-        let first = apply_transitive_threaded(
+        let first = apply_transitive(
             &self.hasher,
             states,
             store,
@@ -521,23 +523,24 @@ impl AdaLsh {
                     (OracleMode::Noisy(ocfg), Some(ledger)) => {
                         let oracle = NoisyOracle::new(&self.config.rule, ocfg.clone())
                             .with_overlay(self.config.oracle_overlay.clone());
-                        apply_pairwise_oracle(
+                        apply_pairwise_with(
                             store,
                             &oracle,
                             &entry.records,
                             self.config.threads,
                             DEFAULT_PAIR_BLOCK,
-                            ledger,
+                            Some(ledger),
                             &sink,
                             &mut stats,
                         )
                     }
-                    _ => apply_pairwise_traced(
+                    _ => apply_pairwise_with(
                         store,
-                        &self.config.rule,
+                        &ExactOracle::new(&self.config.rule),
                         &entry.records,
                         self.config.threads,
                         DEFAULT_PAIR_BLOCK,
+                        None,
                         &sink,
                         &mut stats,
                     ),
@@ -570,7 +573,7 @@ impl AdaLsh {
                 stats.modeled_cost += predicted;
                 let before = stats;
                 let round_start = sink.enabled().then(Instant::now);
-                let subs = apply_transitive_threaded(
+                let subs = apply_transitive(
                     &self.hasher,
                     states,
                     store,

@@ -410,17 +410,9 @@ struct ChoicePlan {
     choice: usize,
     /// Positions within the part's value slice, ascending.
     positions: Vec<usize>,
-    kind: ChoiceKind,
-}
-
-#[derive(Debug)]
-enum ChoiceKind {
-    /// Cached classic MinHash keys, aligned with `positions`.
-    Shingles { keys: Vec<u64> },
-    /// DOPH slot indices, aligned with `positions`.
-    DophSlots { slots: Vec<usize> },
-    /// Hyperplane runs, aligned with `positions` when flattened.
-    Dense { runs: Vec<(u32, Vec<usize>)> },
+    /// The sub-part's plan over its tasks, aligned with `positions`
+    /// (never `Weighted`: Definition 7 selections are one level deep).
+    kind: PartPlanKind,
 }
 
 /// The canonical `(table, function)` task list for one part of one
@@ -453,17 +445,11 @@ fn dense_runs(tasks: &[(u32, u32)]) -> Vec<(u32, Vec<usize>)> {
     runs
 }
 
-fn build_part_plan(
-    parts: &[HashPart],
-    part: usize,
-    w_from: u32,
-    w_to: u32,
-    z_from: u32,
-    z_to: u32,
-    offset: usize,
-) -> PartPlan {
-    let tasks = canonical_tasks(w_from, w_to, z_from, z_to);
-    let kind = match &parts[part] {
+/// The plan of a simple (shingle or dense) part over `tasks`, aligned
+/// with them — built the same way for a top-level part and a weighted
+/// choice.
+fn simple_plan(part: &HashPart, tasks: &[(u32, u32)]) -> PartPlanKind {
+    match part {
         HashPart::Shingles { doph: Some(dp), .. } => PartPlanKind::DophSlots {
             slots: tasks
                 .iter()
@@ -479,51 +465,89 @@ fn build_part_plan(
                 .collect(),
         },
         HashPart::Dense { .. } => PartPlanKind::Dense {
-            runs: dense_runs(&tasks),
+            runs: dense_runs(tasks),
         },
+        HashPart::Weighted { .. } => unreachable!("Definition 7 selections are one level deep"),
+    }
+}
+
+/// Evaluates a simple part's planned tasks on one record into `out`, one
+/// value per task in plan order — the one batched dispatch for top-level
+/// parts and weighted choices alike.
+fn eval_simple<R: RecordFields>(
+    part: &HashPart,
+    kind: &PartPlanKind,
+    record: &R,
+    doph_vals: &mut Vec<Vec<u64>>,
+    doph_valid: &mut Vec<bool>,
+    out: &mut [u64],
+) {
+    match (kind, part) {
+        (PartPlanKind::Shingles { keys }, HashPart::Shingles { field, .. }) => {
+            let set = record.field_ref(*field).as_shingles();
+            MinHashFamily::hash_batch_keys(keys, set, out);
+        }
+        (
+            PartPlanKind::DophSlots { slots },
+            HashPart::Shingles {
+                field,
+                doph: Some(dp),
+                ..
+            },
+        ) => {
+            let set = record.field_ref(*field).as_shingles();
+            let all = doph_slot_values(doph_vals, doph_valid, dp.space, &dp.family, set);
+            for (o, &s) in out.iter_mut().zip(slots) {
+                *o = all[s];
+            }
+        }
+        (PartPlanKind::Dense { runs }, HashPart::Dense { field, tables, .. }) => {
+            let v = record.field_ref(*field).as_dense();
+            let mut cur = 0usize;
+            for (t, js) in runs {
+                tables[*t as usize].hash_batch(js, v, &mut out[cur..cur + js.len()]);
+                cur += js.len();
+            }
+        }
+        _ => unreachable!("plan kind matches part kind"),
+    }
+}
+
+fn build_part_plan(
+    parts: &[HashPart],
+    part: usize,
+    w_from: u32,
+    w_to: u32,
+    z_from: u32,
+    z_to: u32,
+    offset: usize,
+) -> PartPlan {
+    let tasks = canonical_tasks(w_from, w_to, z_from, z_to);
+    let kind = match &parts[part] {
         HashPart::Weighted { selection, choices } => {
-            let mut plans: Vec<ChoicePlan> = choices
-                .iter()
+            // Route each task to its selected sub-part, remembering its
+            // position so the sub-part's values scatter back in order.
+            let mut positions: Vec<Vec<usize>> = vec![Vec::new(); choices.len()];
+            for (pos, &(t, j)) in tasks.iter().enumerate() {
+                let c = selection.field_for((u64::from(t) * TABLE_STRIDE + u64::from(j)) as usize);
+                positions[c].push(pos);
+            }
+            let plans = positions
+                .into_iter()
                 .enumerate()
-                .map(|(c, choice)| ChoicePlan {
-                    choice: c,
-                    positions: Vec::new(),
-                    kind: match choice {
-                        HashPart::Shingles { doph: Some(_), .. } => {
-                            ChoiceKind::DophSlots { slots: Vec::new() }
-                        }
-                        HashPart::Shingles { .. } => ChoiceKind::Shingles { keys: Vec::new() },
-                        HashPart::Dense { .. } => ChoiceKind::Dense { runs: Vec::new() },
-                        HashPart::Weighted { .. } => {
-                            unreachable!("Definition 7 selections are one level deep")
-                        }
-                    },
+                .filter(|(_, positions)| !positions.is_empty())
+                .map(|(choice, positions)| {
+                    let routed: Vec<(u32, u32)> = positions.iter().map(|&p| tasks[p]).collect();
+                    ChoicePlan {
+                        choice,
+                        kind: simple_plan(&choices[choice], &routed),
+                        positions,
+                    }
                 })
                 .collect();
-            for (pos, &(t, j)) in tasks.iter().enumerate() {
-                let idx = u64::from(t) * TABLE_STRIDE + u64::from(j);
-                let c = selection.field_for(idx as usize);
-                plans[c].positions.push(pos);
-                match (&mut plans[c].kind, &choices[c]) {
-                    (
-                        ChoiceKind::DophSlots { slots },
-                        HashPart::Shingles { doph: Some(dp), .. },
-                    ) => {
-                        slots.push((t * dp.w_max + j) as usize);
-                    }
-                    (ChoiceKind::Shingles { keys }, HashPart::Shingles { family, .. }) => {
-                        keys.push(family.key_for(idx as usize));
-                    }
-                    (ChoiceKind::Dense { runs }, HashPart::Dense { .. }) => match runs.last_mut() {
-                        Some((rt, js)) if *rt == t => js.push(j as usize),
-                        _ => runs.push((t, vec![j as usize])),
-                    },
-                    _ => unreachable!("choice plan kind matches sub-part kind"),
-                }
-            }
-            plans.retain(|p| !p.positions.is_empty());
             PartPlanKind::Weighted { choices: plans }
         }
+        simple => simple_plan(simple, &tasks),
     };
     PartPlan {
         part,
@@ -778,103 +802,35 @@ impl SequenceHasher {
             scratch.vals.resize(gp.total, 0);
             for pp in &gp.parts {
                 let out = &mut scratch.vals[pp.offset..pp.offset + pp.count];
-                match &pp.kind {
-                    PartPlanKind::Shingles { keys } => {
-                        let HashPart::Shingles { field, .. } = &self.parts[pp.part] else {
-                            unreachable!("plan kind matches part kind")
-                        };
-                        let set = record.field_ref(*field).as_shingles();
-                        MinHashFamily::hash_batch_keys(keys, set, out);
-                    }
-                    PartPlanKind::DophSlots { slots } => {
-                        let HashPart::Shingles {
-                            field,
-                            doph: Some(dp),
-                            ..
-                        } = &self.parts[pp.part]
-                        else {
-                            unreachable!("plan kind matches part kind")
-                        };
-                        let set = record.field_ref(*field).as_shingles();
-                        let all = doph_slot_values(
-                            &mut scratch.doph_vals,
-                            &mut scratch.doph_valid,
-                            dp.space,
-                            &dp.family,
-                            set,
-                        );
-                        for (o, &s) in out.iter_mut().zip(slots) {
-                            *o = all[s];
-                        }
-                    }
-                    PartPlanKind::Dense { runs } => {
-                        let HashPart::Dense { field, tables, .. } = &self.parts[pp.part] else {
-                            unreachable!("plan kind matches part kind")
-                        };
-                        let v = record.field_ref(*field).as_dense();
-                        let mut cur = 0usize;
-                        for (t, js) in runs {
-                            tables[*t as usize].hash_batch(js, v, &mut out[cur..cur + js.len()]);
-                            cur += js.len();
-                        }
-                    }
-                    PartPlanKind::Weighted { choices: cplans } => {
-                        let HashPart::Weighted { choices, .. } = &self.parts[pp.part] else {
-                            unreachable!("plan kind matches part kind")
-                        };
+                match (&pp.kind, &self.parts[pp.part]) {
+                    (
+                        PartPlanKind::Weighted { choices: cplans },
+                        HashPart::Weighted { choices, .. },
+                    ) => {
                         for cp in cplans {
                             scratch.tmp.clear();
                             scratch.tmp.resize(cp.positions.len(), 0);
-                            match (&cp.kind, &choices[cp.choice]) {
-                                (
-                                    ChoiceKind::Shingles { keys },
-                                    HashPart::Shingles { field, .. },
-                                ) => {
-                                    let set = record.field_ref(*field).as_shingles();
-                                    MinHashFamily::hash_batch_keys(keys, set, &mut scratch.tmp);
-                                }
-                                (
-                                    ChoiceKind::DophSlots { slots },
-                                    HashPart::Shingles {
-                                        field,
-                                        doph: Some(dp),
-                                        ..
-                                    },
-                                ) => {
-                                    let set = record.field_ref(*field).as_shingles();
-                                    let all = doph_slot_values(
-                                        &mut scratch.doph_vals,
-                                        &mut scratch.doph_valid,
-                                        dp.space,
-                                        &dp.family,
-                                        set,
-                                    );
-                                    for (o, &s) in scratch.tmp.iter_mut().zip(slots) {
-                                        *o = all[s];
-                                    }
-                                }
-                                (
-                                    ChoiceKind::Dense { runs },
-                                    HashPart::Dense { field, tables, .. },
-                                ) => {
-                                    let v = record.field_ref(*field).as_dense();
-                                    let mut cur = 0usize;
-                                    for (t, js) in runs {
-                                        tables[*t as usize].hash_batch(
-                                            js,
-                                            v,
-                                            &mut scratch.tmp[cur..cur + js.len()],
-                                        );
-                                        cur += js.len();
-                                    }
-                                }
-                                _ => unreachable!("choice plan kind matches sub-part kind"),
-                            }
+                            eval_simple(
+                                &choices[cp.choice],
+                                &cp.kind,
+                                record,
+                                &mut scratch.doph_vals,
+                                &mut scratch.doph_valid,
+                                &mut scratch.tmp,
+                            );
                             for (&pos, &val) in cp.positions.iter().zip(&scratch.tmp) {
                                 out[pos] = val;
                             }
                         }
                     }
+                    (kind, part) => eval_simple(
+                        part,
+                        kind,
+                        record,
+                        &mut scratch.doph_vals,
+                        &mut scratch.doph_valid,
+                        out,
+                    ),
                 }
             }
             stats.hash_evals += gp.total as u64;

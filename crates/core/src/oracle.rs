@@ -54,7 +54,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use adalsh_data::{MatchRule, RecordStore};
+use adalsh_data::{KernelTally, MatchRule, RecordStore};
 use adalsh_lsh::mix::derive_seed;
 use adalsh_obs::{TraceSink, Value};
 use serde::{Deserialize, Serialize};
@@ -170,8 +170,25 @@ pub struct Adjudication {
 /// in `(a, b)` and safe to call concurrently ([`Sync`]) — the wavefront
 /// evaluates blocks speculatively on worker threads.
 pub trait PairwiseOracle: Sync {
-    /// Adjudicates the unordered pair `(a, b)` of record ids.
-    fn adjudicate(&self, store: &dyn RecordStore, a: u32, b: u32) -> Adjudication;
+    /// What one adjudication leaves in the wavefront's per-block buffer:
+    /// as small as the oracle allows (a `bool` for [`ExactOracle`]), and
+    /// expanded into a full [`Adjudication`] only when a ledger settles
+    /// it.
+    type Verdict: Copy + Default + Send;
+
+    /// Adjudicates the unordered pair `(a, b)` of record ids, tallying
+    /// the match-rule kernels it ran into `counts`.
+    fn adjudicate<T: KernelTally>(
+        &self,
+        store: &dyn RecordStore,
+        a: u32,
+        b: u32,
+        counts: &mut T,
+    ) -> Self::Verdict;
+
+    /// The full accounting record of a verdict, as [`SpendLedger::settle`]
+    /// takes it.
+    fn adjudication(verdict: Self::Verdict) -> Adjudication;
 
     /// Elementary distance computations per adjudicated pair, charged to
     /// `Stats::distance_evals` exactly like the rule-based path.
@@ -193,8 +210,19 @@ impl<'r> ExactOracle<'r> {
 }
 
 impl PairwiseOracle for ExactOracle<'_> {
-    fn adjudicate(&self, store: &dyn RecordStore, a: u32, b: u32) -> Adjudication {
-        let matched = self.rule.matches_in(store, a, b);
+    type Verdict = bool;
+
+    fn adjudicate<T: KernelTally>(
+        &self,
+        store: &dyn RecordStore,
+        a: u32,
+        b: u32,
+        counts: &mut T,
+    ) -> bool {
+        self.rule.matches_in_counted(store, a, b, counts)
+    }
+
+    fn adjudication(matched: bool) -> Adjudication {
         Adjudication {
             matched,
             rule_matched: matched,
@@ -303,13 +331,21 @@ impl<'r> NoisyOracle<'r> {
 }
 
 impl PairwiseOracle for NoisyOracle<'_> {
-    fn adjudicate(&self, store: &dyn RecordStore, a: u32, b: u32) -> Adjudication {
+    type Verdict = Adjudication;
+
+    fn adjudicate<T: KernelTally>(
+        &self,
+        store: &dyn RecordStore,
+        a: u32,
+        b: u32,
+        counts: &mut T,
+    ) -> Adjudication {
         if let Some(target) = self.cfg.panic_on_record {
             if a == target || b == target {
                 panic!("injected oracle fault: adjudication touching record {target}");
             }
         }
-        let truth = self.rule.matches_in(store, a, b);
+        let truth = self.rule.matches_in_counted(store, a, b, counts);
         let mut adj = Adjudication {
             rule_matched: truth,
             ..Adjudication::default()
@@ -338,6 +374,10 @@ impl PairwiseOracle for NoisyOracle<'_> {
             verdict = 2 * ayes > n;
         }
         adj.matched = verdict;
+        adj
+    }
+
+    fn adjudication(adj: Adjudication) -> Adjudication {
         adj
     }
 
@@ -578,7 +618,9 @@ impl VerdictOverlay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adalsh_data::{Dataset, FieldDistance, FieldKind, FieldValue, Record, Schema, ShingleSet};
+    use adalsh_data::{
+        Dataset, ExitCounts, FieldDistance, FieldKind, FieldValue, Record, Schema, ShingleSet,
+    };
 
     fn dataset(sets: &[&[u64]]) -> Dataset {
         let schema = Schema::single("s", FieldKind::Shingles);
@@ -604,11 +646,13 @@ mod tests {
         let d = toy();
         let r = rule();
         let o = ExactOracle::new(&r);
-        let adj = o.adjudicate(&d, 0, 1);
+        let mut counts = ExitCounts::default();
+        let adj = ExactOracle::adjudication(o.adjudicate(&d, 0, 1, &mut counts));
         assert!(adj.matched && adj.rule_matched);
         assert_eq!(adj.attempts, 1);
         assert_eq!(adj.spend, 0);
-        assert!(!o.adjudicate(&d, 0, 2).matched);
+        assert!(!o.adjudicate(&d, 0, 2, &mut counts));
+        assert_eq!(counts.checks, 2, "one rule kernel per adjudication");
         assert_eq!(o.num_elementary_distances(), r.num_elementary_distances());
     }
 
@@ -618,7 +662,7 @@ mod tests {
         let r = rule();
         let o = NoisyOracle::new(&r, NoisyOracleConfig::default());
         for (a, b) in [(0, 1), (0, 2), (1, 2)] {
-            let adj = o.adjudicate(&d, a, b);
+            let adj = o.adjudicate(&d, a, b, &mut ExitCounts::default());
             assert_eq!(adj.matched, r.matches_in(&d, a, b), "pair ({a},{b})");
             assert_eq!(adj.attempts, 1);
             assert_eq!(adj.retries, 0);
@@ -641,9 +685,9 @@ mod tests {
         };
         let o = NoisyOracle::new(&r, cfg);
         for (a, b) in [(0u32, 1u32), (0, 2), (1, 2)] {
-            let x = o.adjudicate(&d, a, b);
-            let y = o.adjudicate(&d, a, b);
-            let z = o.adjudicate(&d, b, a); // unordered pair
+            let x = o.adjudicate(&d, a, b, &mut ExitCounts::default());
+            let y = o.adjudicate(&d, a, b, &mut ExitCounts::default());
+            let z = o.adjudicate(&d, b, a, &mut ExitCounts::default()); // unordered pair
             assert_eq!(x, y, "repeat ({a},{b})");
             assert_eq!(x, z, "swap ({a},{b})");
         }
@@ -667,7 +711,7 @@ mod tests {
             let mut out = Vec::new();
             for a in 0..30u32 {
                 for b in (a + 1)..30 {
-                    out.push(o.adjudicate(&d, a, b).matched);
+                    out.push(o.adjudicate(&d, a, b, &mut ExitCounts::default()).matched);
                 }
             }
             out
@@ -688,7 +732,7 @@ mod tests {
             ..NoisyOracleConfig::default()
         };
         let o = NoisyOracle::new(&r, cfg);
-        let adj = o.adjudicate(&d, 0, 1);
+        let adj = o.adjudicate(&d, 0, 1, &mut ExitCounts::default());
         assert!(adj.degraded);
         assert!(adj.matched, "degrades to the rule verdict");
         assert_eq!(adj.attempts, 3, "1 + max_retries");
@@ -710,7 +754,7 @@ mod tests {
             ..NoisyOracleConfig::default()
         };
         let o = NoisyOracle::new(&r, cfg);
-        let adj = o.adjudicate(&d, 0, 1);
+        let adj = o.adjudicate(&d, 0, 1, &mut ExitCounts::default());
         assert!(adj.degraded);
         assert!(adj.timeouts >= 1);
         // The deadline stopped retrying well before max_retries.
@@ -734,7 +778,7 @@ mod tests {
         let mut voted = 0;
         for a in 0..20u32 {
             for b in (a + 1)..20 {
-                let adj = o.adjudicate(&d, a, b);
+                let adj = o.adjudicate(&d, a, b, &mut ExitCounts::default());
                 if adj.votes > 0 {
                     voted += 1;
                     assert_eq!(adj.votes, 5, "odd-n vote width");
@@ -756,7 +800,7 @@ mod tests {
         let pairs = [(0u32, 1u32), (0, 2), (1, 2)];
         let mut degraded = 0;
         for (a, b) in pairs {
-            let adj = o.adjudicate(&d, a, b);
+            let adj = o.adjudicate(&d, a, b, &mut ExitCounts::default());
             let settled = ledger.settle(a, b, &adj);
             // Degraded or not, the zero-noise verdict equals the rule.
             assert_eq!(settled.matched, r.matches_in(&d, a, b));
@@ -786,12 +830,12 @@ mod tests {
         assert_eq!(overlay.len(), 1);
         let o =
             NoisyOracle::new(&r, NoisyOracleConfig::default()).with_overlay(Some(overlay.clone()));
-        let adj = o.adjudicate(&d, 0, 1);
+        let adj = o.adjudicate(&d, 0, 1, &mut ExitCounts::default());
         assert!(!adj.matched, "overlay overrides the oracle");
         assert_eq!(adj.attempts, 0);
         assert_eq!(adj.spend, 0);
         // Pairs without an overlay entry adjudicate normally.
-        let adj = o.adjudicate(&d, 0, 2);
+        let adj = o.adjudicate(&d, 0, 2, &mut ExitCounts::default());
         assert_eq!(adj.attempts, 1);
         assert_eq!(overlay.get(2, 0), None);
     }
@@ -805,6 +849,6 @@ mod tests {
             panic_on_record: Some(1),
             ..NoisyOracleConfig::default()
         };
-        NoisyOracle::new(&r, cfg).adjudicate(&d, 0, 1);
+        NoisyOracle::new(&r, cfg).adjudicate(&d, 0, 1, &mut ExitCounts::default());
     }
 }

@@ -13,157 +13,43 @@
 //! The *cost model* nevertheless charges `P` for all `|C|·(|C|−1)/2`
 //! pairs (paper Definition 3 is conservative; see Appendix B.3's remark).
 //!
-//! # Block-wavefront parallelism
+//! # One wavefront
 //!
-//! [`apply_pairwise`] processes the canonical pair sequence
-//! `(0,1), (0,2), …, (n−2,n−1)` in fixed-size blocks. At the start of a
-//! block the forest is frozen (no merges happen while the block is
-//! collected), and every pair whose endpoints are in different trees
-//! *per that snapshot* is evaluated — the match rule applied through the
-//! cached distance kernels ([`MatchRule::matches_in`]) — across up to
-//! `threads` workers, each owning a disjoint slice of the verdict
-//! buffer. Verdicts are then **folded into the forest sequentially in
-//! canonical pair order**, re-applying the closure-skip test against the
-//! live forest, so the merge sequence and the `pair_comparisons` /
-//! `distance_evals` charges are bit-identical to the retained scalar
-//! oracle [`apply_pairwise_scalar`]:
-//!
-//! * a pair closed at snapshot time is still closed whenever the scalar
-//!   loop reaches it (transitive closure only grows) — skipped and
-//!   uncharged on both paths;
-//! * a pair open at snapshot but closed by an earlier merge of the same
-//!   block is skipped at fold time — its evaluation was *speculative*,
-//!   wasted work bounded by the block size, and is never charged;
-//! * a pair still open at fold time is charged and folded with exactly
-//!   the verdict the scalar loop would compute (the rule is
-//!   deterministic and `matches_in` is bit-equivalent to `matches`).
+//! [`apply_pairwise_with`] walks the canonical pair sequence
+//! `(0,1), (0,2), …, (n−2,n−1)` in blocks of up to `block` pairs *open*
+//! (endpoints in different trees) in the block-start forest. A block is
+//! collected, evaluated by the [`PairwiseOracle`] on up to `threads`
+//! workers, and folded in canonical order, re-testing closure against the
+//! live forest: a pair still open is charged to [`Stats`], settled through
+//! the [`SpendLedger`] if one is given, and merged on a match. So clusters,
+//! `Stats` and the ledger equal [`apply_pairwise_scalar`]'s at any thread
+//! count and block size; a pair closed by an earlier merge of its block
+//! was evaluated *speculatively* and is neither charged nor settled. With
+//! one worker and tracing off the block size is 1: nothing is speculative,
+//! and the loop is the scalar loop through the cached, uncounted kernels.
 
-use adalsh_data::{Dataset, ExitCounts, MatchRule, RecordStore};
+use std::time::Instant;
+
+use adalsh_data::{Dataset, ExitCounts, KernelTally, MatchRule, RecordStore};
 use adalsh_obs::{TraceSink, Value};
 
-use crate::oracle::{emit_oracle_call, Adjudication, PairwiseOracle, SpendLedger};
-use crate::ppt::Forest;
+use crate::oracle::{emit_oracle_call, ExactOracle, PairwiseOracle, SpendLedger};
+use crate::ppt::{Forest, NodeId};
 use crate::stats::Stats;
 
-/// Pairs per wavefront block. Bounds speculative (uncharged, wasted)
-/// evaluations per block while keeping enough work in flight to amortize
-/// thread synchronization.
+/// Open pairs per wavefront block. Bounds speculative (uncharged,
+/// wasted) evaluations per block while keeping enough work in flight to
+/// amortize thread synchronization.
 pub const DEFAULT_PAIR_BLOCK: usize = 4096;
 
 /// Minimum open pairs in a block before fanning out to worker threads;
 /// below this, spawn/join overhead rivals the evaluations themselves.
 const MIN_PARALLEL_PAIRS: usize = 512;
 
-/// Applies `P` to `cluster` (record ids) under `rule`, returning the
-/// connected components as record-id lists. Pair evaluation runs on up
-/// to `threads` workers in blocks of [`DEFAULT_PAIR_BLOCK`] pairs;
-/// output and statistics are identical at any thread count.
-pub fn apply_pairwise(
-    store: &dyn RecordStore,
-    rule: &MatchRule,
-    cluster: &[u32],
-    threads: usize,
-    stats: &mut Stats,
-) -> Vec<Vec<u32>> {
-    apply_pairwise_blocked(store, rule, cluster, threads, DEFAULT_PAIR_BLOCK, stats)
-}
-
-/// [`apply_pairwise`] with an explicit block size (exposed so the
-/// differential tests can sweep degenerate and adversarial block sizes;
-/// any `block_pairs >= 1` produces identical output and stats).
-pub fn apply_pairwise_blocked(
-    store: &dyn RecordStore,
-    rule: &MatchRule,
-    cluster: &[u32],
-    threads: usize,
-    block_pairs: usize,
-    stats: &mut Stats,
-) -> Vec<Vec<u32>> {
-    stats.pairwise_calls += 1;
-    let n = cluster.len();
-    let mut forest = Forest::new(n);
-    for slot in 0..n as u32 {
-        forest.add_singleton(slot);
-    }
-    let per_pair_distances = rule.num_elementary_distances() as u64;
-    let threads = threads.max(1);
-    let block_pairs = block_pairs.max(1);
-
-    // Single worker: the wavefront degenerates to block size 1 with an
-    // immediate fold — fuse the two and skip the block buffers entirely.
-    // Same pair order, same skips, same charges; only the bookkeeping
-    // goes away (and the cached kernels still apply).
-    if threads == 1 {
-        for i in 0..n as u32 {
-            for j in (i + 1)..n as u32 {
-                let ri = forest.find_root_of_slot(i).expect("added above");
-                let rj = forest.find_root_of_slot(j).expect("added above");
-                if ri == rj {
-                    continue;
-                }
-                stats.pair_comparisons += 1;
-                stats.distance_evals += per_pair_distances;
-                if rule.matches_in(store, cluster[i as usize], cluster[j as usize]) {
-                    forest.merge_roots(ri, rj);
-                }
-            }
-        }
-        return clusters_of(forest, cluster);
-    }
-
-    // Cursor over the canonical pair sequence.
-    let (mut i, mut j) = (0u32, 1u32);
-    let mut open: Vec<(u32, u32)> = Vec::with_capacity(block_pairs.min(1 << 16));
-    let mut verdicts: Vec<bool> = Vec::new();
-    while (i as usize) + 1 < n {
-        // Collect the next block: walk up to `block_pairs` pairs of the
-        // canonical sequence, keeping those open per the block-start
-        // forest snapshot (the forest is not mutated during collection,
-        // so the live find *is* the snapshot).
-        open.clear();
-        let mut taken = 0;
-        while taken < block_pairs && (i as usize) + 1 < n {
-            let ri = forest.find_root_of_slot(i).expect("added above");
-            let rj = forest.find_root_of_slot(j).expect("added above");
-            if ri != rj {
-                open.push((i, j));
-            }
-            taken += 1;
-            j += 1;
-            if j as usize == n {
-                i += 1;
-                j = i + 1;
-            }
-        }
-
-        evaluate_block(store, rule, cluster, &open, threads, &mut verdicts);
-
-        // Fold verdicts sequentially in canonical pair order, re-applying
-        // the closure-skip test so accounting matches the scalar oracle.
-        for (&(a, b), &matched) in open.iter().zip(&verdicts) {
-            let ra = forest.find_root_of_slot(a).expect("added above");
-            let rb = forest.find_root_of_slot(b).expect("added above");
-            if ra == rb {
-                // Closed by an earlier merge of this block: the
-                // evaluation was speculative and is not charged.
-                continue;
-            }
-            stats.pair_comparisons += 1;
-            stats.distance_evals += per_pair_distances;
-            if matched {
-                forest.merge_roots(ra, rb);
-            }
-        }
-    }
-    clusters_of(forest, cluster)
-}
-
-/// Observability totals from one [`apply_pairwise_traced`] call: how
-/// many wavefront blocks ran, how many threshold kernels fired inside
-/// them (including speculative evaluations that are never charged to
-/// [`Stats`]), and how many of those kernels resolved on an early-exit
-/// path. Purely observational — clusters and `Stats` are bit-identical
-/// to the untraced paths.
+/// Observability totals from one traced [`apply_pairwise_with`] call:
+/// blocks run, threshold kernels fired in them (speculative evaluations
+/// included, which [`Stats`] never charges), and how many of those exited
+/// early. Zero when the sink is disabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairwiseTrace {
     /// Wavefront blocks processed (each emitted one `pairwise_block`
@@ -175,222 +61,141 @@ pub struct PairwiseTrace {
     pub early_exits: u64,
 }
 
-/// [`apply_pairwise_blocked`] emitting one `pairwise_block` trace event
-/// per wavefront block (fields: `pairs_open`, `pairs_charged`,
-/// `kernel_checks`, `early_exits`, `wall_micros`) and returning the
-/// block/kernel tally alongside the clusters.
-///
-/// With a disabled sink this *is* `apply_pairwise_blocked` (plus a zero
-/// tally). With tracing on, the block-structured wavefront runs even at
-/// `threads == 1` so the per-block events exist; the pair order, skips,
-/// and `Stats` charges are identical either way (the fused single-thread
-/// loop is an optimization of block size 1, and block size is
-/// stats-neutral by construction — see
-/// `parallel_equals_scalar_on_mixed_cluster`).
-pub fn apply_pairwise_traced(
+/// Applies `P` to `cluster` (record ids) under `rule`, returning the
+/// connected components as record-id lists: [`apply_pairwise_with`]
+/// under [`ExactOracle`], with no ledger and tracing off.
+pub fn apply_pairwise(
     store: &dyn RecordStore,
     rule: &MatchRule,
     cluster: &[u32],
     threads: usize,
-    block_pairs: usize,
-    sink: &TraceSink,
     stats: &mut Stats,
-) -> (Vec<Vec<u32>>, PairwiseTrace) {
-    if !sink.enabled() {
-        let clusters = apply_pairwise_blocked(store, rule, cluster, threads, block_pairs, stats);
-        return (clusters, PairwiseTrace::default());
-    }
-    stats.pairwise_calls += 1;
-    let n = cluster.len();
-    let mut forest = Forest::new(n);
-    for slot in 0..n as u32 {
-        forest.add_singleton(slot);
-    }
-    let per_pair_distances = rule.num_elementary_distances() as u64;
-    let threads = threads.max(1);
-    let block_pairs = block_pairs.max(1);
-    let mut trace = PairwiseTrace::default();
-
-    let (mut i, mut j) = (0u32, 1u32);
-    let mut open: Vec<(u32, u32)> = Vec::with_capacity(block_pairs.min(1 << 16));
-    let mut verdicts: Vec<bool> = Vec::new();
-    while (i as usize) + 1 < n {
-        let block_start = std::time::Instant::now();
-        open.clear();
-        let mut taken = 0;
-        while taken < block_pairs && (i as usize) + 1 < n {
-            let ri = forest.find_root_of_slot(i).expect("added above");
-            let rj = forest.find_root_of_slot(j).expect("added above");
-            if ri != rj {
-                open.push((i, j));
-            }
-            taken += 1;
-            j += 1;
-            if j as usize == n {
-                i += 1;
-                j = i + 1;
-            }
-        }
-
-        let counts = evaluate_block_counted(store, rule, cluster, &open, threads, &mut verdicts);
-
-        let mut charged = 0u64;
-        for (&(a, b), &matched) in open.iter().zip(&verdicts) {
-            let ra = forest.find_root_of_slot(a).expect("added above");
-            let rb = forest.find_root_of_slot(b).expect("added above");
-            if ra == rb {
-                continue;
-            }
-            charged += 1;
-            stats.pair_comparisons += 1;
-            stats.distance_evals += per_pair_distances;
-            if matched {
-                forest.merge_roots(ra, rb);
-            }
-        }
-
-        trace.blocks += 1;
-        trace.kernel_checks += counts.checks;
-        trace.early_exits += counts.early_exits;
-        sink.emit(
-            "pairwise_block",
-            &[
-                ("pairs_open", Value::U64(open.len() as u64)),
-                ("pairs_charged", Value::U64(charged)),
-                ("kernel_checks", Value::U64(counts.checks)),
-                ("early_exits", Value::U64(counts.early_exits)),
-                (
-                    "wall_micros",
-                    Value::U64(block_start.elapsed().as_micros() as u64),
-                ),
-            ],
-        );
-    }
-    (clusters_of(forest, cluster), trace)
+) -> Vec<Vec<u32>> {
+    apply_pairwise_with(
+        store,
+        &ExactOracle::new(rule),
+        cluster,
+        threads,
+        DEFAULT_PAIR_BLOCK,
+        None,
+        &TraceSink::disabled(),
+        stats,
+    )
+    .0
 }
 
-/// `P` through a [`PairwiseOracle`] instead of the bare rule: the same
-/// block wavefront and canonical fold as [`apply_pairwise_blocked`],
-/// with adjudications evaluated speculatively (they are pure functions
-/// of the pair, so parallel evaluation is safe) and **settled through
-/// the ledger only at fold time, in canonical pair order**. Budget
-/// charging, degradation, and `oracle_call` emission all happen at
-/// settle time, which is what keeps verdicts, clusters, `Stats`, and
-/// the oracle spend bit-identical across thread counts and block sizes.
-///
-/// `Stats` charges mirror the rule-based path exactly: one
-/// `pair_comparisons` (+ the oracle's elementary distances) per pair
-/// still open at fold time; speculative evaluations of pairs closed by
-/// an earlier merge of the same block are neither charged nor settled.
-///
-/// With a disabled sink no events are emitted and the returned
-/// [`PairwiseTrace`] is zero, exactly like [`apply_pairwise_traced`];
-/// with tracing on, one `pairwise_block` event per block and one
-/// `oracle_call` event per settled pair are emitted.
+/// Applies `P` to `cluster` (record ids) with verdicts from `oracle`;
+/// `threads` and `block` (≥ 1) change wall-clock only. A `ledger` settles
+/// every charged pair (budget, degradation, `oracle_call` when traced); an
+/// enabled `sink` gets one `pairwise_block` event per block.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_pairwise_oracle(
+pub fn apply_pairwise_with<O: PairwiseOracle>(
     store: &dyn RecordStore,
-    oracle: &dyn PairwiseOracle,
+    oracle: &O,
     cluster: &[u32],
     threads: usize,
-    block_pairs: usize,
-    ledger: &mut SpendLedger,
+    block: usize,
+    ledger: Option<&mut SpendLedger>,
+    sink: &TraceSink,
+    stats: &mut Stats,
+) -> (Vec<Vec<u32>>, PairwiseTrace) {
+    if threads <= 1 && !sink.enabled() {
+        wavefront::<O, true>(store, oracle, cluster, 1, 1, ledger, sink, stats)
+    } else {
+        wavefront::<O, false>(store, oracle, cluster, threads, block, ledger, sink, stats)
+    }
+}
+
+/// The wavefront loop; `FUSED` (one worker, tracing off) compiles it at
+/// block size 1 with the thread and tracing branches folded away.
+#[allow(clippy::too_many_arguments)]
+fn wavefront<O: PairwiseOracle, const FUSED: bool>(
+    store: &dyn RecordStore,
+    oracle: &O,
+    cluster: &[u32],
+    threads: usize,
+    block: usize,
+    mut ledger: Option<&mut SpendLedger>,
     sink: &TraceSink,
     stats: &mut Stats,
 ) -> (Vec<Vec<u32>>, PairwiseTrace) {
     stats.pairwise_calls += 1;
-    let n = cluster.len();
-    let mut forest = Forest::new(n);
-    for slot in 0..n as u32 {
-        forest.add_singleton(slot);
-    }
+    let n = cluster.len() as u32;
+    let mut forest = singletons(cluster.len());
     let per_pair_distances = oracle.num_elementary_distances() as u64;
-    let threads = threads.max(1);
-    let block_pairs = block_pairs.max(1);
-    let traced = sink.enabled();
-    let trace = PairwiseTrace::default();
-
-    // Fused single-thread path: adjudicate lazily at fold time, no
-    // speculative work. (With tracing on, the blocked wavefront runs
-    // even at threads == 1 so the per-block events exist — pair order,
-    // skips, charges, and settle order are identical either way.)
-    if threads == 1 && !traced {
-        for i in 0..n as u32 {
-            for j in (i + 1)..n as u32 {
-                let ri = forest.find_root_of_slot(i).expect("added above");
-                let rj = forest.find_root_of_slot(j).expect("added above");
-                if ri == rj {
-                    continue;
-                }
-                let (a_id, b_id) = (cluster[i as usize], cluster[j as usize]);
-                let adj = oracle.adjudicate(store, a_id, b_id);
-                stats.pair_comparisons += 1;
-                stats.distance_evals += per_pair_distances;
-                let settled = ledger.settle(a_id, b_id, &adj);
-                if settled.matched {
-                    forest.merge_roots(ri, rj);
-                }
-            }
-        }
-        return (clusters_of(forest, cluster), trace);
-    }
-
-    let mut trace = trace;
+    let traced = !FUSED && sink.enabled();
+    let pairs = (n as usize * n.saturating_sub(1) as usize / 2).max(1);
+    let block = block.clamp(1, if FUSED { 1 } else { pairs });
+    let mut trace = PairwiseTrace::default();
+    // A block fills a prefix of both buffers.
+    let mut open = vec![(0u32, 0u32); block];
+    let mut verdicts = vec![O::Verdict::default(); block];
+    // Cursor over the canonical pair sequence.
     let (mut i, mut j) = (0u32, 1u32);
-    let mut open: Vec<(u32, u32)> = Vec::with_capacity(block_pairs.min(1 << 16));
-    let mut adjudications: Vec<Adjudication> = Vec::new();
-    while (i as usize) + 1 < n {
-        let block_start = traced.then(std::time::Instant::now);
-        open.clear();
-        let mut taken = 0;
-        while taken < block_pairs && (i as usize) + 1 < n {
-            let ri = forest.find_root_of_slot(i).expect("added above");
-            let rj = forest.find_root_of_slot(j).expect("added above");
-            if ri != rj {
-                open.push((i, j));
+    loop {
+        let block_start = traced.then(Instant::now);
+        let mut len = 0;
+        while len < block && i + 1 < n {
+            if root(&mut forest, i) != root(&mut forest, j) {
+                open[len] = (i, j);
+                len += 1;
             }
-            taken += 1;
             j += 1;
-            if j as usize == n {
+            if j == n {
                 i += 1;
                 j = i + 1;
             }
         }
-
-        evaluate_block_oracle(store, oracle, cluster, &open, threads, &mut adjudications);
+        if len == 0 {
+            break;
+        }
+        let (open, verdicts) = (&open[..len], &mut verdicts[..len]);
+        // Only traced blocks read the tally; the others run uncounted.
+        let counts = if traced {
+            evaluate_block(store, oracle, cluster, open, threads, verdicts)
+        } else {
+            evaluate_block::<O, ()>(store, oracle, cluster, open, threads, verdicts);
+            ExitCounts::default()
+        };
 
         let mut charged = 0u64;
-        for (&(a, b), adj) in open.iter().zip(&adjudications) {
-            let ra = forest.find_root_of_slot(a).expect("added above");
-            let rb = forest.find_root_of_slot(b).expect("added above");
+        for (&(a, b), &verdict) in open.iter().zip(verdicts.iter()) {
+            let (ra, rb) = (root(&mut forest, a), root(&mut forest, b));
             if ra == rb {
-                // Closed by an earlier merge of this block: speculative,
-                // neither charged nor settled.
+                // Closed by an earlier merge of this block: speculative.
                 continue;
             }
             charged += 1;
             stats.pair_comparisons += 1;
             stats.distance_evals += per_pair_distances;
-            let (a_id, b_id) = (cluster[a as usize], cluster[b as usize]);
-            let settled = ledger.settle(a_id, b_id, adj);
-            if traced {
-                emit_oracle_call(sink, &settled);
-            }
-            if settled.matched {
+            let adjudication = O::adjudication(verdict);
+            let matched = match ledger.as_deref_mut() {
+                None => adjudication.matched,
+                Some(ledger) => {
+                    let settled =
+                        ledger.settle(cluster[a as usize], cluster[b as usize], &adjudication);
+                    if traced {
+                        emit_oracle_call(sink, &settled);
+                    }
+                    settled.matched
+                }
+            };
+            if matched {
                 forest.merge_roots(ra, rb);
             }
         }
 
         if let Some(t0) = block_start {
             trace.blocks += 1;
-            trace.kernel_checks += open.len() as u64;
+            trace.kernel_checks += counts.checks;
+            trace.early_exits += counts.early_exits;
             sink.emit(
                 "pairwise_block",
                 &[
                     ("pairs_open", Value::U64(open.len() as u64)),
                     ("pairs_charged", Value::U64(charged)),
-                    ("kernel_checks", Value::U64(open.len() as u64)),
-                    ("early_exits", Value::U64(0)),
+                    ("kernel_checks", Value::U64(counts.checks)),
+                    ("early_exits", Value::U64(counts.early_exits)),
                     ("wall_micros", Value::U64(t0.elapsed().as_micros() as u64)),
                 ],
             );
@@ -399,128 +204,47 @@ pub fn apply_pairwise_oracle(
     (clusters_of(forest, cluster), trace)
 }
 
-/// Adjudicates every open pair of a block, writing one [`Adjudication`]
-/// per pair. Parallel when the block is big enough — adjudications are
-/// pure functions of the pair, so workers share nothing but their
-/// disjoint output chunks.
-fn evaluate_block_oracle(
+/// Adjudicates every open pair of a block into `verdicts` and returns
+/// the kernel tally; big blocks split into disjoint chunks of pairs and
+/// buffer across workers, whose tallies merge at join time.
+fn evaluate_block<O: PairwiseOracle, T: KernelTally>(
     store: &dyn RecordStore,
-    oracle: &dyn PairwiseOracle,
+    oracle: &O,
     cluster: &[u32],
     open: &[(u32, u32)],
     threads: usize,
-    out: &mut Vec<Adjudication>,
-) {
-    out.clear();
-    out.resize(open.len(), Adjudication::default());
-    let eval = |pairs: &[(u32, u32)], out: &mut [Adjudication]| {
-        for (slot, &(a, b)) in out.iter_mut().zip(pairs) {
-            *slot = oracle.adjudicate(store, cluster[a as usize], cluster[b as usize]);
-        }
-    };
-    if threads == 1 || open.len() < MIN_PARALLEL_PAIRS {
-        eval(open, out);
-        return;
-    }
-    let chunk = open.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (pairs, slots) in open.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || eval(pairs, slots));
-        }
-    });
-}
-
-/// Maps the forest's slot clusters back to record ids.
-fn clusters_of(forest: Forest, cluster: &[u32]) -> Vec<Vec<u32>> {
-    forest
-        .clusters()
-        .into_iter()
-        .map(|slots| slots.into_iter().map(|s| cluster[s as usize]).collect())
-        .collect()
-}
-
-/// Evaluates the match rule on every open pair of a block, writing one
-/// verdict per pair. Parallel when the block is big enough: each worker
-/// owns a disjoint chunk of the pair list and the matching chunk of the
-/// verdict buffer (its per-worker scratch), so no synchronization beyond
-/// the final join is needed.
-fn evaluate_block(
-    store: &dyn RecordStore,
-    rule: &MatchRule,
-    cluster: &[u32],
-    open: &[(u32, u32)],
-    threads: usize,
-    verdicts: &mut Vec<bool>,
-) {
-    verdicts.clear();
-    verdicts.resize(open.len(), false);
-    let eval = |pairs: &[(u32, u32)], out: &mut [bool]| {
+    verdicts: &mut [O::Verdict],
+) -> T {
+    let eval = |pairs: &[(u32, u32)], out: &mut [O::Verdict]| {
+        let mut tally = T::default();
         for (v, &(a, b)) in out.iter_mut().zip(pairs) {
-            *v = rule.matches_in(store, cluster[a as usize], cluster[b as usize]);
+            let (a, b) = (cluster[a as usize], cluster[b as usize]);
+            *v = oracle.adjudicate(store, a, b, &mut tally);
         }
-    };
-    if threads == 1 || open.len() < MIN_PARALLEL_PAIRS {
-        eval(open, verdicts);
-        return;
-    }
-    let chunk = open.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (pairs, out) in open.chunks(chunk).zip(verdicts.chunks_mut(chunk)) {
-            scope.spawn(move || eval(pairs, out));
-        }
-    });
-}
-
-/// [`evaluate_block`] through the counted kernels
-/// ([`MatchRule::matches_in_counted`]), tallying kernel invocations and
-/// early exits per worker and merging the tallies at join time. Verdicts
-/// are bit-identical to the uncounted path (the counted kernels own the
-/// logic; the plain ones delegate).
-fn evaluate_block_counted(
-    store: &dyn RecordStore,
-    rule: &MatchRule,
-    cluster: &[u32],
-    open: &[(u32, u32)],
-    threads: usize,
-    verdicts: &mut Vec<bool>,
-) -> ExitCounts {
-    verdicts.clear();
-    verdicts.resize(open.len(), false);
-    let eval = |pairs: &[(u32, u32)], out: &mut [bool]| {
-        let mut counts = ExitCounts::default();
-        for (v, &(a, b)) in out.iter_mut().zip(pairs) {
-            *v = rule.matches_in_counted(
-                store,
-                cluster[a as usize],
-                cluster[b as usize],
-                &mut counts,
-            );
-        }
-        counts
+        tally
     };
     if threads == 1 || open.len() < MIN_PARALLEL_PAIRS {
         return eval(open, verdicts);
     }
     let chunk = open.len().div_ceil(threads);
-    let mut total = ExitCounts::default();
     std::thread::scope(|scope| {
         let handles: Vec<_> = open
             .chunks(chunk)
             .zip(verdicts.chunks_mut(chunk))
             .map(|(pairs, out)| scope.spawn(move || eval(pairs, out)))
             .collect();
+        let mut total = T::default();
         for handle in handles {
             total.merge(&handle.join().expect("block worker panicked"));
         }
-    });
-    total
+        total
+    })
 }
 
 /// The scalar reference implementation of `P`: one pair at a time, in
 /// canonical order, through the plain (uncached) [`MatchRule::matches`]
-/// kernels. Retained as the differential-test oracle for
-/// [`apply_pairwise`] — clusters *and* `Stats` must be bit-identical —
-/// exactly like `advance_scalar` anchors the batched hash kernels.
+/// kernels. The differential tests pin [`apply_pairwise_with`] to it —
+/// clusters *and* `Stats` — as `advance_scalar` anchors the hash kernels.
 pub fn apply_pairwise_scalar(
     dataset: &Dataset,
     rule: &MatchRule,
@@ -528,16 +252,12 @@ pub fn apply_pairwise_scalar(
     stats: &mut Stats,
 ) -> Vec<Vec<u32>> {
     stats.pairwise_calls += 1;
-    let n = cluster.len();
-    let mut forest = Forest::new(n);
-    for slot in 0..n as u32 {
-        forest.add_singleton(slot);
-    }
+    let n = cluster.len() as u32;
+    let mut forest = singletons(cluster.len());
     let per_pair_distances = rule.num_elementary_distances() as u64;
-    for i in 0..n as u32 {
-        for j in (i + 1)..n as u32 {
-            let ri = forest.find_root_of_slot(i).expect("added above");
-            let rj = forest.find_root_of_slot(j).expect("added above");
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let (ri, rj) = (root(&mut forest, i), root(&mut forest, j));
             if ri == rj {
                 // Transitively closed already — skip the comparison.
                 continue;
@@ -554,10 +274,36 @@ pub fn apply_pairwise_scalar(
     clusters_of(forest, cluster)
 }
 
+/// A forest holding every slot `0..n` as its own singleton tree.
+fn singletons(n: usize) -> Forest {
+    let mut forest = Forest::new(n);
+    for slot in 0..n as u32 {
+        forest.add_singleton(slot);
+    }
+    forest
+}
+
+/// The root of `slot`'s tree.
+fn root(forest: &mut Forest, slot: u32) -> NodeId {
+    forest.find_root_of_slot(slot).expect("slot added")
+}
+
+/// Maps the forest's slot clusters back to record ids.
+fn clusters_of(forest: Forest, cluster: &[u32]) -> Vec<Vec<u32>> {
+    forest
+        .clusters()
+        .into_iter()
+        .map(|slots| slots.into_iter().map(|s| cluster[s as usize]).collect())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{NoisyOracle, NoisyOracleConfig, OracleSpend};
     use adalsh_data::{FieldDistance, FieldKind, FieldValue, Record, Schema, ShingleSet};
+    use adalsh_obs::MemorySubscriber;
+    use std::sync::Arc;
 
     fn dataset(sets: &[&[u64]]) -> Dataset {
         let schema = Schema::single("s", FieldKind::Shingles);
@@ -569,6 +315,11 @@ mod tests {
         Dataset::new(schema, records, gt)
     }
 
+    fn dataset_of(sets: &[Vec<u64>]) -> Dataset {
+        let refs: Vec<&[u64]> = sets.iter().map(Vec::as_slice).collect();
+        dataset(&refs)
+    }
+
     fn jaccard_rule(dthr: f64) -> MatchRule {
         MatchRule::threshold(0, FieldDistance::Jaccard, dthr)
     }
@@ -577,6 +328,17 @@ mod tests {
         clusters.iter_mut().for_each(|c| c.sort_unstable());
         clusters.sort();
         clusters
+    }
+
+    /// A sink recording into the returned subscriber, or a disabled one.
+    fn memory_sink(traced: bool) -> (TraceSink, Arc<MemorySubscriber>) {
+        let mem = Arc::new(MemorySubscriber::default());
+        let sink = if traced {
+            TraceSink::new(mem.clone())
+        } else {
+            TraceSink::disabled()
+        };
+        (sink, mem)
     }
 
     #[test]
@@ -618,10 +380,19 @@ mod tests {
         // (open at snapshot, closed by the (0,·) merges at fold time) —
         // the charge must still be 3, identical to the scalar oracle.
         let d = dataset(&[&[1], &[1], &[1], &[1]]);
+        let rule = jaccard_rule(0.1);
         for block in [1usize, 2, 3, 6, 100] {
             let mut st = Stats::default();
-            let out =
-                apply_pairwise_blocked(&d, &jaccard_rule(0.1), &[0, 1, 2, 3], 2, block, &mut st);
+            let (out, _) = apply_pairwise_with(
+                &d,
+                &ExactOracle::new(&rule),
+                &[0, 1, 2, 3],
+                2,
+                block,
+                None,
+                &TraceSink::disabled(),
+                &mut st,
+            );
             assert_eq!(out.len(), 1, "block {block}");
             assert_eq!(st.pair_comparisons, 3, "block {block}");
             assert_eq!(st.distance_evals, 3, "block {block}");
@@ -658,96 +429,16 @@ mod tests {
         assert_eq!(sorted(out), vec![vec![0, 2]]);
     }
 
+    /// Every way to run the wavefront under the exact rule — with or
+    /// without a ledger, sink off or on, any thread count and block size
+    /// — matches the scalar reference in clusters and `Stats`; a ledger
+    /// settles every charged pair for free, and a traced run's events
+    /// reconcile with its tally.
     #[test]
-    fn parallel_equals_scalar_on_mixed_cluster() {
-        // A chain of overlapping sets plus isolated singletons — exercises
-        // merges across block boundaries.
-        let sets: Vec<Vec<u64>> = (0..40)
-            .map(|k| {
-                if k % 3 == 0 {
-                    vec![1000 + k, 2000 + k] // isolated
-                } else {
-                    (k / 4 * 10..k / 4 * 10 + 8).collect() // banded overlap
-                }
-            })
-            .collect();
-        let refs: Vec<&[u64]> = sets.iter().map(Vec::as_slice).collect();
-        let d = dataset(&refs);
-        let ids: Vec<u32> = (0..40).collect();
-        let mut st_scalar = Stats::default();
-        let scalar = apply_pairwise_scalar(&d, &jaccard_rule(0.4), &ids, &mut st_scalar);
-        for threads in [1usize, 2, 5] {
-            for block in [1usize, 7, 64, 10_000] {
-                let mut st = Stats::default();
-                let out =
-                    apply_pairwise_blocked(&d, &jaccard_rule(0.4), &ids, threads, block, &mut st);
-                assert_eq!(sorted(out), sorted(scalar.clone()), "t={threads} b={block}");
-                assert_eq!(st, st_scalar, "t={threads} b={block}");
-            }
-        }
-    }
-
-    #[test]
-    fn traced_equals_untraced_and_events_reconcile() {
-        use adalsh_obs::MemorySubscriber;
-        use std::sync::Arc;
-
-        let sets: Vec<Vec<u64>> = (0..30)
-            .map(|k| {
-                if k % 4 == 0 {
-                    vec![5000 + k]
-                } else {
-                    (k / 3 * 10..k / 3 * 10 + 6).collect()
-                }
-            })
-            .collect();
-        let refs: Vec<&[u64]> = sets.iter().map(Vec::as_slice).collect();
-        let d = dataset(&refs);
-        let ids: Vec<u32> = (0..30).collect();
-        let rule = jaccard_rule(0.4);
-        let mut st_plain = Stats::default();
-        let plain = apply_pairwise_blocked(&d, &rule, &ids, 2, 16, &mut st_plain);
-
-        for threads in [1usize, 3] {
-            let mem = Arc::new(MemorySubscriber::default());
-            let sink = TraceSink::new(mem.clone());
-            let mut st = Stats::default();
-            let (out, trace) = apply_pairwise_traced(&d, &rule, &ids, threads, 16, &sink, &mut st);
-            assert_eq!(sorted(out), sorted(plain.clone()), "t={threads}");
-            assert_eq!(st, st_plain, "t={threads}");
-
-            let events = mem.events();
-            assert_eq!(events.len() as u64, trace.blocks, "t={threads}");
-            let (mut charged, mut checks, mut exits) = (0u64, 0u64, 0u64);
-            for ev in &events {
-                assert_eq!(ev.name, "pairwise_block");
-                charged += ev.u64("pairs_charged").unwrap();
-                checks += ev.u64("kernel_checks").unwrap();
-                exits += ev.u64("early_exits").unwrap();
-                assert!(ev.u64("pairs_open").unwrap() >= ev.u64("pairs_charged").unwrap());
-                assert!(ev.u64("wall_micros").is_some());
-            }
-            assert_eq!(charged, st.pair_comparisons, "t={threads}");
-            assert_eq!(checks, trace.kernel_checks, "t={threads}");
-            assert_eq!(exits, trace.early_exits, "t={threads}");
-            // A single-threshold rule fires exactly one kernel per open pair.
-            assert!(trace.kernel_checks >= st.pair_comparisons, "t={threads}");
-            assert!(trace.early_exits <= trace.kernel_checks, "t={threads}");
-        }
-
-        // Disabled sink delegates and reports a zero tally.
-        let sink = TraceSink::disabled();
-        let mut st = Stats::default();
-        let (out, trace) = apply_pairwise_traced(&d, &rule, &ids, 2, 16, &sink, &mut st);
-        assert_eq!(sorted(out), sorted(plain));
-        assert_eq!(st, st_plain);
-        assert_eq!(trace, PairwiseTrace::default());
-    }
-
-    #[test]
-    fn oracle_path_with_exact_oracle_equals_rule_path() {
-        use crate::oracle::{ExactOracle, SpendLedger};
-        let sets: Vec<Vec<u64>> = (0..40)
+    fn wavefront_equals_scalar_across_ledgers_sinks_threads_and_blocks() {
+        // A chain of overlapping sets plus isolated singletons, and a
+        // banded variant — both merge across block boundaries.
+        let mixed: Vec<Vec<u64>> = (0..40)
             .map(|k| {
                 if k % 3 == 0 {
                     vec![1000 + k, 2000 + k]
@@ -756,46 +447,169 @@ mod tests {
                 }
             })
             .collect();
-        let refs: Vec<&[u64]> = sets.iter().map(Vec::as_slice).collect();
-        let d = dataset(&refs);
-        let ids: Vec<u32> = (0..40).collect();
+        let banded: Vec<Vec<u64>> = (0..30)
+            .map(|k| {
+                if k % 4 == 0 {
+                    vec![5000 + k]
+                } else {
+                    (k / 3 * 10..k / 3 * 10 + 6).collect()
+                }
+            })
+            .collect();
         let rule = jaccard_rule(0.4);
-        let mut st_rule = Stats::default();
-        let plain = apply_pairwise_blocked(&d, &rule, &ids, 2, 16, &mut st_rule);
-        for threads in [1usize, 2, 5] {
-            for block in [1usize, 7, 64, 10_000] {
-                let oracle = ExactOracle::new(&rule);
-                let mut ledger = SpendLedger::new(None);
-                let mut st = Stats::default();
-                let (out, _) = apply_pairwise_oracle(
+        let oracle = ExactOracle::new(&rule);
+        for sets in [mixed, banded] {
+            let d = dataset_of(&sets);
+            let ids: Vec<u32> = (0..sets.len() as u32).collect();
+            let mut st_scalar = Stats::default();
+            let scalar = sorted(apply_pairwise_scalar(&d, &rule, &ids, &mut st_scalar));
+            for threads in [1usize, 2, 3, 5] {
+                for block in [1usize, 7, 16, 64, 10_000] {
+                    for settle in [false, true] {
+                        for traced in [false, true] {
+                            let case = format!(
+                                "n={} t={threads} b={block} ledger={settle} traced={traced}",
+                                ids.len()
+                            );
+                            let (sink, mem) = memory_sink(traced);
+                            let mut ledger = SpendLedger::new(None);
+                            let mut st = Stats::default();
+                            let (out, trace) = apply_pairwise_with(
+                                &d,
+                                &oracle,
+                                &ids,
+                                threads,
+                                block,
+                                settle.then_some(&mut ledger),
+                                &sink,
+                                &mut st,
+                            );
+                            assert_eq!(sorted(out), scalar, "{case}");
+                            assert_eq!(st, st_scalar, "{case}");
+                            let spend = ledger.spend();
+                            let settled = if settle { st.pair_comparisons } else { 0 };
+                            assert_eq!(spend.calls, settled, "{case}");
+                            assert_eq!(spend.spent, 0, "exact oracle is free: {case}");
+                            assert_eq!(spend.degraded, 0, "{case}");
+
+                            if !traced {
+                                assert_eq!(trace, PairwiseTrace::default(), "{case}");
+                                continue;
+                            }
+                            let events = mem.events();
+                            let calls = events.iter().filter(|e| e.name == "oracle_call").count();
+                            assert_eq!(calls as u64, settled, "{case}");
+                            let blocks: Vec<_> = events
+                                .iter()
+                                .filter(|e| e.name == "pairwise_block")
+                                .collect();
+                            assert_eq!(blocks.len() + calls, events.len(), "{case}");
+                            assert_eq!(blocks.len() as u64, trace.blocks, "{case}");
+                            let (mut charged, mut checks, mut exits) = (0u64, 0u64, 0u64);
+                            for ev in blocks {
+                                let open = ev.u64("pairs_open").unwrap();
+                                let block_charged = ev.u64("pairs_charged").unwrap();
+                                assert!(open >= block_charged, "{case}");
+                                assert!(open <= block as u64, "{case}");
+                                assert!(ev.u64("wall_micros").is_some(), "{case}");
+                                charged += block_charged;
+                                checks += ev.u64("kernel_checks").unwrap();
+                                exits += ev.u64("early_exits").unwrap();
+                            }
+                            assert_eq!(charged, st.pair_comparisons, "{case}");
+                            assert_eq!(checks, trace.kernel_checks, "{case}");
+                            assert_eq!(exits, trace.early_exits, "{case}");
+                            // A single-threshold rule fires exactly one
+                            // kernel per open pair.
+                            assert!(trace.kernel_checks >= st.pair_comparisons, "{case}");
+                            assert!(trace.early_exits <= trace.kernel_checks, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A zero-noise noisy oracle runs the same rule kernels as the exact
+    /// one, so a traced run reports the same `kernel_checks` and
+    /// `early_exits` — per block and in the call's tally, which the
+    /// engine's `pairwise` event carries.
+    #[test]
+    fn zero_noise_oracle_reports_the_exact_kernel_counts() {
+        // Each group of six has four small sets and two 5x larger ones:
+        // the small-large pairs never match and resolve on the Jaccard
+        // size-ratio early exit.
+        let sets: Vec<Vec<u64>> = (0..30u64)
+            .map(|k| {
+                let base = k / 6 * 100;
+                let len = if k % 3 == 0 { 30 } else { 6 };
+                (base..base + len).collect()
+            })
+            .collect();
+        let d = dataset_of(&sets);
+        let ids: Vec<u32> = (0..30).collect();
+        let rule = jaccard_rule(0.4);
+        let exact = ExactOracle::new(&rule);
+        let noisy = NoisyOracle::new(&rule, NoisyOracleConfig::default());
+        let block_totals = |mem: &MemorySubscriber| {
+            mem.events()
+                .iter()
+                .filter(|e| e.name == "pairwise_block")
+                .fold((0u64, 0u64), |(checks, exits), e| {
+                    (
+                        checks + e.u64("kernel_checks").unwrap(),
+                        exits + e.u64("early_exits").unwrap(),
+                    )
+                })
+        };
+        for threads in [1usize, 3] {
+            for block in [1usize, 16, DEFAULT_PAIR_BLOCK] {
+                let case = format!("t={threads} b={block}");
+                let (sink, exact_mem) = memory_sink(true);
+                let mut st_exact = Stats::default();
+                let (out_exact, exact_trace) = apply_pairwise_with(
                     &d,
-                    &oracle,
+                    &exact,
                     &ids,
                     threads,
                     block,
-                    &mut ledger,
-                    &TraceSink::disabled(),
-                    &mut st,
+                    None,
+                    &sink,
+                    &mut st_exact,
                 );
-                assert_eq!(sorted(out), sorted(plain.clone()), "t={threads} b={block}");
-                assert_eq!(st, st_rule, "t={threads} b={block}");
-                assert_eq!(ledger.spend().spent, 0, "exact oracle is free");
-                assert_eq!(ledger.spend().degraded, 0);
+                let (sink, noisy_mem) = memory_sink(true);
+                let mut ledger = SpendLedger::new(None);
+                let mut st_noisy = Stats::default();
+                let (out_noisy, noisy_trace) = apply_pairwise_with(
+                    &d,
+                    &noisy,
+                    &ids,
+                    threads,
+                    block,
+                    Some(&mut ledger),
+                    &sink,
+                    &mut st_noisy,
+                );
+                assert_eq!(sorted(out_noisy), sorted(out_exact), "{case}");
+                assert_eq!(st_noisy, st_exact, "{case}");
+                assert_eq!(noisy_trace, exact_trace, "{case}");
+                assert_eq!(block_totals(&noisy_mem), block_totals(&exact_mem), "{case}");
+                assert_eq!(
+                    block_totals(&exact_mem),
+                    (exact_trace.kernel_checks, exact_trace.early_exits),
+                    "{case}"
+                );
+                assert!(exact_trace.early_exits > 0, "size-ratio exit fires: {case}");
             }
         }
     }
 
     #[test]
     fn noisy_oracle_is_deterministic_across_threads_blocks_and_sinks() {
-        use crate::oracle::{NoisyOracle, NoisyOracleConfig, OracleSpend, SpendLedger};
-        use adalsh_obs::MemorySubscriber;
-        use std::sync::Arc;
-
         let sets: Vec<Vec<u64>> = (0..36)
             .map(|k| (k / 3 * 10..k / 3 * 10 + 6).collect())
             .collect();
-        let refs: Vec<&[u64]> = sets.iter().map(Vec::as_slice).collect();
-        let d = dataset(&refs);
+        let d = dataset_of(&sets);
         let ids: Vec<u32> = (0..36).collect();
         let rule = jaccard_rule(0.4);
         let cfg = NoisyOracleConfig {
@@ -811,18 +625,14 @@ mod tests {
                 let oracle = NoisyOracle::new(&rule, cfg.clone());
                 let mut ledger = SpendLedger::new(cfg.budget);
                 let mut st = Stats::default();
-                let sink = if traced {
-                    TraceSink::new(Arc::new(MemorySubscriber::default()))
-                } else {
-                    TraceSink::disabled()
-                };
-                let (out, _) = apply_pairwise_oracle(
+                let (sink, _) = memory_sink(traced);
+                let (out, _) = apply_pairwise_with(
                     &d,
                     &oracle,
                     &ids,
                     threads,
                     block,
-                    &mut ledger,
+                    Some(&mut ledger),
                     &sink,
                     &mut st,
                 );
@@ -849,7 +659,6 @@ mod tests {
 
     #[test]
     fn oracle_budget_degrades_tail_pairs_to_the_rule() {
-        use crate::oracle::{NoisyOracle, NoisyOracleConfig, SpendLedger};
         // All-distinct records: every pair is open and adjudicated.
         let d = dataset(&[&[1], &[2], &[3], &[4], &[5]]);
         let ids: Vec<u32> = (0..5).collect();
@@ -861,13 +670,13 @@ mod tests {
         let oracle = NoisyOracle::new(&rule, cfg.clone());
         let mut ledger = SpendLedger::new(cfg.budget);
         let mut st = Stats::default();
-        let (out, _) = apply_pairwise_oracle(
+        let (out, _) = apply_pairwise_with(
             &d,
             &oracle,
             &ids,
             1,
             DEFAULT_PAIR_BLOCK,
-            &mut ledger,
+            Some(&mut ledger),
             &TraceSink::disabled(),
             &mut st,
         );

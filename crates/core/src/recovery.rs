@@ -109,9 +109,9 @@ pub fn rule_recovery(
 /// One `oracle_call` trace event is emitted per settled comparison when
 /// the sink is enabled (recovery runs outside engine run segments; the
 /// event is segment-free by schema).
-pub fn rule_recovery_oracle(
+pub fn rule_recovery_oracle<O: PairwiseOracle>(
     store: &dyn RecordStore,
-    oracle: &dyn PairwiseOracle,
+    oracle: &O,
     clusters: &[Vec<u32>],
     ledger: &mut SpendLedger,
     sink: &TraceSink,
@@ -130,7 +130,7 @@ pub fn rule_recovery_oracle(
                 let m = cluster[i];
                 stats.pair_comparisons += 1;
                 stats.distance_evals += per_pair;
-                let adj = oracle.adjudicate(store, r, m);
+                let adj = O::adjudication(oracle.adjudicate(store, r, m, &mut ()));
                 let settled = ledger.settle(r, m, &adj);
                 if traced {
                     emit_oracle_call(sink, &settled);
@@ -377,7 +377,7 @@ mod tests {
     #[test]
     fn oracle_recovery_after_parallel_pairwise_is_thread_invariant() {
         use crate::oracle::{NoisyOracle, NoisyOracleConfig, SpendLedger};
-        use crate::pairwise::apply_pairwise_oracle;
+        use crate::pairwise::apply_pairwise_with;
         // Recovery itself is sequential; the determinism claim is about
         // the whole noisy pipeline — parallel oracle pairwise feeding
         // recovery must produce identical clusters and spend at any
@@ -405,8 +405,16 @@ mod tests {
             let mut ledger = SpendLedger::new(cfg.budget);
             let mut st = Stats::default();
             let sink = TraceSink::disabled();
-            let (clusters, _) =
-                apply_pairwise_oracle(&d, &oracle, &ids, threads, 64, &mut ledger, &sink, &mut st);
+            let (clusters, _) = apply_pairwise_with(
+                &d,
+                &oracle,
+                &ids,
+                threads,
+                64,
+                Some(&mut ledger),
+                &sink,
+                &mut st,
+            );
             let out = rule_recovery_oracle(&d, &oracle, &clusters, &mut ledger, &sink, &mut st);
             (out, st, ledger.into_spend())
         };

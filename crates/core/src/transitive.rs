@@ -42,27 +42,14 @@ const MIN_PARALLEL_EVALS: u64 = 1 << 15;
 /// normal case when a query re-runs over states advanced by an earlier
 /// query (Property 4 across runs).
 ///
-/// # Panics
-/// Panics if `to_level` is out of range for the hasher.
-pub fn apply_transitive(
-    hasher: &SequenceHasher,
-    states: &mut [RecordHashState],
-    store: &dyn RecordStore,
-    cluster: &[u32],
-    to_level: usize,
-    stats: &mut Stats,
-) -> Vec<Vec<u32>> {
-    apply_transitive_threaded(hasher, states, store, cluster, to_level, 1, stats)
-}
-
-/// Like [`apply_transitive`], hashing records on up to `threads` worker
-/// threads. Hash evaluation is embarrassingly parallel (each record's
-/// state is independent and the hasher is immutable after construction);
-/// bucket insertion and cluster maintenance stay sequential — they are a
-/// small fraction of the work for any non-trivial scheme. Clusters whose
-/// estimated hashing work falls under `MIN_PARALLEL_EVALS` are
-/// processed sequentially regardless of `threads`. Output and statistics
-/// are identical to the sequential path.
+/// Records are hashed on up to `threads` worker threads. Hash evaluation
+/// is embarrassingly parallel (each record's state is independent and
+/// the hasher is immutable after construction); bucket insertion and
+/// cluster maintenance stay sequential — they are a small fraction of
+/// the work for any non-trivial scheme. Clusters whose estimated hashing
+/// work falls under `MIN_PARALLEL_EVALS` are processed sequentially
+/// regardless of `threads`. Output and statistics are identical at any
+/// thread count.
 ///
 /// The estimate and the chunking are both **remaining-work aware**:
 /// records already at or past `to_level` cost nothing, partially
@@ -71,7 +58,10 @@ pub fn apply_transitive(
 /// counts, so a cluster mixing fresh and already-hashed records (the
 /// normal incremental-query shape) does not strand all the real work on
 /// one thread.
-pub fn apply_transitive_threaded(
+///
+/// # Panics
+/// Panics if `to_level` is out of range for the hasher.
+pub fn apply_transitive(
     hasher: &SequenceHasher,
     states: &mut [RecordHashState],
     store: &dyn RecordStore,
@@ -264,7 +254,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &mut st);
         assert_eq!(sorted(out), vec![vec![0, 1], vec![2]]);
         assert_eq!(st.transitive_calls, 1);
         assert!(st.hash_evals > 0 && st.bucket_inserts > 0);
@@ -280,7 +270,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![4], z: 10 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2, 3, 4], 1, &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2, 3, 4], 1, 1, &mut st);
         assert_eq!(out.len(), 5, "disjoint sets must not merge");
     }
 
@@ -292,7 +282,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![1], z: 30 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &mut st);
         assert_eq!(sorted(out), vec![vec![0, 1, 2]]);
     }
 
@@ -311,11 +301,11 @@ mod tests {
         let h = hasher(levels);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let coarse = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, &mut st);
+        let coarse = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &mut st);
         assert_eq!(sorted(coarse.clone()), vec![vec![0, 1, 2]]);
         // Apply the next level to the merged cluster.
         let merged = &coarse[0];
-        let fine = apply_transitive(&h, &mut states, &d, merged, 2, &mut st);
+        let fine = apply_transitive(&h, &mut states, &d, merged, 2, 1, &mut st);
         let fine = sorted(fine);
         assert!(
             fine.contains(&vec![0, 2]),
@@ -333,8 +323,8 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 4 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let a = apply_transitive(&h, &mut states, &d, &[0], 1, &mut st);
-        let b = apply_transitive(&h, &mut states, &d, &[1], 1, &mut st);
+        let a = apply_transitive(&h, &mut states, &d, &[0], 1, 1, &mut st);
+        let b = apply_transitive(&h, &mut states, &d, &[1], 1, 1, &mut st);
         assert_eq!(a, vec![vec![0]]);
         assert_eq!(b, vec![vec![1]]);
     }
@@ -350,7 +340,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 6 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &ids, 1, &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &ids, 1, 1, &mut st);
         let mut all: Vec<u32> = out.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, ids, "output must partition the input exactly");
@@ -383,8 +373,8 @@ mod tests {
             // Pre-advance the even records to level 1 sequentially, so the
             // threaded call finds records at different levels.
             let evens: Vec<u32> = ids.iter().copied().filter(|i| i % 2 == 0).collect();
-            apply_transitive(&h, &mut states, &d, &evens, 1, &mut st);
-            let out = apply_transitive_threaded(&h, &mut states, &d, &ids, 2, threads, &mut st);
+            apply_transitive(&h, &mut states, &d, &evens, 1, 1, &mut st);
+            let out = apply_transitive(&h, &mut states, &d, &ids, 2, threads, &mut st);
             (sorted(out), st, states)
         };
         let (out1, st1, states1) = run(1);
@@ -402,7 +392,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 3 }]);
         let mut states = vec![RecordHashState::default(); 1];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0], 1, &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &[0], 1, 1, &mut st);
         assert_eq!(out, vec![vec![0]]);
     }
 }

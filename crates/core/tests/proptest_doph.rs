@@ -9,7 +9,7 @@ use adalsh_core::algorithm::{AdaLsh, AdaLshConfig};
 use adalsh_core::hashing::{HashPart, HashScratch, LevelScheme, RecordHashState, SequenceHasher};
 use adalsh_core::pairwise::apply_pairwise;
 use adalsh_core::stats::Stats;
-use adalsh_core::transitive::apply_transitive_threaded;
+use adalsh_core::transitive::apply_transitive;
 use adalsh_core::MinhashScheme;
 use adalsh_data::{
     Dataset, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema, ShingleSet,
@@ -127,7 +127,7 @@ proptest! {
             let h = doph_hasher(seed);
             let mut states = vec![RecordHashState::default(); d.len()];
             let mut st = Stats::default();
-            let out = apply_transitive_threaded(&h, &mut states, &d, &ids, 3, threads, &mut st);
+            let out = apply_transitive(&h, &mut states, &d, &ids, 3, threads, &mut st);
             (out, states, st)
         };
         let (out1, states1, st1) = run(1);

@@ -1,23 +1,32 @@
 //! Differential property tests for the block-wavefront `P`
-//! ([`apply_pairwise`]) against the scalar oracle
+//! ([`apply_pairwise_with`]) against the scalar reference
 //! ([`apply_pairwise_scalar`]): on arbitrary mixed shingle/dense
-//! datasets, every rule kind, any thread count, and any block size, the
-//! parallel path must produce **identical clusters and identical
-//! `Stats`** — the bit-identity contract that lets figure pipelines run
-//! on all cores without perturbing the paper's counters.
+//! datasets, every rule kind, both oracles (the exact rule and a
+//! zero-noise noisy oracle settling through a ledger), tracing off and
+//! on, any thread count, and any block size, the wavefront must produce
+//! **identical clusters and identical `Stats`** — the bit-identity
+//! contract that lets figure pipelines run on all cores without
+//! perturbing the paper's counters — and the noisy ledger must not
+//! depend on the thread count or block size.
 //!
-//! Because the oracle evaluates pairs through the plain
+//! Because the reference evaluates pairs through the plain
 //! `MatchRule::matches` kernels while the wavefront goes through the
-//! cached-norm / early-exit kernels (`matches_in`), these tests also pin
-//! the kernel fast paths to the naive evaluation.
+//! cached-norm / early-exit kernels (`matches_in_counted`), these tests
+//! also pin the kernel fast paths to the naive evaluation.
 
-use adalsh_core::pairwise::{apply_pairwise_blocked, apply_pairwise_scalar};
+use std::sync::Arc;
+
+use adalsh_core::oracle::{
+    ExactOracle, NoisyOracle, NoisyOracleConfig, OracleSpend, PairwiseOracle, SpendLedger,
+};
+use adalsh_core::pairwise::{apply_pairwise_scalar, apply_pairwise_with};
 use adalsh_core::stats::Stats;
 use adalsh_data::rule::WeightedPart;
 use adalsh_data::{
     Dataset, DenseVector, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema,
     ShingleSet,
 };
+use adalsh_obs::{MemorySubscriber, TraceSink};
 use proptest::prelude::*;
 
 /// Datasets with one shingle field and one dense field. Entity `e` has a
@@ -107,11 +116,44 @@ fn normalized(mut clusters: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
     clusters
 }
 
+/// One wavefront run under `oracle`: settling through a fresh unlimited
+/// ledger when `settle` is set, tracing into a memory subscriber when
+/// `traced` is set. Returns normalized clusters, `Stats` and the spend.
+fn wavefront<O: PairwiseOracle>(
+    dataset: &Dataset,
+    oracle: &O,
+    ids: &[u32],
+    threads: usize,
+    block: usize,
+    settle: bool,
+    traced: bool,
+) -> (Vec<Vec<u32>>, Stats, OracleSpend) {
+    let sink = if traced {
+        TraceSink::new(Arc::new(MemorySubscriber::default()))
+    } else {
+        TraceSink::disabled()
+    };
+    let mut ledger = SpendLedger::new(None);
+    let mut st = Stats::default();
+    let (out, _) = apply_pairwise_with(
+        dataset,
+        oracle,
+        ids,
+        threads,
+        block,
+        settle.then_some(&mut ledger),
+        &sink,
+        &mut st,
+    );
+    (normalized(out), st, ledger.into_spend())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Wavefront `P` ≡ scalar `P`: identical clusters and identical
-    /// full `Stats` for every rule kind, thread count, and block size.
+    /// full `Stats` for every rule kind, oracle, sink, thread count, and
+    /// block size; the zero-noise ledger equals the sequential one.
     #[test]
     fn wavefront_equals_scalar(
         dataset in mixed_dataset(),
@@ -124,19 +166,21 @@ proptest! {
         let all: Vec<u32> = (0..dataset.len() as u32).collect();
         for rule in rules(dthr) {
             let mut st_scalar = Stats::default();
-            let scalar = apply_pairwise_scalar(&dataset, &rule, &all, &mut st_scalar);
-            let mut st = Stats::default();
-            let wave = apply_pairwise_blocked(&dataset, &rule, &all, threads, block, &mut st);
-            prop_assert_eq!(
-                normalized(wave),
-                normalized(scalar),
-                "clusters diverge: rule={:?} threads={} block={}", rule, threads, block
-            );
-            prop_assert_eq!(
-                st,
-                st_scalar,
-                "stats diverge: rule={:?} threads={} block={}", rule, threads, block
-            );
+            let scalar = normalized(apply_pairwise_scalar(&dataset, &rule, &all, &mut st_scalar));
+            let exact = ExactOracle::new(&rule);
+            let noisy = NoisyOracle::new(&rule, NoisyOracleConfig::default());
+            let (_, _, sequential_spend) = wavefront(&dataset, &noisy, &all, 1, 1, true, false);
+            for traced in [false, true] {
+                let case = format!("rule={rule:?} threads={threads} block={block} traced={traced}");
+                let (wave, st, _) = wavefront(&dataset, &exact, &all, threads, block, false, traced);
+                prop_assert_eq!(&wave, &scalar, "exact clusters diverge: {}", case);
+                prop_assert_eq!(st, st_scalar, "exact stats diverge: {}", case);
+                let (wave, st, spend) =
+                    wavefront(&dataset, &noisy, &all, threads, block, true, traced);
+                prop_assert_eq!(&wave, &scalar, "noisy clusters diverge: {}", case);
+                prop_assert_eq!(st, st_scalar, "noisy stats diverge: {}", case);
+                prop_assert_eq!(&spend, &sequential_spend, "noisy ledger diverges: {}", case);
+            }
         }
     }
 
@@ -157,9 +201,9 @@ proptest! {
         let rule = MatchRule::threshold(0, FieldDistance::Jaccard, 0.4);
         let mut st_scalar = Stats::default();
         let scalar = apply_pairwise_scalar(&dataset, &rule, &ids, &mut st_scalar);
-        let mut st = Stats::default();
-        let wave = apply_pairwise_blocked(&dataset, &rule, &ids, threads, block, &mut st);
-        prop_assert_eq!(normalized(wave), normalized(scalar));
+        let (wave, st, _) =
+            wavefront(&dataset, &ExactOracle::new(&rule), &ids, threads, block, false, false);
+        prop_assert_eq!(wave, normalized(scalar));
         prop_assert_eq!(st, st_scalar);
     }
 }

@@ -37,6 +37,34 @@ impl ExitCounts {
     }
 }
 
+/// Where the counted kernels report: [`ExitCounts`] tallies, `()`
+/// discards — so the uncounted rule walk is the counted one run with
+/// `()`, and compiles to the same code.
+pub trait KernelTally: Default + Send {
+    /// Records `checks` kernel invocations, `early_exits` of which
+    /// resolved on an early-exit path.
+    fn record(&mut self, checks: u64, early_exits: u64);
+    /// Folds another tally into this one.
+    fn merge(&mut self, other: &Self);
+}
+
+impl KernelTally for ExitCounts {
+    fn record(&mut self, checks: u64, early_exits: u64) {
+        self.checks += checks;
+        self.early_exits += early_exits;
+    }
+
+    fn merge(&mut self, other: &Self) {
+        ExitCounts::merge(self, other);
+    }
+}
+
+impl KernelTally for () {
+    fn record(&mut self, _: u64, _: u64) {}
+
+    fn merge(&mut self, _: &Self) {}
+}
+
 /// A normalized distance metric over one field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FieldDistance {

@@ -25,7 +25,7 @@ pub mod store;
 pub mod vector;
 
 pub use dataset::{ensure_record_id_capacity, Dataset, EntityId, MAX_RECORDS};
-pub use distance::{ExitCounts, FieldDistance};
+pub use distance::{ExitCounts, FieldDistance, KernelTally};
 pub use record::{FieldKind, FieldRef, FieldValue, Record, Schema};
 pub use rule::MatchRule;
 pub use shingle::ShingleSet;

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::distance::{ExitCounts, FieldDistance};
+use crate::distance::{FieldDistance, KernelTally};
 use crate::record::{Record, Schema};
 use crate::store::RecordStore;
 
@@ -84,61 +84,25 @@ impl MatchRule {
     /// the quadratic pairwise verification loop hammers, and it runs
     /// identically whether the store is an in-RAM [`crate::Dataset`] or
     /// a memory-mapped file; `matches` remains the plain-record path
-    /// (and the differential-test oracle).
+    /// (and the differential-test oracle). The rule is walked in one
+    /// place, [`MatchRule::matches_in_counted`]; this drops the tally.
     pub fn matches_in(&self, store: &dyn RecordStore, i: u32, j: u32) -> bool {
-        match self {
-            MatchRule::Threshold {
-                field,
-                metric,
-                dthr,
-            } => {
-                metric
-                    .distance_at_most_counted_ref(
-                        store.field(i, *field),
-                        store.field(j, *field),
-                        *dthr,
-                        store.field_norm(i, *field),
-                        store.field_norm(j, *field),
-                    )
-                    .0
-            }
-            // Same short-circuit order as `matches`.
-            MatchRule::And(subs) => subs.iter().all(|r| r.matches_in(store, i, j)),
-            MatchRule::Or(subs) => subs.iter().any(|r| r.matches_in(store, i, j)),
-            MatchRule::WeightedAverage { parts, dthr } => {
-                // Same iteration order and summation as `weighted_distance`
-                // (no early exit: a partial-sum cutoff could not reproduce
-                // the exact fold), only the norm lookups are cached.
-                let d: f64 = parts
-                    .iter()
-                    .map(|p| {
-                        p.weight
-                            * p.metric.eval_with_norms_ref(
-                                store.field(i, p.field),
-                                store.field(j, p.field),
-                                store.field_norm(i, p.field),
-                                store.field_norm(j, p.field),
-                            )
-                    })
-                    .sum();
-                d <= *dthr
-            }
-        }
+        self.matches_in_counted(store, i, j, &mut ())
     }
 
-    /// [`MatchRule::matches_in`] with an [`ExitCounts`] tally: every
+    /// [`MatchRule::matches_in`] reporting to a [`KernelTally`] (an
+    /// [`ExitCounts`](crate::ExitCounts) counts, `()` discards): every
     /// threshold-kernel invocation actually performed (respecting the
-    /// same AND/OR short-circuits) bumps `checks`, and those resolved on
-    /// an early-exit path bump `early_exits`. Weighted-average parts
-    /// always evaluate their exact distances (the fold admits no early
-    /// exit), so they count as checks that never exit early. The verdict
-    /// is bit-identical to `matches_in` for every input.
-    pub fn matches_in_counted(
+    /// same AND/OR short-circuits as `matches`) bumps `checks`, and those
+    /// resolved on an early-exit path bump `early_exits`. Weighted-average
+    /// parts always evaluate their exact distances (the fold admits no
+    /// early exit), so they count as checks that never exit early.
+    pub fn matches_in_counted<T: KernelTally>(
         &self,
         store: &dyn RecordStore,
         i: u32,
         j: u32,
-        counts: &mut ExitCounts,
+        counts: &mut T,
     ) -> bool {
         match self {
             MatchRule::Threshold {
@@ -153,11 +117,10 @@ impl MatchRule {
                     store.field_norm(i, *field),
                     store.field_norm(j, *field),
                 );
-                counts.checks += 1;
-                counts.early_exits += u64::from(early);
+                counts.record(1, u64::from(early));
                 verdict
             }
-            // Same short-circuit order as `matches_in`: skipped sub-rules
+            // Same short-circuit order as `matches`: skipped sub-rules
             // are not counted (their kernels never ran).
             MatchRule::And(subs) => subs
                 .iter()
@@ -166,7 +129,10 @@ impl MatchRule {
                 .iter()
                 .any(|r| r.matches_in_counted(store, i, j, counts)),
             MatchRule::WeightedAverage { parts, dthr } => {
-                counts.checks += parts.len() as u64;
+                // Same iteration order and summation as `weighted_distance`
+                // (no early exit: a partial-sum cutoff could not reproduce
+                // the exact fold), only the norm lookups are cached.
+                counts.record(parts.len() as u64, 0);
                 let d: f64 = parts
                     .iter()
                     .map(|p| {
