@@ -7,11 +7,10 @@
 #                          # end-to-end runs of the baseline recorders
 #                          # (bench_pairwise, gated against its committed
 #                          # baseline with `adalsh bench diff`;
-#                          # bench_kernels, which fails
-#                          # unless DOPH beats the classic batched
-#                          # MinHash kernel at width 128; bench_serve,
-#                          # which fails if 16 concurrent readers tank
-#                          # the pipelined server's QPS; bench_scale,
+#                          # bench_kernels, gated the same way;
+#                          # bench_serve, which fails if 16 concurrent
+#                          # readers tank the pipelined server's QPS;
+#                          # bench_scale,
 #                          # which fails unless the mapped-store filter
 #                          # is bit-identical to the in-RAM run and
 #                          # streaming ingest stays out-of-core;
@@ -244,8 +243,13 @@ if [ "$bench_smoke" = 1 ]; then
     ./target/release/adalsh bench diff "$pairwise_fresh" BENCH_pairwise.json --smoke
     rm -f "$pairwise_fresh"
 
-    echo "==> bench_kernels --smoke (doph-beats-classic gate)"
-    cargo run --release -p adalsh-bench --bin bench_kernels -- --smoke
+    echo "==> bench_kernels --smoke (regression gate)"
+    # Width 128 is one of the committed baseline's widths, so the fresh
+    # throughputs diff against it key by key.
+    kernels_fresh=$(mktemp /tmp/adalsh-bench-kernels-XXXXXX.json)
+    cargo run --release -p adalsh-bench --bin bench_kernels -- --smoke --out "$kernels_fresh"
+    ./target/release/adalsh bench diff "$kernels_fresh" BENCH_kernels.json --smoke
+    rm -f "$kernels_fresh"
 
     echo "==> bench_oracle --smoke (noisy-oracle robustness sweep)"
     cargo run --release -p adalsh-bench --bin bench_oracle -- --smoke

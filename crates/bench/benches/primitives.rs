@@ -13,7 +13,7 @@ use adalsh_core::transitive::apply_transitive;
 use adalsh_data::{
     Dataset, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema, ShingleSet,
 };
-use adalsh_lsh::{DensifiedMinHash, HyperplaneFamily, MinHashFamily};
+use adalsh_lsh::{HyperplaneFamily, MinHashFamily};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -140,16 +140,6 @@ fn bench_minhash_batch(c: &mut Criterion) {
             let mut out = vec![0u64; width];
             b.iter(|| {
                 fam.hash_batch(&idx, black_box(&set), &mut out);
-                black_box(out[width - 1])
-            })
-        });
-        // DOPH fills the same `width` slots in ONE pass over the set
-        // (O(|set| + width) vs O(|set| · width) for classic).
-        let doph = DensifiedMinHash::new(3, width);
-        g.bench_function(format!("doph/{width}"), |b| {
-            let mut out = vec![0u64; width];
-            b.iter(|| {
-                doph.hash_all(black_box(&set), &mut out);
                 black_box(out[width - 1])
             })
         });

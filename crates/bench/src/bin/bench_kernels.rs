@@ -1,8 +1,7 @@
 //! Kernel baseline recorder: times the scalar and batched MinHash /
-//! hyperplane kernels plus the DOPH one-pass kernel at batch widths
-//! 16 / 128 / 1024 and writes per-kernel throughput (ops/sec, one op =
-//! one hash-function evaluation / one produced slot) to
-//! `BENCH_kernels.json` at the workspace root.
+//! hyperplane kernels at batch widths 16 / 128 / 1024 and writes
+//! per-kernel throughput (ops/sec, one op = one hash-function
+//! evaluation) to `BENCH_kernels.json` at the workspace root.
 //!
 //! Unlike the Criterion benches (`cargo bench -p adalsh-bench`), this is
 //! a one-shot recorder producing a small machine-readable baseline that
@@ -10,16 +9,18 @@
 //!
 //! ```sh
 //! cargo run --release -p adalsh-bench --bin bench_kernels
-//! cargo run --release -p adalsh-bench --bin bench_kernels -- --smoke
+//! cargo run --release -p adalsh-bench --bin bench_kernels -- --smoke --out /tmp/kernels.json
 //! ```
 //!
 //! `--smoke` (used by `ci.sh --bench-smoke`) measures only width 128 with
-//! shortened timing windows, does not overwrite the committed baseline,
-//! and **exits nonzero unless the DOPH kernel beats the classic batched
-//! kernel** — the structural speedup this recorder exists to pin.
+//! shortened timing windows and does not overwrite the committed
+//! baseline. `--out <path>` writes the JSON to `<path>` in either mode;
+//! because width 128 is one of the baseline's, CI diffs a fresh smoke
+//! run against the committed file with `adalsh bench diff`. Keys are
+//! `<kernel>_per_sec/<width>` (higher is better).
 
-use adalsh_bench::recorder::provenance_fields;
-use adalsh_lsh::{DensifiedMinHash, HyperplaneFamily, MinHashFamily};
+use adalsh_bench::recorder::{out_arg, provenance_fields};
+use adalsh_lsh::{HyperplaneFamily, MinHashFamily};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -47,7 +48,9 @@ fn measure(ops_per_iter: usize, window: f64, mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out_path = out_arg(&args);
     let widths: &[usize] = if smoke { &[128] } else { &WIDTHS };
     let window = if smoke { 0.05 } else { 0.3 };
 
@@ -68,21 +71,13 @@ fn main() {
             }
             black_box(out[width - 1]);
         });
-        rows.push((format!("minhash_scalar/{width}"), ops));
+        rows.push((format!("minhash_scalar_per_sec/{width}"), ops));
 
         let ops = measure(width, window, || {
             mh.hash_batch(&idx, black_box(&set), &mut out);
             black_box(out[width - 1]);
         });
-        rows.push((format!("minhash_batch/{width}"), ops));
-
-        // DOPH: all `width` slots in ONE pass over the set.
-        let doph = DensifiedMinHash::new(3, width);
-        let ops = measure(width, window, || {
-            doph.hash_all(black_box(&set), &mut out);
-            black_box(out[width - 1]);
-        });
-        rows.push((format!("minhash_doph/{width}"), ops));
+        rows.push((format!("minhash_batch_per_sec/{width}"), ops));
 
         let ops = measure(width, window, || {
             for (o, &i) in out.iter_mut().zip(&idx) {
@@ -90,13 +85,13 @@ fn main() {
             }
             black_box(out[width - 1]);
         });
-        rows.push((format!("hyperplane_scalar/{width}"), ops));
+        rows.push((format!("hyperplane_scalar_per_sec/{width}"), ops));
 
         let ops = measure(width, window, || {
             hp.hash_batch(&idx, black_box(&v), &mut out);
             black_box(out[width - 1]);
         });
-        rows.push((format!("hyperplane_batch/{width}"), ops));
+        rows.push((format!("hyperplane_batch_per_sec/{width}"), ops));
     }
 
     let mut json = String::from("{\n");
@@ -113,31 +108,24 @@ fn main() {
 
     let get = |n: &str, w: usize| {
         rows.iter()
-            .find(|(name, _)| name == &format!("{n}/{w}"))
+            .find(|(name, _)| name == &format!("{n}_per_sec/{w}"))
             .map(|&(_, o)| o)
             .unwrap_or(f64::NAN)
     };
     for &w in widths {
         println!(
-            "width {w:>4}: minhash batched/scalar = {:.2}x, doph/batched = {:.2}x, \
-             doph/scalar = {:.2}x, hyperplane batched/scalar = {:.2}x",
+            "width {w:>4}: minhash batched/scalar = {:.2}x, hyperplane batched/scalar = {:.2}x",
             get("minhash_batch", w) / get("minhash_scalar", w),
-            get("minhash_doph", w) / get("minhash_batch", w),
-            get("minhash_doph", w) / get("minhash_scalar", w),
             get("hyperplane_batch", w) / get("hyperplane_scalar", w),
         );
     }
 
+    if let Some(path) = &out_path {
+        std::fs::write(path, &json).expect("write --out");
+        println!("wrote {path}");
+    }
     if smoke {
-        // The gate ci.sh --bench-smoke relies on: DOPH's one-pass kernel
-        // must out-throughput the classic batched kernel at K·L = 128.
-        let (doph, classic) = (get("minhash_doph", 128), get("minhash_batch", 128));
-        // NaN (a row failed to measure) must fail the gate too.
-        if doph.partial_cmp(&classic) != Some(std::cmp::Ordering::Greater) {
-            eprintln!("FAIL: doph {doph:.0} ops/s does not beat classic batched {classic:.0} ops/s at width 128");
-            std::process::exit(1);
-        }
-        println!("smoke mode: doph beats classic at width 128; baseline not written");
+        println!("smoke mode: baseline not written");
         return;
     }
     let path = "BENCH_kernels.json";

@@ -22,7 +22,7 @@
 //! (lower is better) and `speedup/<regime>/<n>` (higher is better).
 
 use adalsh_bench::pairwise_bench::{match_dense, match_sparse};
-use adalsh_bench::recorder::provenance_fields;
+use adalsh_bench::recorder::{out_arg, provenance_fields};
 use adalsh_core::algorithm::default_threads;
 use adalsh_core::pairwise::{apply_pairwise, apply_pairwise_scalar};
 use adalsh_core::stats::Stats;
@@ -73,10 +73,7 @@ fn time_pair(dataset: &Dataset, rule: &MatchRule, threads: usize) -> (f64, f64) 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| args.get(i + 1).expect("--out needs a path").clone());
+    let out_path = out_arg(&args);
     let sizes: &[usize] = if smoke { &[256] } else { &[256, 1024, 4096] };
     let threads = default_threads();
 

@@ -60,12 +60,9 @@ struct ScaleRow {
     materialized_peak_rss: u64,
 }
 
-fn filter_config() -> AdaLshConfig {
-    AdaLshConfig::new(scale_match_rule())
-}
-
 fn run_filter(store: &dyn RecordStore) -> FilterOutput {
-    let mut ada = AdaLsh::for_dataset(store, filter_config()).expect("sequence design");
+    let config = AdaLshConfig::new(scale_match_rule());
+    let mut ada = AdaLsh::for_dataset(store, config).expect("sequence design");
     ada.run(store, K)
 }
 
@@ -190,9 +187,8 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"_meta\": {{ \"k\": {K}, \"seed\": {SEED}, \"minhash_scheme\": \"{}\", \
+        "  \"_meta\": {{ \"k\": {K}, \"seed\": {SEED}, \
          \"rss_source\": \"VmHWM per phase (clear_refs reset)\", {} }}",
-        filter_config().minhash_scheme,
         provenance_fields()
     ));
     for r in &rows {

@@ -26,7 +26,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use adalsh_bench::recorder::provenance_fields;
+use adalsh_bench::recorder::{out_arg, provenance_fields};
 use adalsh_core::{AdaLshConfig, OnlineAdaLsh};
 use adalsh_data::{FieldDistance, FieldValue, MatchRule, Record, ShingleSet};
 use adalsh_datagen::spotsigs::{self, SpotSigsConfig};
@@ -113,10 +113,7 @@ fn best_of(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| args.get(i + 1).expect("--out needs a path").clone());
+    let out_path = out_arg(&args);
 
     let (records, entities) = if smoke { (200, 30) } else { (400, 50) };
     let (batches, per_batch) = if smoke { (16, 25) } else { (40, 25) };

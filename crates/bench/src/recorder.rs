@@ -21,6 +21,18 @@ pub fn provenance_fields() -> String {
     )
 }
 
+/// The value of `--out <path>` among a recorder's arguments, if given:
+/// where to write the run's JSON besides (or, with `--smoke`, instead
+/// of) the committed baseline.
+///
+/// # Panics
+/// Panics if `--out` is the last argument.
+pub fn out_arg(args: &[String]) -> Option<String> {
+    args.iter()
+        .position(|a| a == "--out")
+        .map(|i| args.get(i + 1).expect("--out needs a path").clone())
+}
+
 /// The process's peak resident set size in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where procfs is unavailable. This is
 /// a lifetime high-water mark: to attribute RSS to a phase, read it

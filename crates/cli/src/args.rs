@@ -78,6 +78,21 @@ impl Args {
         self.switches.iter().any(|s| s == name)
     }
 
+    /// Rejects any `--flag` or switch not named in `accepted`, so a typo
+    /// or a flag the command does not take is an error instead of being
+    /// silently ignored.
+    ///
+    /// # Errors
+    /// Fails with `unknown flag --<name> for <command>` on the first
+    /// flag (in name order) outside `accepted`.
+    pub fn check_flags(&self, accepted: &[&[&str]]) -> Result<(), String> {
+        let known = |name: &String| accepted.iter().any(|group| group.contains(&name.as_str()));
+        match self.flags.keys().chain(&self.switches).find(|n| !known(n)) {
+            Some(name) => Err(format!("unknown flag --{name} for {}", self.command)),
+            None => Ok(()),
+        }
+    }
+
     /// The `i`-th positional argument.
     ///
     /// # Errors
@@ -132,6 +147,20 @@ mod tests {
         assert_eq!(a.flag_or("missing", 3usize).unwrap(), 3);
         let bad = parse(&["x", "--k", "seven"]).unwrap();
         assert!(bad.flag_or("k", 1usize).is_err());
+    }
+
+    #[test]
+    fn check_flags_rejects_unlisted_flags_and_switches() {
+        let a = parse(&["filter", "d", "--k", "3", "--verbose"]).unwrap();
+        assert!(a.check_flags(&[&["k"], &["verbose"]]).is_ok());
+        assert_eq!(
+            a.check_flags(&[&["k"]]).unwrap_err(),
+            "unknown flag --verbose for filter"
+        );
+        assert_eq!(
+            a.check_flags(&[&["verbose"]]).unwrap_err(),
+            "unknown flag --k for filter"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use adalsh_core::algorithm::{AdaLsh, AdaLshConfig, FilterMethod, FilterOutput};
 use adalsh_core::baselines::{LshBlocking, Pairs};
 use adalsh_core::metrics::{map_mar, reduction_pct, set_metrics};
 use adalsh_core::recovery::perfect_recovery;
-use adalsh_core::{MinhashScheme, NoisyOracleConfig, OnlineAdaLsh, OracleMode, OracleSpend};
+use adalsh_core::{NoisyOracleConfig, OnlineAdaLsh, OracleMode, OracleSpend};
 use adalsh_data::{io as dio, Dataset, RecordStore};
 use adalsh_datagen::popimages::PopImagesConfig;
 use adalsh_datagen::spotsigs::SpotSigsConfig;
@@ -191,19 +191,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
 
     let (resolver, rule) = if let Some(path) = args.flag("resume") {
         let snapshot = ServeSnapshot::load(Path::new(path))?;
-        // The snapshot's hash states were computed under its recorded
-        // scheme; an explicitly conflicting flag is an error rather
-        // than a silent engine rebuild.
-        if let Some(flag) = args.flag("minhash-scheme") {
-            let asked: MinhashScheme = flag.parse()?;
-            if asked != snapshot.scheme {
-                return Err(format!(
-                    "snapshot was taken with --minhash-scheme {} but {asked} was requested; \
-                     resuming would invalidate every persisted hash state",
-                    snapshot.scheme
-                ));
-            }
-        }
         let rule = snapshot.rule.clone();
         let mut config = AdaLshConfig::new(rule.clone());
         if threads > 0 {
@@ -221,7 +208,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         if threads > 0 {
             config.threads = threads;
         }
-        config.minhash_scheme = args.flag_or("minhash-scheme", MinhashScheme::Classic)?;
         config.oracle = oracle_mode(args)?;
         config.trace = trace;
         let resolver = OnlineAdaLsh::new(&dataset, config)?;
@@ -332,22 +318,25 @@ pub fn datagen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `--oracle` followed by its satellite flags.
+pub const ORACLE_FLAGS: &[&str] = &[
+    "oracle",
+    "oracle-fp",
+    "oracle-fn",
+    "oracle-fault",
+    "oracle-seed",
+    "oracle-budget",
+    "oracle-votes",
+    "oracle-timeout-ms",
+];
+
 /// Builds the pairwise-oracle mode from `--oracle` and its satellite
 /// flags. Satellite flags without `--oracle noisy` are an error rather
 /// than silently ignored configuration.
 fn oracle_mode(args: &Args) -> Result<OracleMode, String> {
-    const SATELLITES: [&str; 7] = [
-        "oracle-fp",
-        "oracle-fn",
-        "oracle-fault",
-        "oracle-seed",
-        "oracle-budget",
-        "oracle-votes",
-        "oracle-timeout-ms",
-    ];
     match args.flag("oracle").unwrap_or("exact") {
         "exact" => {
-            if let Some(flag) = SATELLITES.iter().find(|f| args.flag(f).is_some()) {
+            if let Some(flag) = ORACLE_FLAGS[1..].iter().find(|f| args.flag(f).is_some()) {
                 return Err(format!("--{flag} requires --oracle noisy"));
             }
             Ok(OracleMode::Exact)
@@ -437,7 +426,6 @@ fn run_method(
             if threads > 0 {
                 config.threads = threads;
             }
-            config.minhash_scheme = args.flag_or("minhash-scheme", MinhashScheme::Classic)?;
             config.oracle = oracle;
             if let Some(path) = trace_out {
                 let sink = trace_sink(path)?;

@@ -22,6 +22,25 @@ mod commands;
 mod rules;
 
 use args::Args;
+use commands::ORACLE_FLAGS;
+
+/// Flags of the batch commands `filter` and `evaluate`.
+const RUN_FLAGS: &[&str] = &["store", "k", "method"];
+
+/// Flags of `serve` besides the engine ones.
+const SERVE_FLAGS: &[&str] = &[
+    "addr",
+    "resume",
+    "snapshot-out",
+    "workers",
+    "queue-cap",
+    "max-batch",
+    "resolve-k",
+];
+
+/// Engine flags shared by `filter`, `evaluate` and `serve`, besides
+/// [`commands::ORACLE_FLAGS`].
+const ENGINE_FLAGS: &[&str] = &["rule", "threads", "trace-out", "slow-ms"];
 
 const USAGE: &str = "\
 adalsh — top-k entity resolution with adaptive LSH
@@ -31,19 +50,18 @@ USAGE:
   adalsh datagen --out <file.store> [--records N] [--seed S] [--exponent E] [--max-entity-size N]
   adalsh info <data.jsonl>
   adalsh filter <data.jsonl | --store <file.store>> --k <K> [--method adalsh|pairs|lsh<X>] [--rule <spec>]
-                [--threads <N>] [--out <file>]
-                [--minhash-scheme classic|doph] [--trace-out <file.jsonl>] [--oracle exact|noisy …]
+                [--threads <N>] [--out <file>] [--trace-out <file.jsonl>] [--oracle exact|noisy …]
   adalsh evaluate <data.jsonl | --store <file.store>> --k <K> [--khat <K2>] [--method <m>] [--rule <spec>]
-                [--threads <N>]
-                [--minhash-scheme classic|doph] [--trace-out <file.jsonl>] [--oracle exact|noisy …]
+                [--threads <N>] [--trace-out <file.jsonl>] [--oracle exact|noisy …]
   adalsh serve <bootstrap.jsonl> [--addr <host:port>] [--rule <spec>] [--snapshot-out <file>]
                [--workers <N>] [--threads <N>] [--queue-cap <N>] [--max-batch <N>] [--resolve-k <K>]
-               [--slow-ms <T>] [--minhash-scheme classic|doph] [--trace-out <file.jsonl>]
-               [--oracle exact|noisy …]
+               [--slow-ms <T>] [--trace-out <file.jsonl>] [--oracle exact|noisy …]
   adalsh serve --resume <snapshot.json> [--addr <host:port>] [--workers <N>] [--threads <N>]
                [--queue-cap <N>] [--max-batch <N>] [--resolve-k <K>] [--slow-ms <T>]
   adalsh trace <validate|summarize|attribute> <trace.jsonl>
   adalsh bench diff <current.json> <baseline.json> [--smoke]
+
+  A flag the command does not take is an error (unknown flag --<name>).
 
 OUT-OF-CORE STORE:
   adalsh datagen streams the seeded million-record scale generator
@@ -138,17 +156,6 @@ THREADS:
                      (default: auto = available parallelism; --threads 1
                      runs the sequential reference path; output and
                      statistics are identical at any thread count)
-
-MINHASH SCHEME (adaLSH method, Jaccard fields):
-  --minhash-scheme classic|doph
-                     classic (default): one keyed permutation per hash
-                     slot — bit-compatible with existing snapshots.
-                     doph: densified one-permutation hashing — all K*L
-                     slots in one pass per record (O(|set| + K*L) instead
-                     of O(|set| * K*L)); hash values and collision
-                     statistics differ slightly from classic, so serve
-                     snapshots record the scheme and refuse a mismatched
-                     resume.
 ";
 
 fn main() {
@@ -164,18 +171,39 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let result = match args.command.as_str() {
-        "generate" => commands::generate(&args),
-        "datagen" => commands::datagen(&args),
-        "info" => commands::info(&args),
-        "filter" => commands::filter(&args),
-        "evaluate" => commands::evaluate(&args),
-        "serve" => commands::serve(&args),
-        "trace" => commands::trace(&args),
-        "bench" => commands::bench(&args),
-        other => Err(format!("unknown command '{other}'")),
+    // Each command with the flags and switches it accepts.
+    type Command = fn(&Args) -> Result<(), String>;
+    let (command, accepted): (Command, &[&[&str]]) = match args.command.as_str() {
+        "generate" => (
+            commands::generate,
+            &[&["out", "records", "entities", "seed", "exponent"]],
+        ),
+        "datagen" => (
+            commands::datagen,
+            &[&["out", "records", "seed", "exponent", "max-entity-size"]],
+        ),
+        "info" => (commands::info, &[&["verbose"]]),
+        "filter" => (
+            commands::filter,
+            &[RUN_FLAGS, ENGINE_FLAGS, ORACLE_FLAGS, &["out"]],
+        ),
+        "evaluate" => (
+            commands::evaluate,
+            &[RUN_FLAGS, ENGINE_FLAGS, ORACLE_FLAGS, &["khat"]],
+        ),
+        "serve" => (commands::serve, &[SERVE_FLAGS, ENGINE_FLAGS, ORACLE_FLAGS]),
+        "trace" => (commands::trace, &[]),
+        "bench" => (commands::bench, &[&["smoke"]]),
+        other => {
+            eprintln!("error: unknown command '{other}'");
+            std::process::exit(1);
+        }
     };
-    if let Err(e) = result {
+    if let Err(e) = args.check_flags(accepted) {
+        eprintln!("error: {e}\n\n{USAGE}");
+        std::process::exit(2);
+    }
+    if let Err(e) = command(&args) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -459,6 +459,40 @@ fn unknown_command_fails_cleanly() {
     assert!(err.contains("unknown command"), "{err}");
 }
 
+/// A flag the command does not take — a removed one or a typo — is a
+/// usage error naming the flag and the command, never silently ignored.
+#[test]
+fn unknown_flags_are_rejected() {
+    let data = tmpfile("unknown_flags.jsonl");
+    generate(&data);
+    let data = data.to_str().unwrap();
+    for (argv, flag) in [
+        (
+            vec!["filter", data, "--k", "2", "--minhash-scheme", "doph"],
+            "--minhash-scheme for filter",
+        ),
+        (
+            vec!["evaluate", data, "--k", "2", "--minhash-scheme", "classic"],
+            "--minhash-scheme for evaluate",
+        ),
+        (
+            vec!["filter", data, "--k", "2", "--thread", "2"],
+            "--thread for filter",
+        ),
+        (vec!["info", data, "--smoke"], "--smoke for info"),
+        (
+            vec!["serve", data, "--minhash-scheme", "doph"],
+            "--minhash-scheme for serve",
+        ),
+    ] {
+        let out = bin().args(&argv).output().expect("run");
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        assert!(out.stdout.is_empty(), "{argv:?} must not run the command");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
+}
+
 #[test]
 fn missing_file_fails_cleanly() {
     let out = bin()

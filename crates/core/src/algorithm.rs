@@ -20,7 +20,6 @@ use std::time::{Duration, Instant};
 
 use adalsh_data::{MatchRule, RecordStore};
 use adalsh_lsh::mix::derive_seed;
-use adalsh_lsh::MinhashScheme;
 use adalsh_obs::{TraceSink, Value};
 use rand::{Rng, SeedableRng};
 
@@ -71,13 +70,6 @@ pub struct AdaLshConfig {
     /// Use the wall-clock cost model (100 samples) instead of the
     /// deterministic analytic model.
     pub measured_cost: bool,
-    /// How shingle parts evaluate MinHash: `Classic` (one keyed
-    /// permutation per slot — bit-compatible with every previously
-    /// persisted hash state) or `Doph` (densified one-permutation
-    /// hashing: all `K·L` slots in one pass over the set). Hash values
-    /// differ between schemes, so snapshots record the scheme and a
-    /// resume under the other is rejected upstream.
-    pub minhash_scheme: MinhashScheme,
     /// Hash records on this many worker threads inside each transitive
     /// invocation. Defaults to the machine's available parallelism; set
     /// to 1 for the sequential reference (output and `Stats` counters
@@ -119,7 +111,6 @@ impl AdaLshConfig {
             cost_noise: 1.0,
             disable_jump_gate: false,
             measured_cost: false,
-            minhash_scheme: MinhashScheme::default(),
             threads: default_threads(),
             scale_max_budget: true,
             trace: TraceSink::disabled(),
@@ -285,8 +276,7 @@ impl AdaLsh {
             spec.max_budget = spec.max_budget.max(needed);
         }
         let designed = design(&config.rule, store.schema(), &dims, &spec)?;
-        let mut hasher =
-            SequenceHasher::with_scheme(designed.parts, designed.levels, config.minhash_scheme);
+        let mut hasher = SequenceHasher::new(designed.parts, designed.levels);
         let cost = if config.measured_cost {
             CostModel::measured(&mut hasher, store, &config.rule, 100, config.spec.seed)
         } else {

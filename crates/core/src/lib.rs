@@ -42,7 +42,6 @@ pub mod sequence;
 pub mod stats;
 pub mod transitive;
 
-pub use adalsh_lsh::MinhashScheme;
 pub use adalsh_obs::TraceSink;
 pub use algorithm::{AdaLsh, AdaLshConfig, FilterOutput, SelectionStrategy};
 pub use baselines::{LshBlocking, Pairs};

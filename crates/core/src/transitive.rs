@@ -30,9 +30,8 @@ use crate::stats::Stats;
 /// Minimum estimated new hash evaluations before phase 1 fans out to
 /// worker threads. Below this, thread spawn/join overhead (~tens of µs)
 /// rivals the hashing itself; the estimate sums each record's
-/// *remaining* budget `budget(H_to) − budget(H_reached)`, which is exact
-/// for the classic scheme (every remaining slot is evaluated) and an
-/// upper bound for DOPH.
+/// *remaining* budget `budget(H_to) − budget(H_reached)`, which is exact:
+/// every remaining slot is evaluated.
 const MIN_PARALLEL_EVALS: u64 = 1 << 15;
 
 /// Applies sequence function `H_to_level` to `cluster` (record ids),

@@ -3,7 +3,8 @@
 //! [`SequenceHasher::advance_scalar`], over random scheme shapes, random
 //! level ladders, and random records. States must be **bit-identical**
 //! at every level — including the `Stats::hash_evals` count — for all
-//! three scheme structures (Shared, PerPart, Weighted parts).
+//! three scheme structures (Shared, PerPart, Weighted parts) — and
+//! independent of how the caller reuses its [`HashScratch`].
 
 use adalsh_core::hashing::{HashPart, HashScratch, LevelScheme, RecordHashState, SequenceHasher};
 use adalsh_core::stats::Stats;
@@ -188,5 +189,56 @@ proptest! {
             dense_field(dense_raw, dim),
         ]);
         check_paths_agree(&h, &rec)?;
+    }
+
+    /// One scratch reused across many records and target levels (the
+    /// per-worker pattern) leaves no trace: every state and the Stats
+    /// equal those of a fresh scratch per call. Record sets always
+    /// include an empty and a singleton shingle set.
+    #[test]
+    fn scratch_reuse_equals_fresh_scratch(
+        increments in prop::collection::vec((0u32..3, 0u32..3), 1..5),
+        mut sets in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..24), 0..10),
+        singleton in any::<u64>(),
+        rounds in prop::collection::vec(0usize..8, 1..6),
+        weight in 0.15f64..0.85,
+        seed in any::<u64>(),
+    ) {
+        sets.push(Vec::new());
+        sets.push(vec![singleton]);
+        let dim = 3usize;
+        let weighted = HashPart::weighted(
+            &[
+                (0, FieldDistance::Jaccard, weight),
+                (1, FieldDistance::Angular, 1.0 - weight),
+            ],
+            &[0, dim],
+            seed ^ 0xf00d,
+        );
+        let h = SequenceHasher::new(
+            vec![HashPart::shingles(0, seed), weighted],
+            shared_ladder(&increments, 2, 1),
+        );
+        let records: Vec<Record> = sets
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| Record::new(vec![shingle_field(s), dense_field(vec![i as u64 * 7919], dim)]))
+            .collect();
+        let mut reused = HashScratch::default();
+        let mut s_reused = vec![RecordHashState::default(); records.len()];
+        let mut s_fresh = s_reused.clone();
+        let (mut st_reused, mut st_fresh) = (Stats::default(), Stats::default());
+        // Each round sends every record to its own target level, so the
+        // scratch sees jumps, single steps and no-op re-advances mixed.
+        for &round in &rounds {
+            for (r, rec) in records.iter().enumerate() {
+                let lvl = 1 + (round + r) % h.num_levels();
+                h.advance_with_scratch(rec, &mut s_reused[r], lvl, &mut st_reused, &mut reused);
+                let mut fresh = HashScratch::default();
+                h.advance_with_scratch(rec, &mut s_fresh[r], lvl, &mut st_fresh, &mut fresh);
+            }
+        }
+        prop_assert_eq!(s_reused, s_fresh);
+        prop_assert_eq!(st_reused, st_fresh);
     }
 }

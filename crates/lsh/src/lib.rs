@@ -4,9 +4,7 @@
 //!
 //! * elementary hash families — [`hyperplane::HyperplaneFamily`] for the
 //!   cosine/angular distance (paper Examples 2 and 6) and
-//!   [`minhash::MinHashFamily`] for the Jaccard distance (Appendix C.1),
-//!   plus the densified one-permutation variant
-//!   [`doph::DensifiedMinHash`] computing all slots in one pass;
+//!   [`minhash::MinHashFamily`] for the Jaccard distance (Appendix C.1);
 //! * AND/OR **amplification** of `(d₁, d₂, p₁, p₂)`-sensitive families
 //!   (paper Appendix A, Definitions 4–6) in [`construction`];
 //! * the **(w,z)-scheme** collision-probability model
@@ -22,7 +20,6 @@
 
 pub mod analysis;
 pub mod construction;
-pub mod doph;
 pub mod euclidean;
 pub mod hyperplane;
 pub mod minhash;
@@ -33,7 +30,6 @@ pub mod prob;
 pub mod scheme;
 
 pub use construction::Sensitivity;
-pub use doph::{DensifiedMinHash, MinhashScheme};
 pub use euclidean::EuclideanFamily;
 pub use hyperplane::HyperplaneFamily;
 pub use minhash::MinHashFamily;

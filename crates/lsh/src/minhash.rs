@@ -30,13 +30,6 @@ impl MinHashFamily {
         Self { seed }
     }
 
-    /// The family seed — lets a sibling scheme over the same part (e.g.
-    /// [`crate::doph::DensifiedMinHash`]) derive its randomness from the
-    /// same root without the caller threading the seed separately.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Evaluates hash function `fn_index` on a shingle set.
     ///
     /// The set may be in any order; the result is order-independent.

@@ -16,7 +16,7 @@
 
 use std::path::Path;
 
-use adalsh_core::{AdaLshConfig, MinhashScheme, OnlineAdaLsh, OnlineSnapshot};
+use adalsh_core::{AdaLshConfig, OnlineAdaLsh, OnlineSnapshot};
 use adalsh_data::MatchRule;
 use serde::{Deserialize, Serialize};
 
@@ -33,13 +33,6 @@ pub struct ServeSnapshot {
     /// rebuilding a different engine (which would invalidate every
     /// persisted hash state).
     pub rule: MatchRule,
-    /// MinHash evaluation scheme the hash states were computed under.
-    /// Classic and DOPH values are incompatible, so restore rebuilds the
-    /// engine under the persisted scheme (serde-defaulted to `classic`
-    /// for snapshots written before the field existed — those were
-    /// always classic).
-    #[serde(default)]
-    pub scheme: MinhashScheme,
     /// The resolver state proper.
     pub resolver: OnlineSnapshot,
 }
@@ -50,7 +43,6 @@ impl ServeSnapshot {
         Self {
             version: SNAPSHOT_VERSION,
             rule,
-            scheme: resolver.config().minhash_scheme,
             resolver: resolver.snapshot(),
         }
     }
@@ -58,14 +50,12 @@ impl ServeSnapshot {
     /// Restores a resolver, verifying version and rule agreement.
     ///
     /// `config` must be the configuration the restarted server would use
-    /// anyway; its rule is checked against the persisted one, and its
-    /// MinHash scheme is overridden by the persisted one (hash states
-    /// only make sense under the scheme that computed them).
+    /// anyway; its rule is checked against the persisted one.
     ///
     /// # Errors
     /// Fails on version or rule mismatch, or on an inconsistent resolver
     /// snapshot (see [`OnlineAdaLsh::from_snapshot`]).
-    pub fn restore(self, mut config: AdaLshConfig) -> Result<OnlineAdaLsh, String> {
+    pub fn restore(self, config: AdaLshConfig) -> Result<OnlineAdaLsh, String> {
         if self.version != SNAPSHOT_VERSION {
             return Err(format!(
                 "snapshot version {} unsupported (expected {SNAPSHOT_VERSION})",
@@ -79,7 +69,6 @@ impl ServeSnapshot {
                 self.rule, config.rule
             ));
         }
-        config.minhash_scheme = self.scheme;
         OnlineAdaLsh::from_snapshot(self.resolver, config)
     }
 
@@ -105,11 +94,36 @@ impl ServeSnapshot {
     /// Reads and parses a snapshot file.
     ///
     /// # Errors
-    /// Fails on filesystem or parse errors.
+    /// Fails on filesystem or parse errors, and on a snapshot whose hash
+    /// states were computed under a MinHash scheme other than classic.
     pub fn load(path: &Path) -> Result<Self, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))
+        let value: serde::Value =
+            serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
+        check_scheme(&value).map_err(|e| format!("{}: {e}", path.display()))?;
+        ServeSnapshot::from_value(&value).map_err(|e| format!("parse {}: {e}", path.display()))
+    }
+}
+
+/// Refuses snapshots whose hash states are not classic MinHash values.
+///
+/// Earlier builds also offered densified one-permutation hashing (DOPH)
+/// and recorded the choice in a top-level `scheme` key (`"Classic"` or
+/// `"Doph"`). The key is no longer written, and unknown keys are
+/// otherwise ignored, so without this check a DOPH snapshot would load
+/// and its states would be advanced as if they were classic — wrong
+/// clusters with no error. An absent key or `classic` (any case) is
+/// accepted.
+fn check_scheme(snapshot: &serde::Value) -> Result<(), String> {
+    match snapshot.get("scheme") {
+        None => Ok(()),
+        Some(serde::Value::Str(s)) if s.eq_ignore_ascii_case("classic") => Ok(()),
+        Some(serde::Value::Str(s)) => Err(format!(
+            "snapshot hash states were computed with MinHash scheme '{s}', which this build \
+             no longer supports (only classic); rebuild the server from its records instead"
+        )),
+        Some(other) => Err(format!("snapshot has a malformed MinHash scheme {other:?}")),
     }
 }
 
@@ -172,6 +186,62 @@ mod tests {
         snapshot.save(&path).unwrap();
         assert!(!path.with_extension("tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes `json` to a fresh file and loads it back.
+    fn load_json(name: &str, json: &str) -> Result<ServeSnapshot, String> {
+        let dir = std::env::temp_dir().join(format!("adalsh-snap-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.json");
+        std::fs::write(&path, json).unwrap();
+        let loaded = ServeSnapshot::load(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+        loaded
+    }
+
+    /// `json` with a top-level `scheme` key, as builds that offered a
+    /// second MinHash scheme wrote it.
+    fn with_scheme(json: &str, scheme: &str) -> String {
+        json.replacen(
+            "{\"version\":1,",
+            &format!("{{\"version\":1,\"scheme\":{scheme},"),
+            1,
+        )
+    }
+
+    /// A snapshot without a `scheme` key, or with a classic one, resumes
+    /// to exactly the captured state.
+    #[test]
+    fn absent_or_classic_scheme_resumes_bit_identically() {
+        let snapshot = test_snapshot();
+        let rule = snapshot.rule.clone();
+        let json = serde_json::to_string(&snapshot).unwrap();
+        assert!(!json.contains("scheme"), "the key is no longer written");
+        for (name, text) in [
+            ("absent", json.clone()),
+            ("classic", with_scheme(&json, "\"classic\"")),
+            ("Classic", with_scheme(&json, "\"Classic\"")),
+        ] {
+            let resolver = load_json(name, &text)
+                .unwrap()
+                .restore(AdaLshConfig::new(rule.clone()))
+                .unwrap();
+            let resumed = ServeSnapshot::capture(&resolver, rule.clone());
+            assert_eq!(serde_json::to_string(&resumed).unwrap(), json, "{name}");
+        }
+    }
+
+    /// A snapshot of DOPH hash states is refused with an error naming
+    /// the scheme; a malformed scheme value is an error, not a panic.
+    #[test]
+    fn doph_scheme_snapshot_is_refused() {
+        let json = serde_json::to_string(&test_snapshot()).unwrap();
+        for scheme in ["doph", "Doph"] {
+            let err = load_json(scheme, &with_scheme(&json, &format!("\"{scheme}\""))).unwrap_err();
+            assert!(err.contains(&format!("'{scheme}'")), "{err}");
+        }
+        let err = load_json("malformed", &with_scheme(&json, "7")).unwrap_err();
+        assert!(err.contains("malformed MinHash scheme"), "{err}");
     }
 
     /// A save that fails after the temp file was written (here: the
