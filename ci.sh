@@ -17,7 +17,10 @@
 #                          # bench_spans, which fails if the span layer
 #                          # slows ingest-to-visible past 1.15x, then
 #                          # gates the fresh numbers against the
-#                          # committed baseline with `adalsh bench diff`);
+#                          # committed baseline with `adalsh bench diff`;
+#                          # the perfbench/ benchmark, its own workspace
+#                          # that the steps above never compile, built
+#                          # and run on tiny inputs by its smoke test);
 #                          # committed baselines are never touched
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -273,6 +276,12 @@ if [ "$bench_smoke" = 1 ]; then
     cargo run --release -p adalsh-bench --bin bench_spans -- --smoke --out "$spans_fresh"
     ./target/release/adalsh bench diff "$spans_fresh" BENCH_spans.json --smoke
     rm -f "$spans_fresh"
+
+    echo "==> perfbench smoke (benchmark build + output contract)"
+    # perfbench/ is a separate workspace, so a change that breaks an API
+    # the benchmark uses passes every step above; this builds it against
+    # the current crates and checks every workload's output.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 echo "CI OK"

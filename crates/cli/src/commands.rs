@@ -420,7 +420,7 @@ fn run_method(
     // reconciles the two and `adalsh trace attribute` can break the wall
     // time into design / resolve / engine phases.
     let mut filter_spans: Option<FilterSpanContext> = None;
-    let mut boxed: Box<dyn FilterMethod> = match method {
+    let (name, mut boxed): (String, Box<dyn FilterMethod>) = match method {
         "adalsh" => {
             let mut config = AdaLshConfig::new(rule.clone());
             if threads > 0 {
@@ -446,9 +446,10 @@ fn run_method(
                     collector,
                     root,
                 });
-                Box::new(engine)
+                (engine.name(), Box::new(engine))
             } else {
-                Box::new(AdaLsh::for_dataset(store, config)?)
+                let engine = AdaLsh::for_dataset(store, config)?;
+                (engine.name(), Box::new(engine))
             }
         }
         "pairs" => {
@@ -456,7 +457,7 @@ fn run_method(
             if threads > 0 {
                 pairs = pairs.with_threads(threads);
             }
-            Box::new(pairs)
+            (pairs.name(), Box::new(pairs))
         }
         m if m.starts_with("lsh") => {
             let x: u64 = m[3..]
@@ -466,7 +467,12 @@ fn run_method(
             if threads > 0 {
                 lsh = lsh.with_threads(threads);
             }
-            Box::new(lsh)
+            // Built here, not inside `filter`, so an X the rule cannot
+            // use is an error rather than a panic.
+            let engine = lsh.engine(store).map_err(|e| {
+                format!("method '{m}': cannot design one level of X = {x} hash functions: {e}")
+            })?;
+            (lsh.name(), Box::new(engine))
         }
         other => return Err(format!("unknown method '{other}'")),
     };
@@ -532,7 +538,7 @@ fn run_method(
     if let Some(path) = trace_out {
         println!("trace written to {path}");
     }
-    Ok((boxed.name(), out))
+    Ok((name, out))
 }
 
 /// Span plumbing for a traced `filter`/`evaluate` run: the recorder,

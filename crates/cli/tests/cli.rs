@@ -438,6 +438,33 @@ fn trace_out_rejected_for_untraced_methods() {
     assert!(err.contains("adaLSH"), "{err}");
 }
 
+/// An LSH-X budget the rule cannot use is a usage error naming the
+/// method, never a panic: no functions at all, and five functions, too
+/// few to meet constraint (3) at Jaccard 0.6.
+#[test]
+fn lsh_budgets_the_rule_cannot_use_are_errors() {
+    let data = tmpfile("lsh_bad_x.jsonl");
+    generate(&data);
+    for method in ["lsh0", "lsh5"] {
+        let out = bin()
+            .args([
+                "filter",
+                data.to_str().unwrap(),
+                "--k",
+                "3",
+                "--rule",
+                "jaccard:0.6",
+                "--method",
+                method,
+            ])
+            .output()
+            .expect("run filter");
+        assert_eq!(out.status.code(), Some(1), "{method} must exit 1");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("'{method}'")), "{err}");
+    }
+}
+
 #[test]
 fn trace_validate_rejects_garbage() {
     let bad = tmpfile("garbage.jsonl");

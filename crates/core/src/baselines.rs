@@ -126,8 +126,11 @@ impl LshBlocking {
         self
     }
 
-    /// Builds the single-level engine for a record store.
-    fn engine(&self, store: &dyn RecordStore) -> Result<AdaLsh, String> {
+    /// Builds the single-level engine for a record store. Errs when `X`
+    /// is 0 or no `(w, z)` with `w·z ≤ X` meets constraint (3) for the
+    /// rule; [`FilterMethod::filter`] panics in those cases, so callers
+    /// that take `X` from input build the engine here first.
+    pub fn engine(&self, store: &dyn RecordStore) -> Result<AdaLsh, String> {
         let mut config = AdaLshConfig::new(self.rule.clone());
         config.spec = SequenceSpec {
             epsilon: self.epsilon,

@@ -172,6 +172,16 @@ impl HashPart {
         HashPart::Weighted { selection, choices }
     }
 
+    /// The elementary collision probability `p(x)` at normalized distance
+    /// `x`, as the part's family defines it (Theorem 3 for weighted parts).
+    pub(crate) fn collision_prob(&self, x: f64) -> f64 {
+        match self {
+            HashPart::Dense { .. } => HyperplaneFamily::collision_prob(x),
+            HashPart::Shingles { .. } => MinHashFamily::collision_prob(x),
+            HashPart::Weighted { .. } => WeightedSelection::collision_prob(x),
+        }
+    }
+
     /// Materializes every lazily-created structure needed to evaluate
     /// functions `0..w` of tables `0..z` (the hyperplane normals). After
     /// this call, [`HashPart::eval`] is pure and thread-shareable.

@@ -20,7 +20,7 @@ use std::collections::HashSet;
 use adalsh_data::{MatchRule, RecordStore};
 use adalsh_obs::TraceSink;
 
-use crate::oracle::{emit_oracle_call, PairwiseOracle, SpendLedger};
+use crate::oracle::{emit_oracle_call, ExactOracle, PairwiseOracle, SpendLedger};
 use crate::stats::Stats;
 
 /// The paper's perfect recovery (§6.2.1): for each entity referenced by
@@ -72,48 +72,32 @@ pub fn rule_recovery(
     clusters: &[Vec<u32>],
     stats: &mut Stats,
 ) -> Vec<Vec<u32>> {
-    let included: HashSet<u32> = clusters.iter().flatten().copied().collect();
-    let mut augmented: Vec<Vec<u32>> = clusters.to_vec();
-    let per_pair = rule.num_elementary_distances() as u64;
-    for r in 0..store.len() as u32 {
-        if included.contains(&r) {
-            continue;
-        }
-        'next_record: for cluster in &mut augmented {
-            for i in 0..cluster.len() {
-                let m = cluster[i];
-                stats.pair_comparisons += 1;
-                stats.distance_evals += per_pair;
-                if rule.matches_in(store, r, m) {
-                    cluster.push(r);
-                    break 'next_record;
-                }
-            }
-        }
-    }
-    for c in &mut augmented {
-        c.sort_unstable();
-    }
-    augmented.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
-    augmented
+    rule_recovery_with(
+        store,
+        &ExactOracle::new(rule),
+        clusters,
+        None,
+        &TraceSink::disabled(),
+        stats,
+    )
 }
 
-/// [`rule_recovery`] through a [`PairwiseOracle`]: every excluded-record
-/// vs cluster-member comparison is one adjudication, settled through the
-/// ledger **in the sequential scan order** (recovery is single-threaded,
-/// so that order is the canonical one). Budget exhaustion degrades the
-/// remaining comparisons to the cheap rule rather than aborting — under
-/// a zero-noise oracle the output is identical to [`rule_recovery`]
-/// regardless of budget, because the fallback *is* the rule.
+/// [`rule_recovery`] with verdicts from `oracle`. A `ledger` settles
+/// every excluded-record vs cluster-member comparison **in the sequential
+/// scan order** (recovery is single-threaded, so that order is the
+/// canonical one); budget exhaustion degrades the remaining comparisons
+/// to the cheap rule rather than aborting — under a zero-noise oracle
+/// the output is identical to [`rule_recovery`] regardless of budget,
+/// because the fallback *is* the rule.
 ///
 /// One `oracle_call` trace event is emitted per settled comparison when
 /// the sink is enabled (recovery runs outside engine run segments; the
 /// event is segment-free by schema).
-pub fn rule_recovery_oracle<O: PairwiseOracle>(
+pub fn rule_recovery_with<O: PairwiseOracle>(
     store: &dyn RecordStore,
     oracle: &O,
     clusters: &[Vec<u32>],
-    ledger: &mut SpendLedger,
+    mut ledger: Option<&mut SpendLedger>,
     sink: &TraceSink,
     stats: &mut Stats,
 ) -> Vec<Vec<u32>> {
@@ -130,12 +114,18 @@ pub fn rule_recovery_oracle<O: PairwiseOracle>(
                 let m = cluster[i];
                 stats.pair_comparisons += 1;
                 stats.distance_evals += per_pair;
-                let adj = O::adjudication(oracle.adjudicate(store, r, m, &mut ()));
-                let settled = ledger.settle(r, m, &adj);
-                if traced {
-                    emit_oracle_call(sink, &settled);
-                }
-                if settled.matched {
+                let adjudication = O::adjudication(oracle.adjudicate(store, r, m, &mut ()));
+                let matched = match ledger.as_deref_mut() {
+                    None => adjudication.matched,
+                    Some(ledger) => {
+                        let settled = ledger.settle(r, m, &adjudication);
+                        if traced {
+                            emit_oracle_call(sink, &settled);
+                        }
+                        settled.matched
+                    }
+                };
+                if matched {
                     cluster.push(r);
                     break 'next_record;
                 }
@@ -255,11 +245,11 @@ mod tests {
         let oracle = ExactOracle::new(&rule);
         let mut ledger = SpendLedger::new(None);
         let mut st = Stats::default();
-        let out = rule_recovery_oracle(
+        let out = rule_recovery_with(
             &d,
             &oracle,
             &clusters,
-            &mut ledger,
+            Some(&mut ledger),
             &TraceSink::disabled(),
             &mut st,
         );
@@ -281,11 +271,11 @@ mod tests {
         let oracle = NoisyOracle::new(&rule, cfg.clone());
         let mut ledger = SpendLedger::new(cfg.budget);
         let mut st = Stats::default();
-        let out = rule_recovery_oracle(
+        let out = rule_recovery_with(
             &d,
             &oracle,
             &clusters,
-            &mut ledger,
+            Some(&mut ledger),
             &TraceSink::disabled(),
             &mut st,
         );
@@ -315,11 +305,11 @@ mod tests {
         let oracle = NoisyOracle::new(&rule, cfg);
         let mut ledger = SpendLedger::new(None);
         let mut st = Stats::default();
-        let out = rule_recovery_oracle(
+        let out = rule_recovery_with(
             &d,
             &oracle,
             &clusters,
-            &mut ledger,
+            Some(&mut ledger),
             &TraceSink::disabled(),
             &mut st,
         );
@@ -338,11 +328,11 @@ mod tests {
         let mut ledger = SpendLedger::new(Some(10));
         let mut st = Stats::default();
         // No output clusters: nothing to compare against, nothing spent.
-        let out = rule_recovery_oracle(
+        let out = rule_recovery_with(
             &d,
             &oracle,
             &[],
-            &mut ledger,
+            Some(&mut ledger),
             &TraceSink::disabled(),
             &mut st,
         );
@@ -362,11 +352,11 @@ mod tests {
         let oracle = NoisyOracle::new(&rule, NoisyOracleConfig::default());
         let mut ledger = SpendLedger::new(None);
         let mut st = Stats::default();
-        let out = rule_recovery_oracle(
+        let out = rule_recovery_with(
             &d,
             &oracle,
             &[vec![5]],
-            &mut ledger,
+            Some(&mut ledger),
             &TraceSink::disabled(),
             &mut st,
         );
@@ -415,7 +405,7 @@ mod tests {
                 &sink,
                 &mut st,
             );
-            let out = rule_recovery_oracle(&d, &oracle, &clusters, &mut ledger, &sink, &mut st);
+            let out = rule_recovery_with(&d, &oracle, &clusters, Some(&mut ledger), &sink, &mut st);
             (out, st, ledger.into_spend())
         };
         let seq = run(1);

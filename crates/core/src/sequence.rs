@@ -20,6 +20,7 @@
 use adalsh_data::{FieldDistance, MatchRule, Schema};
 use adalsh_lsh::mix::derive_seed;
 use adalsh_lsh::multifield::{optimize_and2, optimize_or2, FieldSpec};
+use adalsh_lsh::optimizer::{OptimizerInput, SchemeOptimizer};
 use adalsh_lsh::scheme::WzScheme;
 
 use crate::hashing::{HashPart, LevelScheme};
@@ -103,16 +104,35 @@ pub struct DesignedSequence {
 
 /// Normalized view of the rule for scheme design.
 enum RuleShape {
-    /// One elementary part with one threshold.
-    Single { dthr: f64 },
-    /// Shared tables over several parts (AND rule), per-part thresholds.
-    And { dthrs: Vec<f64> },
-    /// Per-part tables (OR rule), per-part thresholds.
-    Or { dthrs: Vec<f64> },
+    /// One elementary part.
+    Single,
+    /// Shared tables over two parts (AND rule).
+    And,
+    /// Per-part tables over two parts (OR rule).
+    Or,
 }
 
-fn linear_p(x: f64) -> f64 {
-    1.0 - x
+impl SequenceSpec {
+    /// Rejects a spec [`design`] cannot walk: an `ε` outside `[0, 1)`
+    /// (or NaN), or a budget schedule that never grows.
+    fn validate(&self) -> Result<(), String> {
+        if !(0.0..1.0).contains(&self.epsilon) {
+            return Err(format!(
+                "SequenceSpec epsilon {} outside [0, 1)",
+                self.epsilon
+            ));
+        }
+        match self.strategy {
+            BudgetStrategy::Exponential { start: 0, .. } => {
+                Err("Exponential budget start must be positive".into())
+            }
+            BudgetStrategy::Exponential { factor, .. } if factor < 2 => Err(format!(
+                "Exponential budget factor {factor} must be at least 2 for the budget to grow"
+            )),
+            BudgetStrategy::Linear { step: 0 } => Err("Linear budget step must be positive".into()),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Designs the sequence for `rule` against `schema`.
@@ -126,6 +146,7 @@ pub fn design(
     spec: &SequenceSpec,
 ) -> Result<DesignedSequence, String> {
     rule.validate(schema)?;
+    spec.validate()?;
 
     // Leaf-part builder with resolved dims.
     let build_leaf = |r: &MatchRule, seed: u64| -> Result<(HashPart, f64), String> {
@@ -162,45 +183,44 @@ pub fn design(
     };
 
     // Normalize the rule shape.
-    let (parts, shape): (Vec<HashPart>, RuleShape) = match rule {
+    let (children, shape) = match rule {
         MatchRule::Threshold { .. } | MatchRule::WeightedAverage { .. } => {
-            let (part, dthr) = build_leaf(rule, derive_seed(spec.seed, 0))?;
-            (vec![part], RuleShape::Single { dthr })
+            (std::slice::from_ref(rule), RuleShape::Single)
         }
-        MatchRule::And(children) => {
-            let mut parts = Vec::new();
-            let mut dthrs = Vec::new();
-            for (i, child) in children.iter().enumerate() {
-                let (part, dthr) = build_leaf(child, derive_seed(spec.seed, i as u64))?;
-                parts.push(part);
-                dthrs.push(dthr);
-            }
-            if parts.len() == 1 {
-                (parts, RuleShape::Single { dthr: dthrs[0] })
-            } else if parts.len() == 2 {
-                (parts, RuleShape::And { dthrs })
-            } else {
-                return Err("AND rules with more than two parts are not supported; \
-                            combine fields with a weighted average first (Appendix C.4)"
-                    .into());
-            }
+        MatchRule::And(children) => (children.as_slice(), RuleShape::And),
+        MatchRule::Or(children) => (children.as_slice(), RuleShape::Or),
+    };
+    let mut parts = Vec::new();
+    let mut dthrs = Vec::new();
+    for (i, child) in children.iter().enumerate() {
+        let (part, dthr) = build_leaf(child, derive_seed(spec.seed, i as u64))?;
+        parts.push(part);
+        dthrs.push(dthr);
+    }
+    let shape = match (shape, parts.len()) {
+        (_, 1) => RuleShape::Single,
+        (shape, 2) => shape,
+        (RuleShape::And, _) => {
+            return Err("AND rules with more than two parts are not supported; \
+                        combine fields with a weighted average first (Appendix C.4)"
+                .into())
         }
-        MatchRule::Or(children) => {
-            let mut parts = Vec::new();
-            let mut dthrs = Vec::new();
-            for (i, child) in children.iter().enumerate() {
-                let (part, dthr) = build_leaf(child, derive_seed(spec.seed, i as u64))?;
-                parts.push(part);
-                dthrs.push(dthr);
-            }
-            if parts.len() == 1 {
-                (parts, RuleShape::Single { dthr: dthrs[0] })
-            } else if parts.len() == 2 {
-                (parts, RuleShape::Or { dthrs })
-            } else {
-                return Err("OR rules with more than two parts are not supported".into());
-            }
-        }
+        _ => return Err("OR rules with more than two parts are not supported".into()),
+    };
+
+    // Each part's p(x) comes from its own family.
+    let ps: Vec<_> = parts
+        .iter()
+        .map(|part| move |x: f64| part.collision_prob(x))
+        .collect();
+    let field = |i: usize| FieldSpec {
+        dthr: dthrs[i],
+        p: &ps[i],
+    };
+    // §5.1's (w, z) for part `i` alone, grown from (min_w, min_z).
+    let single = |budget: u64, i: usize, min_w: u32, min_z: u32| {
+        let input = OptimizerInput::new(budget, dthrs[i], spec.epsilon, &ps[i]);
+        SchemeOptimizer::optimize_le(&input.with_min(min_w, min_z))
     };
 
     // Walk the budget schedule.
@@ -208,34 +228,23 @@ pub fn design(
     let mut i = 1usize;
     loop {
         let budget = spec.strategy.budget(i);
-        let scheme = match &shape {
-            RuleShape::Single { dthr } => {
+        let scheme = match shape {
+            RuleShape::Single => {
                 let (min_w, min_z) = match levels.last() {
                     Some(LevelScheme::Shared { ws, z }) => (ws[0], *z),
                     _ => (1, 1),
                 };
-                single_scheme_le(budget, *dthr, spec.epsilon, min_w, min_z).map(|s| {
-                    LevelScheme::Shared {
-                        ws: vec![s.w],
-                        z: s.z,
-                    }
+                single(budget, 0, min_w, min_z).map(|s| LevelScheme::Shared {
+                    ws: vec![s.w],
+                    z: s.z,
                 })
             }
-            RuleShape::And { dthrs } => {
+            RuleShape::And => {
                 let (min_ws, min_z) = match levels.last() {
                     Some(LevelScheme::Shared { ws, z }) => ([ws[0], ws[1]], *z),
                     _ => ([1, 1], 1),
                 };
-                let fields = [
-                    FieldSpec {
-                        dthr: dthrs[0],
-                        p: &linear_p,
-                    },
-                    FieldSpec {
-                        dthr: dthrs[1],
-                        p: &linear_p,
-                    },
-                ];
+                let fields = [field(0), field(1)];
                 // Program (4)–(6) needs (w+u) | budget; if the exact budget
                 // is unlucky, retreat a little.
                 let mut found = None;
@@ -254,52 +263,32 @@ pub fn design(
                 }
                 found
             }
-            RuleShape::Or { dthrs } => {
-                match levels.last() {
-                    None => {
-                        // First level: full Program (7)–(10) search.
-                        let fields = [
-                            FieldSpec {
-                                dthr: dthrs[0],
-                                p: &linear_p,
-                            },
-                            FieldSpec {
-                                dthr: dthrs[1],
-                                p: &linear_p,
-                            },
-                        ];
-                        optimize_or2(budget, &fields, spec.epsilon, [(1, 1), (1, 1)])
-                            .map(|s| LevelScheme::PerPart { parts: s.parts })
-                    }
-                    Some(LevelScheme::PerPart { parts: prev }) => {
-                        // Later levels: keep the budget split proportional
-                        // to the first level's and grow each part under
-                        // its own monotonicity constraints.
-                        let prev_total: u64 = prev.iter().map(WzScheme::budget).sum();
-                        let mut grown = Vec::with_capacity(prev.len());
-                        for (p, prev_s) in prev.iter().enumerate() {
+            RuleShape::Or => match levels.last() {
+                // First level: full Program (7)–(10) search.
+                None => optimize_or2(
+                    budget,
+                    &[field(0), field(1)],
+                    spec.epsilon,
+                    [(1, 1), (1, 1)],
+                )
+                .map(|s| LevelScheme::PerPart { parts: s.parts }),
+                Some(LevelScheme::PerPart { parts: prev }) => {
+                    // Later levels: keep the budget split proportional
+                    // to the first level's and grow each part under
+                    // its own monotonicity constraints.
+                    let prev_total: u64 = prev.iter().map(WzScheme::budget).sum();
+                    prev.iter()
+                        .enumerate()
+                        .map(|(p, prev_s)| {
                             let share = (budget as f64 * prev_s.budget() as f64 / prev_total as f64)
                                 .round() as u64;
-                            let s = single_scheme_le(
-                                share.max(prev_s.budget()),
-                                dthrs[p],
-                                spec.epsilon,
-                                prev_s.w,
-                                prev_s.z,
-                            );
-                            match s {
-                                Some(s) => grown.push(s),
-                                None => {
-                                    grown.clear();
-                                    break;
-                                }
-                            }
-                        }
-                        (!grown.is_empty()).then_some(LevelScheme::PerPart { parts: grown })
-                    }
-                    Some(LevelScheme::Shared { .. }) => unreachable!("shape is uniform"),
+                            single(share.max(prev_s.budget()), p, prev_s.w, prev_s.z)
+                        })
+                        .collect::<Option<Vec<_>>>()
+                        .map(|parts| LevelScheme::PerPart { parts })
                 }
-            }
+                Some(LevelScheme::Shared { .. }) => unreachable!("shape is uniform"),
+            },
         };
         match scheme {
             Some(s) => {
@@ -311,12 +300,6 @@ pub fn design(
             None if levels.is_empty() => {
                 // H₁'s budget can be too small to satisfy constraint (3);
                 // skip ahead to the first feasible budget.
-                if budget > spec.max_budget {
-                    return Err(format!(
-                        "no feasible scheme up to max_budget {}",
-                        spec.max_budget
-                    ));
-                }
             }
             None => {
                 return Err(format!(
@@ -330,39 +313,12 @@ pub fn design(
         i += 1;
     }
     if levels.is_empty() {
-        return Err("empty sequence design".into());
+        return Err(format!(
+            "no scheme meets constraint (3) at epsilon {} up to max_budget {}",
+            spec.epsilon, spec.max_budget
+        ));
     }
     Ok(DesignedSequence { parts, levels })
-}
-
-/// Largest feasible `w` with `z = ⌊budget/w⌋`, honoring `w ≥ min_w`,
-/// `z ≥ min_z` — the §5.1 selection adapted to the `w·z ≤ budget` form
-/// (monotonicity-safe for any budget schedule).
-fn single_scheme_le(
-    budget: u64,
-    dthr: f64,
-    epsilon: f64,
-    min_w: u32,
-    min_z: u32,
-) -> Option<WzScheme> {
-    let p_thr = linear_p(dthr);
-    let feasible = |w: u32, z: u32| -> bool {
-        1.0 - (1.0 - p_thr.powi(w as i32)).powi(z as i32) >= 1.0 - epsilon
-    };
-    let mut best: Option<WzScheme> = None;
-    let mut w = min_w.max(1);
-    while u64::from(w) <= budget {
-        let z = (budget / u64::from(w)) as u32;
-        if z < min_z.max(1) {
-            break;
-        }
-        if !feasible(w, z) {
-            break; // monotone: larger w only gets worse
-        }
-        best = Some(WzScheme::new(w, z));
-        w += 1;
-    }
-    best
 }
 
 #[cfg(test)]
@@ -532,14 +488,157 @@ mod tests {
         assert!(design(&rule, &schema, &[0, 0, 0], &SequenceSpec::default()).is_err());
     }
 
+    /// `design` on a Jaccard-0.4 rule under `spec`, expecting an error
+    /// that names `field`.
+    fn rejects(spec: SequenceSpec, field: &str) {
+        let rule = MatchRule::threshold(0, FieldDistance::Jaccard, 0.4);
+        let err = design(&rule, &shingle_schema(), &[0], &spec).expect_err("bad spec");
+        assert!(err.contains(field), "{err}");
+    }
+
     #[test]
-    fn single_scheme_le_respects_bounds() {
-        let s = single_scheme_le(100, 0.4, 0.01, 2, 5).unwrap();
-        assert!(s.w >= 2 && s.z >= 5);
-        assert!(s.budget() <= 100);
-        // Infeasible when min_z forces too few functions per table…
-        // actually min_z large keeps z high which HELPS feasibility; an
-        // infeasible case is a tiny budget with strict epsilon:
-        assert!(single_scheme_le(2, 0.5, 1e-12, 1, 1).is_none());
+    fn linear_step_zero_is_rejected() {
+        // The budget would stay 0 forever: neither loop exit fires.
+        rejects(
+            SequenceSpec {
+                strategy: BudgetStrategy::Linear { step: 0 },
+                ..SequenceSpec::default()
+            },
+            "step",
+        );
+    }
+
+    #[test]
+    fn exponential_factor_one_is_rejected() {
+        // The budget would stay at `start` forever.
+        rejects(
+            SequenceSpec {
+                strategy: BudgetStrategy::Exponential {
+                    start: 20,
+                    factor: 1,
+                },
+                ..SequenceSpec::default()
+            },
+            "factor",
+        );
+    }
+
+    #[test]
+    fn epsilon_outside_unit_interval_is_rejected() {
+        for epsilon in [-0.1, 1.0, 1.5, f64::NAN] {
+            rejects(
+                SequenceSpec {
+                    epsilon,
+                    ..SequenceSpec::default()
+                },
+                "epsilon",
+            );
+        }
+    }
+
+    /// One design as compact text: `w×z` per single-part shared level,
+    /// `[w,u]×z` per multi-part shared level, `w×z|w×z` per OR level.
+    fn pin(rule: &MatchRule, schema: &Schema, dims: &[usize], spec: &SequenceSpec) -> String {
+        let d = design(rule, schema, dims, spec).expect("design");
+        let levels: Vec<String> = d
+            .levels
+            .iter()
+            .map(|l| match l {
+                LevelScheme::Shared { ws, z } if ws.len() == 1 => format!("{}×{z}", ws[0]),
+                LevelScheme::Shared { ws, z } => format!("{ws:?}×{z}"),
+                LevelScheme::PerPart { parts } => parts
+                    .iter()
+                    .map(|s| format!("{}×{}", s.w, s.z))
+                    .collect::<Vec<_>>()
+                    .join("|"),
+            })
+            .collect();
+        levels.join(" ")
+    }
+
+    /// The exact level list of each design shape: a change to any search
+    /// that moves one scheme fails here.
+    #[test]
+    fn designs_are_pinned() {
+        let two = Schema::new(vec![("a", FieldKind::Shingles), ("b", FieldKind::Shingles)]);
+        let deep = SequenceSpec {
+            max_budget: 1 << 21,
+            ..SequenceSpec::default()
+        };
+        let lsh_x = |x: u64| SequenceSpec {
+            strategy: BudgetStrategy::Linear { step: x },
+            max_budget: x,
+            ..SequenceSpec::default()
+        };
+        let jaccard = |dthr| MatchRule::threshold(0, FieldDistance::Jaccard, dthr);
+        let weighted = MatchRule::WeightedAverage {
+            parts: vec![
+                adalsh_data::rule::WeightedPart {
+                    field: 0,
+                    metric: FieldDistance::Jaccard,
+                    weight: 0.5,
+                },
+                adalsh_data::rule::WeightedPart {
+                    field: 1,
+                    metric: FieldDistance::Jaccard,
+                    weight: 0.5,
+                },
+            ],
+            dthr: 0.3,
+        };
+        let or = MatchRule::Or(vec![
+            MatchRule::threshold(0, FieldDistance::Jaccard, 0.3),
+            MatchRule::threshold(1, FieldDistance::Jaccard, 0.2),
+        ]);
+        let angular = MatchRule::threshold(0, FieldDistance::Angular, 3.0 / 180.0);
+        let dense = Schema::single("v", FieldKind::Dense);
+        let cora = SequenceSpec {
+            max_budget: 4096,
+            ..SequenceSpec::default()
+        };
+        let default = SequenceSpec::default();
+        let cases: Vec<(&str, String, &str)> = vec![
+            (
+                "jaccard 0.4, 2^21",
+                pin(&jaccard(0.4), &shingle_schema(), &[0], &deep),
+                "1×20 2×20 2×40 3×53 4×80 5×128 6×213 7×365 8×640 9×1137 10×2048 12×3413 13×6301 14×11702 15×21845 16×40960 18×72817 19×137970",
+            ),
+            (
+                "jaccard 0.6, 2^21",
+                pin(&jaccard(0.6), &shingle_schema(), &[0], &deep),
+                "1×20 1×40 2×40 2×80 3×106 3×213 4×320 4×640 5×1024 6×1706 6×3413 7×5851 7×11702 8×20480 9×36408 9×72817 10×131072 11×238312",
+            ),
+            ("angular 3°, 2^21", pin(&angular, &dense, &[64], &deep), "6×3 10×4 16×5 22×7 35×9 49×13 68×18 90×28 114×44 142×72 171×119 201×203 234×350 267×613 301×1088 335×1956 371×3532 406×6456"),
+            (
+                "cora AND, 4096",
+                pin(
+                    &adalsh_datagen::cora::match_rule(),
+                    &adalsh_datagen::cora::schema(),
+                    &[0, 0, 0],
+                    &cora,
+                ),
+                "[1, 1]×80 [2, 1]×106 [3, 1]×160 [5, 1]×213 [6, 1]×365 [7, 1]×640",
+            ),
+            ("OR 0.3|0.2", pin(&or, &two, &[0, 0], &default), "1×6|2×7 1×12|2×14 2×12|4×14 2×24|5×22 3×32|7×31 5×39|9×49 6×65|11×80 7×112|13×136"),
+            ("weighted 0.3", pin(&weighted, &two, &[0, 0], &default), "1×20 2×20 3×26 4×40 5×64 7×91 8×160 10×256"),
+            (
+                "LSH20",
+                pin(&jaccard(0.6), &shingle_schema(), &[0], &lsh_x(20)),
+                "1×20",
+            ),
+            (
+                "LSH320",
+                pin(&jaccard(0.6), &shingle_schema(), &[0], &lsh_x(320)),
+                "3×106",
+            ),
+            (
+                "LSH1280",
+                pin(&jaccard(0.6), &shingle_schema(), &[0], &lsh_x(1280)),
+                "4×320",
+            ),
+        ];
+        for (name, got, want) in cases {
+            assert_eq!(got, want, "{name}");
+        }
     }
 }

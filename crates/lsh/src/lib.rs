@@ -11,6 +11,9 @@
 //!   `1 − (1 − pʷ(x))ᶻ` in [`scheme`];
 //! * the **scheme optimizer** solving Program (1)–(3) of §5.1 (and its
 //!   non-integer-`budget/w` extension) in [`optimizer`];
+//!   [`SchemeOptimizer::optimize_le`] is the one `(w, z)` search behind
+//!   every single-field design level, the later levels of OR rules and
+//!   the LSH-X baseline;
 //! * **multi-field** scheme optimizers for AND rules (Program (4)–(6)),
 //!   OR rules (Program (7)–(10)), and the weighted-average function
 //!   selection of Definition 7 with Theorems 3–4, in [`multifield`].
@@ -18,9 +21,7 @@
 //! Everything is deterministic given an explicit seed, so experiments are
 //! reproducible bit-for-bit.
 
-pub mod analysis;
 pub mod construction;
-pub mod euclidean;
 pub mod hyperplane;
 pub mod minhash;
 pub mod mix;
@@ -30,7 +31,6 @@ pub mod prob;
 pub mod scheme;
 
 pub use construction::Sensitivity;
-pub use euclidean::EuclideanFamily;
 pub use hyperplane::HyperplaneFamily;
 pub use minhash::MinHashFamily;
 pub use multifield::{AndScheme, FieldSpec, OrScheme, WeightedSelection};

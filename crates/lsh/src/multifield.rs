@@ -82,8 +82,8 @@ impl AndScheme {
     }
 
     /// The Program-(4) objective `∫∫ [1 − (1 − ∏ pᵢ^{wᵢ})ᶻ] dx₁dx₂` for
-    /// two fields (the paper's exposition; for other arities see
-    /// [`AndScheme::objective_mc`]).
+    /// two fields (the paper's exposition, and the only AND arity the
+    /// designer accepts).
     pub fn objective2(&self, fields: &[FieldSpec<'_>]) -> f64 {
         assert_eq!(self.ws.len(), 2, "objective2 requires exactly two fields");
         assert_eq!(fields.len(), 2);
@@ -91,33 +91,6 @@ impl AndScheme {
             |x1, x2| self.collision_prob(&[(fields[0].p)(x1), (fields[1].p)(x2)]),
             DEFAULT_INTERVALS / 4,
         )
-    }
-
-    /// Midpoint-grid objective for any arity (coarse but sufficient to
-    /// rank candidates).
-    pub fn objective_mc(&self, fields: &[FieldSpec<'_>], grid: usize) -> f64 {
-        assert_eq!(fields.len(), self.ws.len());
-        let f = fields.len();
-        let mut total = 0.0;
-        let mut idx = vec![0usize; f];
-        let cells = grid.pow(f as u32);
-        for _ in 0..cells {
-            let ps: Vec<f64> = idx
-                .iter()
-                .zip(fields)
-                .map(|(&i, fs)| (fs.p)((i as f64 + 0.5) / grid as f64))
-                .collect();
-            total += self.collision_prob(&ps);
-            // odometer increment
-            for digit in idx.iter_mut() {
-                *digit += 1;
-                if *digit < grid {
-                    break;
-                }
-                *digit = 0;
-            }
-        }
-        total / cells as f64
     }
 }
 
@@ -475,23 +448,5 @@ mod tests {
     #[should_panic(expected = "sum to 1")]
     fn weighted_selection_rejects_bad_weights() {
         let _ = WeightedSelection::new(&[0.3, 0.3], 0);
-    }
-
-    #[test]
-    fn objective_mc_agrees_with_simpson_roughly() {
-        let fields = [
-            FieldSpec {
-                dthr: 0.3,
-                p: &linear,
-            },
-            FieldSpec {
-                dthr: 0.2,
-                p: &linear,
-            },
-        ];
-        let s = AndScheme::new(vec![3, 2], 8);
-        let simpson = s.objective2(&fields);
-        let mc = s.objective_mc(&fields, 64);
-        assert!((simpson - mc).abs() < 0.01, "{simpson} vs {mc}");
     }
 }

@@ -11,13 +11,20 @@
 //!   almost surely collide).
 //!
 //! As the paper observes, the objective decreases with `w` while the
-//! constraint eventually breaks, so for divisor-only `w` the optimum is
-//! the **largest feasible divisor**, found by binary search
-//! ([`SchemeOptimizer::optimize_divisor`]). The non-integer `budget/w`
-//! extension enumerates all `w` and adds a remainder table
-//! ([`SchemeOptimizer::optimize_exhausting`]); the `w·z ≤ X` variant used
-//! by the LSH-X blocking baseline (§6.1.1) is
-//! [`SchemeOptimizer::optimize_le`].
+//! constraint eventually breaks, so the rule is: take the **largest `w`
+//! that still meets constraint (3)**. Three searches apply it:
+//!
+//! * [`SchemeOptimizer::optimize_le`] — `z = ⌊budget/w⌋`, remainder
+//!   functions dropped (`w·z ≤ budget`). `adalsh-core`'s designer runs
+//!   it for every single-field level, for the per-part growth of later
+//!   OR-rule levels, and for the one level of the LSH-X baseline
+//!   (§6.1.1);
+//! * [`SchemeOptimizer::optimize_divisor`] — `w` restricted to divisors
+//!   of the budget, found by binary search; the per-field solver of
+//!   [`crate::multifield::optimize_or2`] (the first OR-rule level);
+//! * [`SchemeOptimizer::optimize_exhausting`] — §5.1's non-integer
+//!   `budget/w` extension: every `w` plus a remainder table, kept by
+//!   minimum objective. No designer path runs it.
 
 use crate::prob::{simpson, DEFAULT_INTERVALS};
 use crate::scheme::{Scheme, WzScheme};
@@ -141,27 +148,28 @@ impl SchemeOptimizer {
         best.map(|(_, s)| s)
     }
 
-    /// The LSH-X variant (§6.1.1): find the feasible `(w, z)` with
-    /// `w · z ≤ budget` minimizing the objective. Dropping the remainder
-    /// functions is allowed here — the baseline promises *at most* `X`
-    /// functions per record.
+    /// The `w·z ≤ budget` search: the **largest** `w ≥ min_w` whose
+    /// scheme `(w, ⌊budget/w⌋)` keeps `z ≥ min_z` and is
+    /// [feasible](Self::feasible). Remainder functions are dropped, so a
+    /// level uses *at most* its budget. The scan walks `w` up from
+    /// `min_w` and stops at the first `w` that breaks a bound or
+    /// constraint (3) — both only get worse as `w` grows — so for the
+    /// result, `w + 1` is infeasible, under `min_z` or over the budget.
+    /// Returns `None` when `min_w` itself fails.
     pub fn optimize_le(input: &OptimizerInput<'_>) -> Option<WzScheme> {
-        let mut best: Option<(f64, WzScheme)> = None;
+        let mut best = None;
         for w in u64::from(input.min_w)..=input.budget {
             let z = (input.budget / w) as u32;
-            if z == 0 || z < input.min_z {
+            if z < input.min_z {
                 break;
             }
             let scheme = WzScheme::new(w as u32, z);
             if !Self::feasible(&scheme.into(), input) {
                 break;
             }
-            let obj = Self::objective(&scheme.into(), input.p);
-            if best.as_ref().is_none_or(|(b, _)| obj < *b) {
-                best = Some((obj, scheme));
-            }
+            best = Some(scheme);
         }
-        best.map(|(_, s)| s)
+        best
     }
 }
 
@@ -284,11 +292,15 @@ mod tests {
     }
 
     #[test]
-    fn le_variant_uses_at_most_budget() {
-        let input = OptimizerInput::new(1000, 0.2, 0.01, &linear_p);
+    fn optimize_le_respects_bounds() {
+        let input = OptimizerInput::new(100, 0.4, 0.01, &linear_p).with_min(2, 5);
         let s = SchemeOptimizer::optimize_le(&input).unwrap();
-        assert!(s.budget() <= 1000);
+        assert!(s.w >= 2 && s.z >= 5);
+        assert!(s.budget() <= 100);
         assert!(SchemeOptimizer::feasible(&s.into(), &input));
+        // A tiny budget with a strict ε has no feasible scheme.
+        let strict = OptimizerInput::new(2, 0.5, 1e-12, &linear_p);
+        assert!(SchemeOptimizer::optimize_le(&strict).is_none());
     }
 
     #[test]

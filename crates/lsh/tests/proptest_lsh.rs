@@ -91,6 +91,34 @@ proptest! {
     }
 
     #[test]
+    fn optimize_le_takes_the_largest_feasible_w(
+        budget in 1u64..5000,
+        dthr in 0.0f64..0.8,
+        eps_exp in 1u32..7,
+        min_w in 1u32..8,
+        min_z in 1u32..64,
+    ) {
+        let epsilon = 10f64.powi(-(eps_exp as i32));
+        let input = OptimizerInput::new(budget, dthr, epsilon, &linear_p).with_min(min_w, min_z);
+        // `w` within budget, `z = ⌊budget/w⌋` above `min_z`, constraint (3) met.
+        let fits = |w: u32| {
+            let z = budget / u64::from(w);
+            z >= u64::from(min_z)
+                && SchemeOptimizer::feasible(&Scheme::pure(w, z as u32), &input)
+        };
+        match SchemeOptimizer::optimize_le(&input) {
+            Some(s) => {
+                prop_assert!(SchemeOptimizer::feasible(&s.into(), &input));
+                prop_assert!(s.budget() <= budget);
+                prop_assert!(s.w >= min_w && s.z >= min_z);
+                prop_assert_eq!(u64::from(s.z), budget / u64::from(s.w));
+                prop_assert!(!fits(s.w + 1), "w={} also fits", s.w + 1);
+            }
+            None => prop_assert!(!fits(min_w)),
+        }
+    }
+
+    #[test]
     fn exhausting_never_worse_than_divisor(
         budget in 16u64..1024,
         dthr in 0.05f64..0.5,
