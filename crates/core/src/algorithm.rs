@@ -331,6 +331,11 @@ impl AdaLsh {
         &self.cost
     }
 
+    /// The engine's sequence hasher.
+    pub(crate) fn hasher(&self) -> &SequenceHasher {
+        &self.hasher
+    }
+
     /// The designed level schemes (for inspection and reports).
     pub fn levels(&self) -> &[crate::hashing::LevelScheme] {
         self.hasher.levels()

@@ -259,15 +259,6 @@ pub struct RecordHashState {
     history: Vec<Vec<Vec<u64>>>,
 }
 
-impl RecordHashState {
-    /// True when the accumulator history matches the claimed level —
-    /// the invariant [`SequenceHasher::keys`] relies on. Deserialized
-    /// states (snapshot resume) must be checked before use.
-    pub fn is_well_formed(&self) -> bool {
-        self.history.len() == self.level as usize
-    }
-}
-
 /// Precomputed work-list for advancing one level (`lvl−1 → lvl`): the
 /// `(table, function)` tasks of every group/part in the exact canonical
 /// order the scalar fold consumes them, plus per-task data (MinHash keys,
@@ -705,6 +696,9 @@ impl SequenceHasher {
                 }
                 accs[t as usize] = acc;
             }
+            // One exact allocation for the fresh tables instead of the
+            // 0→4→8→… doubling `push` would do for every record.
+            accs.reserve_exact((gp.z_to - gp.z_from) as usize);
             for t in gp.z_from..gp.z_to {
                 let mut acc = splitmix64(u64::from(gp.group) << 32 | u64::from(t));
                 for (pi, pp) in gp.parts.iter().enumerate() {
@@ -861,6 +855,52 @@ impl SequenceHasher {
             }
             accs.push(acc);
         }
+    }
+
+    /// Checks that `state` has the shape this hasher gives it: a level
+    /// within the sequence, one accumulator entry per completed level,
+    /// and at every completed level `l` the group count and per-group
+    /// table counts of `H_l`. [`SequenceHasher::keys`] and the next
+    /// advance index the accumulators by that shape, so a deserialized
+    /// state (snapshot resume) must pass this before use.
+    ///
+    /// # Errors
+    /// Describes the first mismatch found.
+    pub fn check_state(&self, state: &RecordHashState) -> Result<(), String> {
+        let level = usize::from(state.level);
+        if level > self.levels.len() {
+            return Err(format!(
+                "is at level {level} but the sequence has only {} levels",
+                self.levels.len()
+            ));
+        }
+        if state.history.len() != level {
+            return Err(format!(
+                "claims level {level} but holds accumulators for {} levels",
+                state.history.len()
+            ));
+        }
+        for (l, (groups, plan)) in state.history.iter().zip(&self.plans).enumerate() {
+            if groups.len() != plan.groups.len() {
+                return Err(format!(
+                    "has {} table groups at level {}, expected {}",
+                    groups.len(),
+                    l + 1,
+                    plan.groups.len()
+                ));
+            }
+            for (g, (accs, gp)) in groups.iter().zip(&plan.groups).enumerate() {
+                if accs.len() != gp.z_to as usize {
+                    return Err(format!(
+                        "has {} tables in group {g} at level {}, expected {}",
+                        accs.len(),
+                        l + 1,
+                        gp.z_to
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Bucket keys of a record at any *completed* level: `(table_tag,
@@ -1293,8 +1333,70 @@ mod tests {
         let mut s = RecordHashState::default();
         let mut st = Stats::default();
         h.advance(&r, &mut s, 2, &mut st);
-        assert!(s.is_well_formed());
+        assert_eq!(h.check_state(&s), Ok(()));
         s.level = 3; // simulate corruption
-        assert!(!s.is_well_formed());
+        let err = h.check_state(&s).unwrap_err();
+        assert!(err.contains("claims level 3"), "{err}");
+        s.level = 4; // past the sequence
+        let err = h.check_state(&s).unwrap_err();
+        assert!(err.contains("only 3 levels"), "{err}");
+    }
+
+    /// Group and table counts are checked at every completed level, not
+    /// just the deepest: a truncated or padded accumulator list, or a
+    /// missing group, is refused.
+    #[test]
+    fn mis_shaped_history_is_not_well_formed() {
+        let r = shingle_record(&[1, 2, 3]);
+        let h = SequenceHasher::new(vec![HashPart::shingles(0, 1)], shared_levels());
+        let mut good = RecordHashState::default();
+        h.advance(&r, &mut good, 3, &mut Stats::default());
+        assert_eq!(h.check_state(&good), Ok(()));
+
+        let mut truncated = good.clone();
+        truncated.history[0][0].pop();
+        let err = h.check_state(&truncated).unwrap_err();
+        assert!(
+            err.contains("2 tables in group 0 at level 1, expected 3"),
+            "{err}"
+        );
+
+        let mut padded = good.clone();
+        padded.history[2][0].push(0);
+        let err = h.check_state(&padded).unwrap_err();
+        assert!(err.contains("10 tables in group 0 at level 3"), "{err}");
+
+        let mut extra_group = good.clone();
+        extra_group.history[1].push(Vec::new());
+        let err = h.check_state(&extra_group).unwrap_err();
+        assert!(
+            err.contains("2 table groups at level 2, expected 1"),
+            "{err}"
+        );
+    }
+
+    /// `PerPart` (OR) schemes check each part's own table count.
+    #[test]
+    fn per_part_history_shape_is_checked() {
+        let rec = Record::new(vec![
+            FieldValue::Shingles(ShingleSet::new(vec![1, 2, 3])),
+            FieldValue::Shingles(ShingleSet::new(vec![9, 8])),
+        ]);
+        let levels = vec![LevelScheme::PerPart {
+            parts: vec![WzScheme::new(2, 3), WzScheme::new(1, 5)],
+        }];
+        let h = SequenceHasher::new(
+            vec![HashPart::shingles(0, 5), HashPart::shingles(1, 6)],
+            levels,
+        );
+        let mut s = RecordHashState::default();
+        h.advance(&rec, &mut s, 1, &mut Stats::default());
+        assert_eq!(h.check_state(&s), Ok(()));
+        s.history[0][1].truncate(3);
+        let err = h.check_state(&s).unwrap_err();
+        assert!(
+            err.contains("3 tables in group 1 at level 1, expected 5"),
+            "{err}"
+        );
     }
 }

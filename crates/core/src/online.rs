@@ -331,20 +331,13 @@ impl OnlineAdaLsh {
             labels[..bootstrap_len].to_vec(),
         );
         let engine = AdaLsh::for_dataset(&bootstrap, config.clone())?;
-        let max_level = engine.num_levels() as u16;
-        if let Some(bad) = states.iter().position(|s| s.level > max_level) {
-            return Err(format!(
-                "snapshot state {bad} is at level {} but the engine has only {max_level} levels \
-                 (was the snapshot taken under a different configuration?)",
-                states[bad].level
-            ));
-        }
-        if let Some(bad) = states.iter().position(|s| !s.is_well_formed()) {
-            return Err(format!(
-                "snapshot state {bad} claims level {} but its accumulator history does not \
-                 match (corrupt or hand-edited snapshot?)",
-                states[bad].level
-            ));
+        for (i, state) in states.iter().enumerate() {
+            engine.hasher().check_state(state).map_err(|e| {
+                format!(
+                    "snapshot state {i} {e} (corrupt or hand-edited snapshot, or one taken \
+                     under a different configuration?)"
+                )
+            })?;
         }
         Ok(Self {
             engine,
@@ -671,5 +664,35 @@ mod tests {
             Err(e) => e,
         };
         assert!(err.contains("level"), "{err}");
+    }
+
+    #[test]
+    fn from_snapshot_rejects_truncated_accumulators() {
+        // A hand-edited snapshot whose record 0 lost one level-1 table.
+        // Its level count still matches, so only the per-level shape
+        // check catches it; accepted, the next deeper resolve would index
+        // past the end of the list.
+        let boot = bootstrap();
+        let config = AdaLshConfig::new(rule());
+        let mut online = OnlineAdaLsh::new(&boot, config.clone()).unwrap();
+        online.query(1);
+        let mut snap = online.snapshot();
+        assert!(snap.states[0].level >= 1);
+        // `{"level":L,"history":[[[a,b,…,z],…` → drop the last value of
+        // the first (level-1, group-0) accumulator list.
+        let json = serde_json::to_string(&snap.states[0]).unwrap();
+        let start = json.find("[[[").expect("level-1 accumulators") + 3;
+        let end = start + json[start..].find(']').unwrap();
+        let cut = start + json[start..end].rfind(',').expect("more than one table");
+        let edited = format!("{}{}", &json[..cut], &json[end..]);
+        snap.states[0] = serde_json::from_str(&edited).unwrap();
+        let err = match OnlineAdaLsh::from_snapshot(snap, config) {
+            Ok(_) => panic!("truncated accumulators must be rejected"),
+            Err(e) => e,
+        };
+        assert!(
+            err.contains("snapshot state 0") && err.contains("at level 1"),
+            "{err}"
+        );
     }
 }

@@ -17,8 +17,14 @@
 //! Bucket lookup starts from the record *last added* to the bucket — its
 //! root path is the shortest (Appendix B.2) — which the map realizes by
 //! always storing the most recent record per bucket.
+//!
+//! Bucket ids are `combine(table_tag, key)` — a SplitMix64 output, already
+//! uniform in every bit — so the bucket map uses them as their own hash
+//! (`PassThroughHasher`) instead of running SipHash over them again.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use adalsh_data::{RecordStore, RecordView};
 use adalsh_lsh::mix::combine;
@@ -33,6 +39,30 @@ use crate::stats::Stats;
 /// *remaining* budget `budget(H_to) − budget(H_reached)`, which is exact:
 /// every remaining slot is evaluated.
 const MIN_PARALLEL_EVALS: u64 = 1 << 15;
+
+/// A `Hasher` that returns its one `u64` input unchanged, for maps keyed
+/// by values that are already well-mixed hashes (the bucket ids here).
+/// The map's bucket index and control bits then come straight from the
+/// SplitMix64 output, which is uniform in every bit.
+#[derive(Debug, Default)]
+struct PassThroughHasher(u64);
+
+impl Hasher for PassThroughHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("bucket maps are keyed by u64 only");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// Bucket id → last-added record slot, hashed by [`PassThroughHasher`].
+type BucketMap = HashMap<u64, u32, BuildHasherDefault<PassThroughHasher>>;
 
 /// Applies sequence function `H_to_level` to `cluster` (record ids),
 /// advancing each record's incremental hash state as needed, and returns
@@ -171,7 +201,8 @@ pub fn apply_transitive(
     // Phase 2: bucket insertion and component maintenance (sequential).
     let mut forest = Forest::new(cluster.len());
     // Fresh tables for this invocation: bucket → last-added record slot.
-    let mut buckets: HashMap<u64, u32> = HashMap::with_capacity(cluster.len() * 2);
+    let mut buckets =
+        BucketMap::with_capacity_and_hasher(cluster.len() * 2, BuildHasherDefault::default());
 
     for (slot, &rid) in cluster.iter().enumerate() {
         let slot = slot as u32;
@@ -180,14 +211,14 @@ pub fn apply_transitive(
             let bucket = combine(table_tag, key);
             stats.bucket_inserts += 1;
             match buckets.entry(bucket) {
-                std::collections::hash_map::Entry::Vacant(v) => {
+                Entry::Vacant(v) => {
                     // Cases 1 and 2.
                     if forest.leaf_of(slot).is_none() {
                         forest.add_singleton(slot);
                     }
                     v.insert(slot);
                 }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
+                Entry::Occupied(mut o) => {
                     let occupant = *o.get();
                     if occupant != slot {
                         let r2 = forest

@@ -72,30 +72,68 @@ impl MinHashFamily {
     /// key derivation entirely. Each shingle is premixed once (see
     /// [`premix`]) and combined with every key, streaming the minima.
     ///
+    /// On x86-64 CPUs with AVX-512F and AVX-512DQ the same loop runs from
+    /// a copy compiled for those features (8-lane `vpmullq`/`vpminuq`),
+    /// chosen at run time; the output is identical on every CPU because
+    /// both copies perform the same wrapping integer operations.
+    ///
     /// # Panics
     /// Panics if `keys` and `out` lengths differ.
     pub fn hash_batch_keys(keys: &[u64], set: &[u64], out: &mut [u64]) {
         assert_eq!(keys.len(), out.len(), "output length mismatch");
-        if set.is_empty() {
-            out.fill(EMPTY_SET_HASH);
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512dq") {
+            // SAFETY: the only requirement of a `target_feature` function
+            // is that the CPU supports the enabled features, which the two
+            // run-time checks above establish.
+            unsafe { hash_batch_keys_avx512(keys, set, out) };
             return;
         }
-        out.fill(u64::MAX);
-        for &s in set {
-            let pre = premix(s);
-            for (o, &key) in out.iter_mut().zip(keys) {
-                let h = combine_premixed(key, pre);
-                if h < *o {
-                    *o = h;
-                }
-            }
-        }
+        hash_batch_keys_portable(keys, set, out);
     }
 
     /// Collision probability `p(x) = 1 − x` at Jaccard distance `x`.
     pub fn collision_prob(x: f64) -> f64 {
         1.0 - x
     }
+}
+
+/// The body of [`MinHashFamily::hash_batch_keys`], inlined into each
+/// feature-specific copy so the compiler vectorizes it for that copy's
+/// target features. `keys.len() == out.len()` is checked by the caller.
+#[inline(always)]
+fn hash_batch_keys_body(keys: &[u64], set: &[u64], out: &mut [u64]) {
+    if set.is_empty() {
+        out.fill(EMPTY_SET_HASH);
+        return;
+    }
+    out.fill(u64::MAX);
+    for &s in set {
+        let pre = premix(s);
+        for (o, &key) in out.iter_mut().zip(keys) {
+            let h = combine_premixed(key, pre);
+            if h < *o {
+                *o = h;
+            }
+        }
+    }
+}
+
+/// The portable copy of the batch kernel: the baseline target features.
+fn hash_batch_keys_portable(keys: &[u64], set: &[u64], out: &mut [u64]) {
+    hash_batch_keys_body(keys, set, out);
+}
+
+/// The AVX-512 copy of the batch kernel. The 64-bit multiplies of
+/// [`premix`]/`splitmix64` become `vpmullq` (AVX-512DQ) and the running
+/// minimum `vpminuq` (AVX-512F), eight lanes at a time.
+///
+/// # Safety
+/// The CPU must support AVX-512F and AVX-512DQ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn hash_batch_keys_avx512(keys: &[u64], set: &[u64], out: &mut [u64]) {
+    hash_batch_keys_body(keys, set, out);
 }
 
 #[cfg(test)]
@@ -159,6 +197,35 @@ mod tests {
         MinHashFamily::hash_batch_keys(&keys, &set, &mut out);
         for (&i, &o) in idx.iter().zip(&out) {
             assert_eq!(o, f.hash(i, &set));
+        }
+    }
+
+    #[test]
+    fn dispatched_and_portable_kernels_match_scalar() {
+        // Key counts 0..=17 hit every remainder of an 8-lane vector (and
+        // two full vectors); the sets cover empty, singleton, and
+        // duplicate-laden inputs. Both the run-time-dispatched entry point
+        // (the AVX-512 copy where the CPU has it) and the portable copy
+        // every other CPU runs must equal the scalar definition.
+        let f = MinHashFamily::new(0x5eed);
+        let many: Vec<u64> = (0..41u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        let mut dups = many.clone();
+        dups.extend_from_slice(&many[..20]);
+        dups.extend_from_slice(&[many[3]; 5]);
+        let sets: [&[u64]; 5] = [&[], &[42], &[7, 7, 7], &many, &dups];
+        for n in 0..=17usize {
+            let keys: Vec<u64> = (0..n).map(|i| f.key_for(i)).collect();
+            for set in sets {
+                let want: Vec<u64> = (0..n).map(|i| f.hash(i, set)).collect();
+                let mut got = vec![0u64; n];
+                MinHashFamily::hash_batch_keys(&keys, set, &mut got);
+                assert_eq!(got, want, "dispatched, {n} keys, set len {}", set.len());
+                let mut got = vec![0u64; n];
+                hash_batch_keys_portable(&keys, set, &mut got);
+                assert_eq!(got, want, "portable, {n} keys, set len {}", set.len());
+            }
         }
     }
 
