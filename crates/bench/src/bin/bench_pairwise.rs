@@ -1,7 +1,6 @@
-//! `P` baseline recorder: times the scalar oracle against the
-//! block-wavefront path at cluster sizes 256 / 1024 / 4096 in the
-//! match-dense and match-sparse regimes and writes wall-clock seconds
-//! per `P` application (plus the speedup ratios) to
+//! `P` baseline recorder: times the block-wavefront path at cluster
+//! sizes 256 / 1024 / 4096 in the match-dense and match-sparse regimes
+//! and writes wall-clock seconds per `P` application to
 //! `BENCH_pairwise.json` at the workspace root.
 //!
 //! Like `bench_kernels`, this is a one-shot recorder producing a small
@@ -18,13 +17,14 @@
 //! writes the JSON to `<path>` in either mode; because the smoke size is
 //! one of the baseline's, CI diffs a fresh smoke run against the
 //! committed file with `adalsh bench diff`. Keys are
-//! `scalar_seconds/<regime>/<n>` and `wavefront_seconds/<regime>/<n>`
-//! (lower is better) and `speedup/<regime>/<n>` (higher is better).
+//! `wavefront_seconds/<regime>/<n>` (lower is better). The scalar
+//! reference `apply_pairwise_scalar` is compared against in the tests
+//! and the Criterion bench (`benches/pairwise.rs`), not here.
 
 use adalsh_bench::pairwise_bench::{match_dense, match_sparse};
 use adalsh_bench::recorder::{out_arg, provenance_fields};
 use adalsh_core::algorithm::default_threads;
-use adalsh_core::pairwise::{apply_pairwise, apply_pairwise_scalar};
+use adalsh_core::pairwise::apply_pairwise;
 use adalsh_core::stats::Stats;
 use adalsh_data::{Dataset, MatchRule};
 use std::hint::black_box;
@@ -46,18 +46,9 @@ fn measure(mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() / iters as f64
 }
 
-fn time_pair(dataset: &Dataset, rule: &MatchRule, threads: usize) -> (f64, f64) {
+fn time_wavefront(dataset: &Dataset, rule: &MatchRule, threads: usize) -> f64 {
     let ids: Vec<u32> = (0..dataset.len() as u32).collect();
-    let scalar = measure(|| {
-        let mut stats = Stats::default();
-        black_box(apply_pairwise_scalar(
-            dataset,
-            rule,
-            black_box(&ids),
-            &mut stats,
-        ));
-    });
-    let wavefront = measure(|| {
+    measure(|| {
         let mut stats = Stats::default();
         black_box(apply_pairwise(
             dataset,
@@ -66,8 +57,7 @@ fn time_pair(dataset: &Dataset, rule: &MatchRule, threads: usize) -> (f64, f64) 
             threads,
             &mut stats,
         ));
-    });
-    (scalar, wavefront)
+    })
 }
 
 fn main() {
@@ -77,15 +67,12 @@ fn main() {
     let sizes: &[usize] = if smoke { &[256] } else { &[256, 1024, 4096] };
     let threads = default_threads();
 
-    let mut rows: Vec<(String, f64, f64)> = Vec::new();
+    let mut rows: Vec<(String, f64)> = Vec::new();
     for &n in sizes {
         for (regime, (dataset, rule)) in [("dense", match_dense(n)), ("sparse", match_sparse(n))] {
-            let (scalar, wavefront) = time_pair(&dataset, &rule, threads);
-            println!(
-                "{regime:>6}/{n:<5} scalar {scalar:>9.5}s  wavefront {wavefront:>9.5}s  speedup {:>5.2}x",
-                scalar / wavefront
-            );
-            rows.push((format!("{regime}/{n}"), scalar, wavefront));
+            let wavefront = time_wavefront(&dataset, &rule, threads);
+            println!("{regime:>6}/{n:<5} wavefront {wavefront:>9.5}s");
+            rows.push((format!("{regime}/{n}"), wavefront));
         }
     }
 
@@ -94,10 +81,9 @@ fn main() {
         "  \"_meta\": {{ \"threads\": {threads}, \"unit\": \"seconds per P application\", {} }}",
         provenance_fields()
     ));
-    for (name, scalar, wavefront) in &rows {
+    for (name, wavefront) in &rows {
         json.push_str(&format!(
-            ",\n  \"scalar_seconds/{name}\": {scalar:.6},\n  \"wavefront_seconds/{name}\": {wavefront:.6},\n  \"speedup/{name}\": {:.3}",
-            scalar / wavefront
+            ",\n  \"wavefront_seconds/{name}\": {wavefront:.6}"
         ));
     }
     json.push_str("\n}\n");

@@ -35,9 +35,8 @@ pub fn out_arg(args: &[String]) -> Option<String> {
 
 /// The process's peak resident set size in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where procfs is unavailable. This is
-/// a lifetime high-water mark: to attribute RSS to a phase, read it
-/// after that phase and before anything larger runs.
-pub fn peak_rss_bytes() -> Option<u64> {
+/// a lifetime high-water mark.
+fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;

@@ -18,7 +18,7 @@
 //!
 //! Module map:
 //!
-//! * [`http`] — request parsing / response writing, bounded and
+//! * `http` — request parsing / response writing, bounded and
 //!   timeout-aware
 //! * [`server`] — accept loop, bounded queue, worker pool, graceful
 //!   drain on shutdown
@@ -41,7 +41,7 @@
 //! | `POST /adjudicate` | external pairwise verdicts into the noisy oracle's overlay; re-resolves and re-publishes at the current epoch (400 under `--oracle exact`) |
 //! | `GET /adjudicate` | adjudication worklist: overlay version/size + the published snapshot's budget-degraded pairs |
 
-pub mod http;
+pub(crate) mod http;
 pub mod metrics;
 pub mod pipeline;
 pub mod publish;

@@ -41,8 +41,10 @@
 //! writer's slot write *happen-before* any reader clone that sees the
 //! flip, so the reader always clones a fully-written `Arc`.
 //!
-//! This is the only `unsafe` code in the workspace; it is confined to
-//! the two slot accesses and stress-tested below.
+//! This is the serving crate's only `unsafe` code (the workspace's other
+//! sites are the store's mapping and typed-slice reads and the MinHash
+//! kernel dispatch); it is confined to the two slot accesses and
+//! stress-tested below.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -113,7 +113,7 @@ impl Service {
 
     /// Routes one request to its handler. Returns the endpoint label
     /// used in metrics alongside the response.
-    pub fn handle(&self, request: &Request) -> (&'static str, Response) {
+    pub(crate) fn handle(&self, request: &Request) -> (&'static str, Response) {
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => ("/healthz", self.healthz()),
             ("GET", "/topk") => ("/topk", self.topk(request)),

@@ -19,11 +19,14 @@
 //!    the accepted-batch ledger reconciles exactly with the final
 //!    record count — accepted batches are never dropped;
 //! 6. reads complete from the published snapshot while the resolver is
-//!    busy applying a large batch — the read path takes no lock.
+//!    busy applying a large batch — the read path takes no lock;
+//! 7. (`#[ignore]`d, release builds only) 16 concurrent readers keep at
+//!    least 0.8x the `/topk` QPS of one reader.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use adalsh_core::algorithm::FilterMethod;
 use adalsh_core::{AdaLshConfig, OnlineAdaLsh, Pairs};
@@ -864,6 +867,61 @@ fn reads_complete_while_resolver_is_busy() {
     let (status, body) = get(addr, &format!("/topk?k=2&wait_epoch={visible_epoch}"));
     assert_eq!(status, 200, "{body}");
     assert_eq!(u64_field(&body, "records"), 20 + 1200);
+
+    server.shutdown();
+}
+
+/// `/topk` requests per second over `clients` concurrent connections,
+/// each reading back to back for `burst`.
+fn read_qps(addr: SocketAddr, clients: usize, burst: Duration) -> f64 {
+    let started = Instant::now();
+    let stop_at = started + burst;
+    let handles: Vec<_> = (0..clients)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut done = 0u64;
+                while Instant::now() < stop_at {
+                    let (status, body) = get(addr, "/topk?k=10");
+                    assert_eq!(status, 200, "{body}");
+                    done += 1;
+                }
+                done
+            })
+        })
+        .collect();
+    let done: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    done as f64 / started.elapsed().as_secs_f64()
+}
+
+/// Read scaling: concurrency must not collapse the lock-free read path.
+/// On a single core QPS saturates at one client already, so 16 clients
+/// match one up to scheduler noise; a lock convoy would fall far below.
+/// 0.8x separates noise from collapse. Timing-based, so it runs in
+/// release builds only:
+///
+/// ```sh
+/// cargo test --release -p adalsh-serve --test serve -- --ignored
+/// ```
+#[test]
+#[ignore = "release-only timing gate; run by ci.sh --bench-smoke"]
+fn sixteen_readers_keep_single_reader_qps() {
+    let resolver = OnlineAdaLsh::new(&bootstrap(), AdaLshConfig::new(rule())).unwrap();
+    let config = ServerConfig {
+        workers: 16,
+        ..ServerConfig::default()
+    };
+    let (server, _service) = start_server_with(resolver, None, config);
+    let addr = server.local_addr();
+    let burst = Duration::from_millis(250);
+
+    let _ = get(addr, "/topk?k=10");
+    let c1 = read_qps(addr, 1, burst);
+    let c16 = read_qps(addr, 16, burst);
+    assert!(
+        c16 >= 0.8 * c1,
+        "16-client QPS {c16:.0} < 0.8x 1-client QPS {c1:.0}: the lock-free read path \
+         collapsed under concurrency"
+    );
 
     server.shutdown();
 }

@@ -63,19 +63,21 @@ pub struct StoreBuilder {
     gt: Spill,
     norms: Spill,
     cols: Vec<Col>,
+    /// Reused encoding buffer for one field's payload.
+    scratch: Vec<[u8; 8]>,
 }
 
-/// Native-endian byte view of a `u64` slice (the file is a memory
-/// image; see `format.rs`).
-fn u64_bytes(v: &[u64]) -> &[u8] {
-    // SAFETY: any u64 is 8 valid bytes; lifetimes tied to the slice.
-    unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, v.len() * 8) }
-}
-
-/// Native-endian byte view of an `f64` slice.
-fn f64_bytes(v: &[f64]) -> &[u8] {
-    // SAFETY: as above; f64 has no invalid bit patterns as bytes.
-    unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, v.len() * 8) }
+/// Native-endian bytes of `values` (the file is a memory image; see
+/// `format.rs`), encoded into the reused `buf` so each field is one
+/// spill write.
+fn ne_bytes<'a, T: Copy>(
+    buf: &'a mut Vec<[u8; 8]>,
+    values: &[T],
+    to_bytes: fn(T) -> [u8; 8],
+) -> &'a [u8] {
+    buf.clear();
+    buf.extend(values.iter().map(|&v| to_bytes(v)));
+    buf.as_flattened()
 }
 
 impl StoreBuilder {
@@ -112,6 +114,7 @@ impl StoreBuilder {
             gt: Spill::create(spill("gt"))?,
             norms: Spill::create(spill("norms"))?,
             cols,
+            scratch: Vec::new(),
         })
     }
 
@@ -151,7 +154,11 @@ impl StoreBuilder {
                         }
                         Some(_) => {}
                     }
-                    data.write(f64_bytes(v.components()))?;
+                    data.write(ne_bytes(
+                        &mut self.scratch,
+                        v.components(),
+                        f64::to_ne_bytes,
+                    ))?;
                     self.norms
                         .write(&vector::norm(v.components()).to_ne_bytes())?;
                 }
@@ -164,7 +171,7 @@ impl StoreBuilder {
                     FieldValue::Shingles(s),
                 ) => {
                     offsets.write(&total.to_ne_bytes())?;
-                    data.write(u64_bytes(s.shingles()))?;
+                    data.write(ne_bytes(&mut self.scratch, s.shingles(), u64::to_ne_bytes))?;
                     *total += s.len() as u64;
                     self.norms.write(&0.0f64.to_ne_bytes())?;
                 }

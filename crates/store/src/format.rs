@@ -76,9 +76,13 @@ pub struct Section {
 }
 
 impl Section {
-    /// End offset of the section's padded extent.
-    pub fn padded_end(&self) -> u64 {
-        align8(self.offset + self.len)
+    /// End offset of the section's padded extent, or `None` when it
+    /// overflows `u64` (only a corrupt header can get there).
+    pub fn padded_end(&self) -> Option<u64> {
+        self.offset
+            .checked_add(self.len)
+            .filter(|&end| end <= u64::MAX - 7)
+            .map(align8)
     }
 }
 
@@ -165,8 +169,13 @@ mod tests {
     #[test]
     fn section_padded_end() {
         let s = Section { offset: 8, len: 4 };
-        assert_eq!(s.padded_end(), 16);
+        assert_eq!(s.padded_end(), Some(16));
         let s = Section { offset: 8, len: 8 };
-        assert_eq!(s.padded_end(), 16);
+        assert_eq!(s.padded_end(), Some(16));
+        let s = Section {
+            offset: 8,
+            len: u64::MAX - 8,
+        };
+        assert_eq!(s.padded_end(), None);
     }
 }

@@ -93,19 +93,23 @@ impl StoreView {
                 path.display()
             )));
         }
-        let header_len = u64_at(16) as usize;
+        let header_len = u64_at(16);
         let checksum = u64_at(24);
-        if FIXED_HEADER_LEN + header_len > len {
+        let Some(header_end) = usize::try_from(header_len)
+            .ok()
+            .and_then(|h| FIXED_HEADER_LEN.checked_add(h))
+            .filter(|&end| end <= len)
+        else {
             return Err(StoreError::Format(format!(
                 "{}: header length {header_len} overruns the file",
                 path.display()
             )));
-        }
-        let header = std::str::from_utf8(&bytes[FIXED_HEADER_LEN..FIXED_HEADER_LEN + header_len])
+        };
+        let header = std::str::from_utf8(&bytes[FIXED_HEADER_LEN..header_end])
             .map_err(|e| StoreError::Format(format!("header not UTF-8: {e}")))?;
         let meta: StoreMeta = serde_json::from_str(header)
             .map_err(|e| StoreError::Format(format!("header parse: {e}")))?;
-        let payload_base = align8((FIXED_HEADER_LEN + header_len) as u64) as usize;
+        let payload_base = align8(header_end as u64) as usize;
         let view = Self {
             map,
             meta,
@@ -135,7 +139,17 @@ impl StoreView {
             ));
         }
         let n = m.records;
-        let check = |sec: &Section, len: u64, what: &str| -> Result<(), StoreError> {
+        // A section's expected length is the product of `factors`, all
+        // read from the untrusted header, so it is computed with checked
+        // arithmetic: a wrapped product could otherwise match a small
+        // section and pass the bounds checks.
+        let check = |sec: &Section, factors: &[u64], what: &str| -> Result<(), StoreError> {
+            let Some(len) = factors.iter().try_fold(1u64, |acc, &x| acc.checked_mul(x)) else {
+                return Err(StoreError::Format(format!(
+                    "{}: {what} section size overflows",
+                    self.path.display()
+                )));
+            };
             if !sec.offset.is_multiple_of(8) {
                 return Err(StoreError::Format(format!(
                     "{}: {what} section misaligned (offset {})",
@@ -143,7 +157,7 @@ impl StoreView {
                     sec.offset
                 )));
             }
-            if sec.len != len || sec.padded_end() > m.payload_len {
+            if sec.len != len || sec.padded_end().is_none_or(|end| end > m.payload_len) {
                 return Err(StoreError::Format(format!(
                     "{}: {what} section [{}, +{}] inconsistent (expected {} bytes in a {}-byte \
                      payload)",
@@ -156,8 +170,12 @@ impl StoreView {
             }
             Ok(())
         };
-        check(&m.ground_truth, 4 * n, "ground-truth")?;
-        check(&m.norms, 8 * n * m.schema.num_fields() as u64, "norm-cache")?;
+        check(&m.ground_truth, &[4, n], "ground-truth")?;
+        check(
+            &m.norms,
+            &[8, n, m.schema.num_fields() as u64],
+            "norm-cache",
+        )?;
         if m.columns.len() != m.schema.num_fields() {
             return bad(format!(
                 "{} columns for {} schema fields",
@@ -177,11 +195,12 @@ impl StoreView {
                     if n > 0 && col.dim == 0 {
                         return bad(format!("dense column {f} has stride 0"));
                     }
-                    check(&col.offsets, 0, "dense-offsets")?;
-                    check(&col.data, 8 * n * col.dim, "dense-data")?;
+                    check(&col.offsets, &[0], "dense-offsets")?;
+                    check(&col.data, &[8, n, col.dim], "dense-data")?;
                 }
                 FieldKind::Shingles => {
-                    check(&col.offsets, 8 * (n + 1), "shingle-offsets")?;
+                    // `n + 1` cannot wrap: the ground-truth size `4n` fit.
+                    check(&col.offsets, &[8, n + 1], "shingle-offsets")?;
                     let offsets: &[u64] = self.sec(&col.offsets);
                     if offsets.first() != Some(&0) {
                         return bad(format!("column {f} offset index does not start at 0"));
@@ -190,7 +209,7 @@ impl StoreView {
                         return bad(format!("column {f} offset index not monotone"));
                     }
                     let total = *offsets.last().unwrap();
-                    check(&col.data, 8 * total, "shingle-arena")?;
+                    check(&col.data, &[8, total], "shingle-arena")?;
                 }
             }
         }
@@ -421,6 +440,42 @@ mod tests {
             // the checksum must.
             assert!(v.verify_checksum().is_err());
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn wrapping_header_length_rejected() {
+        let path = tmp("huge_header_len.store");
+        write_store(&path, &sample()).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // 32 + (u64::MAX - 15) wraps to 16, which an unchecked bound
+        // test would accept.
+        bytes[16..24].copy_from_slice(&(u64::MAX - 15).to_ne_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = StoreView::open(&path).err().expect("must reject");
+        assert!(err.to_string().contains("overruns the file"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn huge_shingle_offset_rejected() {
+        let path = tmp("huge_offset.store");
+        write_store(&path, &sample()).unwrap();
+        let (last_entry, total) = {
+            let v = StoreView::open(&path).unwrap();
+            let offsets = v.meta.columns[0].offsets;
+            let off = v.payload_base + (offsets.offset + offsets.len) as usize - 8;
+            let index: &[u64] = v.sec(&offsets);
+            (off, *index.last().unwrap())
+        };
+        // A last entry of `total + 2^61` keeps the index monotone, and
+        // `8 × entry` wraps to `8 × total`: the arena length the header
+        // records, so only checked arithmetic can catch it.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[last_entry..last_entry + 8].copy_from_slice(&(total + (1 << 61)).to_ne_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = StoreView::open(&path).err().expect("must reject");
+        assert!(err.to_string().contains("overflows"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

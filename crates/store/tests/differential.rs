@@ -3,14 +3,15 @@
 //! resolving off a memory-mapped store file instead of the in-RAM
 //! [`Dataset`] it was built from. Pinned across rule kinds (Jaccard
 //! threshold, angular threshold, multi-field weighted-average AND) and
-//! thread counts, for adaLSH proper and the pairwise baseline.
+//! thread counts, for adaLSH proper and the pairwise baseline, and for
+//! a store streamed from the scale generator through [`StoreBuilder`].
 
-use adalsh_core::algorithm::{AdaLsh, AdaLshConfig, FilterMethod, FilterOutput};
+use adalsh_core::algorithm::{default_threads, AdaLsh, AdaLshConfig, FilterMethod, FilterOutput};
 use adalsh_core::baselines::Pairs;
 use adalsh_data::{Dataset, MatchRule, RecordStore};
-use adalsh_datagen::{cora, popimages, spotsigs};
-use adalsh_datagen::{CoraConfig, PopImagesConfig, SpotSigsConfig};
-use adalsh_store::{write_store, StoreView};
+use adalsh_datagen::{cora, popimages, scale_match_rule, spotsigs};
+use adalsh_datagen::{CoraConfig, PopImagesConfig, ScaleConfig, ScaleGenerator, SpotSigsConfig};
+use adalsh_store::{write_store, StoreBuilder, StoreView};
 
 fn tmp_store_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("adalsh_diff_{tag}_{}.store", std::process::id()))
@@ -91,4 +92,36 @@ fn multi_field_rule_is_bit_identical_across_paths() {
         ..CoraConfig::default()
     });
     differential(&dataset, &cora::match_rule(), 5, "cora");
+}
+
+/// Scale tier: 10^4 Zipf records streamed through [`StoreBuilder`] one
+/// at a time, as `adalsh datagen` writes them, against the same stream
+/// collected into a [`Dataset`].
+#[test]
+fn streamed_scale_store_is_bit_identical_to_ram() {
+    let generator = ScaleGenerator::new(ScaleConfig {
+        records: 10_000,
+        seed: 0x5CA1E,
+        ..ScaleConfig::default()
+    });
+    let schema = generator.schema();
+    let path = tmp_store_path("scale");
+    let mut builder = StoreBuilder::create(&path, schema.clone()).unwrap();
+    let (mut records, mut entities) = (Vec::new(), Vec::new());
+    for (record, entity) in generator {
+        builder.push(&record, entity).unwrap();
+        records.push(record);
+        entities.push(entity);
+    }
+    builder.finish().unwrap();
+    let dataset = Dataset::new(schema, records, entities);
+    let view = StoreView::open(&path).unwrap();
+
+    let rule = scale_match_rule();
+    let ram = run_adalsh(&dataset, &rule, default_threads(), 10);
+    let mapped = run_adalsh(&view, &rule, default_threads(), 10);
+    assert_outputs_identical(&ram, &mapped, "scale/adalsh");
+
+    drop(view);
+    std::fs::remove_file(&path).ok();
 }
