@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: format, lint (warnings are errors), release build, tests.
-# Run from the workspace root before pushing.
+# Local CI gate: format, lint (warnings are errors), release build, tests,
+# and a type-check of the perfbench/ benchmark workspace (which the
+# workspace steps never compile, so a deleted or renamed public API it
+# uses would otherwise pass). Run from the workspace root before pushing.
 #
 #   ./ci.sh                # the default gate
 #   ./ci.sh --bench-smoke  # gate + compile the Criterion benches + these
@@ -19,9 +21,9 @@
 #                          # - bench_spans, which fails if the span layer
 #                          #   slows ingest-to-visible past 1.15x, then
 #                          #   diffs against its committed baseline;
-#                          # - the perfbench/ benchmark, its own workspace
-#                          #   that the steps above never compile, built
-#                          #   and run on tiny inputs by its smoke test.
+#                          # - the perfbench/ smoke test, which builds the
+#                          #   benchmark in release and runs every
+#                          #   workload on tiny inputs.
 #                          # (The mapped-vs-RAM identity gate on a streamed
 #                          # scale store runs in the default tests.)
 set -euo pipefail
@@ -46,6 +48,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release --workspace
+
+echo "==> cargo check perfbench/ (benchmark builds against these crates)"
+cargo check --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test -q"
 cargo test -q --workspace
@@ -279,9 +284,9 @@ if [ "$bench_smoke" = 1 ]; then
     rm -f "$spans_fresh"
 
     echo "==> perfbench smoke (benchmark build + output contract)"
-    # perfbench/ is a separate workspace, so a change that breaks an API
-    # the benchmark uses passes every step above; this builds it against
-    # the current crates and checks every workload's output.
+    # The default gate only type-checks perfbench/; this builds it in
+    # release against the current crates and checks every workload's
+    # output.
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 

@@ -67,9 +67,6 @@ pub struct AdaLshConfig {
     /// Ablation: never jump ahead to `P` before the last level (the
     /// "family condition 1 removed" variant discussed in Appendix D.2).
     pub disable_jump_gate: bool,
-    /// Use the wall-clock cost model (100 samples) instead of the
-    /// deterministic analytic model.
-    pub measured_cost: bool,
     /// Hash records on this many worker threads inside each transitive
     /// invocation. Defaults to the machine's available parallelism; set
     /// to 1 for the sequential reference (output and `Stats` counters
@@ -110,7 +107,6 @@ impl AdaLshConfig {
             selection: SelectionStrategy::LargestFirst,
             cost_noise: 1.0,
             disable_jump_gate: false,
-            measured_cost: false,
             threads: default_threads(),
             scale_max_budget: true,
             trace: TraceSink::disabled(),
@@ -276,13 +272,8 @@ impl AdaLsh {
             spec.max_budget = spec.max_budget.max(needed);
         }
         let designed = design(&config.rule, store.schema(), &dims, &spec)?;
-        let mut hasher = SequenceHasher::new(designed.parts, designed.levels);
-        let cost = if config.measured_cost {
-            CostModel::measured(&mut hasher, store, &config.rule, 100, config.spec.seed)
-        } else {
-            CostModel::analytic(&hasher, store, &config.rule)
-        }
-        .with_noise(config.cost_noise);
+        let hasher = SequenceHasher::new(designed.parts, designed.levels);
+        let cost = CostModel::analytic(&hasher, store, &config.rule).with_noise(config.cost_noise);
         if config.trace.enabled() {
             for (idx, level) in hasher.levels().iter().enumerate() {
                 config.trace.emit(

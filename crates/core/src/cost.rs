@@ -7,27 +7,21 @@
 //! `cost_P · |C|·(|C|−1)/2` and jumps ahead to `P` when hashing no longer
 //! pays.
 //!
-//! Two constructions are provided:
-//!
-//! * [`CostModel::analytic`] — deterministic: counts elementary hash
-//!   evaluations weighted by per-evaluation work (vector dimension for
-//!   hyperplanes, mean shingle-set size for MinHash — sampled from the
-//!   data), and likewise for distances. Reproducible across machines;
-//!   used by default.
-//! * [`CostModel::measured`] — wall-clock estimates from `samples`
-//!   records/pairs (the paper's "estimated using 100 samples each").
+//! The model is built by [`CostModel::analytic`]: it counts elementary
+//! hash evaluations weighted by per-evaluation work (vector dimension for
+//! hyperplanes, mean shingle-set size for MinHash — sampled from the
+//! data), and likewise for distances. It is deterministic, so the gate's
+//! decisions, and with them every output and `Stats` counter, are the
+//! same on every machine and every build. The paper estimates the costs
+//! from 100 wall-clock samples instead; such a model would make the
+//! output depend on the host's timing, so there is none.
 //!
 //! The `noise_factor` multiplies `cost_P` inside the gate only, to
 //! reproduce the sensitivity experiment of Appendix E.2 (Figure 21).
 
-use std::time::Instant;
+use adalsh_data::{FieldDistance, FieldKind, MatchRule, RecordStore};
 
-use adalsh_data::{FieldDistance, FieldKind, MatchRule, RecordStore, RecordView};
-use adalsh_lsh::mix::derive_seed;
-use rand::{Rng, SeedableRng};
-
-use crate::hashing::{HashPart, LevelScheme, RecordHashState, SequenceHasher};
-use crate::stats::Stats;
+use crate::hashing::{HashPart, LevelScheme, SequenceHasher};
 
 /// The cost model driving Algorithm 1's jump-ahead gate.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,55 +125,6 @@ impl CostModel {
         }
     }
 
-    /// Builds a wall-clock model: advances `samples` random records
-    /// through every level on a scratch hasher clone and times `samples`
-    /// random pairwise comparisons (the paper's 100-sample estimation).
-    pub fn measured(
-        hasher: &mut SequenceHasher,
-        store: &dyn RecordStore,
-        rule: &MatchRule,
-        samples: usize,
-        seed: u64,
-    ) -> Self {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(seed, 0xC057));
-        let n = store.len() as u32;
-        let samples = samples.max(1);
-        let mut stats = Stats::default();
-
-        let num_levels = hasher.num_levels();
-        let mut level_cost = vec![0.0];
-        let sample_records: Vec<RecordView<'_>> = (0..samples)
-            .map(|_| RecordView::new(store, rng.random_range(0..n)))
-            .collect();
-        let mut states: Vec<RecordHashState> = vec![RecordHashState::default(); samples];
-        let mut cumulative = 0.0;
-        for level in 1..=num_levels {
-            let start = Instant::now();
-            for (rec, state) in sample_records.iter().zip(states.iter_mut()) {
-                hasher.advance(rec, state, level, &mut stats);
-            }
-            cumulative += start.elapsed().as_secs_f64() / samples as f64;
-            level_cost.push(cumulative);
-        }
-
-        let pairs: Vec<(u32, u32)> = (0..samples)
-            .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
-            .collect();
-        let start = Instant::now();
-        let mut matches = 0usize;
-        for &(a, b) in &pairs {
-            matches += usize::from(rule.matches_in(store, a, b));
-        }
-        std::hint::black_box(matches);
-        let cost_p = start.elapsed().as_secs_f64() / samples as f64;
-
-        Self {
-            level_cost,
-            cost_p: cost_p.max(f64::MIN_POSITIVE),
-            noise_factor: 1.0,
-        }
-    }
-
     /// Sets the Appendix-E.2 noise factor and returns `self`.
     pub fn with_noise(mut self, noise_factor: f64) -> Self {
         assert!(noise_factor > 0.0, "noise factor must be positive");
@@ -206,7 +151,7 @@ impl CostModel {
     }
 
     /// Modeled incremental cost of hashing `size` records from level `t`
-    /// to `t + 1` (for the Definition-3 ledger in [`Stats`]).
+    /// to `t + 1` (for the Definition-3 ledger in [`Stats`](crate::stats::Stats)).
     pub fn hash_increment_cost(&self, t: usize, size: usize) -> f64 {
         (self.level_cost[t + 1] - self.level_cost[t]) * size as f64
     }
@@ -293,15 +238,6 @@ mod tests {
         let m2 = CostModel::analytic(&h2, &d2, &rule2).with_noise(5.0);
         assert!(!m2.jump_to_pairwise(1, size));
         let _ = (h, d, rule, m2, d2, rule2, h2);
-    }
-
-    #[test]
-    fn measured_model_is_positive_and_monotone() {
-        let (mut h, d, rule) = simple_setup();
-        let m = CostModel::measured(&mut h, &d, &rule, 16, 7);
-        assert_eq!(m.num_levels(), 2);
-        assert!(m.cost_p > 0.0);
-        assert!(m.level_cost.windows(2).all(|w| w[1] >= w[0]));
     }
 
     #[test]

@@ -138,8 +138,9 @@ impl OnlineAdaLsh {
     /// Ingests one record, returning its assigned id.
     ///
     /// # Errors
-    /// Fails (ingesting nothing) if the record violates the schema — a
-    /// service rejects bad records per-request instead of dying.
+    /// Fails (ingesting nothing) if the record violates the schema or a
+    /// dense field's dimension differs from the corpus's — a service
+    /// rejects bad records per-request instead of dying.
     pub fn push(&mut self, record: Record) -> Result<u32, String> {
         let id = self.dataset.push(record, UNKNOWN_ENTITY)?;
         self.states.push(RecordHashState::default());
@@ -148,20 +149,21 @@ impl OnlineAdaLsh {
 
     /// Ingests a batch of records, returning their assigned ids.
     ///
-    /// The batch is atomic: every record is schema-validated before any
-    /// is ingested, so a rejected batch leaves the resolver unchanged.
+    /// The batch is atomic: every record is validated before any is
+    /// ingested, so a rejected batch leaves the resolver unchanged.
     ///
     /// # Errors
-    /// Fails if any record violates the schema (the message names the
-    /// offending batch position).
+    /// Fails if any record violates the schema or the corpus's dense
+    /// dimensions (the message names the offending batch position).
     pub fn extend(
         &mut self,
         records: impl IntoIterator<Item = Record>,
     ) -> Result<Vec<u32>, String> {
         let records: Vec<Record> = records.into_iter().collect();
+        let like = self.records().first();
         for (i, r) in records.iter().enumerate() {
             self.schema()
-                .validate(r)
+                .validate_like(r, like)
                 .map_err(|e| format!("record {i} of batch: {e}"))?;
         }
         let mut ids = Vec::with_capacity(records.len());
@@ -292,8 +294,8 @@ impl OnlineAdaLsh {
     ///
     /// # Errors
     /// Fails on inconsistent snapshot shapes (length mismatches, empty or
-    /// out-of-range bootstrap, schema-violating records) or when the
-    /// engine cannot be rebuilt under `config`.
+    /// out-of-range bootstrap, schema-violating records, a ragged dense
+    /// column) or when the engine cannot be rebuilt under `config`.
     pub fn from_snapshot(snapshot: OnlineSnapshot, config: AdaLshConfig) -> Result<Self, String> {
         let OnlineSnapshot {
             bootstrap_len,
@@ -322,7 +324,7 @@ impl OnlineAdaLsh {
         }
         for (i, r) in records.iter().enumerate() {
             schema
-                .validate(r)
+                .validate_like(r, records.first())
                 .map_err(|e| format!("snapshot record {i}: {e}"))?;
         }
         let bootstrap = Dataset::new(
@@ -355,7 +357,7 @@ mod tests {
     use super::*;
     use crate::algorithm::FilterMethod;
     use crate::baselines::Pairs;
-    use adalsh_data::{FieldDistance, FieldKind, FieldValue, MatchRule, ShingleSet};
+    use adalsh_data::{DenseVector, FieldDistance, FieldKind, FieldValue, MatchRule, ShingleSet};
 
     fn record(core: u64, noise: u64) -> Record {
         let mut s: Vec<u64> = (0..15).map(|i| core * 1000 + i).collect();
@@ -581,6 +583,49 @@ mod tests {
         assert_eq!(online.len(), boot.len(), "rejected batch ingests nothing");
         let ids = online.extend(vec![record(1, 0), record(1, 1)]).unwrap();
         assert_eq!(ids, vec![20, 21]);
+    }
+
+    #[test]
+    fn wrong_dimension_rejected_at_every_entry() {
+        // Accepted, a 3-d vector in a 4-d corpus would panic the next
+        // query inside the hyperplane family.
+        let dense = |v: &[f64]| Record::single(FieldValue::Dense(DenseVector::new(v.to_vec())));
+        let records: Vec<Record> = (0..6)
+            .map(|i| dense(&[1.0, 0.1 * f64::from(i), 0.0, 0.5]))
+            .collect();
+        let boot = Dataset::new(
+            Schema::single("hist", FieldKind::Dense),
+            records,
+            vec![0; 6],
+        );
+        let config = AdaLshConfig::new(MatchRule::threshold(0, FieldDistance::Angular, 0.05));
+        let mut online = OnlineAdaLsh::new(&boot, config.clone()).unwrap();
+
+        let err = online.push(dense(&[1.0, 0.0, 0.0])).unwrap_err();
+        assert!(
+            err.contains("field 0 (hist)") && err.contains("dimension 3, earlier records have 4"),
+            "{err}"
+        );
+        let err = online
+            .extend(vec![dense(&[1.0, 0.0, 0.0, 0.0]), dense(&[1.0; 5])])
+            .unwrap_err();
+        assert!(
+            err.contains("record 1 of batch") && err.contains("dimension 5"),
+            "{err}"
+        );
+        assert_eq!(online.len(), 6, "rejected records ingest nothing");
+        assert_eq!(online.query(1).clusters[0].len(), 6);
+
+        let mut snap = online.snapshot();
+        snap.records[4] = dense(&[1.0, 0.0]);
+        let err = match OnlineAdaLsh::from_snapshot(snap, config) {
+            Ok(_) => panic!("ragged snapshot must be rejected"),
+            Err(e) => e,
+        };
+        assert!(
+            err.contains("snapshot record 4") && err.contains("dimension 2"),
+            "{err}"
+        );
     }
 
     /// The incrementally-grown snapshot dataset must be bit-identical —

@@ -663,7 +663,11 @@ mod tests {
         let o = NoisyOracle::new(&r, NoisyOracleConfig::default());
         for (a, b) in [(0, 1), (0, 2), (1, 2)] {
             let adj = o.adjudicate(&d, a, b, &mut ExitCounts::default());
-            assert_eq!(adj.matched, r.matches_in(&d, a, b), "pair ({a},{b})");
+            assert_eq!(
+                adj.matched,
+                r.matches(d.record(a), d.record(b)),
+                "pair ({a},{b})"
+            );
             assert_eq!(adj.attempts, 1);
             assert_eq!(adj.retries, 0);
             assert_eq!(adj.votes, 0);
@@ -803,7 +807,7 @@ mod tests {
             let adj = o.adjudicate(&d, a, b, &mut ExitCounts::default());
             let settled = ledger.settle(a, b, &adj);
             // Degraded or not, the zero-noise verdict equals the rule.
-            assert_eq!(settled.matched, r.matches_in(&d, a, b));
+            assert_eq!(settled.matched, r.matches(d.record(a), d.record(b)));
             if settled.degraded {
                 degraded += 1;
                 assert_eq!(settled.spend, 0, "budget fallback is free");

@@ -51,11 +51,13 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Creates a dataset, validating every record against the schema.
+    /// Creates a dataset, validating every record against the schema and
+    /// the dense dimensions of the first record
+    /// ([`Schema::validate_like`]).
     ///
     /// # Panics
     /// Panics if lengths disagree, the dataset is empty, or any record
-    /// fails schema validation.
+    /// fails validation.
     pub fn new(schema: Schema, records: Vec<Record>, ground_truth: Vec<EntityId>) -> Self {
         assert_eq!(
             records.len(),
@@ -64,7 +66,7 @@ impl Dataset {
         );
         assert!(!records.is_empty(), "dataset must be non-empty");
         for (i, r) in records.iter().enumerate() {
-            if let Err(e) = schema.validate(r) {
+            if let Err(e) = schema.validate_like(r, records.first()) {
                 panic!("record {i} violates schema: {e}");
             }
         }
@@ -158,17 +160,15 @@ impl Dataset {
     ///
     /// # Errors
     /// Fails (leaving the dataset unchanged) if the record violates the
-    /// schema or the dataset already holds [`MAX_RECORDS`] records (ids
-    /// are `u32`; growing past that would silently truncate them).
+    /// schema, a dense field's dimension differs from the dataset's
+    /// ([`Schema::validate_like`]), or the dataset already holds
+    /// [`MAX_RECORDS`] records (ids are `u32`; growing past that would
+    /// silently truncate them).
     pub fn push(&mut self, record: Record, entity: EntityId) -> Result<u32, String> {
-        self.schema.validate(&record)?;
+        self.schema.validate_like(&record, self.records.first())?;
         ensure_record_id_capacity(self.records.len() + 1)?;
-        for f in record.fields() {
-            self.field_norms.push(match f {
-                FieldValue::Dense(v) => v.norm(),
-                FieldValue::Shingles(_) => 0.0,
-            });
-        }
+        self.field_norms
+            .extend(record.fields().iter().map(FieldValue::norm));
         let id = self.records.len() as u32;
         self.records.push(record);
         self.ground_truth.push(entity);
@@ -191,12 +191,7 @@ impl Dataset {
 fn compute_field_norms(records: &[Record]) -> Vec<f64> {
     let mut norms = Vec::with_capacity(records.len() * records[0].num_fields());
     for r in records {
-        for f in r.fields() {
-            norms.push(match f {
-                FieldValue::Dense(v) => v.norm(),
-                FieldValue::Shingles(_) => 0.0,
-            });
-        }
+        norms.extend(r.fields().iter().map(FieldValue::norm));
     }
     norms
 }
@@ -233,7 +228,7 @@ impl Deserialize for Dataset {
             ));
         }
         for r in &records {
-            if let Err(e) = schema.validate(r) {
+            if let Err(e) = schema.validate_like(r, records.first()) {
                 return Err(serde::Error::custom(format!("record violates schema: {e}")));
             }
         }

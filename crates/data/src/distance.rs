@@ -10,10 +10,15 @@
 //! * [`FieldDistance::Jaccard`] — Jaccard distance, matched by MinHash
 //!   (paper Appendix C.1, "the family of minhash functions for the Jaccard
 //!   distance").
+//!
+//! Each metric has one public entry per operation, over borrowed
+//! [`FieldRef`] payloads: [`FieldDistance::distance`] (exact) and
+//! [`FieldDistance::at_most_counted`] (threshold verdict, bit-identical
+//! to comparing the exact distance). The hash families own `p(x)`.
 
 use serde::{Deserialize, Serialize};
 
-use crate::record::{FieldKind, FieldRef, FieldValue};
+use crate::record::{FieldKind, FieldRef};
 use crate::{shingle, vector};
 
 /// Tally of threshold-kernel invocations and how many of them resolved
@@ -83,112 +88,43 @@ impl FieldDistance {
         }
     }
 
-    /// Evaluates the distance between two field values.
+    /// The exact normalized distance between two fields, given their
+    /// norms as [`RecordStore::field_norm`](crate::RecordStore::field_norm)
+    /// caches them ([`FieldValue::norm`](crate::FieldValue::norm) for an
+    /// owned field; ignored for shingles). Both backings and the
+    /// owned-record reference path reach the slice kernels through here.
     ///
     /// # Panics
-    /// Panics if either value's kind does not match the metric.
-    pub fn eval(self, a: &FieldValue, b: &FieldValue) -> f64 {
-        self.eval_ref(a.as_ref(), b.as_ref())
-    }
-
-    /// [`FieldDistance::eval`] over borrowed [`FieldRef`] payloads — the
-    /// canonical kernel entry point shared by the in-RAM and mapped-store
-    /// paths.
-    ///
-    /// # Panics
-    /// Panics if either ref's kind does not match the metric.
-    pub fn eval_ref(self, a: FieldRef<'_>, b: FieldRef<'_>) -> f64 {
+    /// Panics if either ref's kind does not match the metric, or if two
+    /// dense refs differ in dimension.
+    pub fn distance(self, a: FieldRef<'_>, b: FieldRef<'_>, norm_a: f64, norm_b: f64) -> f64 {
         match self {
             FieldDistance::Angular => {
-                let (a, b) = (a.as_dense(), b.as_dense());
-                vector::angle_degrees_with_norms(a, b, vector::norm(a), vector::norm(b)) / 180.0
+                vector::angular_distance(a.as_dense(), b.as_dense(), norm_a, norm_b)
             }
             FieldDistance::Jaccard => shingle::jaccard_distance(a.as_shingles(), b.as_shingles()),
         }
     }
 
-    /// [`FieldDistance::eval`] with caller-supplied vector norms
-    /// (`Dataset::field_norm`). For [`FieldDistance::Angular`] this skips
-    /// the two per-call norm recomputations; for
-    /// [`FieldDistance::Jaccard`] the norms are ignored. Bit-identical to
-    /// `eval` when the norms are the vectors' own.
+    /// Threshold verdict `distance(a, b, norm_a, norm_b) <= dthr`,
+    /// reporting whether it was reached on an early-exit path:
+    /// `(verdict, resolved_early)`. The pairwise verification loop runs
+    /// this kernel whether the records live in RAM or in a mapped store
+    /// file.
+    ///
+    /// The cheapest safe kernel decides: a guarded cosine-space compare
+    /// for the angular metric, a size-ratio early exit for Jaccard (each
+    /// kernel documents its safety argument). The verdict is
+    /// **bit-identical** to computing the exact distance and comparing;
+    /// only the work to reach it shrinks, and the flag feeds the
+    /// [`ExitCounts`] observability tally only. Cost accounting is
+    /// unaffected: callers charge per elementary distance regardless of
+    /// early exits (the paper's Definition 3 is conservative).
     ///
     /// # Panics
-    /// Panics if either value's kind does not match the metric.
-    pub fn eval_with_norms(self, a: &FieldValue, b: &FieldValue, norm_a: f64, norm_b: f64) -> f64 {
-        self.eval_with_norms_ref(a.as_ref(), b.as_ref(), norm_a, norm_b)
-    }
-
-    /// [`FieldDistance::eval_with_norms`] over borrowed [`FieldRef`]
-    /// payloads.
-    ///
-    /// # Panics
-    /// Panics if either ref's kind does not match the metric.
-    pub fn eval_with_norms_ref(
-        self,
-        a: FieldRef<'_>,
-        b: FieldRef<'_>,
-        norm_a: f64,
-        norm_b: f64,
-    ) -> f64 {
-        match self {
-            FieldDistance::Angular => {
-                vector::angle_degrees_with_norms(a.as_dense(), b.as_dense(), norm_a, norm_b) / 180.0
-            }
-            FieldDistance::Jaccard => shingle::jaccard_distance(a.as_shingles(), b.as_shingles()),
-        }
-    }
-
-    /// Threshold fast path: `eval(a, b) <= dthr`, decided with the
-    /// cheapest safe kernel — cached norms plus a guarded cosine-space
-    /// compare for the angular metric
-    /// ([`crate::DenseVector::angular_at_most_with_norms`]), the
-    /// size-ratio early exit plus galloping intersection for Jaccard
-    /// ([`crate::ShingleSet::jaccard_at_most`]). The verdict is
-    /// **bit-identical** to evaluating the full distance and comparing;
-    /// only the work to reach it shrinks. Cost accounting is unaffected:
-    /// callers charge per elementary distance regardless of early exits
-    /// (the paper's Definition 3 is conservative).
-    ///
-    /// # Panics
-    /// Panics if either value's kind does not match the metric.
-    pub fn distance_at_most(
-        self,
-        a: &FieldValue,
-        b: &FieldValue,
-        dthr: f64,
-        norm_a: f64,
-        norm_b: f64,
-    ) -> bool {
-        self.distance_at_most_counted(a, b, dthr, norm_a, norm_b).0
-    }
-
-    /// [`FieldDistance::distance_at_most`] reporting whether the verdict
-    /// was reached on an early-exit path: `(verdict, resolved_early)`.
-    /// The verdict is bit-identical either way; the flag feeds the
-    /// [`ExitCounts`] observability tally only.
-    ///
-    /// # Panics
-    /// Panics if either value's kind does not match the metric.
-    pub fn distance_at_most_counted(
-        self,
-        a: &FieldValue,
-        b: &FieldValue,
-        dthr: f64,
-        norm_a: f64,
-        norm_b: f64,
-    ) -> (bool, bool) {
-        self.distance_at_most_counted_ref(a.as_ref(), b.as_ref(), dthr, norm_a, norm_b)
-    }
-
-    /// [`FieldDistance::distance_at_most_counted`] over borrowed
-    /// [`FieldRef`] payloads — the kernel the pairwise verification loop
-    /// runs regardless of whether the records live in RAM or in a mapped
-    /// store file.
-    ///
-    /// # Panics
-    /// Panics if either ref's kind does not match the metric.
-    pub fn distance_at_most_counted_ref(
+    /// Panics if either ref's kind does not match the metric, or if two
+    /// dense refs differ in dimension.
+    pub fn at_most_counted(
         self,
         a: FieldRef<'_>,
         b: FieldRef<'_>,
@@ -197,61 +133,62 @@ impl FieldDistance {
         norm_b: f64,
     ) -> (bool, bool) {
         match self {
-            FieldDistance::Angular => vector::angular_at_most_with_norms_counted(
-                a.as_dense(),
-                b.as_dense(),
-                dthr,
-                norm_a,
-                norm_b,
-            ),
+            FieldDistance::Angular => {
+                vector::angular_at_most_counted(a.as_dense(), b.as_dense(), dthr, norm_a, norm_b)
+            }
             FieldDistance::Jaccard => {
                 shingle::jaccard_at_most_counted(a.as_shingles(), b.as_shingles(), dthr)
             }
         }
-    }
-
-    /// The collision probability `p(x)` of the metric's natural LSH family
-    /// at distance `x` — `1 − x` for both families shipped here.
-    ///
-    /// Exposed so the scheme optimizer (Program (1)–(3), paper §5.1) can be
-    /// driven directly from a [`FieldDistance`].
-    pub fn collision_prob(self, x: f64) -> f64 {
-        debug_assert!((0.0..=1.0).contains(&x), "distance out of range: {x}");
-        1.0 - x
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::FieldValue;
     use crate::shingle::ShingleSet;
-    use crate::vector::DenseVector;
+    use crate::vector::{self, DenseVector};
 
-    #[test]
-    fn angular_eval() {
-        let a = FieldValue::Dense(DenseVector::new(vec![1.0, 0.0]));
-        let b = FieldValue::Dense(DenseVector::new(vec![0.0, 1.0]));
-        assert!((FieldDistance::Angular.eval(&a, &b) - 0.5).abs() < 1e-12);
+    fn sh(v: &[u64]) -> FieldValue {
+        FieldValue::Shingles(ShingleSet::new(v.to_vec()))
+    }
+
+    fn dn(v: &[f64]) -> FieldValue {
+        FieldValue::Dense(DenseVector::new(v.to_vec()))
+    }
+
+    fn dist(metric: FieldDistance, a: &FieldValue, b: &FieldValue) -> f64 {
+        metric.distance(a.as_ref(), b.as_ref(), a.norm(), b.norm())
+    }
+
+    fn at_most(metric: FieldDistance, a: &FieldValue, b: &FieldValue, t: f64) -> bool {
+        metric
+            .at_most_counted(a.as_ref(), b.as_ref(), t, a.norm(), b.norm())
+            .0
     }
 
     #[test]
-    fn jaccard_eval() {
-        let a = FieldValue::Shingles(ShingleSet::new(vec![1, 2, 3, 4]));
-        let b = FieldValue::Shingles(ShingleSet::new(vec![3, 4, 5]));
-        assert!((FieldDistance::Jaccard.eval(&a, &b) - 0.6).abs() < 1e-12);
+    fn angular_distance() {
+        let (a, b) = (dn(&[1.0, 0.0]), dn(&[0.0, 1.0]));
+        assert!((dist(FieldDistance::Angular, &a, &b) - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn collision_prob_is_one_minus_x() {
-        assert_eq!(FieldDistance::Angular.collision_prob(0.0), 1.0);
-        assert_eq!(FieldDistance::Jaccard.collision_prob(1.0), 0.0);
-        assert!((FieldDistance::Angular.collision_prob(0.25) - 0.75).abs() < 1e-15);
+    fn jaccard_distance() {
+        let (a, b) = (sh(&[1, 2, 3, 4]), sh(&[3, 4, 5]));
+        assert!((dist(FieldDistance::Jaccard, &a, &b) - 0.6).abs() < 1e-12);
     }
 
     #[test]
-    fn fast_paths_agree_with_eval() {
-        let sh = |v: &[u64]| FieldValue::Shingles(ShingleSet::new(v.to_vec()));
-        let dn = |v: &[f64]| FieldValue::Dense(DenseVector::new(v.to_vec()));
+    fn jaccard_ignores_norms() {
+        let (a, b) = (sh(&[1, 2, 3, 4]), sh(&[3, 4, 5]));
+        let d = FieldDistance::Jaccard.distance(a.as_ref(), b.as_ref(), 7.0, -1.0);
+        assert_eq!(d.to_bits(), dist(FieldDistance::Jaccard, &a, &b).to_bits());
+    }
+
+    #[test]
+    fn threshold_agrees_with_distance() {
         let jacc_pairs = [
             (sh(&[1, 2, 3, 4]), sh(&[3, 4, 5])),
             (sh(&[1]), sh(&(0..40).collect::<Vec<_>>())),
@@ -260,8 +197,8 @@ mod tests {
         for (a, b) in &jacc_pairs {
             for t in [0.0, 0.3, 0.6, 1.0] {
                 assert_eq!(
-                    FieldDistance::Jaccard.distance_at_most(a, b, t, 0.0, 0.0),
-                    FieldDistance::Jaccard.eval(a, b) <= t
+                    at_most(FieldDistance::Jaccard, a, b, t),
+                    dist(FieldDistance::Jaccard, a, b) <= t
                 );
             }
         }
@@ -271,17 +208,21 @@ mod tests {
             (dn(&[0.0, 0.0]), dn(&[1.0, 2.0])),
         ];
         for (a, b) in &dense_pairs {
-            let (na, nb) = (a.as_dense().norm(), b.as_dense().norm());
+            let (fa, fb) = (a.as_ref(), b.as_ref());
+            let recomputed = FieldDistance::Angular.distance(
+                fa,
+                fb,
+                vector::norm(fa.as_dense()),
+                vector::norm(fb.as_dense()),
+            );
             assert_eq!(
-                FieldDistance::Angular
-                    .eval_with_norms(a, b, na, nb)
-                    .to_bits(),
-                FieldDistance::Angular.eval(a, b).to_bits()
+                recomputed.to_bits(),
+                dist(FieldDistance::Angular, a, b).to_bits()
             );
             for t in [0.0, 0.4, 0.5, 1.0] {
                 assert_eq!(
-                    FieldDistance::Angular.distance_at_most(a, b, t, na, nb),
-                    FieldDistance::Angular.eval(a, b) <= t
+                    at_most(FieldDistance::Angular, a, b, t),
+                    dist(FieldDistance::Angular, a, b) <= t
                 );
             }
         }
@@ -296,8 +237,14 @@ mod tests {
     #[test]
     #[should_panic]
     fn kind_mismatch_panics() {
-        let a = FieldValue::Shingles(ShingleSet::new(vec![1]));
-        let b = FieldValue::Shingles(ShingleSet::new(vec![1]));
-        let _ = FieldDistance::Angular.eval(&a, &b);
+        let a = sh(&[1]);
+        let _ = dist(FieldDistance::Angular, &a, &a);
+    }
+
+    #[test]
+    #[should_panic]
+    fn threshold_kind_mismatch_panics() {
+        let a = dn(&[1.0]);
+        let _ = at_most(FieldDistance::Jaccard, &a, &a, 0.5);
     }
 }

@@ -64,6 +64,9 @@ pub struct JsonlReader<R: BufRead> {
     schema: Schema,
     buf: String,
     records_seen: usize,
+    /// The first record read: every later one must match its dense
+    /// dimensions.
+    first: Option<Record>,
 }
 
 impl<R: BufRead> JsonlReader<R> {
@@ -82,6 +85,7 @@ impl<R: BufRead> JsonlReader<R> {
             schema: header.schema,
             buf,
             records_seen: 0,
+            first: None,
         })
     }
 
@@ -100,7 +104,8 @@ impl<R: BufRead> JsonlReader<R> {
     ///
     /// # Errors
     /// Fails on I/O errors, malformed JSON, records violating the header
-    /// schema, or a record count overflowing the `u32` id space.
+    /// schema, a dense field whose dimension differs from the first
+    /// record's, or a record count overflowing the `u32` id space.
     pub fn next_record(&mut self) -> std::io::Result<Option<(Record, EntityId)>> {
         loop {
             self.buf.clear();
@@ -112,8 +117,13 @@ impl<R: BufRead> JsonlReader<R> {
                 continue;
             }
             let parsed: Line = serde_json::from_str(line)?;
-            self.schema.validate(&parsed.fields).map_err(bad_data)?;
+            self.schema
+                .validate_like(&parsed.fields, self.first.as_ref())
+                .map_err(|e| bad_data(format!("record {}: {e}", self.records_seen)))?;
             crate::dataset::ensure_record_id_capacity(self.records_seen + 1).map_err(bad_data)?;
+            if self.first.is_none() {
+                self.first = Some(parsed.fields.clone());
+            }
             self.records_seen += 1;
             return Ok(Some((parsed.fields, parsed.entity)));
         }
@@ -125,7 +135,7 @@ impl<R: BufRead> JsonlReader<R> {
 ///
 /// # Errors
 /// Fails on I/O errors, malformed JSON, a missing header, an empty body,
-/// or records that violate the header schema.
+/// records that violate the header schema, or a ragged dense column.
 pub fn read_jsonl<R: BufRead>(input: R) -> std::io::Result<Dataset> {
     let mut reader = JsonlReader::open(input)?;
     let mut records = Vec::new();
@@ -236,6 +246,24 @@ mod tests {
         text.push_str("{\"entity\":1,\"fields\":{\"fields\":[{\"Shingles\":[1]}]}}\n");
         let r = read_jsonl(std::io::Cursor::new(text.into_bytes()));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn ragged_dense_column_rejected() {
+        let d = sample();
+        let mut buf = Vec::new();
+        write_jsonl(&d, &mut buf).unwrap();
+        let mut text = String::from_utf8(buf).unwrap();
+        // The sample's vectors are 2-d; append a 3-d one.
+        text.push_str(
+            "{\"entity\":1,\"fields\":{\"fields\":[{\"Shingles\":[1]},{\"Dense\":[1.0,0.0,0.0]}]}}\n",
+        );
+        let err = read_jsonl(std::io::Cursor::new(text.into_bytes())).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("record 2"), "{msg}");
+        assert!(msg.contains("field 1 (vec)"), "{msg}");
+        assert!(msg.contains("dimension 3, earlier records have 2"), "{msg}");
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //! AND / OR / weighted-average combination over several fields
 //! (paper §3 and Appendix C).
 //!
+//! Every distance goes through one entry per operation on
+//! [`FieldDistance`]: [`FieldDistance::distance`] for the exact value and
+//! [`FieldDistance::at_most_counted`] for the threshold verdict with its
+//! early-exit flag. Both take borrowed [`FieldRef`] payloads plus cached
+//! norms, so in-RAM records and a memory-mapped store run the same slice
+//! kernels (`shingle.rs`, `vector.rs`) on the same bytes. [`ShingleSet`]
+//! and [`DenseVector`] are the owned storage and construction types.
+//!
 //! This crate is dependency-light on purpose: it defines the vocabulary
 //! types every other crate in the workspace speaks.
 

@@ -49,6 +49,16 @@ impl FieldValue {
         }
     }
 
+    /// The norm the distance kernels take for this field, as
+    /// [`RecordStore::field_norm`](crate::RecordStore::field_norm) caches
+    /// it: the Euclidean norm of a dense vector, 0 for a shingle set.
+    pub fn norm(&self) -> f64 {
+        match self {
+            FieldValue::Dense(v) => v.norm(),
+            FieldValue::Shingles(_) => 0.0,
+        }
+    }
+
     /// Borrows the dense vector, panicking on a kind mismatch.
     ///
     /// # Panics
@@ -217,6 +227,36 @@ impl Schema {
         }
         Ok(())
     }
+
+    /// [`Schema::validate`] plus the dense-dimension check: each dense
+    /// field of `record` must have as many components as the same field
+    /// of `like`, a record already accepted into the same collection. The
+    /// angular kernels and the hyperplane family compare vectors
+    /// component by component, so a corpus has one dimension per dense
+    /// field, and every path that admits outside records checks it here.
+    /// With `like = None` (nothing accepted yet) only the schema is
+    /// checked.
+    pub fn validate_like(&self, record: &Record, like: Option<&Record>) -> Result<(), String> {
+        self.validate(record)?;
+        let Some(like) = like else {
+            return Ok(());
+        };
+        for (i, def) in self.fields.iter().enumerate() {
+            if let (FieldValue::Dense(got), FieldValue::Dense(want)) =
+                (record.field(i), like.field(i))
+            {
+                if got.dim() != want.dim() {
+                    return Err(format!(
+                        "field {i} ({}) has dimension {}, earlier records have {}",
+                        def.name,
+                        got.dim(),
+                        want.dim()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A record: an ordered list of field values.
@@ -314,6 +354,27 @@ mod tests {
         let r = Record::single(sh(&[1]));
         let err = s.validate(&r).unwrap_err();
         assert!(err.contains("hist"));
+    }
+
+    #[test]
+    fn validate_like_rejects_wrong_dimension() {
+        let s = Schema::new(vec![
+            ("title", FieldKind::Shingles),
+            ("hist", FieldKind::Dense),
+        ]);
+        let like = Record::new(vec![sh(&[1]), dense(&[0.5, 0.5, 0.0])]);
+        let same = Record::new(vec![sh(&[1, 2, 3]), dense(&[1.0, 0.0, 2.0])]);
+        assert!(s.validate_like(&same, Some(&like)).is_ok());
+        let short = Record::new(vec![sh(&[1]), dense(&[1.0, 0.0])]);
+        assert!(s.validate_like(&short, None).is_ok());
+        let err = s.validate_like(&short, Some(&like)).unwrap_err();
+        assert!(err.contains("hist"), "{err}");
+        assert!(err.contains("dimension 2"), "{err}");
+        assert!(err.contains("have 3"), "{err}");
+        // The schema check still runs first.
+        assert!(s
+            .validate_like(&Record::single(sh(&[1])), Some(&like))
+            .is_err());
     }
 
     #[test]

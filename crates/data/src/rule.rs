@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::distance::{FieldDistance, KernelTally};
-use crate::record::{Record, Schema};
+use crate::record::{FieldRef, Record, Schema};
 use crate::store::RecordStore;
 
 /// One component of a weighted-average rule.
@@ -61,37 +61,42 @@ impl MatchRule {
     }
 
     /// Do two records match under this rule?
+    ///
+    /// The reference path: every threshold computes its exact distance
+    /// ([`FieldDistance::distance`], norms recomputed from the records)
+    /// and compares. It is the differential-test oracle for
+    /// [`MatchRule::matches_in_counted`], which must agree with it on
+    /// every input, bit for bit.
     pub fn matches(&self, a: &Record, b: &Record) -> bool {
         match self {
             MatchRule::Threshold {
                 field,
                 metric,
                 dthr,
-            } => metric.eval(a.field(*field), b.field(*field)) <= *dthr,
+            } => {
+                let (fa, fb, na, nb) = record_fields(a, b, *field);
+                metric.distance(fa, fb, na, nb) <= *dthr
+            }
             MatchRule::And(subs) => subs.iter().all(|r| r.matches(a, b)),
             MatchRule::Or(subs) => subs.iter().any(|r| r.matches(a, b)),
-            MatchRule::WeightedAverage { parts, dthr } => weighted_distance(parts, a, b) <= *dthr,
+            MatchRule::WeightedAverage { parts, dthr } => {
+                weighted_distance(parts, |f| record_fields(a, b, f)) <= *dthr
+            }
         }
     }
 
-    /// Do records `i` and `j` of `store` match under this rule?
+    /// Do records `i` and `j` of `store` match under this rule? The one
+    /// walk of the rule that production verdicts take.
     ///
     /// Semantically identical to [`MatchRule::matches`] on the two
     /// records — same verdict for every input, bit for bit — but routed
-    /// through the cached distance kernels: precomputed vector norms
-    /// ([`RecordStore::field_norm`]) and the per-metric threshold fast
-    /// paths ([`FieldDistance::distance_at_most`]). This is the kernel
-    /// the quadratic pairwise verification loop hammers, and it runs
-    /// identically whether the store is an in-RAM [`crate::Dataset`] or
-    /// a memory-mapped file; `matches` remains the plain-record path
-    /// (and the differential-test oracle). The rule is walked in one
-    /// place, [`MatchRule::matches_in_counted`]; this drops the tally.
-    pub fn matches_in(&self, store: &dyn RecordStore, i: u32, j: u32) -> bool {
-        self.matches_in_counted(store, i, j, &mut ())
-    }
-
-    /// [`MatchRule::matches_in`] reporting to a [`KernelTally`] (an
-    /// [`ExitCounts`](crate::ExitCounts) counts, `()` discards): every
+    /// through the cached norms ([`RecordStore::field_norm`]) and the
+    /// per-metric threshold kernels ([`FieldDistance::at_most_counted`]).
+    /// It runs identically whether the store is an in-RAM
+    /// [`crate::Dataset`] or a memory-mapped file.
+    ///
+    /// Reports to a [`KernelTally`] (an [`ExitCounts`](crate::ExitCounts)
+    /// counts, `()` discards and compiles down to the plain walk): every
     /// threshold-kernel invocation actually performed (respecting the
     /// same AND/OR short-circuits as `matches`) bumps `checks`, and those
     /// resolved on an early-exit path bump `early_exits`. Weighted-average
@@ -110,7 +115,7 @@ impl MatchRule {
                 metric,
                 dthr,
             } => {
-                let (verdict, early) = metric.distance_at_most_counted_ref(
+                let (verdict, early) = metric.at_most_counted(
                     store.field(i, *field),
                     store.field(j, *field),
                     *dthr,
@@ -129,22 +134,18 @@ impl MatchRule {
                 .iter()
                 .any(|r| r.matches_in_counted(store, i, j, counts)),
             MatchRule::WeightedAverage { parts, dthr } => {
-                // Same iteration order and summation as `weighted_distance`
-                // (no early exit: a partial-sum cutoff could not reproduce
-                // the exact fold), only the norm lookups are cached.
+                // The same fold as `matches` (no early exit: a partial-sum
+                // cutoff could not reproduce the exact sum), only the norm
+                // lookups are cached.
                 counts.record(parts.len() as u64, 0);
-                let d: f64 = parts
-                    .iter()
-                    .map(|p| {
-                        p.weight
-                            * p.metric.eval_with_norms_ref(
-                                store.field(i, p.field),
-                                store.field(j, p.field),
-                                store.field_norm(i, p.field),
-                                store.field_norm(j, p.field),
-                            )
-                    })
-                    .sum();
+                let d = weighted_distance(parts, |f| {
+                    (
+                        store.field(i, f),
+                        store.field(j, f),
+                        store.field_norm(i, f),
+                        store.field_norm(j, f),
+                    )
+                });
                 d <= *dthr
             }
         }
@@ -203,12 +204,30 @@ impl MatchRule {
     }
 }
 
-/// The weighted-average distance `d̄(a, b) = Σ αᵢ dᵢ` of Appendix C.3.
-pub fn weighted_distance(parts: &[WeightedPart], a: &Record, b: &Record) -> f64 {
+/// The weighted-average distance `d̄(a, b) = Σ αᵢ dᵢ` of Appendix C.3,
+/// with `fields(f)` lending field `f` of both records and their norms.
+/// Both rule walks sum in this one order, so their verdicts agree.
+fn weighted_distance<'r>(
+    parts: &[WeightedPart],
+    fields: impl Fn(usize) -> (FieldRef<'r>, FieldRef<'r>, f64, f64),
+) -> f64 {
     parts
         .iter()
-        .map(|p| p.weight * p.metric.eval(a.field(p.field), b.field(p.field)))
+        .map(|p| {
+            let (a, b, norm_a, norm_b) = fields(p.field);
+            p.weight * p.metric.distance(a, b, norm_a, norm_b)
+        })
         .sum()
+}
+
+/// Field `f` of two owned records with their norms, recomputed.
+fn record_fields<'r>(
+    a: &'r Record,
+    b: &'r Record,
+    f: usize,
+) -> (FieldRef<'r>, FieldRef<'r>, f64, f64) {
+    let (fa, fb) = (a.field(f), b.field(f));
+    (fa.as_ref(), fb.as_ref(), fa.norm(), fb.norm())
 }
 
 fn check_field(schema: &Schema, field: usize, metric: FieldDistance) -> Result<(), String> {
@@ -308,14 +327,14 @@ mod tests {
         let a = rec(&[1, 2, 3, 4], &[1.0, 0.0]);
         let b = rec(&[3, 4, 5], &[0.0, 1.0]);
         // 0.5·0.6 + 0.5·0.5 = 0.55
-        let d = weighted_distance(&parts, &a, &b);
+        let d = weighted_distance(&parts, |f| record_fields(&a, &b, f));
         assert!((d - 0.55).abs() < 1e-12);
         let rule = MatchRule::WeightedAverage { parts, dthr: 0.55 };
         assert!(rule.matches(&a, &b));
     }
 
     #[test]
-    fn matches_in_equals_matches_all_rule_kinds() {
+    fn matches_in_counted_equals_matches_all_rule_kinds() {
         use crate::dataset::Dataset;
         let schema = two_field_schema();
         let records: Vec<Record> = (0..6)
@@ -360,7 +379,7 @@ mod tests {
             for i in 0..6u32 {
                 for j in 0..6u32 {
                     assert_eq!(
-                        rule.matches_in(&d, i, j),
+                        rule.matches_in_counted(&d, i, j, &mut ()),
                         rule.matches(d.record(i), d.record(j)),
                         "rule {rule:?} pair ({i},{j})"
                     );
@@ -370,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_in_counted_equals_matches_in_and_counts_kernels() {
+    fn counting_does_not_change_verdicts_and_counts_kernels() {
         use crate::dataset::Dataset;
         use crate::distance::ExitCounts;
         let schema = two_field_schema();
@@ -419,7 +438,7 @@ mod tests {
                     pairs += 1;
                     assert_eq!(
                         rule.matches_in_counted(&d, i, j, &mut counts),
-                        rule.matches_in(&d, i, j),
+                        rule.matches_in_counted(&d, i, j, &mut ()),
                         "rule {rule:?} pair ({i},{j})"
                     );
                 }

@@ -6,10 +6,15 @@
 //! work regardless of the original token length. Sets are stored as
 //! sorted, deduplicated vectors: intersection/union run in a single merge
 //! pass and the representation is cache-friendly.
+//!
+//! [`ShingleSet`] is the owned storage type. The Jaccard kernels work on
+//! sorted slices and are reached through
+//! [`FieldDistance`](crate::FieldDistance); the two intersection counts
+//! are public so tests and benches can pin them against each other.
 
 use serde::{Deserialize, Serialize};
 
-/// Size ratio `|large| / |small|` at which [`ShingleSet::intersection_size`]
+/// Size ratio `|large| / |small|` at which the intersection count
 /// switches from the linear merge to galloping search.
 pub const GALLOP_RATIO: usize = 8;
 
@@ -68,83 +73,22 @@ impl ShingleSet {
         &self.0
     }
 
-    /// Size of the intersection with `other`.
-    ///
-    /// Comparable-size inputs use a single merge pass; when one set is at
-    /// least [`GALLOP_RATIO`] times larger, the merge would walk the large
-    /// set element by element, so a galloping search (exponential probe +
-    /// binary search per small-set element, `O(|small| · log |large|)`)
-    /// is used instead. Both paths return the exact same count.
-    pub fn intersection_size(&self, other: &Self) -> usize {
-        intersection_size(&self.0, &other.0)
-    }
-
-    /// Intersection size via the linear merge pass. Exposed so the
-    /// galloping path can be pinned against it in tests and benches.
-    ///
-    /// The cursor updates are written as boolean-to-integer additions
-    /// instead of a three-way `match`: with sorted inputs the comparison
-    /// outcome is near-random, so the data-dependent form (flag
-    /// arithmetic, no conditional control flow inside the loop) avoids a
-    /// branch misprediction per element. The counts are identical to the
-    /// three-way merge: on equality both cursors advance and the element
-    /// is counted once.
-    pub fn intersection_size_merge(&self, other: &Self) -> usize {
-        intersection_size_merge(&self.0, &other.0)
-    }
-
-    /// Intersection size via galloping: for each element of `self` (the
-    /// smaller set), probe forward in `other` with doubling steps from
-    /// the last hit position, then binary-search the bracketed run.
-    /// Exposed so tests can pin it against the merge on any size ratio.
-    pub fn intersection_size_galloping(&self, other: &Self) -> usize {
-        intersection_size_galloping(&self.0, &other.0)
-    }
-
     /// Jaccard *similarity* `|A ∩ B| / |A ∪ B| ∈ [0, 1]`.
     ///
     /// Two empty sets are defined to be identical (similarity 1).
     pub fn jaccard_similarity(&self, other: &Self) -> f64 {
         jaccard_similarity(&self.0, &other.0)
     }
-
-    /// Jaccard *distance* `1 − similarity ∈ [0, 1]` — the form every LSH
-    /// component in this workspace consumes.
-    pub fn jaccard_distance(&self, other: &Self) -> f64 {
-        jaccard_distance(&self.0, &other.0)
-    }
-
-    /// Threshold check `jaccard_distance(other) <= dthr` with a size-ratio
-    /// early exit: the similarity is at most `min(|A|,|B|) / max(|A|,|B|)`
-    /// (the intersection is bounded by the smaller set, the union by the
-    /// larger), so when that bound already falls below the required
-    /// similarity the sets cannot match and the intersection is never
-    /// computed.
-    ///
-    /// The early exit is evaluated with the same rounding-monotone
-    /// operations (`/`, `1.0 −`, `<=`) as the exact path, so it fires only
-    /// when the exact comparison is guaranteed to fail: the result is
-    /// **bit-identical** to `jaccard_distance(other) <= dthr` for every
-    /// input, including empty sets and thresholds of exactly 0 or 1.
-    pub fn jaccard_at_most(&self, other: &Self, dthr: f64) -> bool {
-        self.jaccard_at_most_counted(other, dthr).0
-    }
-
-    /// [`ShingleSet::jaccard_at_most`] reporting whether the verdict was
-    /// reached without computing the exact distance: `(verdict,
-    /// resolved_early)`. The verdict is bit-identical to
-    /// `jaccard_distance(other) <= dthr` either way; the flag feeds the
-    /// kernel hit-rate observability counters only.
-    pub fn jaccard_at_most_counted(&self, other: &Self, dthr: f64) -> (bool, bool) {
-        jaccard_at_most_counted(&self.0, &other.0, dthr)
-    }
 }
 
-/// Slice form of [`ShingleSet::intersection_size`]: merge-vs-gallop
-/// dispatch over raw sorted-deduplicated slices. This is the single
-/// implementation both the owned in-RAM path and the zero-copy store
-/// path run, so their counts agree exactly.
-pub fn intersection_size(a: &[u64], b: &[u64]) -> usize {
+/// Intersection size of two sorted, deduplicated slices.
+///
+/// Comparable-size inputs use a single merge pass; when one set is at
+/// least [`GALLOP_RATIO`] times larger, the merge would walk the large
+/// set element by element, so a galloping search (exponential probe +
+/// binary search per small-set element, `O(|small| · log |large|)`)
+/// is used instead. Both paths return the exact same count.
+fn intersection_size(a: &[u64], b: &[u64]) -> usize {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if small.is_empty() {
         return 0;
@@ -156,8 +100,17 @@ pub fn intersection_size(a: &[u64], b: &[u64]) -> usize {
     }
 }
 
-/// Slice form of [`ShingleSet::intersection_size_merge`]; see that
-/// method for the branchless-cursor rationale.
+/// Intersection size of two sorted, deduplicated slices via the linear
+/// merge pass. Public so the galloping path can be pinned against it in
+/// tests and benches.
+///
+/// The cursor updates are written as boolean-to-integer additions
+/// instead of a three-way `match`: with sorted inputs the comparison
+/// outcome is near-random, so the data-dependent form (flag arithmetic,
+/// no conditional control flow inside the loop) avoids a branch
+/// misprediction per element. The counts are identical to the three-way
+/// merge: on equality both cursors advance and the element is counted
+/// once.
 pub fn intersection_size_merge(a: &[u64], b: &[u64]) -> usize {
     let (mut i, mut j, mut n) = (0, 0, 0);
     while i < a.len() && j < b.len() {
@@ -169,8 +122,10 @@ pub fn intersection_size_merge(a: &[u64], b: &[u64]) -> usize {
     n
 }
 
-/// Slice form of [`ShingleSet::intersection_size_galloping`]: `small`
-/// drives the probes, `large` is searched.
+/// Intersection size via galloping: for each element of `small`, probe
+/// forward in `large` with doubling steps from the last hit position,
+/// then binary-search the bracketed run. Correct for any size ratio;
+/// public so tests and benches can pin it against the merge.
 pub fn intersection_size_galloping(small: &[u64], large: &[u64]) -> usize {
     let (mut lo, mut n) = (0usize, 0usize);
     for &x in small {
@@ -202,8 +157,7 @@ pub fn intersection_size_galloping(small: &[u64], large: &[u64]) -> usize {
     n
 }
 
-/// Slice form of [`ShingleSet::jaccard_similarity`].
-pub fn jaccard_similarity(a: &[u64], b: &[u64]) -> f64 {
+fn jaccard_similarity(a: &[u64], b: &[u64]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -212,15 +166,26 @@ pub fn jaccard_similarity(a: &[u64], b: &[u64]) -> f64 {
     inter as f64 / union as f64
 }
 
-/// Slice form of [`ShingleSet::jaccard_distance`].
-pub fn jaccard_distance(a: &[u64], b: &[u64]) -> f64 {
+/// Jaccard *distance* `1 − similarity ∈ [0, 1]` of two sorted,
+/// deduplicated slices — the form every LSH component in this workspace
+/// consumes. Two empty sets are at distance 0.
+pub(crate) fn jaccard_distance(a: &[u64], b: &[u64]) -> f64 {
     1.0 - jaccard_similarity(a, b)
 }
 
-/// Slice form of [`ShingleSet::jaccard_at_most_counted`]; see
-/// [`ShingleSet::jaccard_at_most`] for the size-ratio early-exit safety
-/// argument.
-pub fn jaccard_at_most_counted(a: &[u64], b: &[u64], dthr: f64) -> (bool, bool) {
+/// Threshold verdict `jaccard_distance(a, b) <= dthr` with an early-exit
+/// flag: `(verdict, resolved_early)`.
+///
+/// Size-ratio early exit: the similarity is at most
+/// `min(|A|,|B|) / max(|A|,|B|)` (the intersection is bounded by the
+/// smaller set, the union by the larger), so when that bound already
+/// falls below the required similarity the sets cannot match and the
+/// intersection is never computed. The bound is evaluated with the same
+/// rounding-monotone operations (`/`, `1.0 −`, `>`) as the exact path,
+/// so it fires only when the exact comparison is guaranteed to fail: the
+/// verdict is **bit-identical** to `jaccard_distance(a, b) <= dthr` for
+/// every input, including empty sets and thresholds of exactly 0 or 1.
+pub(crate) fn jaccard_at_most_counted(a: &[u64], b: &[u64], dthr: f64) -> (bool, bool) {
     if a.is_empty() && b.is_empty() {
         // Distance defined as 0 for two empty sets.
         return (0.0 <= dthr, true);
@@ -262,12 +227,23 @@ mod tests {
         assert_eq!(s.len(), 3);
     }
 
+    /// Jaccard distance of two owned sets.
+    fn dist(a: &ShingleSet, b: &ShingleSet) -> f64 {
+        jaccard_distance(a.shingles(), b.shingles())
+    }
+
+    /// Threshold verdict over two owned sets.
+    fn at_most(a: &ShingleSet, b: &ShingleSet, dthr: f64) -> bool {
+        jaccard_at_most_counted(a.shingles(), b.shingles(), dthr).0
+    }
+
     #[test]
-    fn intersection_size_merge() {
-        let a = ShingleSet::new(vec![1, 2, 3, 4]);
-        let b = ShingleSet::new(vec![3, 4, 5]);
-        assert_eq!(a.intersection_size(&b), 2);
-        assert_eq!(b.intersection_size(&a), 2);
+    fn intersection_size_counts_common() {
+        let a = [1, 2, 3, 4];
+        let b = [3, 4, 5];
+        assert_eq!(intersection_size(&a, &b), 2);
+        assert_eq!(intersection_size(&b, &a), 2);
+        assert_eq!(intersection_size_merge(&a, &b), 2);
     }
 
     #[test]
@@ -276,14 +252,14 @@ mod tests {
         let b = ShingleSet::new(vec![3, 4, 5]);
         // |A ∩ B| = 2, |A ∪ B| = 5.
         assert!((a.jaccard_similarity(&b) - 0.4).abs() < 1e-12);
-        assert!((a.jaccard_distance(&b) - 0.6).abs() < 1e-12);
+        assert!((dist(&a, &b) - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn jaccard_identical_sets() {
         let a = ShingleSet::new(vec![7, 8]);
         assert_eq!(a.jaccard_similarity(&a.clone()), 1.0);
-        assert_eq!(a.jaccard_distance(&a.clone()), 0.0);
+        assert_eq!(dist(&a, &a), 0.0);
     }
 
     #[test]
@@ -291,13 +267,14 @@ mod tests {
         let a = ShingleSet::new(vec![1]);
         let b = ShingleSet::new(vec![2]);
         assert_eq!(a.jaccard_similarity(&b), 0.0);
-        assert_eq!(a.jaccard_distance(&b), 1.0);
+        assert_eq!(dist(&a, &b), 1.0);
     }
 
     #[test]
     fn jaccard_empty_sets_match() {
         let e = ShingleSet::new(vec![]);
         assert_eq!(e.jaccard_similarity(&e.clone()), 1.0);
+        assert_eq!(dist(&e, &e), 0.0);
     }
 
     #[test]
@@ -344,15 +321,15 @@ mod tests {
             let modulus = 1 + (case as u64 % 97) * 4;
             let a = ShingleSet::new((0..la).map(|_| rng() % modulus).collect());
             let b = ShingleSet::new((0..lb).map(|_| rng() % modulus).collect());
+            let (a, b) = (a.shingles(), b.shingles());
+            let merge = intersection_size_merge(a, b);
             assert_eq!(
-                a.intersection_size_galloping(&b),
-                a.intersection_size_merge(&b),
-                "case {case}: a={:?} b={:?}",
-                a.shingles(),
-                b.shingles()
+                intersection_size_galloping(a, b),
+                merge,
+                "case {case}: a={a:?} b={b:?}"
             );
-            assert_eq!(a.intersection_size(&b), a.intersection_size_merge(&b));
-            assert_eq!(b.intersection_size(&a), a.intersection_size_merge(&b));
+            assert_eq!(intersection_size(a, b), merge);
+            assert_eq!(intersection_size(b, a), merge);
         }
     }
 
@@ -375,14 +352,13 @@ mod tests {
             (&empty, &nested_large),         // empty small side
         ];
         for (a, b) in cases {
+            let (a, b) = (a.shingles(), b.shingles());
             assert_eq!(
-                a.intersection_size_galloping(b),
-                a.intersection_size_merge(b),
-                "a={:?} b={:?}",
-                a.shingles(),
-                b.shingles()
+                intersection_size_galloping(a, b),
+                intersection_size_merge(a, b),
+                "a={a:?} b={b:?}"
             );
-            assert_eq!(a.intersection_size(b), b.intersection_size(a));
+            assert_eq!(intersection_size(a, b), intersection_size(b, a));
         }
     }
 
@@ -393,8 +369,8 @@ mod tests {
         for n in [23usize, 24, 25] {
             let large = ShingleSet::new((0..n as u64).map(|i| i * 7).collect());
             assert_eq!(
-                small.intersection_size(&large),
-                small.intersection_size_merge(&large)
+                intersection_size(small.shingles(), large.shingles()),
+                intersection_size_merge(small.shingles(), large.shingles())
             );
         }
     }
@@ -409,11 +385,7 @@ mod tests {
             let a = ShingleSet::new((0..la).map(|_| rng() % 64).collect());
             let b = ShingleSet::new((0..lb).map(|_| rng() % 64).collect());
             for &t in &thresholds {
-                assert_eq!(
-                    a.jaccard_at_most(&b, t),
-                    a.jaccard_distance(&b) <= t,
-                    "case {case} thr {t}"
-                );
+                assert_eq!(at_most(&a, &b, t), dist(&a, &b) <= t, "case {case} thr {t}");
             }
         }
     }
@@ -425,13 +397,16 @@ mod tests {
         // A ⊂ B.
         let a = ShingleSet::new(vec![0, 1]);
         let b = ShingleSet::new((0..40).collect());
-        assert!(!a.jaccard_at_most(&b, 0.5));
-        assert!(a.jaccard_at_most(&b, 0.95));
+        assert_eq!(
+            jaccard_at_most_counted(a.shingles(), b.shingles(), 0.5),
+            (false, true)
+        );
+        assert!(at_most(&a, &b, 0.95));
         // Empty-set edge cases.
         let e = ShingleSet::new(vec![]);
-        assert!(e.jaccard_at_most(&e.clone(), 0.0));
-        assert!(!e.jaccard_at_most(&a, 0.99));
-        assert!(e.jaccard_at_most(&a, 1.0));
+        assert!(at_most(&e, &e, 0.0));
+        assert!(!at_most(&e, &a, 0.99));
+        assert!(at_most(&e, &a, 1.0));
     }
 
     #[test]

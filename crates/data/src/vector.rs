@@ -5,13 +5,18 @@
 //! vectors is below a threshold (paper §6.3, PopularImages). Throughout the
 //! workspace distances are **normalized to `[0, 1]`**: an angle of `θ`
 //! degrees maps to `θ / 180` (paper Example 5, `x = θ/180`).
+//!
+//! [`DenseVector`] is the owned storage type. The kernels work on
+//! component slices and are reached through
+//! [`FieldDistance`](crate::FieldDistance); [`norm`] is public so every
+//! norm cache (dataset and store file) holds the bits the kernels use.
 
 use serde::{Deserialize, Serialize};
 
 /// A dense vector of `f64` components.
 ///
-/// Invariant: never empty. Construction normalizes nothing — callers that
-/// want unit vectors should call [`DenseVector::normalized`].
+/// Invariant: never empty. Construction normalizes nothing; distances
+/// are angles, so the scale of a vector never affects a verdict.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DenseVector(Vec<f64>);
 
@@ -35,140 +40,58 @@ impl DenseVector {
         &self.0
     }
 
-    /// Dot product with another vector.
-    ///
-    /// Evaluated by `dot_kernel`: four independent accumulators over
-    /// flat 4-wide chunks, so the products in a chunk carry no
-    /// loop-carried dependency and the compiler vectorizes the loop.
-    /// The summation *order* therefore differs from a sequential fold by
-    /// a few ulps — every consumer in this crate (norms, angles, the
-    /// cosine fast path) goes through this same kernel, so all derived
-    /// comparisons stay mutually consistent.
-    ///
-    /// # Panics
-    /// Panics if the dimensions differ.
-    pub fn dot(&self, other: &Self) -> f64 {
-        assert_eq!(self.dim(), other.dim(), "dimension mismatch");
-        dot_kernel(&self.0, &other.0)
-    }
-
-    /// Euclidean norm.
+    /// Euclidean norm ([`norm`] over the components).
     pub fn norm(&self) -> f64 {
         norm(&self.0)
     }
-
-    /// Returns a unit-length copy of this vector.
-    ///
-    /// A zero vector is returned unchanged (there is no direction to keep).
-    pub fn normalized(&self) -> Self {
-        let n = self.norm();
-        if n == 0.0 {
-            return self.clone();
-        }
-        Self(self.0.iter().map(|c| c / n).collect())
-    }
-
-    /// The angle between two vectors, in **degrees**, in `[0, 180]`.
-    ///
-    /// Zero vectors are defined to be at angle 0 from everything: they carry
-    /// no direction, and treating them as maximally distant would make a
-    /// single empty histogram poison transitive closure.
-    pub fn angle_degrees(&self, other: &Self) -> f64 {
-        self.angle_degrees_with_norms(other, self.norm(), other.norm())
-    }
-
-    /// [`DenseVector::angle_degrees`] with the two norms supplied by the
-    /// caller. The quadratic pairwise loop evaluates `O(n²)` angles over
-    /// `n` vectors; precomputing each vector's norm once (see
-    /// `Dataset::field_norm`) removes two of the three dot products per
-    /// pair. Passing `self.norm()` / `other.norm()` reproduces
-    /// [`DenseVector::angle_degrees`] bit-for-bit.
-    pub fn angle_degrees_with_norms(&self, other: &Self, self_norm: f64, other_norm: f64) -> f64 {
-        assert_eq!(self.dim(), other.dim(), "dimension mismatch");
-        angle_degrees_with_norms(&self.0, &other.0, self_norm, other_norm)
-    }
-
-    /// The normalized angular distance `θ / 180 ∈ [0, 1]` used everywhere
-    /// in the paper for the cosine metric (Example 5).
-    pub fn angular_distance(&self, other: &Self) -> f64 {
-        self.angle_degrees(other) / 180.0
-    }
-
-    /// Threshold fast path: `angular_distance(other) <= dthr`, decided in
-    /// **cosine space** whenever that is safe. `acos` is monotone
-    /// decreasing, so `θ/180 ≤ dthr ⟺ cos θ ≥ cos(dthr·π)`; comparing
-    /// cosines skips the `acos` that otherwise runs on every pair of the
-    /// quadratic verification loop. Within a guard band of
-    /// [`COS_GUARD`] around the threshold cosine — where rounding of the
-    /// forward (`cos`) and inverse (`acos`, `to_degrees`, `/ 180`)
-    /// transforms could disagree — the exact kernel decides instead, so
-    /// the verdict is **bit-identical** to evaluating the distance and
-    /// comparing. The band is ~10⁵ wider than the few-ulp error of
-    /// either transform, and `acos`'s sensitivity near `cos = ±1` only
-    /// widens the true angle gap, never narrows it.
-    pub fn angular_at_most_with_norms(
-        &self,
-        other: &Self,
-        dthr: f64,
-        self_norm: f64,
-        other_norm: f64,
-    ) -> bool {
-        self.angular_at_most_with_norms_counted(other, dthr, self_norm, other_norm)
-            .0
-    }
-
-    /// [`DenseVector::angular_at_most_with_norms`] reporting whether the
-    /// verdict was reached on the cosine-space fast path (no `acos`):
-    /// `(verdict, resolved_early)`. The verdict is bit-identical either
-    /// way; the flag feeds the kernel hit-rate observability counters
-    /// only.
-    pub fn angular_at_most_with_norms_counted(
-        &self,
-        other: &Self,
-        dthr: f64,
-        self_norm: f64,
-        other_norm: f64,
-    ) -> (bool, bool) {
-        assert_eq!(self.dim(), other.dim(), "dimension mismatch");
-        angular_at_most_with_norms_counted(&self.0, &other.0, dthr, self_norm, other_norm)
-    }
 }
 
-/// Slice form of [`DenseVector::dot`]: the flat dot-product kernel over
-/// raw component slices. This is the single implementation both the
-/// owned in-RAM path and the zero-copy store path run, so their results
-/// agree bit for bit.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dimension mismatch");
-    dot_kernel(a, b)
-}
-
-/// Slice form of [`DenseVector::norm`]: `sqrt(dot(v, v))` through the
-/// same dot kernel, so a norm cached at store-build time reproduces the
-/// in-RAM norm bit for bit.
+/// Euclidean norm `sqrt(dot(v, v))` through the one dot kernel, so a
+/// norm cached at dataset or store-build time is exactly the bits the
+/// distance kernels would compute.
 pub fn norm(v: &[f64]) -> f64 {
     dot_kernel(v, v).sqrt()
 }
 
-/// Slice form of [`DenseVector::angle_degrees_with_norms`]; see that
-/// method for the zero-vector convention.
-pub fn angle_degrees_with_norms(a: &[f64], b: &[f64], norm_a: f64, norm_b: f64) -> f64 {
+/// The normalized angular distance `θ / 180 ∈ [0, 1]` (paper Example 5)
+/// given both vectors' norms.
+///
+/// Zero vectors (`norm_a · norm_b == 0`) are defined to be at distance 0
+/// from everything: they carry no direction, and treating them as
+/// maximally distant would make a single empty histogram poison
+/// transitive closure.
+///
+/// # Panics
+/// Panics if the dimensions differ.
+pub(crate) fn angular_distance(a: &[f64], b: &[f64], norm_a: f64, norm_b: f64) -> f64 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     let denom = norm_a * norm_b;
     if denom == 0.0 {
         return 0.0;
     }
     let cos = (dot_kernel(a, b) / denom).clamp(-1.0, 1.0);
-    cos.acos().to_degrees()
+    cos.acos().to_degrees() / 180.0
 }
 
-/// Slice form of [`DenseVector::angular_at_most_with_norms_counted`];
-/// see that method (and [`DenseVector::angular_at_most_with_norms`]) for
-/// the guard-band safety argument.
-pub fn angular_at_most_with_norms_counted(
+/// Threshold verdict `angular_distance(a, b, norm_a, norm_b) <= dthr`
+/// with an early-exit flag: `(verdict, resolved_early)`.
+///
+/// The verdict is decided in **cosine space** whenever that is safe.
+/// `acos` is monotone decreasing, so `θ/180 ≤ dthr ⟺ cos θ ≥
+/// cos(dthr·π)`; comparing cosines skips the `acos` that otherwise runs
+/// on every pair of the quadratic verification loop. Within a guard band
+/// of [`COS_GUARD`] around the threshold cosine — where rounding of the
+/// forward (`cos`) and inverse (`acos`, `to_degrees`, `/ 180`)
+/// transforms could disagree — the exact kernel decides instead, so the
+/// verdict is **bit-identical** to evaluating the distance and
+/// comparing. The band is ~10⁵ wider than the few-ulp error of either
+/// transform, and `acos`'s sensitivity near `cos = ±1` only widens the
+/// true angle gap, never narrows it. Zero vectors and thresholds outside
+/// `[0, 1]` resolve early too, with the verdict the exact distance gives.
+///
+/// # Panics
+/// Panics if the dimensions differ.
+pub(crate) fn angular_at_most_counted(
     a: &[f64],
     b: &[f64],
     dthr: f64,
@@ -178,7 +101,7 @@ pub fn angular_at_most_with_norms_counted(
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     let denom = norm_a * norm_b;
     if denom == 0.0 {
-        // `angle_degrees` defines zero vectors to be at distance 0.
+        // Zero vectors are at distance 0 (see `angular_distance`).
         return (0.0 <= dthr, true);
     }
     if !(0.0..=1.0).contains(&dthr) {
@@ -193,15 +116,18 @@ pub fn angular_at_most_with_norms_counted(
     if cos <= cos_thr - COS_GUARD {
         return (false, true);
     }
-    (
-        angle_degrees_with_norms(a, b, norm_a, norm_b) / 180.0 <= dthr,
-        false,
-    )
+    (angular_distance(a, b, norm_a, norm_b) <= dthr, false)
 }
 
 /// Flat dot-product kernel: four independent partial sums over exact
 /// 4-element chunks (no per-element branching), pairwise-combined, then a
 /// short sequential tail for `len % 4` trailing components.
+///
+/// The products in a chunk carry no loop-carried dependency, so the
+/// compiler vectorizes the loop. The summation *order* therefore differs
+/// from a sequential fold by a few ulps — norms, angles and the cosine
+/// fast path all go through this one kernel, so every derived comparison
+/// stays mutually consistent.
 fn dot_kernel(a: &[f64], b: &[f64]) -> f64 {
     let chunks = a.len() / 4 * 4;
     let mut acc = [0.0f64; 4];
@@ -218,80 +144,76 @@ fn dot_kernel(a: &[f64], b: &[f64]) -> f64 {
     sum
 }
 
-/// Guard-band half-width (in cosine units) inside which
-/// [`DenseVector::angular_at_most_with_norms`] falls back to the exact
-/// `acos` kernel. See that method for the safety argument.
+/// Guard-band half-width (in cosine units) inside which the angular
+/// threshold kernel falls back to the exact `acos` distance; see
+/// `angular_at_most_counted` for the safety argument.
 pub const COS_GUARD: f64 = 1e-9;
-
-/// Converts a threshold expressed in degrees to the normalized distance
-/// in `[0, 1]` used by [`DenseVector::angular_distance`] and by the LSH
-/// scheme optimizer.
-pub fn degrees_to_distance(theta_degrees: f64) -> f64 {
-    theta_degrees / 180.0
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn v(c: &[f64]) -> DenseVector {
-        DenseVector::new(c.to_vec())
+    /// Angular distance with the vectors' own norms.
+    fn dist(a: &[f64], b: &[f64]) -> f64 {
+        angular_distance(a, b, norm(a), norm(b))
     }
 
     #[test]
     fn dot_and_norm() {
-        let a = v(&[3.0, 4.0]);
-        let b = v(&[1.0, 0.0]);
-        assert_eq!(a.dot(&b), 3.0);
-        assert_eq!(a.norm(), 5.0);
+        assert_eq!(dot_kernel(&[3.0, 4.0], &[1.0, 0.0]), 3.0);
+        assert_eq!(norm(&[3.0, 4.0]), 5.0);
+        assert_eq!(DenseVector::new(vec![3.0, 4.0]).norm(), 5.0);
     }
 
     #[test]
-    fn normalized_has_unit_norm() {
-        let a = v(&[3.0, 4.0]).normalized();
-        assert!((a.norm() - 1.0).abs() < 1e-12);
+    fn unit_vector_has_unit_norm() {
+        let v = [3.0, 4.0];
+        let n = norm(&v);
+        let unit: Vec<f64> = v.iter().map(|c| c / n).collect();
+        assert!((norm(&unit) - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn normalized_zero_vector_is_identity() {
-        let z = v(&[0.0, 0.0]);
-        assert_eq!(z.normalized(), z);
+    fn distance_is_scale_invariant() {
+        let a = [3.0, 4.0, -1.0];
+        let b = [0.5, 2.0, 1.0];
+        let n = norm(&a);
+        let unit: Vec<f64> = a.iter().map(|c| c / n).collect();
+        assert!((dist(&unit, &b) - dist(&a, &b)).abs() < 1e-12);
+        assert_eq!(norm(&[0.0, 0.0]), 0.0);
     }
 
     #[test]
-    fn angle_orthogonal_is_90() {
-        let a = v(&[1.0, 0.0]);
-        let b = v(&[0.0, 1.0]);
-        assert!((a.angle_degrees(&b) - 90.0).abs() < 1e-9);
-        assert!((a.angular_distance(&b) - 0.5).abs() < 1e-12);
+    fn orthogonal_is_half() {
+        assert!((dist(&[1.0, 0.0], &[0.0, 1.0]) - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn angle_opposite_is_180() {
-        let a = v(&[1.0, 0.0]);
-        let b = v(&[-1.0, 0.0]);
-        assert!((a.angle_degrees(&b) - 180.0).abs() < 1e-9);
-        assert!((a.angular_distance(&b) - 1.0).abs() < 1e-12);
+    fn opposite_is_one() {
+        assert!((dist(&[1.0, 0.0], &[-1.0, 0.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn angle_same_direction_is_zero() {
-        let a = v(&[2.0, 1.0]);
-        let b = v(&[4.0, 2.0]);
+    fn same_direction_is_zero() {
         // acos is ill-conditioned near cos = 1; a few 1e-5 degrees of
         // numerical slack is far below any threshold we ever use (≥ 2°).
-        assert!(a.angle_degrees(&b).abs() < 1e-3);
+        assert!(dist(&[2.0, 1.0], &[4.0, 2.0]) < 1e-3 / 180.0);
     }
 
     #[test]
-    fn angle_with_zero_vector_is_zero() {
-        let a = v(&[1.0, 2.0]);
-        let z = v(&[0.0, 0.0]);
-        assert_eq!(a.angle_degrees(&z), 0.0);
+    fn zero_vector_is_at_distance_zero() {
+        assert_eq!(dist(&[1.0, 2.0], &[0.0, 0.0]), 0.0);
+        assert_eq!(
+            angular_at_most_counted(&[1.0, 2.0], &[0.0, 0.0], 0.0, norm(&[1.0, 2.0]), 0.0),
+            (true, true)
+        );
     }
 
     #[test]
     fn cached_norms_are_bit_identical() {
+        // The owned norm, the slice norm and the kernel's self-dot agree
+        // bit for bit, and the distance is `acos` in degrees over 180 —
+        // the exact float sequence every cached norm must reproduce.
         let pairs = [
             ([3.0, 4.0], [1.0, 0.0]),
             ([0.1, -0.7], [-0.3, 0.9]),
@@ -299,28 +221,38 @@ mod tests {
             ([0.0, 0.0], [1.0, 1.0]),
         ];
         for (a, b) in pairs {
-            let (a, b) = (v(&a), v(&b));
-            let direct = a.angle_degrees(&b);
-            let cached = a.angle_degrees_with_norms(&b, a.norm(), b.norm());
-            assert_eq!(direct.to_bits(), cached.to_bits());
+            let owned = DenseVector::new(a.to_vec()).norm();
+            assert_eq!(owned.to_bits(), norm(&a).to_bits());
+            assert_eq!(owned.to_bits(), dot_kernel(&a, &a).sqrt().to_bits());
+            let (na, nb) = (norm(&a), norm(&b));
+            let reference = if na * nb == 0.0 {
+                0.0
+            } else {
+                (dot_kernel(&a, &b) / (na * nb))
+                    .clamp(-1.0, 1.0)
+                    .acos()
+                    .to_degrees()
+                    / 180.0
+            };
+            assert_eq!(dist(&a, &b).to_bits(), reference.to_bits());
         }
     }
 
     #[test]
     fn angular_at_most_equals_exact_check() {
         // A deterministic sweep of directions, plus degenerate vectors.
-        let mut vs: Vec<DenseVector> = (0..12)
+        let mut vs: Vec<Vec<f64>> = (0..12)
             .map(|i| {
                 let t = i as f64 * 0.53;
-                v(&[t.cos(), t.sin(), (t * 1.7).cos() * 0.4])
+                vec![t.cos(), t.sin(), (t * 1.7).cos() * 0.4]
             })
             .collect();
-        vs.push(v(&[0.0, 0.0, 0.0]));
-        vs.push(v(&[1e-12, 0.0, 0.0]));
+        vs.push(vec![0.0, 0.0, 0.0]);
+        vs.push(vec![1e-12, 0.0, 0.0]);
         for a in &vs {
             for b in &vs {
-                let (na, nb) = (a.norm(), b.norm());
-                let exact = a.angular_distance(b);
+                let (na, nb) = (norm(a), norm(b));
+                let exact = angular_distance(a, b, na, nb);
                 // Thresholds away from, *at*, and tightly around the
                 // exact distance — the last ones land inside the guard
                 // band and must take the exact-kernel fallback.
@@ -336,7 +268,7 @@ mod tests {
                 ];
                 for t in thresholds {
                     assert_eq!(
-                        a.angular_at_most_with_norms(b, t, na, nb),
+                        angular_at_most_counted(a, b, t, na, nb).0,
                         exact <= t,
                         "a={a:?} b={b:?} t={t}"
                     );
@@ -354,7 +286,7 @@ mod tests {
             let a: Vec<f64> = (0..len).map(|i| (i as f64 * 0.7).sin() * 3.0).collect();
             let b: Vec<f64> = (0..len).map(|i| (i as f64 * 1.3).cos() - 0.4).collect();
             let reference: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            let got = v(&a).dot(&v(&b));
+            let got = dot_kernel(&a, &b);
             let tol = 1e-12 * reference.abs().max(1.0);
             assert!(
                 (got - reference).abs() <= tol,
@@ -370,13 +302,15 @@ mod tests {
         let a: Vec<f64> = (0..13).map(|i| (i as f64) - 6.0).collect();
         let b: Vec<f64> = (0..13).map(|i| ((i * 3) % 7) as f64).collect();
         let exact: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        assert_eq!(v(&a).dot(&v(&b)), exact);
+        assert_eq!(dot_kernel(&a, &b), exact);
     }
 
     #[test]
-    fn degrees_conversion_matches_paper_example() {
-        // Paper Example 5: dthr = 15/180.
-        assert!((degrees_to_distance(15.0) - 15.0 / 180.0).abs() < 1e-15);
+    fn fifteen_degrees_is_paper_example_threshold() {
+        // Paper Example 5: a 15° angle is the normalized distance 15/180.
+        let t = 15f64.to_radians();
+        let d = dist(&[1.0, 0.0], &[t.cos(), t.sin()]);
+        assert!((d - 15.0 / 180.0).abs() < 1e-12);
     }
 
     #[test]
@@ -387,9 +321,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
-    fn dot_dimension_mismatch_panics() {
-        let a = v(&[1.0]);
-        let b = v(&[1.0, 2.0]);
-        let _ = a.dot(&b);
+    fn distance_dimension_mismatch_panics() {
+        let _ = dist(&[1.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn threshold_dimension_mismatch_panics() {
+        let _ = angular_at_most_counted(&[1.0], &[1.0, 2.0], 0.5, 1.0, 1.0);
     }
 }

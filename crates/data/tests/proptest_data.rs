@@ -1,11 +1,31 @@
 //! Property-based tests for the record model: metric axioms and
 //! representation invariants that must hold for arbitrary inputs.
 
+use adalsh_data::shingle::{intersection_size_galloping, intersection_size_merge};
+use adalsh_data::vector;
 use adalsh_data::{
-    Dataset, DenseVector, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema,
-    ShingleSet,
+    Dataset, DenseVector, FieldDistance, FieldKind, FieldRef, FieldValue, MatchRule, Record,
+    Schema, ShingleSet,
 };
 use proptest::prelude::*;
+
+/// Jaccard distance through the metric's exact entry point.
+fn jaccard(a: &ShingleSet, b: &ShingleSet) -> f64 {
+    let (a, b) = (
+        FieldRef::Shingles(a.shingles()),
+        FieldRef::Shingles(b.shingles()),
+    );
+    FieldDistance::Jaccard.distance(a, b, 0.0, 0.0)
+}
+
+/// Angular distance through the metric's exact entry point.
+fn angular(a: &DenseVector, b: &DenseVector) -> f64 {
+    let (fa, fb) = (
+        FieldRef::Dense(a.components()),
+        FieldRef::Dense(b.components()),
+    );
+    FieldDistance::Angular.distance(fa, fb, a.norm(), b.norm())
+}
 
 fn shingle_strategy() -> impl Strategy<Value = ShingleSet> {
     prop::collection::vec(0u64..500, 0..60).prop_map(ShingleSet::new)
@@ -13,6 +33,45 @@ fn shingle_strategy() -> impl Strategy<Value = ShingleSet> {
 
 fn vector_strategy() -> impl Strategy<Value = DenseVector> {
     prop::collection::vec(-100.0f64..100.0, 1..32).prop_map(DenseVector::new)
+}
+
+/// Pairs of same-dimension vectors, from unrelated to nearly parallel
+/// (`b = a + scale · noise`), where `acos` is worst conditioned.
+fn dense_pair_strategy() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    const SCALES: [f64; 7] = [0.0, 1e-12, 1e-7, 1e-3, 0.1, 1.0, 10.0];
+    (
+        1usize..24,
+        prop::collection::vec(-1.0f64..1.0, 24),
+        prop::collection::vec(-1.0f64..1.0, 24),
+        0..SCALES.len(),
+    )
+        .prop_map(|(dim, a, noise, scale)| {
+            let a = a[..dim].to_vec();
+            let b = a
+                .iter()
+                .zip(&noise)
+                .map(|(x, n)| x + SCALES[scale] * n)
+                .collect();
+            (a, b)
+        })
+}
+
+/// Asserts that the threshold kernel agrees with `distance ≤ dthr` where
+/// a verdict is easiest to get wrong: at the pair's own exact distance,
+/// one ulp either side of it, and at 0 and 1.
+fn check_boundary(
+    metric: FieldDistance,
+    a: FieldRef<'_>,
+    b: FieldRef<'_>,
+    norm_a: f64,
+    norm_b: f64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let d = metric.distance(a, b, norm_a, norm_b);
+    for dthr in [d.next_down(), d, d.next_up(), 0.0, 1.0] {
+        let (verdict, _) = metric.at_most_counted(a, b, dthr, norm_a, norm_b);
+        prop_assert_eq!(verdict, d <= dthr, "{:?}: d={} dthr={}", metric, d, dthr);
+    }
+    Ok(())
 }
 
 /// Arbitrary well-formed datasets over a two-field (shingles + dense)
@@ -44,18 +103,18 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
 proptest! {
     #[test]
     fn jaccard_distance_in_unit_interval(a in shingle_strategy(), b in shingle_strategy()) {
-        let d = a.jaccard_distance(&b);
+        let d = jaccard(&a, &b);
         prop_assert!((0.0..=1.0).contains(&d));
     }
 
     #[test]
     fn jaccard_is_symmetric(a in shingle_strategy(), b in shingle_strategy()) {
-        prop_assert_eq!(a.jaccard_distance(&b), b.jaccard_distance(&a));
+        prop_assert_eq!(jaccard(&a, &b), jaccard(&b, &a));
     }
 
     #[test]
     fn jaccard_identity(a in shingle_strategy()) {
-        prop_assert_eq!(a.jaccard_distance(&a.clone()), 0.0);
+        prop_assert_eq!(jaccard(&a, &a), 0.0);
     }
 
     #[test]
@@ -65,16 +124,18 @@ proptest! {
         c in shingle_strategy(),
     ) {
         // The Jaccard distance is a proper metric.
-        let ab = a.jaccard_distance(&b);
-        let bc = b.jaccard_distance(&c);
-        let ac = a.jaccard_distance(&c);
+        let ab = jaccard(&a, &b);
+        let bc = jaccard(&b, &c);
+        let ac = jaccard(&a, &c);
         prop_assert!(ac <= ab + bc + 1e-12, "ac={ac} ab={ab} bc={bc}");
     }
 
     #[test]
     fn intersection_bounded_by_sizes(a in shingle_strategy(), b in shingle_strategy()) {
-        let i = a.intersection_size(&b);
+        let i = intersection_size_merge(a.shingles(), b.shingles());
         prop_assert!(i <= a.len() && i <= b.len());
+        prop_assert_eq!(intersection_size_galloping(a.shingles(), b.shingles()), i);
+        prop_assert_eq!(intersection_size_galloping(b.shingles(), a.shingles()), i);
     }
 
     #[test]
@@ -88,22 +149,22 @@ proptest! {
     fn angular_distance_in_unit_interval(a in vector_strategy()) {
         // Compare against a fixed same-dimension vector.
         let b = DenseVector::new(vec![1.0; a.dim()]);
-        let d = a.angular_distance(&b);
+        let d = angular(&a, &b);
         prop_assert!((0.0..=1.0).contains(&d));
     }
 
     #[test]
     fn angular_is_symmetric(a in vector_strategy()) {
         let b = DenseVector::new(vec![0.5; a.dim()]);
-        prop_assert!((a.angular_distance(&b) - b.angular_distance(&a)).abs() < 1e-12);
+        prop_assert!((angular(&a, &b) - angular(&b, &a)).abs() < 1e-12);
     }
 
     #[test]
     fn angular_scale_invariant(a in vector_strategy(), scale in 0.001f64..1000.0) {
         let b = DenseVector::new(vec![1.0; a.dim()]);
         let scaled = DenseVector::new(a.components().iter().map(|x| x * scale).collect());
-        let d1 = a.angular_distance(&b);
-        let d2 = scaled.angular_distance(&b);
+        let d1 = angular(&a, &b);
+        let d2 = angular(&scaled, &b);
         prop_assert!((d1 - d2).abs() < 1e-6, "{d1} vs {d2}");
     }
 
@@ -117,7 +178,7 @@ proptest! {
         let ra = adalsh_data::Record::single(FieldValue::Shingles(a.clone()));
         let rb = adalsh_data::Record::single(FieldValue::Shingles(b.clone()));
         let matched = rule.matches(&ra, &rb);
-        prop_assert_eq!(matched, a.jaccard_distance(&b) <= dthr);
+        prop_assert_eq!(matched, jaccard(&a, &b) <= dthr);
     }
 
     #[test]
@@ -156,5 +217,28 @@ proptest! {
         let rb = adalsh_data::Record::single(FieldValue::Shingles(b));
         prop_assert_eq!(and.matches(&ra, &rb), r1.matches(&ra, &rb) && r2.matches(&ra, &rb));
         prop_assert_eq!(or.matches(&ra, &rb), r1.matches(&ra, &rb) || r2.matches(&ra, &rb));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn jaccard_threshold_exact_at_the_boundary(
+        a in prop::collection::vec(0u64..48, 0..40).prop_map(ShingleSet::new),
+        b in prop::collection::vec(0u64..48, 0..40).prop_map(ShingleSet::new),
+    ) {
+        let (fa, fb) = (FieldRef::Shingles(a.shingles()), FieldRef::Shingles(b.shingles()));
+        check_boundary(FieldDistance::Jaccard, fa, fb, 0.0, 0.0)?;
+    }
+
+    #[test]
+    fn angular_threshold_exact_at_the_boundary((a, b) in dense_pair_strategy()) {
+        let (fa, fb) = (FieldRef::Dense(&a), FieldRef::Dense(&b));
+        let (na, nb) = (vector::norm(&a), vector::norm(&b));
+        check_boundary(FieldDistance::Angular, fa, fb, na, nb)?;
+        check_boundary(FieldDistance::Angular, fa, fa, na, na)?;
+        let zero = vec![0.0; a.len()];
+        check_boundary(FieldDistance::Angular, fa, FieldRef::Dense(&zero), na, 0.0)?;
     }
 }

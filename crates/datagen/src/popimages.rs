@@ -211,10 +211,9 @@ mod tests {
     }
 
     fn angle_deg(d: &Dataset, a: u32, b: u32) -> f64 {
-        d.record(a)
-            .field(0)
-            .as_dense()
-            .angle_degrees(d.record(b).field(0).as_dense())
+        let (fa, fb) = (d.record(a).field(0).as_ref(), d.record(b).field(0).as_ref());
+        let (na, nb) = (d.field_norm(a, 0), d.field_norm(b, 0));
+        FieldDistance::Angular.distance(fa, fb, na, nb) * 180.0
     }
 
     #[test]

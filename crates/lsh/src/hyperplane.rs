@@ -296,10 +296,10 @@ mod tests {
             .filter(|&i| f.hash(i, &a) == f.hash(i, &b))
             .count();
         let rate = collisions as f64 / 4000.0;
-        assert!(
-            (rate - 2.0 / 3.0).abs() < 0.03,
-            "rate {rate} too far from 2/3"
-        );
+        let p = HyperplaneFamily::collision_prob(60.0 / 180.0);
+        assert!((p - 2.0 / 3.0).abs() < 1e-15);
+        assert_eq!(HyperplaneFamily::collision_prob(0.0), 1.0);
+        assert!((rate - p).abs() < 0.03, "rate {rate} too far from {p}");
     }
 
     #[test]

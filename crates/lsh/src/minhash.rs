@@ -320,10 +320,10 @@ mod tests {
         let n = 6000;
         let collisions = (0..n).filter(|&i| f.hash(i, &a) == f.hash(i, &b)).count();
         let rate = collisions as f64 / n as f64;
-        assert!(
-            (rate - 1.0 / 3.0).abs() < 0.025,
-            "rate {rate} too far from 1/3"
-        );
+        let p = MinHashFamily::collision_prob(2.0 / 3.0);
+        assert!((p - 1.0 / 3.0).abs() < 1e-15);
+        assert_eq!(MinHashFamily::collision_prob(1.0), 0.0);
+        assert!((rate - p).abs() < 0.025, "rate {rate} too far from {p}");
     }
 
     #[test]

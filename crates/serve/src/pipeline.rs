@@ -17,8 +17,8 @@
 //!                                 └──────────────┘
 //! ```
 //!
-//! **Write path.** `submit` validates every record against the schema,
-//! then — under a small *intake* mutex that only writers touch —
+//! **Write path.** `submit` validates every record against the schema
+//! and the corpus's dense dimensions, then — under a small *intake* mutex that only writers touch —
 //! reserves the batch's record ids and its **epoch** (the 1-based count
 //! of accepted batches) and pushes a command into a bounded
 //! [`sync_channel`]. A full queue rejects the batch *before* anything
@@ -194,6 +194,9 @@ pub struct Pipeline {
     reader: ReadHandle<ResolvedSnapshot>,
     barrier: Arc<(Mutex<BarrierState>, Condvar)>,
     schema: Schema,
+    /// The resolver's first record: intake checks every dense dimension
+    /// against it, so the resolver never sees a ragged batch.
+    like: Record,
     config: PipelineConfig,
     metrics: PipelineMetrics,
     spans: Arc<Spans>,
@@ -222,6 +225,11 @@ impl Pipeline {
         spans: Arc<Spans>,
     ) -> Self {
         let schema = resolver.schema().clone();
+        let like = resolver
+            .records()
+            .first()
+            .expect("a resolver is never empty")
+            .clone();
         let snapshot_enabled = snapshot_path.is_some();
         let resolve_k = config.resolve_k.max(1);
 
@@ -306,6 +314,7 @@ impl Pipeline {
             reader,
             barrier,
             schema,
+            like,
             config,
             metrics,
             spans,
@@ -333,14 +342,15 @@ impl Pipeline {
     /// Validates and enqueues one ingest batch.
     ///
     /// # Errors
-    /// [`SubmitError::Invalid`] on schema violation (nothing reserved),
+    /// [`SubmitError::Invalid`] on a schema violation or a dense field
+    /// whose dimension differs from the corpus's (nothing reserved),
     /// [`SubmitError::Overloaded`] when the queue is full (nothing
     /// reserved — the retry is idempotent), [`SubmitError::ShuttingDown`]
     /// after shutdown began.
     pub fn submit(&self, records: Vec<Record>) -> Result<Accepted, SubmitError> {
         for (i, record) in records.iter().enumerate() {
             self.schema
-                .validate(record)
+                .validate_like(record, Some(&self.like))
                 .map_err(|e| SubmitError::Invalid(format!("record {i} of batch: {e}")))?;
         }
         let count = records.len() as u32;

@@ -4,7 +4,7 @@
 //! they clone the epoch-published `Arc<`[`ResolvedSnapshot`]`>` (or render
 //! the atomic-backed metrics registry) and answer from it, so a slow
 //! resolve pass cannot stall a reader. Writes (`POST /ingest`) validate
-//! against the schema and enqueue into the pipeline's bounded intake
+//! against the schema and the corpus's dense dimensions and enqueue into the pipeline's bounded intake
 //! queue — a full queue is `503` + `Retry-After`, never unbounded
 //! memory. `POST /snapshot` asks the resolver thread to persist at the
 //! next epoch boundary; only the snapshot caller waits.
@@ -252,8 +252,8 @@ impl Service {
         json_ok(&body)
     }
 
-    /// `POST /ingest`: schema-validated batch intake into the bounded
-    /// pipeline queue. The batch is atomic — one bad record rejects the
+    /// `POST /ingest`: validated batch intake (schema and dense
+    /// dimensions) into the bounded pipeline queue. The batch is atomic — one bad record rejects the
     /// whole request and nothing is reserved. An accepted batch is
     /// answered *before* it is applied; the response carries the epoch
     /// at which it becomes visible (read-your-writes via

@@ -31,7 +31,8 @@ use std::time::{Duration, Instant};
 use adalsh_core::algorithm::FilterMethod;
 use adalsh_core::{AdaLshConfig, OnlineAdaLsh, Pairs};
 use adalsh_data::{
-    Dataset, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema, ShingleSet,
+    Dataset, DenseVector, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema,
+    ShingleSet,
 };
 use adalsh_serve::{PipelineConfig, ServeSnapshot, Server, ServerConfig, Service};
 use serde::{Deserialize, Serialize, Value};
@@ -380,6 +381,61 @@ fn malformed_traffic_gets_structured_errors() {
     // The server is still healthy after all of it.
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status, 200);
+
+    server.shutdown();
+}
+
+/// A dense vector of the wrong dimension is a 400 at intake with nothing
+/// reserved. It passes the kind-only schema check, so without the
+/// dimension check it would panic the resolver thread and turn every
+/// later ingest into a 503.
+#[test]
+fn wrong_dimension_ingest_is_rejected_and_the_server_keeps_ingesting() {
+    let dense = |v: &[f64]| Record::single(FieldValue::Dense(DenseVector::new(v.to_vec())));
+    let records: Vec<Record> = (0..8)
+        .map(|i| dense(&[1.0, 0.05 * f64::from(i), 0.0, 0.3]))
+        .collect();
+    let boot = Dataset::new(
+        Schema::single("hist", FieldKind::Dense),
+        records,
+        vec![0; 8],
+    );
+    let rule = MatchRule::threshold(0, FieldDistance::Angular, 0.05);
+    let resolver = OnlineAdaLsh::new(&boot, AdaLshConfig::new(rule.clone())).unwrap();
+    let service = Arc::new(Service::with_config(
+        resolver,
+        rule,
+        None,
+        PipelineConfig::default(),
+    ));
+    let server =
+        Server::start(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let (status, body) = post(addr, "/ingest", &ingest_body(&[dense(&[1.0, 0.0, 0.0])]));
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("field 0 (hist)") && body.contains("dimension 3, earlier records have 4"),
+        "{body}"
+    );
+    let (_, health) = get(addr, "/healthz");
+    assert!(health.contains("\"records\":8"), "{health}");
+
+    let (status, body) = post(
+        addr,
+        "/ingest",
+        &ingest_body(&[dense(&[1.0, 0.0, 0.0, 0.3])]),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        u64_field(&body, "visible_epoch"),
+        1,
+        "the rejected batch reserved no epoch"
+    );
+    let (status, body) = get(addr, "/topk?k=1&wait_epoch=1");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(u64_field(&body, "epoch"), 1);
+    assert_eq!(u64_field(&body, "records"), 9);
 
     server.shutdown();
 }
