@@ -22,10 +22,11 @@ use crate::record::{FieldKind, FieldRef};
 use crate::{shingle, vector};
 
 /// Tally of threshold-kernel invocations and how many of them resolved
-/// on an early-exit path (size-ratio bound, cosine-space compare, or a
-/// degenerate input) without computing the exact distance. Purely
-/// observational: verdicts and cost accounting are identical whether or
-/// not anyone counts.
+/// on an early-exit path without computing the exact distance: the
+/// Jaccard overlap bound (the verdict fixed before the intersection
+/// count finishes, the size-ratio exit included), the cosine-space
+/// compare, or a degenerate input. Purely observational: verdicts and
+/// cost accounting are identical whether or not anyone counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExitCounts {
     /// Threshold-kernel invocations.
@@ -112,13 +113,20 @@ impl FieldDistance {
     /// this kernel whether the records live in RAM or in a mapped store
     /// file.
     ///
-    /// The cheapest safe kernel decides: a guarded cosine-space compare
-    /// for the angular metric, a size-ratio early exit for Jaccard (each
-    /// kernel documents its safety argument). The verdict is
-    /// **bit-identical** to computing the exact distance and comparing;
-    /// only the work to reach it shrinks, and the flag feeds the
-    /// [`ExitCounts`] observability tally only. Cost accounting is
-    /// unaffected: callers charge per elementary distance regardless of
+    /// The cheapest safe kernel decides, and each documents its safety
+    /// argument:
+    /// * angular: a guarded cosine-space compare;
+    /// * Jaccard: an overlap bound. The exact f64 distance is
+    ///   rounding-monotone in the intersection size, so a binary search
+    ///   finds the smallest overlap `m*` that passes, and the intersection
+    ///   count stops as soon as it reaches `m*` or can no longer reach it.
+    ///   No `m*` exists for a NaN threshold, so that verdict is `false`,
+    ///   like the exact comparison's.
+    ///
+    /// The verdict is **bit-identical** to computing the exact distance
+    /// and comparing; only the work to reach it shrinks, and the flag
+    /// feeds the [`ExitCounts`] observability tally only. Cost accounting
+    /// is unaffected: callers charge per elementary distance regardless of
     /// early exits (the paper's Definition 3 is conservative).
     ///
     /// # Panics

@@ -132,29 +132,38 @@ pub fn intersection_size_galloping(small: &[u64], large: &[u64]) -> usize {
         if lo >= large.len() {
             break;
         }
-        let pos = if large[lo] >= x {
-            lo
-        } else {
-            // Invariant: large[base] < x. Double the step until the
-            // probe overshoots, then binary-search the bracket.
-            let mut base = lo;
-            let mut step = 1;
-            while base + step < large.len() && large[base + step] < x {
-                base += step;
-                step *= 2;
-            }
-            let hi = (base + step).min(large.len());
-            // The first element >= x (if any) lies in (base, hi].
-            base + 1 + large[base + 1..hi].partition_point(|&y| y < x)
-        };
-        if pos < large.len() && large[pos] == x {
-            n += 1;
-            lo = pos + 1;
-        } else {
-            lo = pos;
-        }
+        let hit;
+        (lo, hit) = gallop(large, lo, x);
+        n += usize::from(hit);
     }
     n
+}
+
+/// One galloping probe for `x` in `large[lo..]`, where every element of
+/// `large` before `lo` is below `x`: returns where the next probe starts
+/// and whether `x` was found.
+#[inline]
+fn gallop(large: &[u64], lo: usize, x: u64) -> (usize, bool) {
+    let pos = if large[lo] >= x {
+        lo
+    } else {
+        // Invariant: large[base] < x. Double the step until the
+        // probe overshoots, then binary-search the bracket.
+        let mut base = lo;
+        let mut step = 1;
+        while base + step < large.len() && large[base + step] < x {
+            base += step;
+            step *= 2;
+        }
+        let hi = (base + step).min(large.len());
+        // The first element >= x (if any) lies in (base, hi].
+        base + 1 + large[base + 1..hi].partition_point(|&y| y < x)
+    };
+    if pos < large.len() && large[pos] == x {
+        (pos + 1, true)
+    } else {
+        (pos, false)
+    }
 }
 
 fn jaccard_similarity(a: &[u64], b: &[u64]) -> f64 {
@@ -176,29 +185,99 @@ pub(crate) fn jaccard_distance(a: &[u64], b: &[u64]) -> f64 {
 /// Threshold verdict `jaccard_distance(a, b) <= dthr` with an early-exit
 /// flag: `(verdict, resolved_early)`.
 ///
-/// Size-ratio early exit: the similarity is at most
-/// `min(|A|,|B|) / max(|A|,|B|)` (the intersection is bounded by the
-/// smaller set, the union by the larger), so when that bound already
-/// falls below the required similarity the sets cannot match and the
-/// intersection is never computed. The bound is evaluated with the same
-/// rounding-monotone operations (`/`, `1.0 −`, `>`) as the exact path,
-/// so it fires only when the exact comparison is guaranteed to fail: the
+/// Overlap bound (the positional/suffix filter of set-similarity joins):
+/// `passes(m) = 1.0 − m / (|A| + |B| − m) <= dthr` is the exact f64
+/// expression [`jaccard_distance`] evaluates at `|A ∩ B| = m`. It is
+/// monotone in `m`, because `m / (|A| + |B| − m)` grows with `m` and IEEE
+/// division and `1.0 − x` are rounding-monotone. So the exact verdict is
+/// `|A ∩ B| >= m*` for the smallest passing overlap `m*`, and the merge
+/// (or the galloping probe of a much smaller set) stops as soon as it
+/// has counted `m*` common elements or too few elements remain to reach
+/// `m*`.
+///
+/// The size-ratio exit is the same bound at the largest overlap:
+/// `!passes(min)` means even `A ⊆ B` fails, so nothing is merged. That
+/// form is also `false` for a NaN `dthr`, as the exact comparison is. The
 /// verdict is **bit-identical** to `jaccard_distance(a, b) <= dthr` for
-/// every input, including empty sets and thresholds of exactly 0 or 1.
+/// every input and every `f64` threshold. `resolved_early` is set when
+/// the verdict is reached before either input is exhausted.
 pub(crate) fn jaccard_at_most_counted(a: &[u64], b: &[u64], dthr: f64) -> (bool, bool) {
     if a.is_empty() && b.is_empty() {
         // Distance defined as 0 for two empty sets.
         return (0.0 <= dthr, true);
     }
-    let small = a.len().min(b.len());
-    let large = a.len().max(b.len());
-    // similarity <= small/large, and x -> 1.0 - x, / are monotone under
-    // IEEE round-to-nearest, so this bound exceeding dthr implies the
-    // exact distance does too.
-    if 1.0 - (small as f64 / large as f64) > dthr {
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let Some(need) = overlap_needed(small.len(), large.len(), dthr) else {
         return (false, true);
+    };
+    if large.len() >= GALLOP_RATIO * small.len() {
+        galloping_reaches(small, large, need)
+    } else {
+        merge_reaches(small, large, need)
     }
-    (jaccard_distance(a, b) <= dthr, false)
+}
+
+/// The smallest overlap `m ∈ 0..=small` with `passes(m)` for sets of
+/// sizes `small <= large`, by binary search over the monotone predicate;
+/// `None` when even `m = small` fails (always, for a NaN `dthr`).
+fn overlap_needed(small: usize, large: usize, dthr: f64) -> Option<usize> {
+    let total = small + large;
+    let passes = |m: usize| 1.0 - (m as f64 / (total - m) as f64) <= dthr;
+    if !passes(small) {
+        return None;
+    }
+    let (mut lo, mut hi) = (0, small);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if passes(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Some(lo)
+}
+
+/// Whether two sorted, deduplicated slices share at least `need`
+/// elements (`need <= min(|a|, |b|)`), with the flag of
+/// [`jaccard_at_most_counted`]. The branch-free merge of
+/// [`intersection_size_merge`], stopped early: an element passed over
+/// without a match leaves one fewer on its side, so the overlap can still
+/// reach `need` only while each side has skipped at most `len − need`
+/// (`i − n` and `j − n` are the skips so far), i.e. while
+/// `n + min(remaining) >= need`.
+fn merge_reaches(a: &[u64], b: &[u64], need: usize) -> (bool, bool) {
+    let (slack_a, slack_b) = (a.len() - need, b.len() - need);
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    // The range checks are implied by the skip bounds while `n < need`,
+    // but spelling them out lets the compiler drop the indexing checks.
+    while i < a.len() && j < b.len() && n < need && i - n <= slack_a && j - n <= slack_b {
+        let (x, y) = (a[i], b[j]);
+        n += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    (n >= need, i < a.len() && j < b.len())
+}
+
+/// [`merge_reaches`] for a `small` set at least [`GALLOP_RATIO`] times
+/// smaller than `large`: each element of `small` is galloped for, and the
+/// search stops once `need` are found or the elements of `small` still
+/// unprobed cannot make up the difference.
+fn galloping_reaches(small: &[u64], large: &[u64], need: usize) -> (bool, bool) {
+    let (mut lo, mut n) = (0, 0);
+    for (k, &x) in small.iter().enumerate() {
+        if n >= need || n + (small.len() - k) < need {
+            return (n >= need, true);
+        }
+        if lo >= large.len() {
+            break;
+        }
+        let hit;
+        (lo, hit) = gallop(large, lo, x);
+        n += usize::from(hit);
+    }
+    (n >= need, false)
 }
 
 /// Hashes a token to a `u64` with the FNV-1a function.
@@ -407,6 +486,76 @@ mod tests {
         assert!(at_most(&e, &e, 0.0));
         assert!(!at_most(&e, &a, 0.99));
         assert!(at_most(&e, &a, 1.0));
+    }
+
+    #[test]
+    fn overlap_needed_matches_brute_force_scan() {
+        // Every size pair up to 64 over a grid of thresholds (off-grid,
+        // representable ratios, both zeros, out of range, NaN): the binary
+        // search must return the first passing overlap of a linear scan,
+        // which it can only do if the predicate is monotone.
+        let mut thresholds = vec![-1.0, -0.0, 0.0, 1.0, 2.0, f64::NAN, f64::INFINITY];
+        thresholds.extend((1..40).map(|i| f64::from(i) / 40.0));
+        thresholds.extend([
+            0.6,
+            0.4,
+            1.0 / 3.0,
+            2.0 / 3.0,
+            0.1f64.next_up(),
+            0.5f64.next_down(),
+        ]);
+        for small in 0..=64usize {
+            for large in small..=64 {
+                for &dthr in &thresholds {
+                    let scan = (0..=small)
+                        .find(|&m| 1.0 - (m as f64 / (small + large - m) as f64) <= dthr);
+                    assert_eq!(
+                        overlap_needed(small, large, dthr),
+                        scan,
+                        "|A|={small} |B|={large} dthr={dthr}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overlap_bound_exits_mid_merge_both_ways() {
+        // 400 shared of 500 each: distance 1 − 400/600 = 1/3. A loose
+        // threshold is met long before the merge ends, and a tight one is
+        // out of reach long before it ends; both verdicts equal the exact
+        // comparison.
+        let a: Vec<u64> = (0..500).collect();
+        let b: Vec<u64> = (100..600).collect();
+        let d = jaccard_distance(&a, &b);
+        for (dthr, verdict) in [(0.9, true), (0.1, false), (d, true), (d.next_down(), false)] {
+            assert_eq!(d <= dthr, verdict);
+            let (got, early) = jaccard_at_most_counted(&a, &b, dthr);
+            assert_eq!(got, verdict, "dthr {dthr}");
+            if dthr == 0.9 || dthr == 0.1 {
+                assert!(early, "dthr {dthr} should stop mid-merge");
+            }
+        }
+        // Galloping path, 80 elements against 800 (even numbers below
+        // 1600). A 0.95 threshold needs 42 common elements: found among the
+        // first 42 when every element is present, out of reach after 39
+        // misses when the first 40 are odd.
+        let large: Vec<u64> = (0..800).map(|i| i * 2).collect();
+        let present: Vec<u64> = (0..80).map(|i| i * 20).collect();
+        let half_odd: Vec<u64> = (0..80).map(|i| i * 20 + u64::from(i < 40)).collect();
+        assert_eq!(overlap_needed(80, 800, 0.95), Some(42));
+        assert_eq!(
+            jaccard_at_most_counted(&present, &large, 0.95),
+            (true, true)
+        );
+        assert_eq!(
+            jaccard_at_most_counted(&half_odd, &large, 0.95),
+            (false, true)
+        );
+        // At the exact distance every element must be found.
+        let d = jaccard_distance(&present, &large);
+        assert_eq!(jaccard_at_most_counted(&present, &large, d), (true, false));
+        assert!(!jaccard_at_most_counted(&present, &large, d.next_down()).0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the record model: metric axioms and
 //! representation invariants that must hold for arbitrary inputs.
 
-use adalsh_data::shingle::{intersection_size_galloping, intersection_size_merge};
+use adalsh_data::shingle::{intersection_size_galloping, intersection_size_merge, GALLOP_RATIO};
 use adalsh_data::vector;
 use adalsh_data::{
     Dataset, DenseVector, FieldDistance, FieldKind, FieldRef, FieldValue, MatchRule, Record,
@@ -56,9 +56,60 @@ fn dense_pair_strategy() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
         })
 }
 
+/// Pairs of sets whose sizes differ by at least [`GALLOP_RATIO`], so the
+/// threshold kernel takes its galloping path: a small set of up to 12
+/// shingles against a large one of at least `12 · GALLOP_RATIO` (distinct
+/// by construction: prefix sums of positive gaps), the small one drawn
+/// partly from the large one so overlaps occur.
+fn skewed_pair_strategy() -> impl Strategy<Value = (ShingleSet, ShingleSet)> {
+    (
+        1usize..=12,
+        prop::collection::vec(1u64..64, 12 * GALLOP_RATIO..16 * GALLOP_RATIO),
+        prop::collection::vec((any::<bool>(), 0usize..4096, 0u64..8192), 12),
+    )
+        .prop_map(|(n, gaps, picks)| {
+            let large: Vec<u64> = gaps
+                .iter()
+                .scan(0, |at, gap| {
+                    *at += gap;
+                    Some(*at)
+                })
+                .collect();
+            let small = picks[..n]
+                .iter()
+                .map(|&(shared, at, fresh)| {
+                    if shared {
+                        large[at % large.len()]
+                    } else {
+                        fresh
+                    }
+                })
+                .collect();
+            (ShingleSet::new(small), ShingleSet::new(large))
+        })
+}
+
+/// Pairs of large sets (hundreds of shingles) sharing most of their
+/// elements: a common core plus a private part each, so a threshold near
+/// their distance is met, or missed, with much of the merge still to go.
+fn overlapping_pair_strategy() -> impl Strategy<Value = (ShingleSet, ShingleSet)> {
+    (
+        prop::collection::vec(0u64..1 << 20, 200..600),
+        prop::collection::vec(0u64..1 << 20, 0..120),
+        prop::collection::vec(0u64..1 << 20, 0..120),
+    )
+        .prop_map(|(core, a_own, b_own)| {
+            let a = ShingleSet::new(core.iter().chain(&a_own).copied().collect());
+            let b = ShingleSet::new(core.iter().chain(&b_own).copied().collect());
+            (a, b)
+        })
+}
+
 /// Asserts that the threshold kernel agrees with `distance ≤ dthr` where
 /// a verdict is easiest to get wrong: at the pair's own exact distance,
-/// one ulp either side of it, and at 0 and 1.
+/// one ulp either side of it, at 0 and 1, and at thresholds a rule never
+/// holds (NaN, −0.0, −1.0, 2.0), for which the kernels promise the same
+/// bit-identity.
 fn check_boundary(
     metric: FieldDistance,
     a: FieldRef<'_>,
@@ -67,7 +118,8 @@ fn check_boundary(
     norm_b: f64,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let d = metric.distance(a, b, norm_a, norm_b);
-    for dthr in [d.next_down(), d, d.next_up(), 0.0, 1.0] {
+    let thresholds = [d.next_down(), d, d.next_up(), 0.0, 1.0];
+    for dthr in thresholds.into_iter().chain([f64::NAN, -0.0, -1.0, 2.0]) {
         let (verdict, _) = metric.at_most_counted(a, b, dthr, norm_a, norm_b);
         prop_assert_eq!(verdict, d <= dthr, "{:?}: d={} dthr={}", metric, d, dthr);
     }
@@ -230,6 +282,27 @@ proptest! {
     ) {
         let (fa, fb) = (FieldRef::Shingles(a.shingles()), FieldRef::Shingles(b.shingles()));
         check_boundary(FieldDistance::Jaccard, fa, fb, 0.0, 0.0)?;
+    }
+
+    #[test]
+    fn jaccard_threshold_exact_on_skewed_sizes((small, large) in skewed_pair_strategy()) {
+        prop_assert!(large.len() >= GALLOP_RATIO * small.len());
+        let (fs, fl) = (FieldRef::Shingles(small.shingles()), FieldRef::Shingles(large.shingles()));
+        check_boundary(FieldDistance::Jaccard, fs, fl, 0.0, 0.0)?;
+        check_boundary(FieldDistance::Jaccard, fl, fs, 0.0, 0.0)?;
+    }
+
+    #[test]
+    fn jaccard_threshold_exact_on_large_overlaps((a, b) in overlapping_pair_strategy()) {
+        let (fa, fb) = (FieldRef::Shingles(a.shingles()), FieldRef::Shingles(b.shingles()));
+        check_boundary(FieldDistance::Jaccard, fa, fb, 0.0, 0.0)?;
+        // Thresholds either side of the pair's distance, far enough that
+        // the merge decides them before it ends.
+        let d = FieldDistance::Jaccard.distance(fa, fb, 0.0, 0.0);
+        for dthr in [d * 0.5, d * 0.9, (d + 1.0) / 2.0] {
+            let (verdict, _) = FieldDistance::Jaccard.at_most_counted(fa, fb, dthr, 0.0, 0.0);
+            prop_assert_eq!(verdict, d <= dthr, "d={} dthr={}", d, dthr);
+        }
     }
 
     #[test]
