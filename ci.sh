@@ -152,6 +152,10 @@ serve_smoke() {
         { echo "/metrics missing batch-size histogram" >&2; return 1; }
     grep -q 'adalsh_publish_seconds_bucket' "$scrape" ||
         { echo "/metrics missing publish-latency histogram" >&2; return 1; }
+    # The ingest pass resolved clusters the boot pass already sent through
+    # P, so the P memo's reuse counter is listed and has counted them.
+    grep -q 'adalsh_pairwise_reused_total [1-9]' "$scrape" ||
+        { echo "/metrics missing a nonzero P memo reuse counter" >&2; return 1; }
     rm -f "$scrape"
 
     # Clean shutdown.

@@ -26,6 +26,7 @@ use rand::{Rng, SeedableRng};
 use crate::bins::BinIndex;
 use crate::cost::CostModel;
 use crate::hashing::{RecordHashState, SequenceHasher};
+use crate::memo::PartitionMemo;
 use crate::oracle::{
     ExactOracle, NoisyOracle, OracleMode, OracleSpend, SpendLedger, VerdictOverlay,
 };
@@ -348,7 +349,7 @@ impl AdaLsh {
         on_final: impl FnMut(usize, &[u32]),
     ) -> FilterOutput {
         let mut states: Vec<RecordHashState> = vec![RecordHashState::default(); store.len()];
-        self.run_with_states(store, k, &mut states, on_final)
+        self.run_with_states(store, k, &mut states, None, on_final)
     }
 
     /// Like [`AdaLsh::run_incremental`], but with caller-owned per-record
@@ -358,6 +359,15 @@ impl AdaLsh {
     /// must keep `states[i]` paired with record `i` and never reuse
     /// states across engines.
     ///
+    /// A `memo` does the same for `P` under the exact oracle (a noisy
+    /// oracle's calls bypass it): every `P` input goes through it sorted,
+    /// its components come back in canonical order, and the run closes
+    /// one memo pass. The Line-5 gate still prices every `P` call at full
+    /// Definition-3 cost, so clusters and every `Stats` counter but
+    /// `pair_comparisons`, `distance_evals` and `pairwise_reused` are
+    /// those of a run with an empty memo. Like the states, a memo belongs
+    /// to one growing store and one engine.
+    ///
     /// # Panics
     /// Panics if `k == 0` or `states.len() != dataset.len()`.
     pub fn run_with_states(
@@ -365,6 +375,7 @@ impl AdaLsh {
         store: &dyn RecordStore,
         k: usize,
         states: &mut [RecordHashState],
+        mut memo: Option<&mut PartitionMemo>,
         mut on_final: impl FnMut(usize, &[u32]),
     ) -> FilterOutput {
         assert!(k >= 1, "k must be at least 1");
@@ -505,32 +516,49 @@ impl AdaLsh {
                 stats.modeled_cost += predicted;
                 let before = stats;
                 let round_start = sink.enabled().then(Instant::now);
-                let (subs, ptrace) = match (&self.config.oracle, &mut oracle_ledger) {
+                let threads = self.config.threads;
+                let (subs, ptrace, reused) = match (&self.config.oracle, &mut oracle_ledger) {
                     (OracleMode::Noisy(ocfg), Some(ledger)) => {
                         let oracle = NoisyOracle::new(&self.config.rule, ocfg.clone())
                             .with_overlay(self.config.oracle_overlay.clone());
-                        apply_pairwise_with(
+                        let (subs, ptrace) = apply_pairwise_with(
                             store,
                             &oracle,
                             &entry.records,
-                            self.config.threads,
+                            &[],
+                            threads,
                             DEFAULT_PAIR_BLOCK,
                             Some(ledger),
                             &sink,
                             &mut stats,
-                        )
+                        );
+                        (subs, ptrace, 0)
                     }
-                    _ => apply_pairwise_with(
-                        store,
-                        &ExactOracle::new(&self.config.rule),
-                        &entry.records,
-                        self.config.threads,
-                        DEFAULT_PAIR_BLOCK,
-                        None,
-                        &sink,
-                        &mut stats,
-                    ),
+                    _ => {
+                        let oracle = ExactOracle::new(&self.config.rule);
+                        let mut run = |cluster: &[u32], seed: &[u32]| {
+                            apply_pairwise_with(
+                                store,
+                                &oracle,
+                                cluster,
+                                seed,
+                                threads,
+                                DEFAULT_PAIR_BLOCK,
+                                None,
+                                &sink,
+                                &mut stats,
+                            )
+                        };
+                        match memo.as_deref_mut() {
+                            Some(memo) => memo.partition(&entry.records, run),
+                            None => {
+                                let (subs, ptrace) = run(&entry.records, &[]);
+                                (subs, ptrace, 0)
+                            }
+                        }
+                    }
                 };
+                stats.pairwise_reused += u64::from(reused > 0);
                 if let Some(t0) = round_start {
                     sink.emit(
                         "pairwise",
@@ -547,6 +575,7 @@ impl AdaLsh {
                             ("kernel_checks", Value::U64(ptrace.kernel_checks)),
                             ("early_exits", Value::U64(ptrace.early_exits)),
                             ("blocks", Value::U64(ptrace.blocks)),
+                            ("reused", Value::U64(reused as u64)),
                             ("subclusters", Value::U64(subs.len() as u64)),
                             ("wall_micros", Value::U64(t0.elapsed().as_micros() as u64)),
                             ("predicted_cost", Value::F64(predicted)),
@@ -600,6 +629,9 @@ impl AdaLsh {
         // truncation so the trace reconciles.
         let finals_resolved = finals.len();
         finals.truncate(k);
+        if let Some(memo) = memo {
+            memo.end_pass(n);
+        }
         let wall = start.elapsed();
         if sink.enabled() {
             let mut fields = vec![
@@ -611,6 +643,7 @@ impl AdaLsh {
                 ("bucket_inserts", Value::U64(stats.bucket_inserts)),
                 ("transitive_calls", Value::U64(stats.transitive_calls)),
                 ("pairwise_calls", Value::U64(stats.pairwise_calls)),
+                ("pairwise_reused", Value::U64(stats.pairwise_reused)),
                 ("modeled_cost", Value::F64(stats.modeled_cost)),
                 ("wall_micros", Value::U64(wall.as_micros() as u64)),
             ];

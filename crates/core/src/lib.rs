@@ -18,6 +18,7 @@
 //! * [`hashing`] — incremental per-record hashing state (§2.2 P4, App. B.2)
 //! * [`transitive`] — transitive hashing functions (Def. 1)
 //! * [`pairwise`] — pairwise computation function `P` (Def. 2, App. B.3)
+//! * [`memo`] — the online resolver's exact partition memo for `P`
 //! * [`cost`] — cost model (Def. 3, App. E.2)
 //! * [`sequence`] — budget strategies and sequence design (§5)
 //! * [`algorithm`] — Algorithm 1, incremental mode, selection ablations (§4)
@@ -32,6 +33,7 @@ pub mod baselines;
 pub mod bins;
 pub mod cost;
 pub mod hashing;
+pub mod memo;
 pub mod metrics;
 pub mod online;
 pub mod oracle;

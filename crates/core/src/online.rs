@@ -15,6 +15,14 @@
 //! so every answer equals what the batch algorithm would return on the
 //! same snapshot).
 //!
+//! `P` is not re-done either. Under the exact oracle the resolver keeps a
+//! [`PartitionMemo`] of the partitions its last query computed: a
+//! cluster whose members all went through `P` then reuses that
+//! partition, and a cluster that grew by new arrivals evaluates only the
+//! pairs that touch them. The memo changes how many pairs are evaluated,
+//! never a gate decision or an answer. It is not part of the snapshot, so
+//! a resumed resolver starts it empty; a noisy oracle bypasses it.
+//!
 //! The resolver maintains its snapshot [`Dataset`] **incrementally**:
 //! each [`OnlineAdaLsh::push`] appends one record (and its cached field
 //! norm) in place, and [`OnlineAdaLsh::query`] borrows that dataset —
@@ -34,6 +42,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::algorithm::{AdaLsh, AdaLshConfig, FilterOutput};
 use crate::hashing::RecordHashState;
+use crate::memo::PartitionMemo;
 use crate::oracle::VerdictOverlay;
 
 /// Ground-truth label attached to records ingested online (their entity
@@ -49,6 +58,8 @@ pub struct OnlineAdaLsh {
     /// Current snapshot, grown in place on every push.
     dataset: Dataset,
     states: Vec<RecordHashState>,
+    /// Exact partitions of the clusters the last query sent through `P`.
+    memo: PartitionMemo,
     /// The last [`OnlineAdaLsh::query_cached`] answer, keyed by the
     /// record count and `k` it was computed at. Records are append-only,
     /// so an unchanged count means an unchanged corpus.
@@ -105,6 +116,7 @@ impl OnlineAdaLsh {
             bootstrap_len: bootstrap.len(),
             dataset: bootstrap.clone(),
             states: vec![RecordHashState::default(); bootstrap.len()],
+            memo: PartitionMemo::new(),
             resolve_cache: None,
         })
     }
@@ -174,10 +186,10 @@ impl OnlineAdaLsh {
     }
 
     /// Answers a top-`k` query over everything ingested so far. Hashing
-    /// work persists across queries; the answer is identical to running
-    /// the batch algorithm on the current snapshot. The snapshot dataset
-    /// is borrowed, not rebuilt — a steady-state query does no per-record
-    /// copying.
+    /// work and, under the exact oracle, `P`'s partitions persist across
+    /// queries; the answer is identical to running the batch algorithm on
+    /// the current snapshot. The snapshot dataset is borrowed, not rebuilt
+    /// — a steady-state query does no per-record copying.
     pub fn query(&mut self, k: usize) -> FilterOutput {
         let sink = self.engine.trace().clone();
         // Per-record levels before the run: fresh records (level 0) have
@@ -186,9 +198,13 @@ impl OnlineAdaLsh {
         let pre_levels: Option<Vec<u16>> = sink
             .enabled()
             .then(|| self.states.iter().map(|s| s.level).collect());
-        let out = self
-            .engine
-            .run_with_states(&self.dataset, k, &mut self.states, |_, _| {});
+        let out = self.engine.run_with_states(
+            &self.dataset,
+            k,
+            &mut self.states,
+            Some(&mut self.memo),
+            |_, _| {},
+        );
         if let Some(before) = pre_levels {
             let fresh = before.iter().filter(|&&level| level == 0).count() as u64;
             let advanced = self
@@ -347,6 +363,7 @@ impl OnlineAdaLsh {
             bootstrap_len,
             dataset: Dataset::new(schema, records, labels),
             states,
+            memo: PartitionMemo::new(),
             resolve_cache: None,
         })
     }
@@ -410,6 +427,31 @@ mod tests {
             "second identical query must reuse every hash value (got {})",
             second.stats.hash_evals
         );
+        // And every partition `P` computed: no pair is evaluated again.
+        assert!(first.stats.pair_comparisons > 0, "precondition: P ran");
+        assert_eq!(second.stats.pair_comparisons, 0);
+        assert_eq!(second.stats.pairwise_calls, first.stats.pairwise_calls);
+        assert_eq!(second.stats.pairwise_reused, second.stats.pairwise_calls);
+    }
+
+    /// Under a noisy oracle a verdict depends on the ledger, the noise
+    /// seed and the overlay, so the memo is bypassed: a repeated query on
+    /// an unchanged corpus adjudicates its pairs again.
+    #[test]
+    fn noisy_oracle_bypasses_the_partition_memo() {
+        use crate::oracle::{NoisyOracleConfig, OracleMode};
+        let mut config = AdaLshConfig::new(rule());
+        config.oracle = OracleMode::Noisy(NoisyOracleConfig::default());
+        let mut online = OnlineAdaLsh::new(&bootstrap(), config).unwrap();
+        let first = online.query(2);
+        let second = online.query(2);
+        assert_eq!(second.clusters, first.clusters);
+        assert!(first.stats.pair_comparisons > 0, "precondition: P ran");
+        assert_eq!(second.stats.pair_comparisons, first.stats.pair_comparisons);
+        assert_eq!(second.stats.pairwise_reused, 0);
+        let spend = second.oracle.as_ref().expect("noisy run reports spend");
+        assert_eq!(spend.calls, second.stats.pair_comparisons);
+        assert!(spend.calls > 0);
     }
 
     /// With the jump gate disabled every cluster walks the full

@@ -27,6 +27,20 @@
 //! was evaluated *speculatively* and is neither charged nor settled. With
 //! one worker and tracing off the block size is 1: nothing is speculative,
 //! and the loop is the scalar loop through the cached, uncounted kernels.
+//!
+//! # Seeded runs
+//!
+//! A `seed` gives the components of the cluster's first `seed.len()`
+//! slots (a prefix `S` whose partition is already known), one component
+//! label per slot. The forest starts with each of those components
+//! joined, and the cursor skips every pair inside `S`: for `i < |S|` it
+//! starts at `j = |S|`, otherwise at `i + 1`. The components are those of
+//! the match graph on `S ∪ N` because a pair inside `S` can only merge
+//! two slots `S`'s own partition already joined. A new slot is not
+//! stopped at its first matching component: it may bridge two components
+//! of `S` that do not match each other, so it is tested against every
+//! slot its tree does not yet hold. An empty seed is the unseeded loop,
+//! pair for pair.
 
 use std::time::Instant;
 
@@ -75,6 +89,7 @@ pub fn apply_pairwise(
         store,
         &ExactOracle::new(rule),
         cluster,
+        &[],
         threads,
         DEFAULT_PAIR_BLOCK,
         None,
@@ -84,15 +99,22 @@ pub fn apply_pairwise(
     .0
 }
 
-/// Applies `P` to `cluster` (record ids) with verdicts from `oracle`;
-/// `threads` and `block` (≥ 1) change wall-clock only. A `ledger` settles
-/// every charged pair (budget, degradation, `oracle_call` when traced); an
-/// enabled `sink` gets one `pairwise_block` event per block.
+/// Applies `P` to `cluster` (record ids) with verdicts from `oracle`,
+/// starting from `seed`'s components of the cluster's first `seed.len()`
+/// slots (see the module docs; `&[]` for none). `threads` and `block`
+/// (≥ 1) change wall-clock only. A `ledger` settles every charged pair
+/// (budget, degradation, `oracle_call` when traced); an enabled `sink`
+/// gets one `pairwise_block` event per block.
+///
+/// # Panics
+/// Panics if `seed` is longer than `cluster` or a seed label is not
+/// below `seed.len()`.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_pairwise_with<O: PairwiseOracle>(
     store: &dyn RecordStore,
     oracle: &O,
     cluster: &[u32],
+    seed: &[u32],
     threads: usize,
     block: usize,
     ledger: Option<&mut SpendLedger>,
@@ -100,9 +122,11 @@ pub fn apply_pairwise_with<O: PairwiseOracle>(
     stats: &mut Stats,
 ) -> (Vec<Vec<u32>>, PairwiseTrace) {
     if threads <= 1 && !sink.enabled() {
-        wavefront::<O, true>(store, oracle, cluster, 1, 1, ledger, sink, stats)
+        wavefront::<O, true>(store, oracle, cluster, seed, 1, 1, ledger, sink, stats)
     } else {
-        wavefront::<O, false>(store, oracle, cluster, threads, block, ledger, sink, stats)
+        wavefront::<O, false>(
+            store, oracle, cluster, seed, threads, block, ledger, sink, stats,
+        )
     }
 }
 
@@ -113,6 +137,7 @@ fn wavefront<O: PairwiseOracle, const FUSED: bool>(
     store: &dyn RecordStore,
     oracle: &O,
     cluster: &[u32],
+    seed: &[u32],
     threads: usize,
     block: usize,
     mut ledger: Option<&mut SpendLedger>,
@@ -121,21 +146,26 @@ fn wavefront<O: PairwiseOracle, const FUSED: bool>(
 ) -> (Vec<Vec<u32>>, PairwiseTrace) {
     stats.pairwise_calls += 1;
     let n = cluster.len() as u32;
-    let mut forest = singletons(cluster.len());
+    let s = seed.len() as u32;
+    assert!(s <= n, "seed covers {s} slots of a {n}-record cluster");
+    let mut forest = seeded_forest(cluster.len(), seed);
     let per_pair_distances = oracle.num_elementary_distances() as u64;
     let traced = !FUSED && sink.enabled();
-    let pairs = (n as usize * n.saturating_sub(1) as usize / 2).max(1);
+    let fresh = (n - s) as usize;
+    let pairs = (s as usize * fresh + fresh * fresh.saturating_sub(1) / 2).max(1);
     let block = block.clamp(1, if FUSED { 1 } else { pairs });
     let mut trace = PairwiseTrace::default();
     // A block fills a prefix of both buffers.
     let mut open = vec![(0u32, 0u32); block];
     let mut verdicts = vec![O::Verdict::default(); block];
-    // Cursor over the canonical pair sequence.
-    let (mut i, mut j) = (0u32, 1u32);
+    // Cursor over the canonical pair sequence, minus the pairs inside the
+    // seeded prefix: row `i` starts at the first slot past both `i` and it.
+    let row_start = |i: u32| (i + 1).max(s);
+    let (mut i, mut j) = (0u32, row_start(0));
     loop {
         let block_start = traced.then(Instant::now);
         let mut len = 0;
-        while len < block && i + 1 < n {
+        while len < block && j < n {
             if root(&mut forest, i) != root(&mut forest, j) {
                 open[len] = (i, j);
                 len += 1;
@@ -143,7 +173,7 @@ fn wavefront<O: PairwiseOracle, const FUSED: bool>(
             j += 1;
             if j == n {
                 i += 1;
-                j = i + 1;
+                j = row_start(i);
             }
         }
         if len == 0 {
@@ -276,9 +306,24 @@ pub fn apply_pairwise_scalar(
 
 /// A forest holding every slot `0..n` as its own singleton tree.
 fn singletons(n: usize) -> Forest {
+    seeded_forest(n, &[])
+}
+
+/// A forest over slots `0..n` whose first `seed.len()` slots are joined
+/// into one tree per seed label; every other slot is a singleton.
+fn seeded_forest(n: usize, seed: &[u32]) -> Forest {
     let mut forest = Forest::new(n);
+    let mut roots = vec![u32::MAX; seed.len()];
     for slot in 0..n as u32 {
-        forest.add_singleton(slot);
+        match seed.get(slot as usize) {
+            Some(&label) if roots[label as usize] != u32::MAX => {
+                forest.attach_leaf(roots[label as usize], slot);
+            }
+            Some(&label) => roots[label as usize] = forest.add_singleton(slot),
+            None => {
+                forest.add_singleton(slot);
+            }
+        }
     }
     forest
 }
@@ -387,6 +432,7 @@ mod tests {
                 &d,
                 &ExactOracle::new(&rule),
                 &[0, 1, 2, 3],
+                &[],
                 2,
                 block,
                 None,
@@ -397,6 +443,57 @@ mod tests {
             assert_eq!(st.pair_comparisons, 3, "block {block}");
             assert_eq!(st.distance_evals, 3, "block {block}");
         }
+    }
+
+    /// A new record that matches members of two old components which do
+    /// not match each other joins all three: the seeded run must not stop
+    /// the new record at its first matching component.
+    #[test]
+    fn new_record_bridges_two_old_components() {
+        // d(0,2) = d(1,2) = 0.5; d(0,1) = 1.0; record 3 is far from all.
+        let d = dataset(&[
+            &[1, 2, 3, 4],
+            &[5, 6, 7, 8],
+            &[1, 2, 3, 4, 5, 6, 7, 8],
+            &[99],
+        ]);
+        let rule = jaccard_rule(0.5);
+        for (threads, block) in [(1usize, 1usize), (2, 1), (2, 4096)] {
+            let (sink, _) = memory_sink(threads == 2);
+            let mut st = Stats::default();
+            let (out, _) = apply_pairwise_with(
+                &d,
+                &ExactOracle::new(&rule),
+                &[0, 1, 2, 3],
+                &[0, 1],
+                threads,
+                block,
+                None,
+                &sink,
+                &mut st,
+            );
+            assert_eq!(sorted(out), vec![vec![0, 1, 2], vec![3]]);
+            // (0,2) merges, (0,3) fails, (1,2) is still open and merges;
+            // (1,3) and (2,3) fail. The old pair (0,1) is never evaluated,
+            // which is the one pair an unseeded run adds.
+            assert_eq!((st.pairwise_calls, st.pair_comparisons), (1, 5));
+        }
+        // Seeding every slot evaluates nothing and returns the seed.
+        let mut st = Stats::default();
+        let (out, trace) = apply_pairwise_with(
+            &d,
+            &ExactOracle::new(&rule),
+            &[0, 1, 2],
+            &[0, 1, 0],
+            2,
+            DEFAULT_PAIR_BLOCK,
+            None,
+            &memory_sink(true).0,
+            &mut st,
+        );
+        assert_eq!(sorted(out), vec![vec![0, 2], vec![1]]);
+        assert_eq!((st.pairwise_calls, st.pair_comparisons), (1, 0));
+        assert_eq!(trace.blocks, 0);
     }
 
     #[test]
@@ -478,6 +575,7 @@ mod tests {
                                 &d,
                                 &oracle,
                                 &ids,
+                                &[],
                                 threads,
                                 block,
                                 settle.then_some(&mut ledger),
@@ -571,6 +669,7 @@ mod tests {
                     &d,
                     &exact,
                     &ids,
+                    &[],
                     threads,
                     block,
                     None,
@@ -584,6 +683,7 @@ mod tests {
                     &d,
                     &noisy,
                     &ids,
+                    &[],
                     threads,
                     block,
                     Some(&mut ledger),
@@ -630,6 +730,7 @@ mod tests {
                     &d,
                     &oracle,
                     &ids,
+                    &[],
                     threads,
                     block,
                     Some(&mut ledger),
@@ -674,6 +775,7 @@ mod tests {
             &d,
             &oracle,
             &ids,
+            &[],
             1,
             DEFAULT_PAIR_BLOCK,
             Some(&mut ledger),

@@ -399,6 +399,7 @@ mod tests {
                 &d,
                 &oracle,
                 &ids,
+                &[],
                 threads,
                 64,
                 Some(&mut ledger),

@@ -25,6 +25,9 @@ pub struct Stats {
     pub transitive_calls: u64,
     /// Invocations of the pairwise computation function.
     pub pairwise_calls: u64,
+    /// Of those, the calls that started from a partition an online
+    /// resolver's memo kept from an earlier pass (whole or in part).
+    pub pairwise_reused: u64,
     /// Rounds of the main loop (cluster selections).
     pub rounds: u64,
     /// Modeled cost in the units of the paper's Definition 3, accumulated
@@ -41,6 +44,7 @@ impl Stats {
         self.bucket_inserts += other.bucket_inserts;
         self.transitive_calls += other.transitive_calls;
         self.pairwise_calls += other.pairwise_calls;
+        self.pairwise_reused += other.pairwise_reused;
         self.rounds += other.rounds;
         self.modeled_cost += other.modeled_cost;
     }
@@ -59,6 +63,7 @@ mod tests {
             bucket_inserts: 4,
             transitive_calls: 5,
             pairwise_calls: 6,
+            pairwise_reused: 2,
             rounds: 7,
             modeled_cost: 1.5,
         };
@@ -66,6 +71,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.hash_evals, 2);
         assert_eq!(a.distance_evals, 4);
+        assert_eq!(a.pairwise_reused, 4);
         assert_eq!(a.rounds, 14);
         assert!((a.modeled_cost - 3.0).abs() < 1e-12);
     }

@@ -1,9 +1,12 @@
 //! Property-based tests for the online mode: any interleaving of pushes
-//! and queries must agree with batch resolution on the same snapshot.
+//! and queries must agree with batch resolution on the same snapshot, and
+//! the resolver's `P` memo must change nothing but how many pairs a query
+//! evaluates.
 
-use adalsh_core::algorithm::{AdaLshConfig, FilterMethod};
+use adalsh_core::algorithm::{AdaLshConfig, FilterMethod, SelectionStrategy};
 use adalsh_core::baselines::Pairs;
 use adalsh_core::online::OnlineAdaLsh;
+use adalsh_core::FilterOutput;
 use adalsh_data::{
     Dataset, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema, ShingleSet,
 };
@@ -15,8 +18,27 @@ fn record(entity: u64, noise: u64) -> Record {
     Record::single(FieldValue::Shingles(ShingleSet::new(s)))
 }
 
+/// Entity cores overlap their neighbours' in 9 of 15 shingles, so
+/// neighbouring entities often hash together but never match (distance
+/// 1 − 9/23 against the 0.4 threshold): `P` splits the clusters it gets.
+fn overlapping(entity: u64, noise: u64) -> Record {
+    let mut s: Vec<u64> = (0..15).map(|i| entity * 6 + i).collect();
+    s.push(1000 + entity * 10 + noise % 4);
+    Record::single(FieldValue::Shingles(ShingleSet::new(s)))
+}
+
 fn rule() -> MatchRule {
     MatchRule::threshold(0, FieldDistance::Jaccard, 0.4)
+}
+
+fn config(threads: usize, deep: bool, selection: SelectionStrategy) -> AdaLshConfig {
+    let mut config = AdaLshConfig::new(rule());
+    config.threads = threads;
+    config.selection = selection;
+    // Without the jump gate every cluster walks the whole sequence, so
+    // `P` sees the last level's clusters instead of level 1's.
+    config.disable_jump_gate = deep;
+    config
 }
 
 fn bootstrap() -> Dataset {
@@ -84,5 +106,77 @@ proptest! {
         let _ = online.query(2);
         let again = online.query(2);
         prop_assert_eq!(again.stats.hash_evals, 0);
+    }
+
+    /// After any push/query interleaving, a warm resolver's query equals
+    /// that of a cold one restored from its snapshot (the same hash
+    /// states, an empty memo) in clusters, `hash_evals`, `rounds`,
+    /// `pairwise_calls` and the modeled-cost bits, and evaluates no more
+    /// pairs; the warm pair count is the same at 1 and 2 threads. Under
+    /// the ablation strategies the pool's order decides which cluster
+    /// runs next, so the memo's components must come back in the order a
+    /// cold run gives them.
+    #[test]
+    fn memo_matches_a_cold_resolver(
+        stream in prop::collection::vec((0u64..5, any::<u64>(), prop::bool::ANY), 1..30),
+        k in 1usize..4,
+        deep in prop::bool::ANY,
+        strategy in 0usize..3,
+    ) {
+        let selection = [
+            SelectionStrategy::LargestFirst,
+            SelectionStrategy::Random,
+            SelectionStrategy::Fifo,
+        ][strategy];
+        let cfg = |threads| config(threads, deep, selection);
+        let boot = Dataset::new(
+            Schema::single("s", FieldKind::Shingles),
+            (0..12).map(|i| overlapping(i % 3, i)).collect(),
+            vec![0; 12],
+        );
+        let mut warm: Vec<OnlineAdaLsh> = [1, 2]
+            .map(|threads| OnlineAdaLsh::new(&boot, cfg(threads)).unwrap())
+            .into();
+        for (entity, noise, query_now) in stream {
+            for online in &mut warm {
+                online.push(overlapping(entity, noise)).unwrap();
+            }
+            if !query_now {
+                continue;
+            }
+            let mut cold =
+                OnlineAdaLsh::from_snapshot(warm[0].snapshot(), cfg(1)).unwrap();
+            let cold = cold.query(k);
+            let outs: Vec<FilterOutput> = warm.iter_mut().map(|online| online.query(k)).collect();
+            for (threads, out) in [1, 2].iter().zip(&outs) {
+                let (w, c) = (&out.stats, &cold.stats);
+                prop_assert_eq!(&out.clusters, &cold.clusters, "t={}", threads);
+                prop_assert_eq!(w.hash_evals, c.hash_evals, "t={}", threads);
+                prop_assert_eq!(w.rounds, c.rounds, "t={}", threads);
+                prop_assert_eq!(w.pairwise_calls, c.pairwise_calls, "t={}", threads);
+                prop_assert_eq!(
+                    w.modeled_cost.to_bits(),
+                    c.modeled_cost.to_bits(),
+                    "t={}",
+                    threads
+                );
+                prop_assert!(
+                    w.pair_comparisons <= c.pair_comparisons,
+                    "warm {} > cold {} pairs at t={}",
+                    w.pair_comparisons,
+                    c.pair_comparisons,
+                    threads
+                );
+            }
+            prop_assert_eq!(outs[0].stats.pair_comparisons, outs[1].stats.pair_comparisons);
+            prop_assert_eq!(outs[0].stats.pairwise_reused, outs[1].stats.pairwise_reused);
+            prop_assert_eq!(cold.stats.pairwise_reused, 0, "a restored memo starts empty");
+        }
+        // A query on an unchanged corpus reuses every partition whole.
+        let again = warm[0].query(k);
+        let repeat = warm[0].query(k);
+        prop_assert_eq!(repeat.clusters, again.clusters);
+        prop_assert_eq!(repeat.stats.pair_comparisons, 0);
+        prop_assert_eq!(repeat.stats.pairwise_reused, repeat.stats.pairwise_calls);
     }
 }

@@ -13,6 +13,10 @@
 //! `MatchRule::matches` kernels while the wavefront goes through the
 //! cached-norm / early-exit kernels (`matches_in_counted`), these tests
 //! also pin the kernel fast paths to the naive evaluation.
+//!
+//! A seeded run, which starts from the known components of a prefix `S`
+//! of the cluster, must return the components of the whole cluster, with
+//! `Stats` that do not depend on the thread count or block size either.
 
 use std::sync::Arc;
 
@@ -116,13 +120,28 @@ fn normalized(mut clusters: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
     clusters
 }
 
-/// One wavefront run under `oracle`: settling through a fresh unlimited
+/// One wavefront run under `oracle`, unseeded: settling through a fresh unlimited
 /// ledger when `settle` is set, tracing into a memory subscriber when
 /// `traced` is set. Returns normalized clusters, `Stats` and the spend.
 fn wavefront<O: PairwiseOracle>(
     dataset: &Dataset,
     oracle: &O,
     ids: &[u32],
+    threads: usize,
+    block: usize,
+    settle: bool,
+    traced: bool,
+) -> (Vec<Vec<u32>>, Stats, OracleSpend) {
+    seeded(dataset, oracle, ids, &[], threads, block, settle, traced)
+}
+
+/// [`wavefront`] starting from `seed`'s components of `ids`' prefix.
+#[allow(clippy::too_many_arguments)]
+fn seeded<O: PairwiseOracle>(
+    dataset: &Dataset,
+    oracle: &O,
+    ids: &[u32],
+    seed: &[u32],
     threads: usize,
     block: usize,
     settle: bool,
@@ -139,6 +158,7 @@ fn wavefront<O: PairwiseOracle>(
         dataset,
         oracle,
         ids,
+        seed,
         threads,
         block,
         settle.then_some(&mut ledger),
@@ -206,4 +226,76 @@ proptest! {
         prop_assert_eq!(wave, normalized(scalar));
         prop_assert_eq!(st, st_scalar);
     }
+
+    /// For a cluster split into an old part `S` and new records `N`,
+    /// `P` seeded with `P(S)`'s components equals `P(S ∪ N)`, charges no
+    /// more pairs than an unseeded run over the same slice, and has the
+    /// same `Stats` at threads {1, 2} and blocks {1, 7, 4096}. The empty
+    /// seed reproduces the unseeded `Stats` exactly.
+    #[test]
+    fn seeded_wavefront_equals_full_p(
+        dataset in mixed_dataset(),
+        dthr in 0.05f64..0.95,
+        split in 0usize..40,
+        order in any::<u64>(),
+    ) {
+        let ids = shuffled(dataset.len(), order);
+        let split = split.min(ids.len());
+        let (old, new) = ids.split_at(split);
+        for rule in rules(dthr) {
+            let exact = ExactOracle::new(&rule);
+            let (old_parts, _, _) = wavefront(&dataset, &exact, old, 1, 1, false, false);
+            let seed = labels(old, &old_parts);
+            let layout: Vec<u32> = old.iter().chain(new).copied().collect();
+            prop_assert_eq!(layout.len(), ids.len());
+            let mut st_scalar = Stats::default();
+            let full = normalized(apply_pairwise_scalar(&dataset, &rule, &layout, &mut st_scalar));
+            let (unseeded, st_unseeded, _) = seeded(&dataset, &exact, &layout, &[], 2, 7, false, false);
+            prop_assert_eq!(&unseeded, &full, "empty seed, rule={:?}", rule);
+            prop_assert_eq!(st_unseeded, st_scalar, "empty seed, rule={:?}", rule);
+
+            let (reference, st_reference, _) = seeded(&dataset, &exact, &layout, &seed, 1, 1, false, false);
+            prop_assert_eq!(&reference, &full, "seeded clusters, rule={:?} |S|={}", rule, split);
+            prop_assert_eq!(st_reference.pairwise_calls, 1);
+            prop_assert!(
+                st_reference.pair_comparisons <= st_scalar.pair_comparisons,
+                "seeded {} > unseeded {} pairs, rule={:?}",
+                st_reference.pair_comparisons,
+                st_scalar.pair_comparisons,
+                rule
+            );
+            for threads in [1usize, 2] {
+                for block in [1usize, 7, 4096] {
+                    for traced in [false, true] {
+                        let (out, st, _) =
+                            seeded(&dataset, &exact, &layout, &seed, threads, block, false, traced);
+                        let case = format!("rule={rule:?} |S|={split} t={threads} b={block} traced={traced}");
+                        prop_assert_eq!(&out, &full, "{}", case);
+                        prop_assert_eq!(st, st_reference, "{}", case);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `0..n` in an order drawn from `seed`.
+fn shuffled(n: usize, seed: u64) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    let mut state = seed | 1;
+    for i in (1..n).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ids.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    ids
+}
+
+/// One component label per record of `slice`, from `parts`.
+fn labels(slice: &[u32], parts: &[Vec<u32>]) -> Vec<u32> {
+    slice
+        .iter()
+        .map(|r| parts.iter().position(|p| p.contains(r)).unwrap() as u32)
+        .collect()
 }

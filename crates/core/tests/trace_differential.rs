@@ -131,6 +131,11 @@ fn trace_reconciles_with_stats_exactly() {
             "t={threads}"
         );
         assert_eq!(
+            end.u64("pairwise_reused"),
+            Some(0),
+            "a batch run has no memo"
+        );
+        assert_eq!(
             end.f64("modeled_cost").map(f64::to_bits),
             Some(out.stats.modeled_cost.to_bits()),
             "t={threads}"
@@ -185,4 +190,55 @@ fn online_query_events_track_freshness() {
     assert_eq!(queries[1].u64("fresh_records"), Some(0));
     assert_eq!(queries[1].u64("advanced_records"), Some(0));
     assert_eq!(queries[1].u64("hash_evals"), Some(0));
+}
+
+/// An online resolver's `P` memo shows in its trace: a repeated query
+/// takes every partition whole from the memo (0 pairs), a query after new
+/// arrivals seeds the grown cluster with its old part, and every segment
+/// reconciles, including `#pairwise{reused>0} = pairwise_reused`.
+#[test]
+fn online_memo_reuse_is_traced_and_reconciles() {
+    let d = planted(&[8, 6, 4], 11);
+    let memory = Arc::new(MemorySubscriber::new());
+    let mut cfg = config(2);
+    cfg.trace = TraceSink::new(memory.clone());
+    let mut online = OnlineAdaLsh::new(&d, cfg).unwrap();
+    online.query(2);
+    let repeat = online.query(2);
+    online.push(d.records()[0].clone()).unwrap();
+    let grown = online.query(2);
+
+    let events = memory.events();
+    schema::validate(&events).unwrap();
+    let mut segments: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new()];
+    for e in &events {
+        match e.name.as_str() {
+            "pairwise" => segments.last_mut().unwrap().push((
+                e.u64("cluster_size").unwrap(),
+                e.u64("reused").unwrap(),
+                e.u64("pairs").unwrap(),
+            )),
+            "run_end" => segments.push(Vec::new()),
+            _ => {}
+        }
+    }
+    assert!(segments[0].iter().all(|&(_, reused, _)| reused == 0));
+    assert!(!segments[1].is_empty(), "precondition: P ran");
+    assert!(segments[1]
+        .iter()
+        .all(|&(size, reused, pairs)| reused == size && pairs == 0));
+    assert_eq!(repeat.stats.pair_comparisons, 0);
+    assert_eq!(repeat.stats.pairwise_reused, repeat.stats.pairwise_calls);
+    // The duplicate of record 0 joins its entity's cluster, whose old
+    // members seed it.
+    assert!(
+        segments[2]
+            .iter()
+            .any(|&(size, reused, _)| 0 < reused && reused < size),
+        "{:?}",
+        segments[2]
+    );
+    assert!(grown.stats.pairwise_reused > 0);
+    let text = summary::summarize(&events);
+    assert!(text.contains("P memo:"), "{text}");
 }

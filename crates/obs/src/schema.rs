@@ -17,11 +17,11 @@
 //! | `run_start` | entering Algorithm 1 | `records`, `k`, `levels`, `threads`, `source` |
 //! | `hash_round` | after a transitive hashing call `H_level` | `level`, `cluster_size`, `hash_evals`, `keys_emitted`, `subclusters`, `wall_micros`, `predicted_cost` |
 //! | `gate` | Line-5 decision on a non-final cluster | `level`, `cluster_size`, `predicted_pairwise_cost`, `action` (`hash`\|`pairwise`), `forced` (0\|1), optional `predicted_hash_cost` (absent when forced: no `H_{t+1}` exists to price) |
-//! | `pairwise` | after a pairwise call `P` | `cluster_size`, `pairs`, `distance_evals`, `kernel_checks`, `early_exits`, `blocks`, `subclusters`, `wall_micros`, `predicted_cost` |
+//! | `pairwise` | after a pairwise call `P` | `cluster_size`, `pairs`, `distance_evals`, `kernel_checks`, `early_exits`, `blocks`, `reused` (records whose partition came from an online resolver's memo: `cluster_size` on a whole-set hit, the part resolved in an earlier pass on a grown cluster, else 0), `subclusters`, `wall_micros`, `predicted_cost` |
 //! | `pairwise_block` | after each wavefront block inside `P` | `pairs_open`, `pairs_charged`, `kernel_checks`, `early_exits`, `wall_micros` |
 //! | `final_cluster` | a cluster is declared final | `rank`, `size`, `origin` (`hashed`\|`pairwise`), `level` (0 when origin is `pairwise`) |
 //! | `oracle_call` | a pairwise-oracle adjudication is settled through the spend ledger | `attempts`, `retries`, `votes`, `timeouts`, `errors`, `spend`, `degraded` (0\|1), `matched` (0\|1), `latency_micros` (modeled) |
-//! | `run_end` | leaving Algorithm 1 | the full `Stats` mirror: `rounds`, `finals`, `hash_evals`, `distance_evals`, `pair_comparisons`, `bucket_inserts`, `transitive_calls`, `pairwise_calls`, `modeled_cost`, `wall_micros`; under a noisy oracle also the ledger mirror: `oracle_calls`, `oracle_attempts`, `oracle_retries`, `oracle_votes`, `oracle_timeouts`, `oracle_errors`, `oracle_degraded`, `oracle_spent` |
+//! | `run_end` | leaving Algorithm 1 | the full `Stats` mirror: `rounds`, `finals`, `hash_evals`, `distance_evals`, `pair_comparisons`, `bucket_inserts`, `transitive_calls`, `pairwise_calls`, `pairwise_reused`, `modeled_cost`, `wall_micros`; under a noisy oracle also the ledger mirror: `oracle_calls`, `oracle_attempts`, `oracle_retries`, `oracle_votes`, `oracle_timeouts`, `oracle_errors`, `oracle_degraded`, `oracle_spent` |
 //! | `online_query` | after an online resolver query | `k`, `records`, `fresh_records`, `advanced_records`, `hash_evals`, `wall_micros` |
 //! | `span` | a span completes (see [`crate::span`]) | `span_id`, `parent_span_id` (0 = root), `op`, `start_micros`, `duration_micros`, plus optional typed attribution fields |
 //!
@@ -65,6 +65,7 @@
 //! * Σ `hash_round.keys_emitted` = `bucket_inserts`
 //! * #`hash_round` = `transitive_calls`
 //! * #`pairwise` = `pairwise_calls`
+//! * #`pairwise{reused>0}` = `pairwise_reused`
 //! * Σ `pairwise.pairs` = `pair_comparisons`
 //! * Σ `pairwise.distance_evals` = `distance_evals`
 //! * #`gate` + #`final_cluster` = `rounds` (every selected cluster is
@@ -181,6 +182,7 @@ pub const EVENTS: &[EventSpec] = &[
             ("kernel_checks", FieldKind::U64),
             ("early_exits", FieldKind::U64),
             ("blocks", FieldKind::U64),
+            ("reused", FieldKind::U64),
             ("subclusters", FieldKind::U64),
             ("wall_micros", FieldKind::U64),
             ("predicted_cost", FieldKind::F64),
@@ -238,6 +240,7 @@ pub const EVENTS: &[EventSpec] = &[
             ("bucket_inserts", FieldKind::U64),
             ("transitive_calls", FieldKind::U64),
             ("pairwise_calls", FieldKind::U64),
+            ("pairwise_reused", FieldKind::U64),
             ("modeled_cost", FieldKind::F64),
             ("wall_micros", FieldKind::U64),
         ],
@@ -346,6 +349,7 @@ struct Segment {
     hash_wall_micros: u64,
     keys_emitted: u64,
     pairwise_events: u64,
+    pairwise_reused: u64,
     pairwise_wall_micros: u64,
     pairs: u64,
     distance_evals: u64,
@@ -544,6 +548,7 @@ fn accumulate(seg: &mut Segment, event: &OwnedEvent) {
         }
         "pairwise" => {
             seg.pairwise_events += 1;
+            seg.pairwise_reused += u64::from(u("reused") > 0);
             seg.pairwise_wall_micros += u("wall_micros");
             seg.pairs += u("pairs");
             seg.distance_evals += u("distance_evals");
@@ -580,7 +585,7 @@ fn check_segment(run: usize, seg: &Segment, end: &OwnedEvent) -> Result<(), Stri
         end.u64(name)
             .ok_or_else(|| format!("run {run}: run_end missing '{name}'"))
     };
-    let identities: [(&str, u64, u64); 9] = [
+    let identities: [(&str, u64, u64); 10] = [
         (
             "Σ hash_round.hash_evals = hash_evals",
             seg.hash_evals,
@@ -600,6 +605,11 @@ fn check_segment(run: usize, seg: &Segment, end: &OwnedEvent) -> Result<(), Stri
             "#pairwise = pairwise_calls",
             seg.pairwise_events,
             want("pairwise_calls")?,
+        ),
+        (
+            "#pairwise{reused>0} = pairwise_reused",
+            seg.pairwise_reused,
+            want("pairwise_reused")?,
         ),
         (
             "Σ pairwise.pairs = pair_comparisons",
@@ -1019,6 +1029,7 @@ mod tests {
                     ("kernel_checks", u(1)),
                     ("early_exits", u(0)),
                     ("blocks", u(1)),
+                    ("reused", u(0)),
                     ("subclusters", u(1)),
                     ("wall_micros", u(3)),
                     ("predicted_cost", f(0.5)),
@@ -1063,6 +1074,7 @@ mod tests {
                     ("bucket_inserts", u(6)),
                     ("transitive_calls", u(1)),
                     ("pairwise_calls", u(1)),
+                    ("pairwise_reused", u(0)),
                     ("modeled_cost", f(2.0)),
                     ("wall_micros", u(20)),
                 ],
@@ -1106,6 +1118,7 @@ mod tests {
             ("bucket_inserts", "keys_emitted"),
             ("transitive_calls", "transitive_calls"),
             ("pairwise_calls", "pairwise_calls"),
+            ("pairwise_reused", "pairwise_reused"),
             ("pair_comparisons", "pair_comparisons"),
             ("distance_evals", "distance_evals"),
             ("rounds", "rounds"),
@@ -1116,6 +1129,16 @@ mod tests {
             let err = validate(&t).unwrap_err();
             assert!(err.contains(message), "field {field}: {err}");
         }
+    }
+
+    #[test]
+    fn memo_reuse_reconciles_with_pairwise_reused() {
+        let mut t = valid_trace();
+        set(&mut t, "pairwise", "reused", u(2));
+        let err = validate(&t).unwrap_err();
+        assert!(err.contains("pairwise_reused"), "{err}");
+        set(&mut t, "run_end", "pairwise_reused", u(1));
+        validate(&t).unwrap();
     }
 
     #[test]

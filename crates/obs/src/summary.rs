@@ -32,6 +32,10 @@ struct PairwiseRow {
     kernel_checks: u64,
     early_exits: u64,
     blocks: u64,
+    /// Calls that started from a memo partition, and the records it
+    /// covered.
+    reused_calls: u64,
+    reused_records: u64,
     wall_micros: u64,
     cost: f64,
 }
@@ -79,6 +83,8 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
                 pairwise.kernel_checks += u(event, "kernel_checks");
                 pairwise.early_exits += u(event, "early_exits");
                 pairwise.blocks += u(event, "blocks");
+                pairwise.reused_calls += u64::from(u(event, "reused") > 0);
+                pairwise.reused_records += u(event, "reused");
                 pairwise.wall_micros += u(event, "wall_micros");
                 pairwise.cost += event.f64("predicted_cost").unwrap_or(0.0);
             }
@@ -174,6 +180,12 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
         out.push_str(&format!(
             "pairwise kernels: {} checks, {} early exits, {} blocks, {} distance evals\n",
             pairwise.kernel_checks, pairwise.early_exits, pairwise.blocks, pairwise.distance_evals
+        ));
+    }
+    if queries > 0 || pairwise.reused_calls > 0 {
+        out.push_str(&format!(
+            "P memo: {} of {} calls, {} of {} records reused\n",
+            pairwise.reused_calls, pairwise.calls, pairwise.reused_records, pairwise.records
         ));
     }
     if queries > 0 {
@@ -312,6 +324,28 @@ mod tests {
     fn empty_trace_renders_without_panicking() {
         let table = summarize(&[]);
         assert!(table.contains("0 run(s)"), "{table}");
+    }
+
+    #[test]
+    fn memo_reuse_gets_its_own_footer() {
+        let call = |size: u64, reused: u64| {
+            ev(
+                "pairwise",
+                &[
+                    ("cluster_size", u(size)),
+                    ("pairs", u(0)),
+                    ("reused", u(reused)),
+                ],
+            )
+        };
+        let events = vec![call(10, 10), call(6, 4), call(3, 0)];
+        let table = summarize(&events);
+        assert!(
+            table.contains("P memo: 2 of 3 calls, 14 of 19 records reused"),
+            "{table}"
+        );
+        // A batch trace, which never reuses, gets no memo line.
+        assert!(!summarize(&[call(3, 0)]).contains("P memo"));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use adalsh_core::Stats;
 use adalsh_obs::{
     Counter, Event, Gauge, GaugeF64, Histogram, LabeledCounter, Registry, Subscriber,
 };
@@ -105,8 +106,13 @@ impl Metrics {
             "adalsh_pairwise_evals_total",
             "Record-pair comparisons across all resolve passes.",
         );
+        let pairwise_reused = registry.counter(
+            "adalsh_pairwise_reused_total",
+            "Pairwise calls that started from a partition kept from an earlier resolve pass.",
+        );
         let engine = Arc::new(EngineMetrics::register(&registry));
-        let pipeline = PipelineMetrics::register(&registry, hash_evals, pairwise_evals);
+        let pipeline =
+            PipelineMetrics::register(&registry, hash_evals, pairwise_evals, pairwise_reused);
         Self {
             registry,
             requests,
@@ -203,15 +209,23 @@ pub struct PipelineMetrics {
     pub hash_evals: Counter,
     /// `adalsh_pairwise_evals_total` — likewise.
     pub pairwise_evals: Counter,
+    /// `adalsh_pairwise_reused_total` — likewise.
+    pub pairwise_reused: Counter,
 }
 
 impl PipelineMetrics {
     /// Registers the pipeline families on `registry`. The engine-eval
     /// totals are handles to families `Metrics` already registered.
-    fn register(registry: &Registry, hash_evals: Counter, pairwise_evals: Counter) -> Self {
+    fn register(
+        registry: &Registry,
+        hash_evals: Counter,
+        pairwise_evals: Counter,
+        pairwise_reused: Counter,
+    ) -> Self {
         Self {
             hash_evals,
             pairwise_evals,
+            pairwise_reused,
             queue_depth: registry.gauge(
                 "adalsh_ingest_queue_depth",
                 "Ingest batches currently waiting in the bounded intake queue.",
@@ -257,6 +271,15 @@ impl PipelineMetrics {
                 "Ingest batches shed with 503 because the intake queue was full.",
             ),
         }
+    }
+}
+
+impl PipelineMetrics {
+    /// Adds one resolve pass's engine work to the cumulative totals.
+    pub fn observe_pass(&self, stats: &Stats) {
+        self.hash_evals.add(stats.hash_evals);
+        self.pairwise_evals.add(stats.pair_comparisons);
+        self.pairwise_reused.add(stats.pairwise_reused);
     }
 }
 
@@ -391,8 +414,12 @@ mod tests {
         m.observe_request("/ingest", 400, Duration::from_micros(200));
         m.observe_ingest(7);
         let p = m.pipeline();
-        p.hash_evals.add(11);
-        p.pairwise_evals.add(5);
+        p.observe_pass(&Stats {
+            hash_evals: 11,
+            pair_comparisons: 5,
+            pairwise_reused: 3,
+            ..Stats::default()
+        });
 
         let text = m.render();
         assert!(text.contains("adalsh_requests_total{endpoint=\"/topk\",status=\"200\"} 2"));
@@ -402,6 +429,7 @@ mod tests {
         assert!(text.contains("adalsh_ingested_records_total 7"));
         assert!(text.contains("adalsh_hash_evals_total 11"));
         assert!(text.contains("adalsh_pairwise_evals_total 5"));
+        assert!(text.contains("adalsh_pairwise_reused_total 3"));
         // Engine families are pre-registered even before any query.
         assert!(text.contains("adalsh_engine_hash_round_seconds_count 0"));
         assert!(text.contains("adalsh_engine_pairwise_block_seconds_count 0"));

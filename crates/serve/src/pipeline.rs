@@ -251,8 +251,7 @@ impl Pipeline {
         if let Some(collector) = &collector {
             let _ = collector.take_last_segment();
         }
-        metrics.hash_evals.add(output.stats.hash_evals);
-        metrics.pairwise_evals.add(output.stats.pair_comparisons);
+        metrics.observe_pass(&output.stats);
         let boot = Arc::new(ResolvedSnapshot {
             epoch: 0,
             records: resolver.len(),
@@ -566,8 +565,7 @@ fn drainer_loop(
                 if let Some(collector) = &span_ctx.collector {
                     let _ = collector.take_last_segment();
                 }
-                metrics.hash_evals.add(output.stats.hash_evals);
-                metrics.pairwise_evals.add(output.stats.pair_comparisons);
+                metrics.observe_pass(&output.stats);
                 let snapshot = Arc::new(ResolvedSnapshot {
                     epoch,
                     records: resolver.len(),
@@ -647,8 +645,7 @@ fn drainer_loop(
                     .extend(batch)
                     .expect("batch pre-validated at intake");
                 let output = resolver.query_cached(resolve_k);
-                metrics.hash_evals.add(output.stats.hash_evals);
-                metrics.pairwise_evals.add(output.stats.pair_comparisons);
+                metrics.observe_pass(&output.stats);
                 if tracing {
                     // Engine-derived children: durations are the exact
                     // per-segment Σ wall_micros the collector folded, so
