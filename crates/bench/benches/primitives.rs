@@ -295,6 +295,7 @@ fn bench_transitive_and_pairwise(c: &mut Criterion) {
                     &ids,
                     1,
                     1,
+                    &[],
                     &mut stats,
                 ))
             },

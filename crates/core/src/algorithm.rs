@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use crate::bins::BinIndex;
 use crate::cost::CostModel;
 use crate::hashing::{RecordHashState, SequenceHasher};
-use crate::memo::PartitionMemo;
+use crate::memo::{Function, PartitionMemo};
 use crate::oracle::{
     ExactOracle, NoisyOracle, OracleMode, OracleSpend, SpendLedger, VerdictOverlay,
 };
@@ -359,17 +359,20 @@ impl AdaLsh {
     /// must keep `states[i]` paired with record `i` and never reuse
     /// states across engines.
     ///
-    /// A `memo` does the same for `P` under the exact oracle (a noisy
-    /// oracle's calls bypass it): every `P` input goes through it sorted,
-    /// its components come back in canonical order, and the run closes
-    /// one memo pass. The Line-5 gate still prices every `P` call at full
+    /// A `memo` does the same for the partitions of `P` and of every
+    /// `H_t` after `H₁`: each of their inputs goes through it, its
+    /// components come back in canonical order, and the run closes one
+    /// memo pass. The Line-5 gate still prices every call at full
     /// Definition-3 cost, so clusters and every `Stats` counter but
-    /// `pair_comparisons`, `distance_evals` and `pairwise_reused` are
-    /// those of a run with an empty memo. Like the states, a memo belongs
-    /// to one growing store and one engine.
+    /// `bucket_inserts`, `pair_comparisons`, `distance_evals`,
+    /// `transitive_reused` and `pairwise_reused` are those of a run with
+    /// an empty memo. Like the states, a memo belongs to one growing
+    /// store and one engine.
     ///
     /// # Panics
-    /// Panics if `k == 0` or `states.len() != dataset.len()`.
+    /// Panics if `k == 0`, `states.len() != dataset.len()`, or a `memo`
+    /// is passed with a noisy oracle (the memo holds exact-rule
+    /// partitions only).
     pub fn run_with_states(
         &mut self,
         store: &dyn RecordStore,
@@ -380,6 +383,10 @@ impl AdaLsh {
     ) -> FilterOutput {
         assert!(k >= 1, "k must be at least 1");
         assert_eq!(states.len(), store.len(), "one state per record");
+        assert!(
+            memo.is_none() || matches!(self.config.oracle, OracleMode::Exact),
+            "the partition memo holds exact-rule partitions only"
+        );
         let start = Instant::now();
         let mut stats = Stats::default();
         let n = store.len();
@@ -421,10 +428,11 @@ impl AdaLsh {
             &all,
             1,
             self.config.threads,
+            &[],
             &mut stats,
         );
         if let Some(t0) = round_start {
-            emit_hash_round(&sink, 1, n, &before, &stats, first.len(), t0, predicted);
+            emit_hash_round(&sink, 1, n, &before, &stats, first.len(), 0, t0, predicted);
         }
         for c in first {
             push_cluster(&mut arena, &mut pool, c, ClusterLevel::Hashed(1));
@@ -517,47 +525,40 @@ impl AdaLsh {
                 let before = stats;
                 let round_start = sink.enabled().then(Instant::now);
                 let threads = self.config.threads;
-                let (subs, ptrace, reused) = match (&self.config.oracle, &mut oracle_ledger) {
-                    (OracleMode::Noisy(ocfg), Some(ledger)) => {
+                let run = |cluster: &[u32], seed: &[u32]| match &self.config.oracle {
+                    OracleMode::Noisy(ocfg) => {
                         let oracle = NoisyOracle::new(&self.config.rule, ocfg.clone())
                             .with_overlay(self.config.oracle_overlay.clone());
-                        let (subs, ptrace) = apply_pairwise_with(
+                        apply_pairwise_with(
                             store,
                             &oracle,
-                            &entry.records,
-                            &[],
+                            cluster,
+                            seed,
                             threads,
                             DEFAULT_PAIR_BLOCK,
-                            Some(ledger),
+                            oracle_ledger.as_mut(),
                             &sink,
                             &mut stats,
-                        );
-                        (subs, ptrace, 0)
+                        )
                     }
-                    _ => {
-                        let oracle = ExactOracle::new(&self.config.rule);
-                        let mut run = |cluster: &[u32], seed: &[u32]| {
-                            apply_pairwise_with(
-                                store,
-                                &oracle,
-                                cluster,
-                                seed,
-                                threads,
-                                DEFAULT_PAIR_BLOCK,
-                                None,
-                                &sink,
-                                &mut stats,
-                            )
-                        };
-                        match memo.as_deref_mut() {
-                            Some(memo) => memo.partition(&entry.records, run),
-                            None => {
-                                let (subs, ptrace) = run(&entry.records, &[]);
-                                (subs, ptrace, 0)
-                            }
-                        }
-                    }
+                    OracleMode::Exact => apply_pairwise_with(
+                        store,
+                        &ExactOracle::new(&self.config.rule),
+                        cluster,
+                        seed,
+                        threads,
+                        DEFAULT_PAIR_BLOCK,
+                        None,
+                        &sink,
+                        &mut stats,
+                    ),
                 };
+                let (subs, ptrace, reused) = PartitionMemo::resolve(
+                    memo.as_deref_mut(),
+                    Function::Pairwise,
+                    &entry.records,
+                    run,
+                );
                 stats.pairwise_reused += u64::from(reused > 0);
                 if let Some(t0) = round_start {
                     sink.emit(
@@ -588,15 +589,27 @@ impl AdaLsh {
                 stats.modeled_cost += predicted;
                 let before = stats;
                 let round_start = sink.enabled().then(Instant::now);
-                let subs = apply_transitive(
-                    &self.hasher,
-                    states,
-                    store,
+                let threads = self.config.threads;
+                let run = |cluster: &[u32], seed: &[u32]| {
+                    let subs = apply_transitive(
+                        &self.hasher,
+                        states,
+                        store,
+                        cluster,
+                        t + 1,
+                        threads,
+                        seed,
+                        &mut stats,
+                    );
+                    (subs, ())
+                };
+                let (subs, (), reused) = PartitionMemo::resolve(
+                    memo.as_deref_mut(),
+                    Function::Hash(t + 1),
                     &entry.records,
-                    t + 1,
-                    self.config.threads,
-                    &mut stats,
+                    run,
                 );
+                stats.transitive_reused += u64::from(reused > 0);
                 if let Some(t0) = round_start {
                     emit_hash_round(
                         &sink,
@@ -605,6 +618,7 @@ impl AdaLsh {
                         &before,
                         &stats,
                         subs.len(),
+                        reused,
                         t0,
                         predicted,
                     );
@@ -642,6 +656,7 @@ impl AdaLsh {
                 ("pair_comparisons", Value::U64(stats.pair_comparisons)),
                 ("bucket_inserts", Value::U64(stats.bucket_inserts)),
                 ("transitive_calls", Value::U64(stats.transitive_calls)),
+                ("transitive_reused", Value::U64(stats.transitive_reused)),
                 ("pairwise_calls", Value::U64(stats.pairwise_calls)),
                 ("pairwise_reused", Value::U64(stats.pairwise_reused)),
                 ("modeled_cost", Value::F64(stats.modeled_cost)),
@@ -677,6 +692,7 @@ impl AdaLsh {
 /// Emits one `hash_round` event from the `Stats` delta of a transitive
 /// invocation. `keys_emitted` is the bucket-insert delta: one insert per
 /// (record, emitted key) — exactly the paper's "keys emitted" notion.
+/// `reused` counts the records whose partition came from the memo.
 #[allow(clippy::too_many_arguments)]
 fn emit_hash_round(
     sink: &TraceSink,
@@ -685,6 +701,7 @@ fn emit_hash_round(
     before: &Stats,
     after: &Stats,
     subclusters: usize,
+    reused: usize,
     round_start: Instant,
     predicted_cost: f64,
 ) {
@@ -702,6 +719,7 @@ fn emit_hash_round(
                 Value::U64(after.bucket_inserts - before.bucket_inserts),
             ),
             ("subclusters", Value::U64(subclusters as u64)),
+            ("reused", Value::U64(reused as u64)),
             (
                 "wall_micros",
                 Value::U64(round_start.elapsed().as_micros() as u64),

@@ -18,7 +18,7 @@
 //! * [`hashing`] — incremental per-record hashing state (§2.2 P4, App. B.2)
 //! * [`transitive`] — transitive hashing functions (Def. 1)
 //! * [`pairwise`] — pairwise computation function `P` (Def. 2, App. B.3)
-//! * [`memo`] — the online resolver's exact partition memo for `P`
+//! * [`memo`] — the online resolver's exact partition memo for `P` and `H_t`
 //! * [`cost`] — cost model (Def. 3, App. E.2)
 //! * [`sequence`] — budget strategies and sequence design (§5)
 //! * [`algorithm`] — Algorithm 1, incremental mode, selection ablations (§4)

@@ -10,18 +10,20 @@
 //! record that reached level 3 while processing query `t` starts at
 //! level 3 in query `t + 1` — so successive queries pay hashing only for
 //! (a) new arrivals and (b) records pushed to deeper levels than before.
-//! Bucket insertion and cluster bookkeeping are re-done per query (the
-//! batch semantics of fresh tables per invocation are preserved exactly,
-//! so every answer equals what the batch algorithm would return on the
-//! same snapshot).
+//! Every answer equals what the batch algorithm would return on the same
+//! snapshot.
 //!
-//! `P` is not re-done either. Under the exact oracle the resolver keeps a
-//! [`PartitionMemo`] of the partitions its last query computed: a
-//! cluster whose members all went through `P` then reuses that
-//! partition, and a cluster that grew by new arrivals evaluates only the
-//! pairs that touch them. The memo changes how many pairs are evaluated,
-//! never a gate decision or an answer. It is not part of the snapshot, so
-//! a resumed resolver starts it empty; a noisy oracle bypasses it.
+//! Partitions are not re-done either. Under the exact oracle the resolver
+//! keeps a [`PartitionMemo`] of the partitions its last query computed,
+//! for `P` and for every `H_t` after `H₁`. An input that holds a cluster
+//! the same function resolved last time starts from that cluster's
+//! components: a whole-set hit does no work, and otherwise only the
+//! records outside it are inserted into fresh bucket tables (the others
+//! probe them) or, for `P`, only the pairs that touch them are evaluated.
+//! `H₁` re-inserts every record's keys each query. The memo changes how
+//! many bucket inserts and pairs a query performs, never a gate decision
+//! or an answer. It is not part of the snapshot, so a resumed resolver
+//! starts it empty; under a noisy oracle it is never used.
 //!
 //! The resolver maintains its snapshot [`Dataset`] **incrementally**:
 //! each [`OnlineAdaLsh::push`] appends one record (and its cached field
@@ -43,7 +45,7 @@ use serde::{Deserialize, Serialize};
 use crate::algorithm::{AdaLsh, AdaLshConfig, FilterOutput};
 use crate::hashing::RecordHashState;
 use crate::memo::PartitionMemo;
-use crate::oracle::VerdictOverlay;
+use crate::oracle::{OracleMode, VerdictOverlay};
 
 /// Ground-truth label attached to records ingested online (their entity
 /// is unknown; labels are never consulted by the filter itself).
@@ -58,7 +60,8 @@ pub struct OnlineAdaLsh {
     /// Current snapshot, grown in place on every push.
     dataset: Dataset,
     states: Vec<RecordHashState>,
-    /// Exact partitions of the clusters the last query sent through `P`.
+    /// Exact partitions of the clusters the last query sent through `P`
+    /// and each `H_t` after `H₁`; unused under a noisy oracle.
     memo: PartitionMemo,
     /// The last [`OnlineAdaLsh::query_cached`] answer, keyed by the
     /// record count and `k` it was computed at. Records are append-only,
@@ -186,10 +189,11 @@ impl OnlineAdaLsh {
     }
 
     /// Answers a top-`k` query over everything ingested so far. Hashing
-    /// work and, under the exact oracle, `P`'s partitions persist across
-    /// queries; the answer is identical to running the batch algorithm on
-    /// the current snapshot. The snapshot dataset is borrowed, not rebuilt
-    /// — a steady-state query does no per-record copying.
+    /// work and, under the exact oracle, the partitions of `P` and of
+    /// every `H_t` after `H₁` persist across queries; the answer is
+    /// identical to running the batch algorithm on the current snapshot.
+    /// The snapshot dataset is borrowed, not rebuilt — a steady-state
+    /// query does no per-record copying.
     pub fn query(&mut self, k: usize) -> FilterOutput {
         let sink = self.engine.trace().clone();
         // Per-record levels before the run: fresh records (level 0) have
@@ -198,13 +202,10 @@ impl OnlineAdaLsh {
         let pre_levels: Option<Vec<u16>> = sink
             .enabled()
             .then(|| self.states.iter().map(|s| s.level).collect());
-        let out = self.engine.run_with_states(
-            &self.dataset,
-            k,
-            &mut self.states,
-            Some(&mut self.memo),
-            |_, _| {},
-        );
+        let memo = matches!(self.config.oracle, OracleMode::Exact).then_some(&mut self.memo);
+        let out = self
+            .engine
+            .run_with_states(&self.dataset, k, &mut self.states, memo, |_, _| {});
         if let Some(before) = pre_levels {
             let fresh = before.iter().filter(|&&level| level == 0).count() as u64;
             let advanced = self
@@ -430,13 +431,19 @@ mod tests {
         // And every partition `P` computed: no pair is evaluated again.
         assert!(first.stats.pair_comparisons > 0, "precondition: P ran");
         assert_eq!(second.stats.pair_comparisons, 0);
+        // Only `H₁` inserts keys again.
+        assert_eq!(
+            second.stats.transitive_reused,
+            second.stats.transitive_calls - 1
+        );
         assert_eq!(second.stats.pairwise_calls, first.stats.pairwise_calls);
         assert_eq!(second.stats.pairwise_reused, second.stats.pairwise_calls);
     }
 
     /// Under a noisy oracle a verdict depends on the ledger, the noise
-    /// seed and the overlay, so the memo is bypassed: a repeated query on
-    /// an unchanged corpus adjudicates its pairs again.
+    /// seed and the overlay, so the memo is not used: a repeated query on
+    /// an unchanged corpus inserts every key and adjudicates every pair
+    /// again.
     #[test]
     fn noisy_oracle_bypasses_the_partition_memo() {
         use crate::oracle::{NoisyOracleConfig, OracleMode};
@@ -448,7 +455,9 @@ mod tests {
         assert_eq!(second.clusters, first.clusters);
         assert!(first.stats.pair_comparisons > 0, "precondition: P ran");
         assert_eq!(second.stats.pair_comparisons, first.stats.pair_comparisons);
+        assert_eq!(second.stats.bucket_inserts, first.stats.bucket_inserts);
         assert_eq!(second.stats.pairwise_reused, 0);
+        assert_eq!(second.stats.transitive_reused, 0);
         let spend = second.oracle.as_ref().expect("noisy run reports spend");
         assert_eq!(spend.calls, second.stats.pair_comparisons);
         assert!(spend.calls > 0);

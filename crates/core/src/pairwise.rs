@@ -312,18 +312,9 @@ fn singletons(n: usize) -> Forest {
 /// A forest over slots `0..n` whose first `seed.len()` slots are joined
 /// into one tree per seed label; every other slot is a singleton.
 fn seeded_forest(n: usize, seed: &[u32]) -> Forest {
-    let mut forest = Forest::new(n);
-    let mut roots = vec![u32::MAX; seed.len()];
-    for slot in 0..n as u32 {
-        match seed.get(slot as usize) {
-            Some(&label) if roots[label as usize] != u32::MAX => {
-                forest.attach_leaf(roots[label as usize], slot);
-            }
-            Some(&label) => roots[label as usize] = forest.add_singleton(slot),
-            None => {
-                forest.add_singleton(slot);
-            }
-        }
+    let mut forest = Forest::seeded(n, seed);
+    for slot in seed.len() as u32..n as u32 {
+        forest.add_singleton(slot);
     }
     forest
 }

@@ -58,6 +58,27 @@ impl Forest {
         }
     }
 
+    /// A forest able to hold `capacity` slots whose first `seed.len()`
+    /// slots are added, joined into one tree per label of `seed`; no
+    /// other slot is added yet.
+    ///
+    /// # Panics
+    /// Panics if `seed` is longer than `capacity` or a label is not below
+    /// `seed.len()`.
+    pub fn seeded(capacity: usize, seed: &[u32]) -> Self {
+        let mut forest = Self::new(capacity);
+        let mut roots = vec![NONE; seed.len()];
+        for (slot, &label) in (0u32..).zip(seed) {
+            match roots[label as usize] {
+                NONE => roots[label as usize] = forest.add_singleton(slot),
+                root => {
+                    forest.attach_leaf(root, slot);
+                }
+            }
+        }
+        forest
+    }
+
     /// Number of record slots that have been added so far.
     pub fn num_leaves(&self) -> usize {
         self.leaf_of.iter().filter(|&&l| l != NONE).count()

@@ -23,6 +23,9 @@ pub struct Stats {
     pub bucket_inserts: u64,
     /// Invocations of a transitive hashing function.
     pub transitive_calls: u64,
+    /// Of those, the calls that started from a partition an online
+    /// resolver's memo kept from an earlier pass (whole or in part).
+    pub transitive_reused: u64,
     /// Invocations of the pairwise computation function.
     pub pairwise_calls: u64,
     /// Of those, the calls that started from a partition an online
@@ -43,6 +46,7 @@ impl Stats {
         self.pair_comparisons += other.pair_comparisons;
         self.bucket_inserts += other.bucket_inserts;
         self.transitive_calls += other.transitive_calls;
+        self.transitive_reused += other.transitive_reused;
         self.pairwise_calls += other.pairwise_calls;
         self.pairwise_reused += other.pairwise_reused;
         self.rounds += other.rounds;
@@ -62,6 +66,7 @@ mod tests {
             pair_comparisons: 3,
             bucket_inserts: 4,
             transitive_calls: 5,
+            transitive_reused: 1,
             pairwise_calls: 6,
             pairwise_reused: 2,
             rounds: 7,
@@ -71,6 +76,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.hash_evals, 2);
         assert_eq!(a.distance_evals, 4);
+        assert_eq!(a.transitive_reused, 2);
         assert_eq!(a.pairwise_reused, 4);
         assert_eq!(a.rounds, 14);
         assert!((a.modeled_cost - 3.0).abs() < 1e-12);

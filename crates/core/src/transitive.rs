@@ -18,6 +18,22 @@
 //! root path is the shortest (Appendix B.2) — which the map realizes by
 //! always storing the most recent record per bucket.
 //!
+//! # Seeded runs
+//!
+//! A `seed` gives the `H_t` components of the cluster's first
+//! `seed.len()` records (a part `S` an earlier call already partitioned),
+//! one label per record. Every record's state is advanced as usual, so
+//! `hash_evals` does not depend on the seed. Only the other records' keys
+//! are inserted, into a fresh table over a forest that starts with `S`'s
+//! components joined; then each record of `S` *probes* the table with its
+//! keys, without inserting, and joins the tree of any bucket it finds.
+//! The components are those of the whole cluster: two records of `S`
+//! share a bucket only inside one of `S`'s components, so every edge
+//! still to find touches a record outside `S`, and a record that shares
+//! buckets with two components of `S` joins them. An empty seed is the
+//! unseeded loop, insert for insert; a seed covering the cluster inserts
+//! nothing and returns its components.
+//!
 //! Bucket ids are `combine(table_tag, key)` — a SplitMix64 output, already
 //! uniform in every bit — so the bucket map uses them as their own hash
 //! (`PassThroughHasher`) instead of running SipHash over them again.
@@ -88,8 +104,13 @@ type BucketMap = HashMap<u64, u32, BuildHasherDefault<PassThroughHasher>>;
 /// normal incremental-query shape) does not strand all the real work on
 /// one thread.
 ///
+/// `seed` labels the `H_to_level` components of the cluster's first
+/// `seed.len()` records (see the module docs; `&[]` for none).
+///
 /// # Panics
-/// Panics if `to_level` is out of range for the hasher.
+/// Panics if `to_level` is out of range for the hasher, `seed` is longer
+/// than `cluster`, or a seed label is not below `seed.len()`.
+#[allow(clippy::too_many_arguments)]
 pub fn apply_transitive(
     hasher: &SequenceHasher,
     states: &mut [RecordHashState],
@@ -97,6 +118,7 @@ pub fn apply_transitive(
     cluster: &[u32],
     to_level: usize,
     threads: usize,
+    seed: &[u32],
     stats: &mut Stats,
 ) -> Vec<Vec<u32>> {
     stats.transitive_calls += 1;
@@ -198,14 +220,20 @@ pub fn apply_transitive(
         }
     }
 
-    // Phase 2: bucket insertion and component maintenance (sequential).
-    let mut forest = Forest::new(cluster.len());
+    // Phase 2: bucket insertion and component maintenance (sequential),
+    // for the records outside the seed.
+    let s = seed.len();
+    assert!(
+        s <= cluster.len(),
+        "seed covers {s} slots of a {}-record cluster",
+        cluster.len()
+    );
+    let mut forest = Forest::seeded(cluster.len(), seed);
     // Fresh tables for this invocation: bucket → last-added record slot.
     let mut buckets =
-        BucketMap::with_capacity_and_hasher(cluster.len() * 2, BuildHasherDefault::default());
+        BucketMap::with_capacity_and_hasher((cluster.len() - s) * 2, BuildHasherDefault::default());
 
-    for (slot, &rid) in cluster.iter().enumerate() {
-        let slot = slot as u32;
+    for (slot, &rid) in (0u32..).zip(cluster).skip(s) {
         let state = &states[rid as usize];
         for (table_tag, key) in hasher.keys(state, to_level) {
             let bucket = combine(table_tag, key);
@@ -238,6 +266,22 @@ pub fn apply_transitive(
                             }
                         }
                         o.insert(slot);
+                    }
+                }
+            }
+        }
+    }
+
+    // Probe: every bucket a seeded record shares with a record outside
+    // the seed joins their trees (case 4 without the insert).
+    if !buckets.is_empty() {
+        for (slot, &rid) in (0u32..).zip(&cluster[..s]) {
+            for (table_tag, key) in hasher.keys(&states[rid as usize], to_level) {
+                if let Some(&occupant) = buckets.get(&combine(table_tag, key)) {
+                    let r1 = forest.find_root_of_slot(slot).expect("seeded");
+                    let r2 = forest.find_root_of_slot(occupant).expect("inserted");
+                    if r1 != r2 {
+                        forest.merge_roots(r1, r2);
                     }
                 }
             }
@@ -284,7 +328,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], &mut st);
         assert_eq!(sorted(out), vec![vec![0, 1], vec![2]]);
         assert_eq!(st.transitive_calls, 1);
         assert!(st.hash_evals > 0 && st.bucket_inserts > 0);
@@ -300,7 +344,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![4], z: 10 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2, 3, 4], 1, 1, &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2, 3, 4], 1, 1, &[], &mut st);
         assert_eq!(out.len(), 5, "disjoint sets must not merge");
     }
 
@@ -312,7 +356,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![1], z: 30 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], &mut st);
         assert_eq!(sorted(out), vec![vec![0, 1, 2]]);
     }
 
@@ -331,11 +375,11 @@ mod tests {
         let h = hasher(levels);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let coarse = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &mut st);
+        let coarse = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], &mut st);
         assert_eq!(sorted(coarse.clone()), vec![vec![0, 1, 2]]);
         // Apply the next level to the merged cluster.
         let merged = &coarse[0];
-        let fine = apply_transitive(&h, &mut states, &d, merged, 2, 1, &mut st);
+        let fine = apply_transitive(&h, &mut states, &d, merged, 2, 1, &[], &mut st);
         let fine = sorted(fine);
         assert!(
             fine.contains(&vec![0, 2]),
@@ -353,8 +397,8 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 4 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let a = apply_transitive(&h, &mut states, &d, &[0], 1, 1, &mut st);
-        let b = apply_transitive(&h, &mut states, &d, &[1], 1, 1, &mut st);
+        let a = apply_transitive(&h, &mut states, &d, &[0], 1, 1, &[], &mut st);
+        let b = apply_transitive(&h, &mut states, &d, &[1], 1, 1, &[], &mut st);
         assert_eq!(a, vec![vec![0]]);
         assert_eq!(b, vec![vec![1]]);
     }
@@ -370,7 +414,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 6 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &ids, 1, 1, &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &ids, 1, 1, &[], &mut st);
         let mut all: Vec<u32> = out.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, ids, "output must partition the input exactly");
@@ -403,8 +447,8 @@ mod tests {
             // Pre-advance the even records to level 1 sequentially, so the
             // threaded call finds records at different levels.
             let evens: Vec<u32> = ids.iter().copied().filter(|i| i % 2 == 0).collect();
-            apply_transitive(&h, &mut states, &d, &evens, 1, 1, &mut st);
-            let out = apply_transitive(&h, &mut states, &d, &ids, 2, threads, &mut st);
+            apply_transitive(&h, &mut states, &d, &evens, 1, 1, &[], &mut st);
+            let out = apply_transitive(&h, &mut states, &d, &ids, 2, threads, &[], &mut st);
             (sorted(out), st, states)
         };
         let (out1, st1, states1) = run(1);
@@ -416,13 +460,70 @@ mod tests {
         }
     }
 
+    /// Labels `parts`' records by part, laid out part after part.
+    fn seed_of(parts: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
+        let records = parts.concat();
+        let labels = (0u32..)
+            .zip(parts)
+            .flat_map(|(label, part)| std::iter::repeat_n(label, part.len()))
+            .collect();
+        (records, labels)
+    }
+
+    #[test]
+    fn a_new_record_bridges_two_seed_components() {
+        // 0 and 1 share no shingle, so no bucket; 2 holds both sets.
+        let d = dataset(&[&[1, 2, 3], &[100, 200, 300], &[1, 2, 3, 100, 200, 300]]);
+        let h = hasher(vec![LevelScheme::Shared { ws: vec![1], z: 16 }]);
+        let mut states = vec![RecordHashState::default(); d.len()];
+        let mut st = Stats::default();
+        let old = apply_transitive(&h, &mut states, &d, &[0, 1], 1, 1, &[], &mut st);
+        assert_eq!(sorted(old.clone()), vec![vec![0], vec![1]]);
+        let (mut cluster, seed) = seed_of(&sorted(old));
+        cluster.push(2);
+        let mut cold_states = states.clone();
+        let mut cold = Stats::default();
+        apply_transitive(&h, &mut cold_states, &d, &cluster, 1, 1, &[], &mut cold);
+        let mut st = Stats::default();
+        let out = apply_transitive(&h, &mut states, &d, &cluster, 1, 1, &seed, &mut st);
+        assert_eq!(sorted(out), vec![vec![0, 1, 2]]);
+        // Only the new record's keys were inserted; hashing is unchanged.
+        assert_eq!(st.bucket_inserts, h.keys(&states[2], 1).count() as u64);
+        assert_eq!(st.hash_evals, cold.hash_evals);
+    }
+
+    #[test]
+    fn a_whole_set_seed_inserts_nothing() {
+        let d = dataset(&[&[1, 2, 3], &[1, 2, 3], &[100, 200, 300]]);
+        let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
+        let mut states = vec![RecordHashState::default(); d.len()];
+        let mut st = Stats::default();
+        let cold = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], &mut st);
+        let (cluster, seed) = seed_of(&sorted(cold.clone()));
+        let mut st = Stats::default();
+        let out = apply_transitive(&h, &mut states, &d, &cluster, 1, 1, &seed, &mut st);
+        assert_eq!(sorted(out), sorted(cold));
+        assert_eq!((st.bucket_inserts, st.transitive_calls), (0, 1));
+    }
+
+    #[test]
+    fn an_empty_seed_inserts_every_key() {
+        let d = dataset(&[&[1, 2, 3], &[1, 2, 4], &[100, 200, 300]]);
+        let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
+        let mut states = vec![RecordHashState::default(); d.len()];
+        let mut st = Stats::default();
+        apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], &mut st);
+        let keys: usize = states.iter().map(|s| h.keys(s, 1).count()).sum();
+        assert_eq!(st.bucket_inserts, keys as u64);
+    }
+
     #[test]
     fn single_record_cluster() {
         let d = dataset(&[&[1, 2]]);
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 3 }]);
         let mut states = vec![RecordHashState::default(); 1];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0], 1, 1, &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &[0], 1, 1, &[], &mut st);
         assert_eq!(out, vec![vec![0]]);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the online mode: any interleaving of pushes
 //! and queries must agree with batch resolution on the same snapshot, and
-//! the resolver's `P` memo must change nothing but how many pairs a query
-//! evaluates.
+//! the resolver's partition memo must change nothing but how many bucket
+//! inserts and pairs a query performs.
 
 use adalsh_core::algorithm::{AdaLshConfig, FilterMethod, SelectionStrategy};
 use adalsh_core::baselines::Pairs;
@@ -111,8 +111,9 @@ proptest! {
     /// After any push/query interleaving, a warm resolver's query equals
     /// that of a cold one restored from its snapshot (the same hash
     /// states, an empty memo) in clusters, `hash_evals`, `rounds`,
-    /// `pairwise_calls` and the modeled-cost bits, and evaluates no more
-    /// pairs; the warm pair count is the same at 1 and 2 threads. Under
+    /// `transitive_calls`, `pairwise_calls` and the modeled-cost bits,
+    /// and performs no more bucket inserts or pairs; the warm counts are
+    /// the same at 1 and 2 threads. Under
     /// the ablation strategies the pool's order decides which cluster
     /// runs next, so the memo's components must come back in the order a
     /// cold run gives them.
@@ -153,11 +154,19 @@ proptest! {
                 prop_assert_eq!(&out.clusters, &cold.clusters, "t={}", threads);
                 prop_assert_eq!(w.hash_evals, c.hash_evals, "t={}", threads);
                 prop_assert_eq!(w.rounds, c.rounds, "t={}", threads);
+                prop_assert_eq!(w.transitive_calls, c.transitive_calls, "t={}", threads);
                 prop_assert_eq!(w.pairwise_calls, c.pairwise_calls, "t={}", threads);
                 prop_assert_eq!(
                     w.modeled_cost.to_bits(),
                     c.modeled_cost.to_bits(),
                     "t={}",
+                    threads
+                );
+                prop_assert!(
+                    w.bucket_inserts <= c.bucket_inserts,
+                    "warm {} > cold {} inserts at t={}",
+                    w.bucket_inserts,
+                    c.bucket_inserts,
                     threads
                 );
                 prop_assert!(
@@ -168,15 +177,21 @@ proptest! {
                     threads
                 );
             }
-            prop_assert_eq!(outs[0].stats.pair_comparisons, outs[1].stats.pair_comparisons);
-            prop_assert_eq!(outs[0].stats.pairwise_reused, outs[1].stats.pairwise_reused);
+            let (one, two) = (&outs[0].stats, &outs[1].stats);
+            prop_assert_eq!(one.bucket_inserts, two.bucket_inserts);
+            prop_assert_eq!(one.pair_comparisons, two.pair_comparisons);
+            prop_assert_eq!(one.transitive_reused, two.transitive_reused);
+            prop_assert_eq!(one.pairwise_reused, two.pairwise_reused);
+            prop_assert_eq!(cold.stats.transitive_reused, 0, "a restored memo starts empty");
             prop_assert_eq!(cold.stats.pairwise_reused, 0, "a restored memo starts empty");
         }
-        // A query on an unchanged corpus reuses every partition whole.
+        // A query on an unchanged corpus reuses every partition whole:
+        // every `H_t` after `H₁` and every `P`.
         let again = warm[0].query(k);
         let repeat = warm[0].query(k);
         prop_assert_eq!(repeat.clusters, again.clusters);
         prop_assert_eq!(repeat.stats.pair_comparisons, 0);
         prop_assert_eq!(repeat.stats.pairwise_reused, repeat.stats.pairwise_calls);
+        prop_assert_eq!(repeat.stats.transitive_reused, repeat.stats.transitive_calls - 1);
     }
 }

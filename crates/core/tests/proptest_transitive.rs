@@ -4,7 +4,8 @@
 //! disjoint-set union, compared as sorted sets. Random shingle records
 //! (over a small universe, so buckets are shared), random Shared and
 //! PerPart level ladders, random cluster subsets, and records
-//! pre-advanced to mixed levels.
+//! pre-advanced to mixed levels. A seeded call must equal a cold call on
+//! the whole cluster.
 
 use std::collections::BTreeMap;
 
@@ -138,7 +139,7 @@ proptest! {
 
         let mut stats = Stats::default();
         let got = apply_transitive(
-            &hasher, &mut states, &d, &cluster, to_level, 1, &mut stats,
+            &hasher, &mut states, &d, &cluster, to_level, 1, &[], &mut stats,
         );
         let want = reference_components(&hasher, &states, &cluster, to_level);
         prop_assert_eq!(sorted(got), want);
@@ -148,5 +149,81 @@ proptest! {
             .sum();
         prop_assert_eq!(stats.bucket_inserts, keys as u64);
         prop_assert_eq!(stats.transitive_calls, 1);
+    }
+
+    /// Split a cluster into a part `S` and the rest, seed `S` with the
+    /// components a cold call on `S` returns, and the seeded call on the
+    /// whole cluster returns the components, hash evaluations and states
+    /// of a cold call from the same states, inserting only the rest's
+    /// keys, at 1 and 2 threads.
+    #[test]
+    fn seeded_transitive_equals_a_cold_call(
+        records in prop::collection::vec(
+            (
+                prop::collection::vec(0u64..24, 0..8),
+                prop::collection::vec(0u64..12, 0..4),
+            ),
+            1..40,
+        ),
+        increments in prop::collection::vec((0u32..3, 0u32..4), 1..5),
+        per_part in prop::bool::ANY,
+        seed in any::<u64>(),
+        member_mask in any::<u64>(),
+        split_mask in any::<u64>(),
+        pre_levels in prop::collection::vec(0usize..6, 40),
+        level_pick in 0usize..8,
+    ) {
+        let levels = ladder(&increments, per_part);
+        let hasher = SequenceHasher::new(
+            vec![HashPart::shingles(0, seed), HashPart::shingles(1, seed ^ 0x5a5a)],
+            levels,
+        );
+        let num_levels = hasher.num_levels();
+        let to_level = 1 + level_pick % num_levels;
+        let d = dataset(&records);
+        let n = records.len() as u32;
+        let cluster: Vec<u32> = (0..n).filter(|&i| member_mask >> (i % 64) & 1 == 1).collect();
+        let (part, rest): (Vec<u32>, Vec<u32>) =
+            cluster.iter().partition(|&&i| split_mask >> (i % 64) & 1 == 1);
+
+        for threads in [1, 2] {
+            let mut states = vec![RecordHashState::default(); records.len()];
+            let mut st = Stats::default();
+            for (rid, &pre) in pre_levels.iter().enumerate().take(records.len()) {
+                if pre > 0 {
+                    let rec = &d.records()[rid];
+                    hasher.advance(rec, &mut states[rid], pre.min(num_levels), &mut st);
+                }
+            }
+            let parts = apply_transitive(
+                &hasher, &mut states, &d, &part, to_level, threads, &[], &mut st,
+            );
+            let mut laid: Vec<u32> = Vec::new();
+            let mut labels: Vec<u32> = Vec::new();
+            for (label, component) in (0u32..).zip(&parts) {
+                laid.extend(component);
+                labels.extend(std::iter::repeat_n(label, component.len()));
+            }
+            laid.extend(&rest);
+
+            let mut cold_states = states.clone();
+            let mut cold = Stats::default();
+            let want = apply_transitive(
+                &hasher, &mut cold_states, &d, &cluster, to_level, threads, &[], &mut cold,
+            );
+            let mut warm = Stats::default();
+            let got = apply_transitive(
+                &hasher, &mut states, &d, &laid, to_level, threads, &labels, &mut warm,
+            );
+            prop_assert_eq!(sorted(got), sorted(want), "threads={}", threads);
+            prop_assert_eq!(warm.hash_evals, cold.hash_evals);
+            prop_assert_eq!(&states, &cold_states);
+            let rest_keys: usize = rest
+                .iter()
+                .map(|&rid| hasher.keys(&states[rid as usize], to_level).count())
+                .sum();
+            prop_assert_eq!(warm.bucket_inserts, rest_keys as u64);
+            prop_assert_eq!(warm.transitive_calls, 1);
+        }
     }
 }

@@ -130,11 +130,9 @@ fn trace_reconciles_with_stats_exactly() {
             Some(out.stats.pairwise_calls),
             "t={threads}"
         );
-        assert_eq!(
-            end.u64("pairwise_reused"),
-            Some(0),
-            "a batch run has no memo"
-        );
+        for reused in ["transitive_reused", "pairwise_reused"] {
+            assert_eq!(end.u64(reused), Some(0), "a batch run has no memo");
+        }
         assert_eq!(
             end.f64("modeled_cost").map(f64::to_bits),
             Some(out.stats.modeled_cost.to_bits()),
@@ -241,4 +239,64 @@ fn online_memo_reuse_is_traced_and_reconciles() {
     assert!(grown.stats.pairwise_reused > 0);
     let text = summary::summarize(&events);
     assert!(text.contains("P memo:"), "{text}");
+}
+
+/// The memo seeds `H_t` after `H₁` too: with the jump gate off every
+/// cluster walks the whole sequence, a repeated query takes every such
+/// call whole from the memo (no key inserted), and a query after a new
+/// arrival seeds a grown cluster with the part it resolved before.
+#[test]
+fn online_hash_memo_reuse_is_traced_and_reconciles() {
+    let d = planted(&[8, 6, 4], 13);
+    let memory = Arc::new(MemorySubscriber::new());
+    let mut cfg = config(1);
+    cfg.disable_jump_gate = true;
+    cfg.trace = TraceSink::new(memory.clone());
+    let mut online = OnlineAdaLsh::new(&d, cfg).unwrap();
+    online.query(2);
+    let repeat = online.query(2);
+    online.push(d.records()[0].clone()).unwrap();
+    online.query(2);
+
+    let events = memory.events();
+    schema::validate(&events).unwrap();
+    // (level, cluster_size, reused, keys_emitted) per segment.
+    let mut segments: Vec<Vec<(u64, u64, u64, u64)>> = vec![Vec::new()];
+    for e in &events {
+        match e.name.as_str() {
+            "hash_round" => segments.last_mut().unwrap().push((
+                e.u64("level").unwrap(),
+                e.u64("cluster_size").unwrap(),
+                e.u64("reused").unwrap(),
+                e.u64("keys_emitted").unwrap(),
+            )),
+            "run_end" => segments.push(Vec::new()),
+            _ => {}
+        }
+    }
+    assert!(segments[0].iter().all(|&(_, _, reused, _)| reused == 0));
+    let deeper = |segment: &[(u64, u64, u64, u64)]| {
+        segment
+            .iter()
+            .filter(|&&(level, ..)| level > 1)
+            .copied()
+            .collect::<Vec<_>>()
+    };
+    assert!(!deeper(&segments[1]).is_empty(), "precondition: H2 ran");
+    assert!(deeper(&segments[1])
+        .iter()
+        .all(|&(_, size, reused, keys)| reused == size && keys == 0));
+    assert_eq!(
+        repeat.stats.transitive_reused,
+        repeat.stats.transitive_calls - 1
+    );
+    assert!(
+        deeper(&segments[2])
+            .iter()
+            .any(|&(_, size, reused, keys)| 0 < reused && reused < size && keys > 0),
+        "{:?}",
+        segments[2]
+    );
+    let text = summary::summarize(&events);
+    assert!(text.contains("H memo:"), "{text}");
 }

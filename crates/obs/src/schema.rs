@@ -15,13 +15,13 @@
 //! |---|---|---|
 //! | `design_level` | sequence design picks level `H_i` | `level`, `budget` |
 //! | `run_start` | entering Algorithm 1 | `records`, `k`, `levels`, `threads`, `source` |
-//! | `hash_round` | after a transitive hashing call `H_level` | `level`, `cluster_size`, `hash_evals`, `keys_emitted`, `subclusters`, `wall_micros`, `predicted_cost` |
+//! | `hash_round` | after a transitive hashing call `H_level` | `level`, `cluster_size`, `hash_evals`, `keys_emitted`, `subclusters`, `reused` (records whose partition came from an online resolver's memo: `cluster_size` on a whole-set hit, the largest earlier-resolved part the cluster holds, else 0; always 0 at level 1), `wall_micros`, `predicted_cost` |
 //! | `gate` | Line-5 decision on a non-final cluster | `level`, `cluster_size`, `predicted_pairwise_cost`, `action` (`hash`\|`pairwise`), `forced` (0\|1), optional `predicted_hash_cost` (absent when forced: no `H_{t+1}` exists to price) |
 //! | `pairwise` | after a pairwise call `P` | `cluster_size`, `pairs`, `distance_evals`, `kernel_checks`, `early_exits`, `blocks`, `reused` (records whose partition came from an online resolver's memo: `cluster_size` on a whole-set hit, the part resolved in an earlier pass on a grown cluster, else 0), `subclusters`, `wall_micros`, `predicted_cost` |
 //! | `pairwise_block` | after each wavefront block inside `P` | `pairs_open`, `pairs_charged`, `kernel_checks`, `early_exits`, `wall_micros` |
 //! | `final_cluster` | a cluster is declared final | `rank`, `size`, `origin` (`hashed`\|`pairwise`), `level` (0 when origin is `pairwise`) |
 //! | `oracle_call` | a pairwise-oracle adjudication is settled through the spend ledger | `attempts`, `retries`, `votes`, `timeouts`, `errors`, `spend`, `degraded` (0\|1), `matched` (0\|1), `latency_micros` (modeled) |
-//! | `run_end` | leaving Algorithm 1 | the full `Stats` mirror: `rounds`, `finals`, `hash_evals`, `distance_evals`, `pair_comparisons`, `bucket_inserts`, `transitive_calls`, `pairwise_calls`, `pairwise_reused`, `modeled_cost`, `wall_micros`; under a noisy oracle also the ledger mirror: `oracle_calls`, `oracle_attempts`, `oracle_retries`, `oracle_votes`, `oracle_timeouts`, `oracle_errors`, `oracle_degraded`, `oracle_spent` |
+//! | `run_end` | leaving Algorithm 1 | the full `Stats` mirror: `rounds`, `finals`, `hash_evals`, `distance_evals`, `pair_comparisons`, `bucket_inserts`, `transitive_calls`, `transitive_reused`, `pairwise_calls`, `pairwise_reused`, `modeled_cost`, `wall_micros`; under a noisy oracle also the ledger mirror: `oracle_calls`, `oracle_attempts`, `oracle_retries`, `oracle_votes`, `oracle_timeouts`, `oracle_errors`, `oracle_degraded`, `oracle_spent` |
 //! | `online_query` | after an online resolver query | `k`, `records`, `fresh_records`, `advanced_records`, `hash_evals`, `wall_micros` |
 //! | `span` | a span completes (see [`crate::span`]) | `span_id`, `parent_span_id` (0 = root), `op`, `start_micros`, `duration_micros`, plus optional typed attribution fields |
 //!
@@ -64,6 +64,7 @@
 //! * Σ `hash_round.hash_evals` = `hash_evals`
 //! * Σ `hash_round.keys_emitted` = `bucket_inserts`
 //! * #`hash_round` = `transitive_calls`
+//! * #`hash_round{reused>0}` = `transitive_reused`
 //! * #`pairwise` = `pairwise_calls`
 //! * #`pairwise{reused>0}` = `pairwise_reused`
 //! * Σ `pairwise.pairs` = `pair_comparisons`
@@ -155,6 +156,7 @@ pub const EVENTS: &[EventSpec] = &[
             ("hash_evals", FieldKind::U64),
             ("keys_emitted", FieldKind::U64),
             ("subclusters", FieldKind::U64),
+            ("reused", FieldKind::U64),
             ("wall_micros", FieldKind::U64),
             ("predicted_cost", FieldKind::F64),
         ],
@@ -239,6 +241,7 @@ pub const EVENTS: &[EventSpec] = &[
             ("pair_comparisons", FieldKind::U64),
             ("bucket_inserts", FieldKind::U64),
             ("transitive_calls", FieldKind::U64),
+            ("transitive_reused", FieldKind::U64),
             ("pairwise_calls", FieldKind::U64),
             ("pairwise_reused", FieldKind::U64),
             ("modeled_cost", FieldKind::F64),
@@ -345,6 +348,7 @@ pub struct TraceReport {
 #[derive(Default)]
 struct Segment {
     hash_rounds: u64,
+    hash_reused: u64,
     hash_evals: u64,
     hash_wall_micros: u64,
     keys_emitted: u64,
@@ -541,6 +545,7 @@ fn accumulate(seg: &mut Segment, event: &OwnedEvent) {
     match event.name.as_str() {
         "hash_round" => {
             seg.hash_rounds += 1;
+            seg.hash_reused += u64::from(u("reused") > 0);
             seg.hash_evals += u("hash_evals");
             seg.hash_wall_micros += u("wall_micros");
             seg.keys_emitted += u("keys_emitted");
@@ -585,7 +590,7 @@ fn check_segment(run: usize, seg: &Segment, end: &OwnedEvent) -> Result<(), Stri
         end.u64(name)
             .ok_or_else(|| format!("run {run}: run_end missing '{name}'"))
     };
-    let identities: [(&str, u64, u64); 10] = [
+    let identities: [(&str, u64, u64); 11] = [
         (
             "Σ hash_round.hash_evals = hash_evals",
             seg.hash_evals,
@@ -600,6 +605,11 @@ fn check_segment(run: usize, seg: &Segment, end: &OwnedEvent) -> Result<(), Stri
             "#hash_round = transitive_calls",
             seg.hash_rounds,
             want("transitive_calls")?,
+        ),
+        (
+            "#hash_round{reused>0} = transitive_reused",
+            seg.hash_reused,
+            want("transitive_reused")?,
         ),
         (
             "#pairwise = pairwise_calls",
@@ -1006,6 +1016,7 @@ mod tests {
                     ("hash_evals", u(24)),
                     ("keys_emitted", u(6)),
                     ("subclusters", u(2)),
+                    ("reused", u(0)),
                     ("wall_micros", u(10)),
                     ("predicted_cost", f(1.5)),
                 ],
@@ -1073,6 +1084,7 @@ mod tests {
                     ("pair_comparisons", u(1)),
                     ("bucket_inserts", u(6)),
                     ("transitive_calls", u(1)),
+                    ("transitive_reused", u(0)),
                     ("pairwise_calls", u(1)),
                     ("pairwise_reused", u(0)),
                     ("modeled_cost", f(2.0)),
@@ -1117,6 +1129,7 @@ mod tests {
             ("hash_evals", "hash_evals"),
             ("bucket_inserts", "keys_emitted"),
             ("transitive_calls", "transitive_calls"),
+            ("transitive_reused", "transitive_reused"),
             ("pairwise_calls", "pairwise_calls"),
             ("pairwise_reused", "pairwise_reused"),
             ("pair_comparisons", "pair_comparisons"),
@@ -1138,6 +1151,16 @@ mod tests {
         let err = validate(&t).unwrap_err();
         assert!(err.contains("pairwise_reused"), "{err}");
         set(&mut t, "run_end", "pairwise_reused", u(1));
+        validate(&t).unwrap();
+    }
+
+    #[test]
+    fn memo_reuse_reconciles_with_transitive_reused() {
+        let mut t = valid_trace();
+        set(&mut t, "hash_round", "reused", u(3));
+        let err = validate(&t).unwrap_err();
+        assert!(err.contains("transitive_reused"), "{err}");
+        set(&mut t, "run_end", "transitive_reused", u(1));
         validate(&t).unwrap();
     }
 

@@ -40,10 +40,21 @@ struct PairwiseRow {
     cost: f64,
 }
 
+/// The `H_t` calls after `H₁`, the ones an online resolver's memo can
+/// seed, and those of them that started from a memo partition.
+#[derive(Default)]
+struct HashMemoRow {
+    calls: u64,
+    records: u64,
+    reused_calls: u64,
+    reused_records: u64,
+}
+
 /// Renders the summary table for a trace.
 pub fn summarize(events: &[OwnedEvent]) -> String {
     let mut levels: BTreeMap<u64, LevelRow> = BTreeMap::new();
     let mut pairwise = PairwiseRow::default();
+    let mut hash_memo = HashMemoRow::default();
     let mut gate_hash = 0u64;
     let mut gate_pairwise = 0u64;
     let mut gate_forced = 0u64;
@@ -74,6 +85,12 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
                 row.keys += u(event, "keys_emitted");
                 row.wall_micros += u(event, "wall_micros");
                 row.cost += event.f64("predicted_cost").unwrap_or(0.0);
+                if u(event, "level") > 1 {
+                    hash_memo.calls += 1;
+                    hash_memo.records += u(event, "cluster_size");
+                    hash_memo.reused_calls += u64::from(u(event, "reused") > 0);
+                    hash_memo.reused_records += u(event, "reused");
+                }
             }
             "pairwise" => {
                 pairwise.calls += 1;
@@ -180,6 +197,12 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
         out.push_str(&format!(
             "pairwise kernels: {} checks, {} early exits, {} blocks, {} distance evals\n",
             pairwise.kernel_checks, pairwise.early_exits, pairwise.blocks, pairwise.distance_evals
+        ));
+    }
+    if queries > 0 || hash_memo.reused_calls > 0 {
+        out.push_str(&format!(
+            "H memo: {} of {} calls after H1, {} of {} records reused\n",
+            hash_memo.reused_calls, hash_memo.calls, hash_memo.reused_records, hash_memo.records
         ));
     }
     if queries > 0 || pairwise.reused_calls > 0 {
@@ -346,6 +369,29 @@ mod tests {
         );
         // A batch trace, which never reuses, gets no memo line.
         assert!(!summarize(&[call(3, 0)]).contains("P memo"));
+
+        let round = |level: u64, size: u64, reused: u64| {
+            ev(
+                "hash_round",
+                &[
+                    ("level", u(level)),
+                    ("cluster_size", u(size)),
+                    ("reused", u(reused)),
+                ],
+            )
+        };
+        let events = vec![
+            round(1, 40, 0),
+            round(2, 12, 12),
+            round(3, 8, 5),
+            round(2, 3, 0),
+        ];
+        let table = summarize(&events);
+        assert!(
+            table.contains("H memo: 2 of 3 calls after H1, 17 of 23 records reused"),
+            "{table}"
+        );
+        assert!(!summarize(&events[3..]).contains("H memo"));
     }
 
     #[test]

@@ -98,21 +98,8 @@ impl Metrics {
             "adalsh_oracle_overlay_version",
             "Version of the external-verdict overlay (bumps per verdict).",
         );
-        let hash_evals = registry.counter(
-            "adalsh_hash_evals_total",
-            "Elementary hash evaluations across all resolve passes.",
-        );
-        let pairwise_evals = registry.counter(
-            "adalsh_pairwise_evals_total",
-            "Record-pair comparisons across all resolve passes.",
-        );
-        let pairwise_reused = registry.counter(
-            "adalsh_pairwise_reused_total",
-            "Pairwise calls that started from a partition kept from an earlier resolve pass.",
-        );
+        let pipeline = PipelineMetrics::register(&registry);
         let engine = Arc::new(EngineMetrics::register(&registry));
-        let pipeline =
-            PipelineMetrics::register(&registry, hash_evals, pairwise_evals, pairwise_reused);
         Self {
             registry,
             requests,
@@ -204,28 +191,36 @@ pub struct PipelineMetrics {
     pub applied_batches: Counter,
     /// `adalsh_rejected_batches_total` — batches shed with 503.
     pub rejected_batches: Counter,
-    /// `adalsh_hash_evals_total` — cumulative over resolve passes
-    /// (shared with the [`Metrics`] family of the same name).
+    /// `adalsh_hash_evals_total` — cumulative over resolve passes.
     pub hash_evals: Counter,
     /// `adalsh_pairwise_evals_total` — likewise.
     pub pairwise_evals: Counter,
+    /// `adalsh_transitive_reused_total` — likewise.
+    pub transitive_reused: Counter,
     /// `adalsh_pairwise_reused_total` — likewise.
     pub pairwise_reused: Counter,
 }
 
 impl PipelineMetrics {
-    /// Registers the pipeline families on `registry`. The engine-eval
-    /// totals are handles to families `Metrics` already registered.
-    fn register(
-        registry: &Registry,
-        hash_evals: Counter,
-        pairwise_evals: Counter,
-        pairwise_reused: Counter,
-    ) -> Self {
+    /// Registers the pipeline families on `registry`.
+    fn register(registry: &Registry) -> Self {
         Self {
-            hash_evals,
-            pairwise_evals,
-            pairwise_reused,
+            hash_evals: registry.counter(
+                "adalsh_hash_evals_total",
+                "Elementary hash evaluations across all resolve passes.",
+            ),
+            pairwise_evals: registry.counter(
+                "adalsh_pairwise_evals_total",
+                "Record-pair comparisons across all resolve passes.",
+            ),
+            transitive_reused: registry.counter(
+                "adalsh_transitive_reused_total",
+                "Transitive hashing calls that started from a partition kept from an earlier resolve pass.",
+            ),
+            pairwise_reused: registry.counter(
+                "adalsh_pairwise_reused_total",
+                "Pairwise calls that started from a partition kept from an earlier resolve pass.",
+            ),
             queue_depth: registry.gauge(
                 "adalsh_ingest_queue_depth",
                 "Ingest batches currently waiting in the bounded intake queue.",
@@ -279,6 +274,7 @@ impl PipelineMetrics {
     pub fn observe_pass(&self, stats: &Stats) {
         self.hash_evals.add(stats.hash_evals);
         self.pairwise_evals.add(stats.pair_comparisons);
+        self.transitive_reused.add(stats.transitive_reused);
         self.pairwise_reused.add(stats.pairwise_reused);
     }
 }
@@ -417,6 +413,7 @@ mod tests {
         p.observe_pass(&Stats {
             hash_evals: 11,
             pair_comparisons: 5,
+            transitive_reused: 2,
             pairwise_reused: 3,
             ..Stats::default()
         });
@@ -429,6 +426,7 @@ mod tests {
         assert!(text.contains("adalsh_ingested_records_total 7"));
         assert!(text.contains("adalsh_hash_evals_total 11"));
         assert!(text.contains("adalsh_pairwise_evals_total 5"));
+        assert!(text.contains("adalsh_transitive_reused_total 2"));
         assert!(text.contains("adalsh_pairwise_reused_total 3"));
         // Engine families are pre-registered even before any query.
         assert!(text.contains("adalsh_engine_hash_round_seconds_count 0"));
