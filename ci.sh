@@ -153,12 +153,16 @@ serve_smoke() {
     grep -q 'adalsh_publish_seconds_bucket' "$scrape" ||
         { echo "/metrics missing publish-latency histogram" >&2; return 1; }
     # The ingest pass resolved clusters the boot pass already sent through
-    # P and H_t (t >= 2), so both memo reuse counters are listed and have
-    # counted them.
+    # P and H_t, so both memo reuse counters are listed and have counted
+    # them.
     grep -q 'adalsh_pairwise_reused_total [1-9]' "$scrape" ||
         { echo "/metrics missing a nonzero P memo reuse counter" >&2; return 1; }
     grep -q 'adalsh_transitive_reused_total [1-9]' "$scrape" ||
         { echo "/metrics missing a nonzero H memo reuse counter" >&2; return 1; }
+    # Both passes inserted bucket-table keys: the boot pass all of them,
+    # the ingest pass only the new records'.
+    grep -q 'adalsh_bucket_inserts_total [1-9]' "$scrape" ||
+        { echo "/metrics missing a nonzero bucket-insert counter" >&2; return 1; }
     rm -f "$scrape"
 
     # Clean shutdown.

@@ -296,6 +296,7 @@ fn bench_transitive_and_pairwise(c: &mut Criterion) {
                     1,
                     1,
                     &[],
+                    None,
                     &mut stats,
                 ))
             },

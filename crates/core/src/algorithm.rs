@@ -33,7 +33,7 @@ use crate::oracle::{
 use crate::pairwise::{apply_pairwise_with, DEFAULT_PAIR_BLOCK};
 use crate::sequence::{design, SequenceSpec};
 use crate::stats::Stats;
-use crate::transitive::apply_transitive;
+use crate::transitive::{apply_transitive, BucketTable};
 
 /// Which cluster to process next. Largest-First is the paper's (provably
 /// optimal) choice; the others exist for the optimality ablation.
@@ -360,13 +360,13 @@ impl AdaLsh {
     /// states across engines.
     ///
     /// A `memo` does the same for the partitions of `P` and of every
-    /// `H_t` after `H₁`: each of their inputs goes through it, its
-    /// components come back in canonical order, and the run closes one
-    /// memo pass. The Line-5 gate still prices every call at full
-    /// Definition-3 cost, so clusters and every `Stats` counter but
-    /// `bucket_inserts`, `pair_comparisons`, `distance_evals`,
-    /// `transitive_reused` and `pairwise_reused` are those of a run with
-    /// an empty memo. Like the states, a memo belongs to one growing
+    /// `H_t`, `H₁` included, and for the `H_t` bucket tables: each of
+    /// their inputs goes through it, its components come back in
+    /// canonical order, and the run closes one memo pass. The Line-5
+    /// gate still prices every call at full Definition-3 cost, so
+    /// clusters and every `Stats` counter but `bucket_inserts`,
+    /// `pair_comparisons`, `distance_evals`, `transitive_reused` and
+    /// `pairwise_reused` are those of a run with an empty memo. Like the states, a memo belongs to one growing
     /// store and one engine.
     ///
     /// # Panics
@@ -415,24 +415,43 @@ impl AdaLsh {
             OracleMode::Noisy(cfg) => Some(SpendLedger::new(cfg.budget)),
         };
 
-        // Line 1: apply H₁ to the whole dataset.
+        // Line 1: apply H₁ to the whole dataset (whole-set seeded from the
+        // memo after the first pass).
         let all: Vec<u32> = (0..n as u32).collect();
         let predicted = self.cost.hash_increment_cost(0, n);
         stats.modeled_cost += predicted;
         let before = stats;
         let round_start = sink.enabled().then(Instant::now);
-        let first = apply_transitive(
-            &self.hasher,
-            states,
-            store,
-            &all,
-            1,
-            self.config.threads,
-            &[],
-            &mut stats,
-        );
+        let threads = self.config.threads;
+        let run = |cluster: &[u32], seed: &[u32], table: Option<&mut BucketTable>| {
+            let subs = apply_transitive(
+                &self.hasher,
+                states,
+                store,
+                cluster,
+                1,
+                threads,
+                seed,
+                table,
+                &mut stats,
+            );
+            (subs, ())
+        };
+        let (first, (), reused) =
+            PartitionMemo::resolve(memo.as_deref_mut(), Function::Hash(1), &all, run);
+        stats.transitive_reused += u64::from(reused > 0);
         if let Some(t0) = round_start {
-            emit_hash_round(&sink, 1, n, &before, &stats, first.len(), 0, t0, predicted);
+            emit_hash_round(
+                &sink,
+                1,
+                n,
+                &before,
+                &stats,
+                first.len(),
+                reused,
+                t0,
+                predicted,
+            );
         }
         for c in first {
             push_cluster(&mut arena, &mut pool, c, ClusterLevel::Hashed(1));
@@ -525,7 +544,10 @@ impl AdaLsh {
                 let before = stats;
                 let round_start = sink.enabled().then(Instant::now);
                 let threads = self.config.threads;
-                let run = |cluster: &[u32], seed: &[u32]| match &self.config.oracle {
+                let run = |cluster: &[u32], seed: &[u32], _: Option<&mut BucketTable>| match &self
+                    .config
+                    .oracle
+                {
                     OracleMode::Noisy(ocfg) => {
                         let oracle = NoisyOracle::new(&self.config.rule, ocfg.clone())
                             .with_overlay(self.config.oracle_overlay.clone());
@@ -590,7 +612,7 @@ impl AdaLsh {
                 let before = stats;
                 let round_start = sink.enabled().then(Instant::now);
                 let threads = self.config.threads;
-                let run = |cluster: &[u32], seed: &[u32]| {
+                let run = |cluster: &[u32], seed: &[u32], table: Option<&mut BucketTable>| {
                     let subs = apply_transitive(
                         &self.hasher,
                         states,
@@ -599,6 +621,7 @@ impl AdaLsh {
                         t + 1,
                         threads,
                         seed,
+                        table,
                         &mut stats,
                     );
                     (subs, ())

@@ -1,6 +1,6 @@
 //! The exact partition memo an online resolver keeps across resolve
-//! passes, for `P` and for every transitive function `H_t` the round loop
-//! applies after `H₁`.
+//! passes, for `P` and for every transitive function `H_t`, `H₁`
+//! included.
 //!
 //! Each of these functions returns the connected components of a graph on
 //! its input cluster whose edges depend on two records only: "match" for
@@ -10,23 +10,29 @@
 //! part `S` of a cluster `C` went through the same function in the
 //! previous pass, `C`'s components are the closure of `S`'s components
 //! plus the edges that touch `C \ S`. The seeded runs — the wavefront of
-//! [`crate::pairwise`] and the probe of [`crate::transitive`] — test only
-//! those edges. A seed changes how much work a call does, never its
-//! answer.
+//! [`crate::pairwise`] and the stored-table inserts of
+//! [`crate::transitive`] — test only those edges. A seed changes how much
+//! work a call does, never its answer.
 //!
 //! An entry is (function, sorted members, one component label per
-//! member). For an input `C` the seed is the **largest previous entry of
-//! the same function wholly inside `C`** (ties go to the smaller first
-//! member); an entry only partly inside `C` is never used. A pass's
-//! inputs to one function are disjoint, so each function keeps a dense
-//! record → entry index over the previous pass's records, and the lookup
-//! costs one array read per member.
+//! member), and for `H_t` also the call's [`BucketTable`]: bucket → last
+//! record id over every key of its members. For an input `C` the seed is
+//! the **largest previous entry of the same function wholly inside `C`**
+//! (ties go to the smaller first member); an entry only partly inside `C`
+//! is never used, so a table only ever meets records of a superset of its
+//! own members. Taking the seed moves its table into the call, which
+//! extends it with the rest's keys and leaves it to the new entry. A
+//! pass's inputs to one function are disjoint, so each function keeps a
+//! dense record → entry index over the previous pass's records, and the
+//! lookup costs one array read per member.
 //!
 //! The memo is generational: [`PartitionMemo::end_pass`] keeps only the
-//! entries the pass created or reused, so memory is bounded by one pass's
-//! inputs per function. It holds exact-rule partitions only; a noisy
-//! oracle's verdicts depend on its ledger, seed and overlay, and never go
-//! through it.
+//! entries the pass created or reused, and a table goes with its entry,
+//! so memory is bounded by one pass's inputs and their keys per function.
+//! It holds exact-rule partitions only; a noisy oracle's verdicts depend
+//! on its ledger, seed and overlay, and never go through it.
+
+use crate::transitive::BucketTable;
 
 /// "No entry" in a record → entry index.
 const NONE: u32 = u32::MAX;
@@ -48,6 +54,8 @@ struct Entry {
     members: Vec<u32>,
     /// Component of each member, numbered in order of first appearance.
     labels: Vec<u32>,
+    /// The bucket table of the members' keys, for `H_t`; empty for `P`.
+    table: BucketTable,
 }
 
 /// One function's entries: the previous pass's, indexed by record, and
@@ -66,10 +74,9 @@ struct Generations {
 
 impl Generations {
     /// Takes the largest previous entry whose members all lie in `key`
-    /// (sorted), ties to the smaller first member, and returns `key`
-    /// reordered as the entry's members and then the rest, with the
-    /// entry's labels.
-    fn take_seed(&mut self, key: &[u32]) -> Option<(Vec<u32>, Vec<u32>)> {
+    /// (sorted), ties to the smaller first member, and returns it with
+    /// its members extended by the rest of `key`, ascending.
+    fn take_seed(&mut self, key: &[u32]) -> Option<Entry> {
         let mut touched = Vec::new();
         for &record in key {
             match self.owner.get(record as usize) {
@@ -96,15 +103,12 @@ impl Generations {
         // A pass's inputs to one function are disjoint, so no later input
         // of this pass can need the entry again.
         let best = best?;
-        let Entry {
-            members: mut cluster,
-            labels,
-        } = std::mem::take(&mut self.previous[best as usize]);
-        cluster.extend(
+        let mut entry = std::mem::take(&mut self.previous[best as usize]);
+        entry.members.extend(
             key.iter()
                 .filter(|&&record| self.owner.get(record as usize) != Some(&best)),
         );
-        Some((cluster, labels))
+        Some(entry)
     }
 }
 
@@ -130,13 +134,16 @@ impl PartitionMemo {
         }
     }
 
-    /// Resolves `members` through `run(cluster, seed)`, the seeded form
-    /// of `function`: `cluster` holds `members`, and `seed` labels the
-    /// components of its first `seed.len()` records. The seed is the
+    /// Resolves `members` through `run(cluster, seed, table)`, the seeded
+    /// form of `function`: `cluster` holds `members`, and `seed` labels
+    /// the components of its first `seed.len()` records. The seed is the
     /// largest entry `function` left in the previous pass whose members
     /// all lie in `members` (all of them on a whole-set hit), laid out
     /// first with the other members after it, ascending; with no such
-    /// entry `cluster` is `members` sorted and `seed` is empty.
+    /// entry `cluster` is `members` sorted and `seed` is empty. For `H_t`
+    /// `table` is the seed entry's bucket table, moved out of it (empty
+    /// with no seed), and `run` extends it to the whole cluster; the new
+    /// entry keeps it. `P` gets no table.
     ///
     /// Returns the components — records ascending, components by their
     /// smallest record, the same for every way of reaching them — `run`'s
@@ -145,7 +152,7 @@ impl PartitionMemo {
         &mut self,
         function: Function,
         members: &[u32],
-        run: impl FnOnce(&[u32], &[u32]) -> (Vec<Vec<u32>>, T),
+        run: impl FnOnce(&[u32], &[u32], Option<&mut BucketTable>) -> (Vec<Vec<u32>>, T),
     ) -> (Vec<Vec<u32>>, T, usize) {
         let slot = Self::slot(function);
         if self.functions.len() <= slot {
@@ -154,10 +161,18 @@ impl PartitionMemo {
         let memo = &mut self.functions[slot];
         let mut key = members.to_vec();
         key.sort_unstable();
-        let seeded = memo.take_seed(&key);
-        let (mut clusters, extra) = match &seeded {
-            Some((cluster, seed)) => run(cluster, seed),
-            None => run(&key, &[]),
+        let keeps_table = matches!(function, Function::Hash(_));
+        let (mut clusters, extra, reused, table) = match memo.take_seed(&key) {
+            Some(mut seed) => {
+                let table = keeps_table.then_some(&mut seed.table);
+                let (clusters, extra) = run(&seed.members, &seed.labels, table);
+                (clusters, extra, seed.labels.len(), seed.table)
+            }
+            None => {
+                let mut table = BucketTable::default();
+                let (clusters, extra) = run(&key, &[], keeps_table.then_some(&mut table));
+                (clusters, extra, 0, table)
+            }
         };
         for cluster in &mut clusters {
             cluster.sort_unstable();
@@ -175,23 +190,24 @@ impl PartitionMemo {
         memo.current.push(Entry {
             members: key,
             labels,
+            table,
         });
-        let reused = seeded.map_or(0, |(_, seed)| seed.len());
         (clusters, extra, reused)
     }
 
     /// [`PartitionMemo::partition`] through `memo`, or with no memo
-    /// `run(members, &[])` as given, unseeded, and 0 members reused.
+    /// `run(members, &[], None)` as given: unseeded, with no stored
+    /// table, and 0 members reused.
     pub fn resolve<T>(
         memo: Option<&mut Self>,
         function: Function,
         members: &[u32],
-        run: impl FnOnce(&[u32], &[u32]) -> (Vec<Vec<u32>>, T),
+        run: impl FnOnce(&[u32], &[u32], Option<&mut BucketTable>) -> (Vec<Vec<u32>>, T),
     ) -> (Vec<Vec<u32>>, T, usize) {
         match memo {
             Some(memo) => memo.partition(function, members, run),
             None => {
-                let (clusters, extra) = run(members, &[]);
+                let (clusters, extra) = run(members, &[], None);
                 (clusters, extra, 0)
             }
         }
@@ -221,15 +237,19 @@ impl PartitionMemo {
 mod tests {
     use super::*;
 
-    /// A `run` that records its inputs and returns `parts` verbatim.
+    /// Partitions `members` through a `run` that records its inputs in
+    /// `seen` and returns `parts` verbatim.
     fn fixed(
+        memo: &mut PartitionMemo,
+        function: Function,
+        members: &[u32],
         parts: Vec<Vec<u32>>,
         seen: &mut Vec<(Vec<u32>, Vec<u32>)>,
-    ) -> impl FnOnce(&[u32], &[u32]) -> (Vec<Vec<u32>>, ()) + '_ {
-        move |cluster, seed| {
+    ) -> (Vec<Vec<u32>>, (), usize) {
+        memo.partition(function, members, |cluster, seed, _| {
             seen.push((cluster.to_vec(), seed.to_vec()));
             (parts, ())
-        }
+        })
     }
 
     /// Resolves `members` into singletons and returns `run`'s inputs.
@@ -240,7 +260,7 @@ mod tests {
     ) -> (Vec<u32>, Vec<u32>) {
         let mut seen = Vec::new();
         let parts = members.iter().map(|&r| vec![r]).collect();
-        memo.partition(function, members, fixed(parts, &mut seen));
+        fixed(memo, function, members, parts, &mut seen);
         seen.pop().unwrap()
     }
 
@@ -248,10 +268,12 @@ mod tests {
     fn output_is_canonical() {
         let mut memo = PartitionMemo::new();
         let mut seen = Vec::new();
-        let (out, (), reused) = memo.partition(
+        let (out, (), reused) = fixed(
+            &mut memo,
             Function::Pairwise,
             &[9, 2, 5, 4],
-            fixed(vec![vec![9, 4], vec![5, 2]], &mut seen),
+            vec![vec![9, 4], vec![5, 2]],
+            &mut seen,
         );
         assert_eq!(out, vec![vec![2, 5], vec![4, 9]]);
         assert_eq!(reused, 0);
@@ -263,10 +285,21 @@ mod tests {
         let mut memo = PartitionMemo::new();
         let mut seen = Vec::new();
         let h2 = Function::Hash(2);
-        memo.partition(h2, &[3, 1, 0], fixed(vec![vec![0, 3], vec![1]], &mut seen));
+        fixed(
+            &mut memo,
+            h2,
+            &[3, 1, 0],
+            vec![vec![0, 3], vec![1]],
+            &mut seen,
+        );
         memo.end_pass(4);
-        let (out, (), reused) =
-            memo.partition(h2, &[0, 1, 3], fixed(vec![vec![0, 3], vec![1]], &mut seen));
+        let (out, (), reused) = fixed(
+            &mut memo,
+            h2,
+            &[0, 1, 3],
+            vec![vec![0, 3], vec![1]],
+            &mut seen,
+        );
         assert_eq!((out, reused), (vec![vec![0, 3], vec![1]], 3));
         assert_eq!(seen[1], (vec![0, 1, 3], vec![0, 1, 0]));
     }
@@ -276,17 +309,25 @@ mod tests {
         let mut memo = PartitionMemo::new();
         let mut seen = Vec::new();
         let h2 = Function::Hash(2);
-        memo.partition(h2, &[0, 1], fixed(vec![vec![0, 1]], &mut seen));
-        memo.partition(h2, &[2, 3, 4], fixed(vec![vec![2, 4], vec![3]], &mut seen));
-        memo.partition(h2, &[5], fixed(vec![vec![5]], &mut seen));
-        memo.partition(h2, &[6, 9], fixed(vec![vec![6], vec![9]], &mut seen));
-        memo.partition(h2, &[7, 8], fixed(vec![vec![7], vec![8]], &mut seen));
+        fixed(&mut memo, h2, &[0, 1], vec![vec![0, 1]], &mut seen);
+        fixed(
+            &mut memo,
+            h2,
+            &[2, 3, 4],
+            vec![vec![2, 4], vec![3]],
+            &mut seen,
+        );
+        fixed(&mut memo, h2, &[5], vec![vec![5]], &mut seen);
+        fixed(&mut memo, h2, &[6, 9], vec![vec![6], vec![9]], &mut seen);
+        fixed(&mut memo, h2, &[7, 8], vec![vec![7], vec![8]], &mut seen);
         memo.end_pass(10);
         // {2, 3, 4} is the largest entry inside; the rest follow, sorted.
-        let (_, (), reused) = memo.partition(
+        let (_, (), reused) = fixed(
+            &mut memo,
             h2,
             &[6, 5, 10, 0, 4, 1, 3, 2],
-            fixed(vec![vec![0, 1, 2, 3, 4, 5, 6, 10]], &mut seen),
+            vec![vec![0, 1, 2, 3, 4, 5, 6, 10]],
+            &mut seen,
         );
         assert_eq!(reused, 3);
         assert_eq!(
@@ -334,5 +375,62 @@ mod tests {
         memo.end_pass(4);
         memo.end_pass(4);
         assert_eq!(inputs(&mut memo, p, &[0, 1]).1, vec![], "no pass used it");
+    }
+
+    /// Resolves `members` into one component through a `run` that marks
+    /// each member's bucket in its table, and returns the buckets the
+    /// table held when `run` received it (`None` if it got no table).
+    fn marks(memo: &mut PartitionMemo, function: Function, members: &[u32]) -> Option<Vec<u64>> {
+        let mut got = None;
+        memo.partition(function, members, |cluster, _, table| {
+            got = table.map(|table| {
+                let mut held: Vec<u64> = table.buckets().collect();
+                held.sort_unstable();
+                for &record in cluster {
+                    table.replace(u64::from(record), record);
+                }
+                held
+            });
+            (vec![cluster.to_vec()], ())
+        });
+        got
+    }
+
+    #[test]
+    fn a_table_moves_with_its_entry() {
+        let mut memo = PartitionMemo::new();
+        let h2 = Function::Hash(2);
+        assert_eq!(marks(&mut memo, h2, &[1, 0]), Some(vec![]));
+        memo.end_pass(3);
+        // The seed's table arrives as the last call left it.
+        assert_eq!(marks(&mut memo, h2, &[2, 1, 0]), Some(vec![0, 1]));
+        memo.end_pass(3);
+        assert_eq!(marks(&mut memo, h2, &[0, 1, 2]), Some(vec![0, 1, 2]));
+        // `P` keeps no table.
+        assert_eq!(marks(&mut memo, Function::Pairwise, &[0, 1]), None);
+    }
+
+    #[test]
+    fn a_table_is_dropped_with_an_unused_entry() {
+        let mut memo = PartitionMemo::new();
+        let h2 = Function::Hash(2);
+        marks(&mut memo, h2, &[0, 1]);
+        memo.end_pass(2);
+        memo.end_pass(2);
+        assert_eq!(
+            marks(&mut memo, h2, &[0, 1]),
+            Some(vec![]),
+            "no pass used it"
+        );
+    }
+
+    #[test]
+    fn an_entry_only_partly_inside_never_lends_its_table() {
+        let mut memo = PartitionMemo::new();
+        let h2 = Function::Hash(2);
+        marks(&mut memo, h2, &[0, 1, 2]);
+        marks(&mut memo, h2, &[3]);
+        memo.end_pass(4);
+        assert_eq!(marks(&mut memo, h2, &[1, 2, 3]), Some(vec![3]));
     }
 }

@@ -13,17 +13,20 @@
 //! Every answer equals what the batch algorithm would return on the same
 //! snapshot.
 //!
-//! Partitions are not re-done either. Under the exact oracle the resolver
-//! keeps a [`PartitionMemo`] of the partitions its last query computed,
-//! for `P` and for every `H_t` after `H₁`. An input that holds a cluster
-//! the same function resolved last time starts from that cluster's
+//! Partitions and bucket tables are not re-done either. Under the exact
+//! oracle the resolver keeps a [`PartitionMemo`] of the partitions its
+//! last query computed, for `P` and for every `H_t`, `H₁` included, and
+//! of each `H_t` call's bucket table. An input that holds a cluster the
+//! same function resolved last time starts from that cluster's
 //! components: a whole-set hit does no work, and otherwise only the
-//! records outside it are inserted into fresh bucket tables (the others
-//! probe them) or, for `P`, only the pairs that touch them are evaluated.
-//! `H₁` re-inserts every record's keys each query. The memo changes how
-//! many bucket inserts and pairs a query performs, never a gate decision
-//! or an answer. It is not part of the snapshot, so a resumed resolver
-//! starts it empty; under a noisy oracle it is never used.
+//! records outside it have their keys inserted, into the stored table
+//! (the others' keys are never read), or, for `P`, only the pairs that
+//! touch them are evaluated. `H₁`'s input is every record, so a query
+//! inserts only the new records' `H₁` keys. The memo changes how many
+//! bucket inserts and pairs a query performs, never a gate decision or an
+//! answer. It is not part of the snapshot, so a resumed resolver starts
+//! it empty and rebuilds its tables on its first query; under a noisy
+//! oracle it is never used.
 //!
 //! The resolver maintains its snapshot [`Dataset`] **incrementally**:
 //! each [`OnlineAdaLsh::push`] appends one record (and its cached field
@@ -61,7 +64,8 @@ pub struct OnlineAdaLsh {
     dataset: Dataset,
     states: Vec<RecordHashState>,
     /// Exact partitions of the clusters the last query sent through `P`
-    /// and each `H_t` after `H₁`; unused under a noisy oracle.
+    /// and each `H_t`, with the `H_t` bucket tables; unused under a noisy
+    /// oracle.
     memo: PartitionMemo,
     /// The last [`OnlineAdaLsh::query_cached`] answer, keyed by the
     /// record count and `k` it was computed at. Records are append-only,
@@ -190,7 +194,7 @@ impl OnlineAdaLsh {
 
     /// Answers a top-`k` query over everything ingested so far. Hashing
     /// work and, under the exact oracle, the partitions of `P` and of
-    /// every `H_t` after `H₁` persist across queries; the answer is
+    /// every `H_t`, with the `H_t` bucket tables, persist across queries; the answer is
     /// identical to running the batch algorithm on the current snapshot.
     /// The snapshot dataset is borrowed, not rebuilt — a steady-state
     /// query does no per-record copying.
@@ -431,11 +435,13 @@ mod tests {
         // And every partition `P` computed: no pair is evaluated again.
         assert!(first.stats.pair_comparisons > 0, "precondition: P ran");
         assert_eq!(second.stats.pair_comparisons, 0);
-        // Only `H₁` inserts keys again.
+        // And every bucket table: no key is inserted again, not even
+        // `H₁`'s.
         assert_eq!(
             second.stats.transitive_reused,
-            second.stats.transitive_calls - 1
+            second.stats.transitive_calls
         );
+        assert_eq!(second.stats.bucket_inserts, 0);
         assert_eq!(second.stats.pairwise_calls, first.stats.pairwise_calls);
         assert_eq!(second.stats.pairwise_reused, second.stats.pairwise_calls);
     }

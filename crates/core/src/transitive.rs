@@ -3,7 +3,7 @@
 //! Applying sequence function `Hᵢ` to a cluster `S` hashes every record
 //! of `S` into `Hᵢ`'s tables and outputs one cluster per connected
 //! component of the "shared a bucket" graph. Tables are **fresh per
-//! invocation** (Appendix B.2) so clusters from different invocations can
+//! member set** (Appendix B.2) so clusters from different invocations can
 //! never merge. Components are maintained with the parent-pointer
 //! [`Forest`] using the four insertion cases of Figure 19:
 //!
@@ -18,21 +18,27 @@
 //! root path is the shortest (Appendix B.2) — which the map realizes by
 //! always storing the most recent record per bucket.
 //!
-//! # Seeded runs
+//! # Stored tables and seeded runs
 //!
-//! A `seed` gives the `H_t` components of the cluster's first
-//! `seed.len()` records (a part `S` an earlier call already partitioned),
-//! one label per record. Every record's state is advanced as usual, so
-//! `hash_evals` does not depend on the seed. Only the other records' keys
-//! are inserted, into a fresh table over a forest that starts with `S`'s
-//! components joined; then each record of `S` *probes* the table with its
-//! keys, without inserting, and joins the tree of any bucket it finds.
-//! The components are those of the whole cluster: two records of `S`
-//! share a bucket only inside one of `S`'s components, so every edge
-//! still to find touches a record outside `S`, and a record that shares
-//! buckets with two components of `S` joins them. An empty seed is the
-//! unseeded loop, insert for insert; a seed covering the cluster inserts
-//! nothing and returns its components.
+//! A call given a [`BucketTable`] keeps its table: bucket → last record
+//! *id*, for every key of its members, so an online resolver's memo can
+//! hand it to the next call over a superset of those members. A `seed`
+//! gives the `H_t` components of the cluster's first `seed.len()` records
+//! (a part `S` an earlier call already partitioned), one label per
+//! record, and the table must be that call's. Every record's state is
+//! advanced as usual, so `hash_evals` does not depend on the seed. The
+//! forest starts with `S`'s components joined, and only the other
+//! records' keys go through the ordinary insert loop, against the stored
+//! table: a bucket a record of `S` occupies joins that record's tree. The
+//! keys of `S`'s records are never read. The components are those of the
+//! whole cluster: two records of `S` share a bucket only inside one of
+//! `S`'s components, and keys persist across calls, so every edge still
+//! to find touches a record outside `S`. An empty seed over an empty
+//! table is the unseeded loop, insert for insert; a seed covering the
+//! cluster inserts nothing and returns its components. The table the
+//! call leaves is the one a cold call on the whole cluster builds, up to
+//! which record each bucket names. Without a table (batch runs) the call
+//! builds a fresh one keyed by slot and drops it.
 //!
 //! Bucket ids are `combine(table_tag, key)` — a SplitMix64 output, already
 //! uniform in every bit — so the bucket map uses them as their own hash
@@ -77,8 +83,127 @@ impl Hasher for PassThroughHasher {
     }
 }
 
-/// Bucket id → last-added record slot, hashed by [`PassThroughHasher`].
+/// Bucket id → last-added record, hashed by [`PassThroughHasher`].
 type BucketMap = HashMap<u64, u32, BuildHasherDefault<PassThroughHasher>>;
+
+/// Makes `record` the occupant of `bucket` in `map` and returns the
+/// previous occupant, if any. Through `entry`, which probes once and
+/// grows the map only on a vacancy: `HashMap::insert` measured ~5% slower
+/// over a whole level-3 insert loop.
+fn replace_in(map: &mut BucketMap, bucket: u64, record: u32) -> Option<u32> {
+    match map.entry(bucket) {
+        Entry::Vacant(vacant) => {
+            vacant.insert(record);
+            None
+        }
+        Entry::Occupied(mut occupied) => Some(std::mem::replace(occupied.get_mut(), record)),
+    }
+}
+
+/// The bucket table a memoized `H_t` call keeps: bucket id → the id of
+/// the record last inserted there, over every key of the call's members
+/// at its level. Record ids, unlike slots, mean the same in every call.
+///
+/// Most buckets sit in two sorted, aligned arrays, 12 bytes a bucket,
+/// with a directory of one run start per four buckets: bucket ids are
+/// uniform, so the run a bucket falls in, scaled from its id, holds about
+/// four buckets (on `serve-mixed` this cut `answer_ms` by about a third
+/// against a binary search over the whole array). The buckets added
+/// since the last merge sit in a map beside them, which a seeded call
+/// merges in once it holds more than an eighth as many, so memory stays
+/// near the arrays' and a merge costs O(1) per bucket amortized. An unseeded call leaves its whole table in
+/// the map: only a table some later call takes is ever sorted.
+#[derive(Debug, Default)]
+pub struct BucketTable {
+    /// Sorted bucket ids.
+    sorted: Vec<u64>,
+    /// The occupant of each bucket of `sorted`.
+    records: Vec<u32>,
+    /// `starts[j]..starts[j + 1]` holds the buckets of `sorted` in run
+    /// `j` of `starts.len() - 1` (see [`run_of`]); empty with `sorted`.
+    starts: Vec<u32>,
+    /// Buckets added since the last merge.
+    recent: BucketMap,
+}
+
+/// The run of `runs` that `bucket` falls in: its id scaled to `0..runs`,
+/// so a sorted array's runs are consecutive and about equally full.
+fn run_of(bucket: u64, runs: usize) -> usize {
+    ((u128::from(bucket) * runs as u128) >> 64) as usize
+}
+
+impl BucketTable {
+    /// Number of buckets.
+    pub fn len(&self) -> usize {
+        self.sorted.len() + self.recent.len()
+    }
+
+    /// True when no key was inserted.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bucket ids, in no particular order.
+    pub fn buckets(&self) -> impl Iterator<Item = u64> + '_ {
+        self.sorted.iter().chain(self.recent.keys()).copied()
+    }
+
+    /// Makes `record` the occupant of `bucket` and returns the previous
+    /// occupant, if any.
+    pub(crate) fn replace(&mut self, bucket: u64, record: u32) -> Option<u32> {
+        if let Some(runs) = self.starts.len().checked_sub(1) {
+            let run = run_of(bucket, runs);
+            let lo = self.starts[run] as usize;
+            let hi = self.starts[run + 1] as usize;
+            if let Ok(at) = self.sorted[lo..hi].binary_search(&bucket) {
+                return Some(std::mem::replace(&mut self.records[lo + at], record));
+            }
+        }
+        replace_in(&mut self.recent, bucket, record)
+    }
+
+    /// Merges the recent buckets into the sorted arrays once they number
+    /// more than an eighth of them.
+    fn settle(&mut self) {
+        if self.recent.len() * 8 <= self.sorted.len() {
+            return;
+        }
+        let mut recent: Vec<(u64, u32)> = std::mem::take(&mut self.recent).into_iter().collect();
+        recent.sort_unstable_by_key(|&(bucket, _)| bucket);
+        let len = self.sorted.len() + recent.len();
+        let (mut sorted, mut records) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        let mut old = self
+            .sorted
+            .iter()
+            .copied()
+            .zip(self.records.iter().copied())
+            .peekable();
+        for (bucket, record) in recent {
+            while let Some((b, r)) = old.next_if(|&(b, _)| b < bucket) {
+                sorted.push(b);
+                records.push(r);
+            }
+            sorted.push(bucket);
+            records.push(record);
+        }
+        for (b, r) in old {
+            sorted.push(b);
+            records.push(r);
+        }
+        let runs = (len / 4).max(1);
+        let mut starts = Vec::with_capacity(runs + 1);
+        let mut at = 0;
+        for run in 0..=runs {
+            while at < len && run_of(sorted[at], runs) < run {
+                at += 1;
+            }
+            starts.push(at as u32);
+        }
+        self.sorted = sorted;
+        self.records = records;
+        self.starts = starts;
+    }
+}
 
 /// Applies sequence function `H_to_level` to `cluster` (record ids),
 /// advancing each record's incremental hash state as needed, and returns
@@ -105,11 +230,15 @@ type BucketMap = HashMap<u64, u32, BuildHasherDefault<PassThroughHasher>>;
 /// one thread.
 ///
 /// `seed` labels the `H_to_level` components of the cluster's first
-/// `seed.len()` records (see the module docs; `&[]` for none).
+/// `seed.len()` records, and `table` is the stored table of their keys,
+/// which the call extends with the rest's (see the module docs). With no
+/// table the seed must be empty.
 ///
 /// # Panics
 /// Panics if `to_level` is out of range for the hasher, `seed` is longer
-/// than `cluster`, or a seed label is not below `seed.len()`.
+/// than `cluster`, a seed label is not below `seed.len()`, a seed comes
+/// without a table or a non-empty table without a seed, or a seeded
+/// call's seed records or rest are not ascending.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_transitive(
     hasher: &SequenceHasher,
@@ -119,6 +248,7 @@ pub fn apply_transitive(
     to_level: usize,
     threads: usize,
     seed: &[u32],
+    table: Option<&mut BucketTable>,
     stats: &mut Stats,
 ) -> Vec<Vec<u32>> {
     stats.transitive_calls += 1;
@@ -229,60 +359,69 @@ pub fn apply_transitive(
         cluster.len()
     );
     let mut forest = Forest::seeded(cluster.len(), seed);
-    // Fresh tables for this invocation: bucket → last-added record slot.
-    let mut buckets =
-        BucketMap::with_capacity_and_hasher((cluster.len() - s) * 2, BuildHasherDefault::default());
-
-    for (slot, &rid) in (0u32..).zip(cluster).skip(s) {
-        let state = &states[rid as usize];
-        for (table_tag, key) in hasher.keys(state, to_level) {
-            let bucket = combine(table_tag, key);
-            stats.bucket_inserts += 1;
-            match buckets.entry(bucket) {
-                Entry::Vacant(v) => {
-                    // Cases 1 and 2.
-                    if forest.leaf_of(slot).is_none() {
-                        forest.add_singleton(slot);
-                    }
-                    v.insert(slot);
+    let inserts = (cluster.len() - s) * 2;
+    match table {
+        // A stored table holds record ids: seed records sit at slots
+        // `0..s` and the rest after them, each part ascending.
+        Some(table) if s > 0 => {
+            let (seeded, rest) = cluster.split_at(s);
+            assert!(
+                ascending(seeded) && ascending(rest),
+                "a stored-table call lays out its seed and its rest ascending"
+            );
+            table.recent.reserve(inserts);
+            let slot_of = |record: u32| match seeded.binary_search(&record) {
+                Ok(slot) => slot as u32,
+                Err(_) => {
+                    let slot = rest.binary_search(&record).expect("occupants are members");
+                    (s + slot) as u32
                 }
-                Entry::Occupied(mut o) => {
-                    let occupant = *o.get();
-                    if occupant != slot {
-                        let r2 = forest
-                            .find_root_of_slot(occupant)
-                            .expect("bucket occupants are always in a tree");
-                        match forest.leaf_of(slot) {
-                            // Case 3.
-                            None => {
-                                forest.attach_leaf(r2, slot);
-                            }
-                            // Case 4.
-                            Some(leaf) => {
-                                let r1 = forest.find_root(leaf);
-                                if r1 != r2 {
-                                    forest.merge_roots(r1, r2);
-                                }
-                            }
-                        }
-                        o.insert(slot);
-                    }
-                }
-            }
+            };
+            insert_keys(
+                hasher,
+                states,
+                cluster,
+                to_level,
+                s,
+                &mut forest,
+                |bucket, slot| table.replace(bucket, cluster[slot as usize]),
+                slot_of,
+                stats,
+            );
+            table.settle();
         }
-    }
-
-    // Probe: every bucket a seeded record shares with a record outside
-    // the seed joins their trees (case 4 without the insert).
-    if !buckets.is_empty() {
-        for (slot, &rid) in (0u32..).zip(&cluster[..s]) {
-            for (table_tag, key) in hasher.keys(&states[rid as usize], to_level) {
-                if let Some(&occupant) = buckets.get(&combine(table_tag, key)) {
-                    let r1 = forest.find_root_of_slot(slot).expect("seeded");
-                    let r2 = forest.find_root_of_slot(occupant).expect("inserted");
-                    if r1 != r2 {
-                        forest.merge_roots(r1, r2);
-                    }
+        // Unseeded: a fresh table keyed by slot. A stored one turns its
+        // slots into record ids at the end; it stays unsorted until a
+        // later call takes it, so a table no call takes again is never
+        // sorted.
+        table => {
+            let mut fresh = BucketMap::default();
+            let kept = table.is_some();
+            let buckets = match table {
+                Some(table) => {
+                    assert!(table.is_empty(), "a stored table comes with its seed");
+                    &mut table.recent
+                }
+                None => {
+                    assert!(s == 0, "a seed comes with its stored table");
+                    &mut fresh
+                }
+            };
+            buckets.reserve(inserts);
+            insert_keys(
+                hasher,
+                states,
+                cluster,
+                to_level,
+                0,
+                &mut forest,
+                |bucket, slot| replace_in(buckets, bucket, slot),
+                |slot| slot,
+                stats,
+            );
+            if kept {
+                for occupant in buckets.values_mut() {
+                    *occupant = cluster[*occupant as usize];
                 }
             }
         }
@@ -293,6 +432,61 @@ pub fn apply_transitive(
         .into_iter()
         .map(|slots| slots.into_iter().map(|s| cluster[s as usize]).collect())
         .collect()
+}
+
+fn ascending(records: &[u32]) -> bool {
+    records.windows(2).all(|pair| pair[0] < pair[1])
+}
+
+/// Inserts the keys of `cluster[from..]` in slot order, maintaining
+/// `forest` by the four cases of Figure 19. `replace(bucket, slot)` makes
+/// the slot's record the bucket's occupant and returns the previous one,
+/// which `slot_of` maps back to a slot.
+#[allow(clippy::too_many_arguments)]
+fn insert_keys(
+    hasher: &SequenceHasher,
+    states: &[RecordHashState],
+    cluster: &[u32],
+    to_level: usize,
+    from: usize,
+    forest: &mut Forest,
+    mut replace: impl FnMut(u64, u32) -> Option<u32>,
+    slot_of: impl Fn(u32) -> u32,
+    stats: &mut Stats,
+) {
+    for (slot, &rid) in (0u32..).zip(cluster).skip(from) {
+        let state = &states[rid as usize];
+        for (table_tag, key) in hasher.keys(state, to_level) {
+            stats.bucket_inserts += 1;
+            match replace(combine(table_tag, key), slot).map(&slot_of) {
+                // Cases 1 and 2.
+                None => {
+                    if forest.leaf_of(slot).is_none() {
+                        forest.add_singleton(slot);
+                    }
+                }
+                Some(occupant) if occupant != slot => {
+                    let r2 = forest
+                        .find_root_of_slot(occupant)
+                        .expect("bucket occupants are always in a tree");
+                    match forest.leaf_of(slot) {
+                        // Case 3.
+                        None => {
+                            forest.attach_leaf(r2, slot);
+                        }
+                        // Case 4.
+                        Some(leaf) => {
+                            let r1 = forest.find_root(leaf);
+                            if r1 != r2 {
+                                forest.merge_roots(r1, r2);
+                            }
+                        }
+                    }
+                }
+                Some(_) => {}
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -328,7 +522,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], None, &mut st);
         assert_eq!(sorted(out), vec![vec![0, 1], vec![2]]);
         assert_eq!(st.transitive_calls, 1);
         assert!(st.hash_evals > 0 && st.bucket_inserts > 0);
@@ -344,7 +538,17 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![4], z: 10 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2, 3, 4], 1, 1, &[], &mut st);
+        let out = apply_transitive(
+            &h,
+            &mut states,
+            &d,
+            &[0, 1, 2, 3, 4],
+            1,
+            1,
+            &[],
+            None,
+            &mut st,
+        );
         assert_eq!(out.len(), 5, "disjoint sets must not merge");
     }
 
@@ -356,7 +560,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![1], z: 30 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], None, &mut st);
         assert_eq!(sorted(out), vec![vec![0, 1, 2]]);
     }
 
@@ -375,11 +579,11 @@ mod tests {
         let h = hasher(levels);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let coarse = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], &mut st);
+        let coarse = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], None, &mut st);
         assert_eq!(sorted(coarse.clone()), vec![vec![0, 1, 2]]);
         // Apply the next level to the merged cluster.
         let merged = &coarse[0];
-        let fine = apply_transitive(&h, &mut states, &d, merged, 2, 1, &[], &mut st);
+        let fine = apply_transitive(&h, &mut states, &d, merged, 2, 1, &[], None, &mut st);
         let fine = sorted(fine);
         assert!(
             fine.contains(&vec![0, 2]),
@@ -397,8 +601,8 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 4 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let a = apply_transitive(&h, &mut states, &d, &[0], 1, 1, &[], &mut st);
-        let b = apply_transitive(&h, &mut states, &d, &[1], 1, 1, &[], &mut st);
+        let a = apply_transitive(&h, &mut states, &d, &[0], 1, 1, &[], None, &mut st);
+        let b = apply_transitive(&h, &mut states, &d, &[1], 1, 1, &[], None, &mut st);
         assert_eq!(a, vec![vec![0]]);
         assert_eq!(b, vec![vec![1]]);
     }
@@ -414,7 +618,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 6 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &ids, 1, 1, &[], &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &ids, 1, 1, &[], None, &mut st);
         let mut all: Vec<u32> = out.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, ids, "output must partition the input exactly");
@@ -447,8 +651,8 @@ mod tests {
             // Pre-advance the even records to level 1 sequentially, so the
             // threaded call finds records at different levels.
             let evens: Vec<u32> = ids.iter().copied().filter(|i| i % 2 == 0).collect();
-            apply_transitive(&h, &mut states, &d, &evens, 1, 1, &[], &mut st);
-            let out = apply_transitive(&h, &mut states, &d, &ids, 2, threads, &[], &mut st);
+            apply_transitive(&h, &mut states, &d, &evens, 1, 1, &[], None, &mut st);
+            let out = apply_transitive(&h, &mut states, &d, &ids, 2, threads, &[], None, &mut st);
             (sorted(out), st, states)
         };
         let (out1, st1, states1) = run(1);
@@ -460,50 +664,113 @@ mod tests {
         }
     }
 
-    /// Labels `parts`' records by part, laid out part after part.
-    fn seed_of(parts: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
-        let records = parts.concat();
-        let labels = (0u32..)
-            .zip(parts)
-            .flat_map(|(label, part)| std::iter::repeat_n(label, part.len()))
+    /// A stored-table call on `members` (ascending), as a memo entry
+    /// keeps it: one component label per member, and the table.
+    fn stored(
+        h: &SequenceHasher,
+        states: &mut [RecordHashState],
+        d: &Dataset,
+        members: &[u32],
+    ) -> (Vec<u32>, BucketTable) {
+        let mut table = BucketTable::default();
+        let mut st = Stats::default();
+        let parts = apply_transitive(h, states, d, members, 1, 1, &[], Some(&mut table), &mut st);
+        let labels = members
+            .iter()
+            .map(|r| parts.iter().position(|p| p.contains(r)).unwrap() as u32)
             .collect();
-        (records, labels)
+        (labels, table)
+    }
+
+    /// A seeded call on `cluster` (`seed_part` first, each part
+    /// ascending) over the table `stored` left for `seed_part`: its
+    /// sorted output, its `Stats` and the table it leaves.
+    fn warm(
+        h: &SequenceHasher,
+        d: &Dataset,
+        seed_part: &[u32],
+        cluster: &[u32],
+    ) -> (Vec<Vec<u32>>, Stats, BucketTable) {
+        let mut states = vec![RecordHashState::default(); d.len()];
+        let (seed, mut table) = stored(h, &mut states, d, seed_part);
+        let mut st = Stats::default();
+        let out = apply_transitive(
+            h,
+            &mut states,
+            d,
+            cluster,
+            1,
+            1,
+            &seed,
+            Some(&mut table),
+            &mut st,
+        );
+        (sorted(out), st, table)
+    }
+
+    #[test]
+    fn a_new_record_joins_a_seed_component_through_the_stored_table() {
+        // 2 shares buckets with 0 only, and 0's keys live in the stored
+        // table alone: nothing re-inserts them.
+        let d = dataset(&[&[1, 2, 3], &[100, 200, 300], &[1, 2, 3]]);
+        let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
+        let (out, st, table) = warm(&h, &d, &[0, 1], &[0, 1, 2]);
+        assert_eq!(out, vec![vec![0, 2], vec![1]]);
+        let mut states = vec![RecordHashState::default(); d.len()];
+        let mut cold = BucketTable::default();
+        let mut cold_st = Stats::default();
+        apply_transitive(
+            &h,
+            &mut states,
+            &d,
+            &[0, 1, 2],
+            1,
+            1,
+            &[],
+            Some(&mut cold),
+            &mut cold_st,
+        );
+        assert_eq!(st.bucket_inserts, h.keys(&states[2], 1).count() as u64);
+        let buckets = |t: &BucketTable| {
+            let mut b: Vec<u64> = t.buckets().collect();
+            b.sort_unstable();
+            b
+        };
+        assert_eq!(buckets(&table), buckets(&cold));
     }
 
     #[test]
     fn a_new_record_bridges_two_seed_components() {
-        // 0 and 1 share no shingle, so no bucket; 2 holds both sets.
+        // 0 and 1 share no shingle, so no bucket; 2 holds both sets, and
+        // only the stored table holds 0's and 1's keys.
         let d = dataset(&[&[1, 2, 3], &[100, 200, 300], &[1, 2, 3, 100, 200, 300]]);
         let h = hasher(vec![LevelScheme::Shared { ws: vec![1], z: 16 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
-        let mut st = Stats::default();
-        let old = apply_transitive(&h, &mut states, &d, &[0, 1], 1, 1, &[], &mut st);
-        assert_eq!(sorted(old.clone()), vec![vec![0], vec![1]]);
-        let (mut cluster, seed) = seed_of(&sorted(old));
-        cluster.push(2);
-        let mut cold_states = states.clone();
-        let mut cold = Stats::default();
-        apply_transitive(&h, &mut cold_states, &d, &cluster, 1, 1, &[], &mut cold);
-        let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &cluster, 1, 1, &seed, &mut st);
-        assert_eq!(sorted(out), vec![vec![0, 1, 2]]);
-        // Only the new record's keys were inserted; hashing is unchanged.
+        let (seed, _) = stored(&h, &mut states, &d, &[0, 1]);
+        assert_eq!(seed, vec![0, 1], "two seed components");
+        let (out, st, _) = warm(&h, &d, &[0, 1], &[0, 1, 2]);
+        assert_eq!(out, vec![vec![0, 1, 2]]);
+        h.advance(&d.records()[2], &mut states[2], 1, &mut Stats::default());
         assert_eq!(st.bucket_inserts, h.keys(&states[2], 1).count() as u64);
-        assert_eq!(st.hash_evals, cold.hash_evals);
     }
 
     #[test]
     fn a_whole_set_seed_inserts_nothing() {
         let d = dataset(&[&[1, 2, 3], &[1, 2, 3], &[100, 200, 300]]);
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
+        let (out, st, _) = warm(&h, &d, &[0, 1, 2], &[0, 1, 2]);
+        assert_eq!(out, vec![vec![0, 1], vec![2]]);
+        assert_eq!((st.bucket_inserts, st.transitive_calls), (0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "a seed comes with its stored table")]
+    fn a_seed_without_its_table_panics() {
+        let d = dataset(&[&[1, 2, 3], &[1, 2, 3]]);
+        let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let cold = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], &mut st);
-        let (cluster, seed) = seed_of(&sorted(cold.clone()));
-        let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &cluster, 1, 1, &seed, &mut st);
-        assert_eq!(sorted(out), sorted(cold));
-        assert_eq!((st.bucket_inserts, st.transitive_calls), (0, 1));
+        apply_transitive(&h, &mut states, &d, &[0, 1], 1, 1, &[0], None, &mut st);
     }
 
     #[test]
@@ -512,7 +779,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], &mut st);
+        apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, &[], None, &mut st);
         let keys: usize = states.iter().map(|s| h.keys(s, 1).count()).sum();
         assert_eq!(st.bucket_inserts, keys as u64);
     }
@@ -523,7 +790,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 3 }]);
         let mut states = vec![RecordHashState::default(); 1];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0], 1, 1, &[], &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &[0], 1, 1, &[], None, &mut st);
         assert_eq!(out, vec![vec![0]]);
     }
 }

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use adalsh_core::hashing::{HashPart, LevelScheme, RecordHashState, SequenceHasher};
 use adalsh_core::stats::Stats;
-use adalsh_core::transitive::apply_transitive;
+use adalsh_core::transitive::{apply_transitive, BucketTable};
 use adalsh_data::{Dataset, FieldKind, FieldValue, Record, Schema, ShingleSet};
 use adalsh_lsh::scheme::WzScheme;
 use proptest::prelude::*;
@@ -139,7 +139,7 @@ proptest! {
 
         let mut stats = Stats::default();
         let got = apply_transitive(
-            &hasher, &mut states, &d, &cluster, to_level, 1, &[], &mut stats,
+            &hasher, &mut states, &d, &cluster, to_level, 1, &[], None, &mut stats,
         );
         let want = reference_components(&hasher, &states, &cluster, to_level);
         prop_assert_eq!(sorted(got), want);
@@ -152,10 +152,11 @@ proptest! {
     }
 
     /// Split a cluster into a part `S` and the rest, seed `S` with the
-    /// components a cold call on `S` returns, and the seeded call on the
-    /// whole cluster returns the components, hash evaluations and states
-    /// of a cold call from the same states, inserting only the rest's
-    /// keys, at 1 and 2 threads.
+    /// components and the bucket table a cold stored-table call on `S`
+    /// leaves, and the seeded call on the whole cluster returns the
+    /// components, hash evaluations and states of a cold call from the
+    /// same states, inserting only the rest's keys and leaving the cold
+    /// call's bucket set, at 1 and 2 threads.
     #[test]
     fn seeded_transitive_equals_a_cold_call(
         records in prop::collection::vec(
@@ -195,25 +196,29 @@ proptest! {
                     hasher.advance(rec, &mut states[rid], pre.min(num_levels), &mut st);
                 }
             }
+            // The memo's layout: `S` ascending, one label per record, and
+            // the rest after it, ascending.
+            let mut table = BucketTable::default();
             let parts = apply_transitive(
-                &hasher, &mut states, &d, &part, to_level, threads, &[], &mut st,
+                &hasher, &mut states, &d, &part, to_level, threads, &[], Some(&mut table), &mut st,
             );
-            let mut laid: Vec<u32> = Vec::new();
-            let mut labels: Vec<u32> = Vec::new();
-            for (label, component) in (0u32..).zip(&parts) {
-                laid.extend(component);
-                labels.extend(std::iter::repeat_n(label, component.len()));
-            }
-            laid.extend(&rest);
+            let labels: Vec<u32> = part
+                .iter()
+                .map(|r| parts.iter().position(|p| p.contains(r)).unwrap() as u32)
+                .collect();
+            let laid: Vec<u32> = part.iter().chain(&rest).copied().collect();
 
             let mut cold_states = states.clone();
             let mut cold = Stats::default();
+            let mut cold_table = BucketTable::default();
             let want = apply_transitive(
-                &hasher, &mut cold_states, &d, &cluster, to_level, threads, &[], &mut cold,
+                &hasher, &mut cold_states, &d, &cluster, to_level, threads, &[],
+                Some(&mut cold_table), &mut cold,
             );
             let mut warm = Stats::default();
             let got = apply_transitive(
-                &hasher, &mut states, &d, &laid, to_level, threads, &labels, &mut warm,
+                &hasher, &mut states, &d, &laid, to_level, threads, &labels, Some(&mut table),
+                &mut warm,
             );
             prop_assert_eq!(sorted(got), sorted(want), "threads={}", threads);
             prop_assert_eq!(warm.hash_evals, cold.hash_evals);
@@ -223,6 +228,12 @@ proptest! {
                 .map(|&rid| hasher.keys(&states[rid as usize], to_level).count())
                 .sum();
             prop_assert_eq!(warm.bucket_inserts, rest_keys as u64);
+            let buckets = |t: &BucketTable| {
+                let mut b: Vec<u64> = t.buckets().collect();
+                b.sort_unstable();
+                b
+            };
+            prop_assert_eq!(buckets(&table), buckets(&cold_table));
             prop_assert_eq!(warm.transitive_calls, 1);
         }
     }

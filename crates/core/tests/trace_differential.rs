@@ -241,8 +241,8 @@ fn online_memo_reuse_is_traced_and_reconciles() {
     assert!(text.contains("P memo:"), "{text}");
 }
 
-/// The memo seeds `H_t` after `H₁` too: with the jump gate off every
-/// cluster walks the whole sequence, a repeated query takes every such
+/// The memo seeds every `H_t` too, `H₁` included: with the jump gate off
+/// every cluster walks the whole sequence, a repeated query takes every
 /// call whole from the memo (no key inserted), and a query after a new
 /// arrival seeds a grown cluster with the part it resolved before.
 #[test]
@@ -283,13 +283,14 @@ fn online_hash_memo_reuse_is_traced_and_reconciles() {
             .collect::<Vec<_>>()
     };
     assert!(!deeper(&segments[1]).is_empty(), "precondition: H2 ran");
-    assert!(deeper(&segments[1])
+    assert!(segments[1]
         .iter()
         .all(|&(_, size, reused, keys)| reused == size && keys == 0));
     assert_eq!(
         repeat.stats.transitive_reused,
-        repeat.stats.transitive_calls - 1
+        repeat.stats.transitive_calls
     );
+    assert_eq!(repeat.stats.bucket_inserts, 0);
     assert!(
         deeper(&segments[2])
             .iter()

@@ -40,7 +40,7 @@ struct PairwiseRow {
     cost: f64,
 }
 
-/// The `H_t` calls after `H₁`, the ones an online resolver's memo can
+/// The `H_t` calls, every one of which an online resolver's memo can
 /// seed, and those of them that started from a memo partition.
 #[derive(Default)]
 struct HashMemoRow {
@@ -85,12 +85,10 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
                 row.keys += u(event, "keys_emitted");
                 row.wall_micros += u(event, "wall_micros");
                 row.cost += event.f64("predicted_cost").unwrap_or(0.0);
-                if u(event, "level") > 1 {
-                    hash_memo.calls += 1;
-                    hash_memo.records += u(event, "cluster_size");
-                    hash_memo.reused_calls += u64::from(u(event, "reused") > 0);
-                    hash_memo.reused_records += u(event, "reused");
-                }
+                hash_memo.calls += 1;
+                hash_memo.records += u(event, "cluster_size");
+                hash_memo.reused_calls += u64::from(u(event, "reused") > 0);
+                hash_memo.reused_records += u(event, "reused");
             }
             "pairwise" => {
                 pairwise.calls += 1;
@@ -201,7 +199,7 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
     }
     if queries > 0 || hash_memo.reused_calls > 0 {
         out.push_str(&format!(
-            "H memo: {} of {} calls after H1, {} of {} records reused\n",
+            "H memo: {} of {} calls, {} of {} records reused\n",
             hash_memo.reused_calls, hash_memo.calls, hash_memo.reused_records, hash_memo.records
         ));
     }
@@ -388,7 +386,7 @@ mod tests {
         ];
         let table = summarize(&events);
         assert!(
-            table.contains("H memo: 2 of 3 calls after H1, 17 of 23 records reused"),
+            table.contains("H memo: 2 of 4 calls, 17 of 63 records reused"),
             "{table}"
         );
         assert!(!summarize(&events[3..]).contains("H memo"));

@@ -195,6 +195,9 @@ pub struct PipelineMetrics {
     pub hash_evals: Counter,
     /// `adalsh_pairwise_evals_total` — likewise.
     pub pairwise_evals: Counter,
+    /// `adalsh_bucket_inserts_total` — likewise; an online pass inserts
+    /// only the keys its stored bucket tables have not seen.
+    pub bucket_inserts: Counter,
     /// `adalsh_transitive_reused_total` — likewise.
     pub transitive_reused: Counter,
     /// `adalsh_pairwise_reused_total` — likewise.
@@ -212,6 +215,10 @@ impl PipelineMetrics {
             pairwise_evals: registry.counter(
                 "adalsh_pairwise_evals_total",
                 "Record-pair comparisons across all resolve passes.",
+            ),
+            bucket_inserts: registry.counter(
+                "adalsh_bucket_inserts_total",
+                "Keys inserted into transitive hashing bucket tables across all resolve passes.",
             ),
             transitive_reused: registry.counter(
                 "adalsh_transitive_reused_total",
@@ -274,6 +281,7 @@ impl PipelineMetrics {
     pub fn observe_pass(&self, stats: &Stats) {
         self.hash_evals.add(stats.hash_evals);
         self.pairwise_evals.add(stats.pair_comparisons);
+        self.bucket_inserts.add(stats.bucket_inserts);
         self.transitive_reused.add(stats.transitive_reused);
         self.pairwise_reused.add(stats.pairwise_reused);
     }
@@ -413,6 +421,7 @@ mod tests {
         p.observe_pass(&Stats {
             hash_evals: 11,
             pair_comparisons: 5,
+            bucket_inserts: 13,
             transitive_reused: 2,
             pairwise_reused: 3,
             ..Stats::default()
@@ -426,6 +435,7 @@ mod tests {
         assert!(text.contains("adalsh_ingested_records_total 7"));
         assert!(text.contains("adalsh_hash_evals_total 11"));
         assert!(text.contains("adalsh_pairwise_evals_total 5"));
+        assert!(text.contains("adalsh_bucket_inserts_total 13"));
         assert!(text.contains("adalsh_transitive_reused_total 2"));
         assert!(text.contains("adalsh_pairwise_reused_total 3"));
         // Engine families are pre-registered even before any query.

@@ -593,11 +593,10 @@ fn drainer_loop(
                 // The root span starts at the first batch's *enqueue*
                 // stamp, so its duration is the full ingest-to-visible
                 // latency; queue wait is the [enqueue, pop] prefix.
-                let pop_stamp = if tracing { spans.now_micros() } else { 0 };
+                let stamp = || if tracing { spans.now_micros() } else { 0 };
+                let pop_stamp = stamp();
                 let root = spans.begin_at("ingest_batch", 0, enqueued_micros);
                 if tracing {
-                    let wait = spans.begin_at("queue_wait", root.id, enqueued_micros);
-                    spans.finish_at(wait, pop_stamp, &[], sink);
                     metrics
                         .queue_age
                         .set(pop_stamp.saturating_sub(enqueued_micros) as f64 / 1e6);
@@ -633,10 +632,7 @@ fn drainer_loop(
                         Err(_) => break,
                     }
                 }
-                if tracing {
-                    let coalesce = spans.begin_at("coalesce", root.id, pop_stamp);
-                    spans.finish(coalesce, &[("batches", Value::U64(applied_batches))], sink);
-                }
+                let coalesced = stamp();
 
                 let batch_len = batch.len();
                 let resolve_span = spans.begin("resolve", root.id);
@@ -646,7 +642,50 @@ fn drainer_loop(
                     .expect("batch pre-validated at intake");
                 let output = resolver.query_cached(resolve_k);
                 metrics.observe_pass(&output.stats);
+                let proc_after = proc_before.and_then(|_| ProcSample::capture());
+                let resolved = stamp();
+                let snapshot = Arc::new(ResolvedSnapshot {
+                    epoch: last_epoch,
+                    records: resolver.len(),
+                    resolve_k,
+                    clusters: output.clusters,
+                    stats: output.stats,
+                    oracle: output.oracle,
+                    resolve_wall: output.wall,
+                });
+                let records_total = snapshot.records as u64;
+                let publish_span = spans.begin("publish", root.id);
+                publisher.publish(snapshot);
+
+                metrics.batch_records.observe(batch_len as f64);
+                metrics.applied_batches.add(applied_batches);
+                metrics.published_epoch.set(last_epoch);
+                metrics
+                    .publish_seconds
+                    .observe(pass_start.elapsed().as_secs_f64());
+
+                // Wake barrier waiters after the snapshot is visible.
+                let (lock, condvar) = &**barrier;
+                let mut state = lock_unpoisoned(lock);
+                state.epoch = last_epoch;
+                state.records = records_total;
+                drop(state);
+                condvar.notify_all();
+                let published = stamp();
+
+                // Span bookkeeping waits until the pass is visible: every
+                // stamp and sample above was taken in place, so emitting
+                // the spans now changes no field, only who waits for it.
                 if tracing {
+                    let wait = spans.begin_at("queue_wait", root.id, enqueued_micros);
+                    spans.finish_at(wait, pop_stamp, &[], sink);
+                    let coalesce = spans.begin_at("coalesce", root.id, pop_stamp);
+                    spans.finish_at(
+                        coalesce,
+                        coalesced,
+                        &[("batches", Value::U64(applied_batches))],
+                        sink,
+                    );
                     // Engine-derived children: durations are the exact
                     // per-segment Σ wall_micros the collector folded, so
                     // schema::validate reconciles them bit-for-bit with
@@ -690,7 +729,7 @@ fn drainer_loop(
                     }
                     let mut fields: Vec<(&'static str, Value<'static>)> =
                         vec![("records", Value::U64(batch_len as u64))];
-                    if let (Some(before), Some(after)) = (proc_before, ProcSample::capture()) {
+                    if let (Some(before), Some(after)) = (proc_before, proc_after) {
                         metrics
                             .resolve_minor_faults
                             .add(after.minor_faults.saturating_sub(before.minor_faults));
@@ -699,41 +738,16 @@ fn drainer_loop(
                             .add(after.major_faults.saturating_sub(before.major_faults));
                         fields.extend(before.delta_fields(&after));
                     }
-                    spans.finish(resolve_span, &fields, sink);
-                }
-                let snapshot = Arc::new(ResolvedSnapshot {
-                    epoch: last_epoch,
-                    records: resolver.len(),
-                    resolve_k,
-                    clusters: output.clusters,
-                    stats: output.stats,
-                    oracle: output.oracle,
-                    resolve_wall: output.wall,
-                });
-                let records_total = snapshot.records as u64;
-                let publish_span = spans.begin("publish", root.id);
-                publisher.publish(snapshot);
-
-                metrics.batch_records.observe(batch_len as f64);
-                metrics.applied_batches.add(applied_batches);
-                metrics.published_epoch.set(last_epoch);
-                metrics
-                    .publish_seconds
-                    .observe(pass_start.elapsed().as_secs_f64());
-
-                // Wake barrier waiters after the snapshot is visible.
-                let (lock, condvar) = &**barrier;
-                let mut state = lock_unpoisoned(lock);
-                state.epoch = last_epoch;
-                state.records = records_total;
-                drop(state);
-                condvar.notify_all();
-
-                if tracing {
-                    spans.finish(publish_span, &[("epoch", Value::U64(last_epoch))], sink);
+                    spans.finish_at(resolve_span, resolved, &fields, sink);
+                    spans.finish_at(
+                        publish_span,
+                        published,
+                        &[("epoch", Value::U64(last_epoch))],
+                        sink,
+                    );
                     let total = spans.finish_at(
                         root,
-                        spans.now_micros(),
+                        published,
                         &[
                             ("records", Value::U64(batch_len as u64)),
                             ("batches", Value::U64(applied_batches)),
