@@ -13,7 +13,7 @@ use adalsh_core::transitive::apply_transitive;
 use adalsh_data::{
     Dataset, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema, ShingleSet,
 };
-use adalsh_lsh::{HyperplaneFamily, MinHashFamily};
+use adalsh_lsh::{HyperplaneFamily, HyperplanePanel, MinHashFamily};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -177,8 +177,8 @@ fn bench_distance_kernels(c: &mut Criterion) {
 }
 
 /// Scalar-vs-batched hyperplane signs at batch widths 16 / 128 / 1024
-/// over one 64-dim vector. Both paths read the same flat row-major
-/// matrix; batching saves the per-call dispatch, not the dot products.
+/// over one 64-dim vector: one row-major dot product per call against
+/// the block-major panel kernel over the same functions.
 fn bench_hyperplane_batch(c: &mut Criterion) {
     let mut g = c.benchmark_group("hyperplane_batch");
     let v: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin()).collect();
@@ -196,10 +196,12 @@ fn bench_hyperplane_batch(c: &mut Criterion) {
                 black_box(out[width - 1])
             })
         });
+        let functions: Vec<(u64, u64)> = idx.iter().map(|&i| (3, i as u64)).collect();
+        let panel = HyperplanePanel::new(64, &functions);
         g.bench_function(format!("batched/{width}"), |b| {
             let mut out = vec![0u64; width];
             b.iter(|| {
-                hp.hash_batch(&idx, black_box(&v), &mut out);
+                panel.hash_all(black_box(&v), &mut out);
                 black_box(out[width - 1])
             })
         });

@@ -17,10 +17,12 @@
 //! baseline. `--out <path>` writes the JSON to `<path>` in either mode;
 //! because width 128 is one of the baseline's, CI diffs a fresh smoke
 //! run against the committed file with `adalsh bench diff`. Keys are
-//! `<kernel>_per_sec/<width>` (higher is better).
+//! `<kernel>_per_sec/<width>` (higher is better). The hyperplane batch
+//! rows time [`HyperplanePanel::hash_all`] over a panel of `width`
+//! functions, the kernel a sequence level runs.
 
 use adalsh_bench::recorder::{out_arg, provenance_fields};
-use adalsh_lsh::{HyperplaneFamily, MinHashFamily};
+use adalsh_lsh::{HyperplaneFamily, HyperplanePanel, MinHashFamily};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -87,8 +89,10 @@ fn main() {
         });
         rows.push((format!("hyperplane_scalar_per_sec/{width}"), ops));
 
+        let functions: Vec<(u64, u64)> = idx.iter().map(|&i| (3, i as u64)).collect();
+        let panel = HyperplanePanel::new(DIM, &functions);
         let ops = measure(width, window, || {
-            hp.hash_batch(&idx, black_box(&v), &mut out);
+            panel.hash_all(black_box(&v), &mut out);
             black_box(out[width - 1]);
         });
         rows.push((format!("hyperplane_batch_per_sec/{width}"), ops));

@@ -8,7 +8,9 @@
 //! ingest-to-visible wall per batch (`submit` then `wait_until` the
 //! batch's `visible_epoch`). Each arm runs several repetitions on a
 //! fresh pipeline and keeps the fastest, so the ratio compares best
-//! cases instead of scheduler noise.
+//! cases instead of scheduler noise. The arms alternate repetition by
+//! repetition, so a host that slows down or speeds up mid-run slows
+//! both arms alike instead of reading as span cost.
 //!
 //! ```sh
 //! cargo run --release -p adalsh-bench --bin bench_spans
@@ -96,18 +98,29 @@ fn drive(records: usize, entities: usize, batches: usize, per_batch: usize, span
     started.elapsed().as_secs_f64()
 }
 
-/// Best-of-`reps` wall for one arm, each repetition on a fresh pipeline.
-fn best_of(
+/// Best-of-`reps` walls of the disabled and the enabled arm, each
+/// repetition on a fresh pipeline. The arms alternate, and which one
+/// goes first alternates too.
+fn best_of_alternated(
     reps: usize,
     records: usize,
     entities: usize,
     batches: usize,
     per_batch: usize,
-    spans_on: bool,
-) -> f64 {
-    (0..reps)
-        .map(|_| drive(records, entities, batches, per_batch, spans_on))
-        .fold(f64::INFINITY, f64::min)
+) -> (f64, f64) {
+    let (mut disabled, mut enabled) = (f64::INFINITY, f64::INFINITY);
+    for rep in 0..reps {
+        for spans_on in [rep % 2 == 1, rep % 2 == 0] {
+            let wall = drive(records, entities, batches, per_batch, spans_on);
+            let best = if spans_on {
+                &mut enabled
+            } else {
+                &mut disabled
+            };
+            *best = best.min(wall);
+        }
+    }
+    (disabled, enabled)
 }
 
 fn main() {
@@ -123,8 +136,7 @@ fn main() {
     let _ = drive(records, entities, 2, per_batch, false);
     let _ = drive(records, entities, 2, per_batch, true);
 
-    let disabled = best_of(reps, records, entities, batches, per_batch, false);
-    let enabled = best_of(reps, records, entities, batches, per_batch, true);
+    let (disabled, enabled) = best_of_alternated(reps, records, entities, batches, per_batch);
     let ratio = enabled / disabled;
     let per_batch_micros = |wall: f64| wall / batches as f64 * 1e6;
 

@@ -244,6 +244,8 @@ pub struct AdaLsh {
     config: AdaLshConfig,
     hasher: SequenceHasher,
     cost: CostModel,
+    /// Levels whose `level_built` event the trace already holds.
+    builds_traced: Vec<bool>,
 }
 
 impl AdaLsh {
@@ -287,6 +289,7 @@ impl AdaLsh {
             }
         }
         Ok(Self {
+            builds_traced: vec![false; hasher.num_levels()],
             config,
             hasher,
             cost,
@@ -452,6 +455,7 @@ impl AdaLsh {
                 t0,
                 predicted,
             );
+            emit_level_builds(&sink, &self.hasher, &mut self.builds_traced);
         }
         for c in first {
             push_cluster(&mut arena, &mut pool, c, ClusterLevel::Hashed(1));
@@ -645,6 +649,7 @@ impl AdaLsh {
                         t0,
                         predicted,
                     );
+                    emit_level_builds(&sink, &self.hasher, &mut self.builds_traced);
                 }
                 (subs, ClusterLevel::Hashed(t as u16 + 1))
             };
@@ -750,6 +755,27 @@ fn emit_hash_round(
             ("predicted_cost", Value::F64(predicted_cost)),
         ],
     );
+}
+
+/// Emits one `level_built` event for each level whose hyperplane normals
+/// were built since the last report: the first traced round after a
+/// build reports it, so each level's build appears once per engine.
+fn emit_level_builds(sink: &TraceSink, hasher: &SequenceHasher, traced: &mut [bool]) {
+    for (idx, traced) in traced.iter_mut().enumerate() {
+        let Some(build) = hasher.level_build(idx + 1).filter(|_| !*traced) else {
+            continue;
+        };
+        *traced = true;
+        sink.emit(
+            "level_built",
+            &[
+                ("level", Value::U64(idx as u64 + 1)),
+                ("functions", Value::U64(build.functions)),
+                ("bytes", Value::U64(build.bytes)),
+                ("build_micros", Value::U64(build.build_micros)),
+            ],
+        );
+    }
 }
 
 fn push_cluster(

@@ -18,12 +18,22 @@
 //! clusters — harmless for a conservative filter). Completed levels stay
 //! addressable ([`SequenceHasher::keys`]) so a later run re-applying an
 //! earlier sequence function to an already-deep record is a free lookup.
+//!
+//! Hyperplane normals follow the same adaptivity: each `lvl−1 → lvl`
+//! plan holds the normals of exactly its own dense tasks, built the first
+//! time any record advances to `lvl` (the engine traces each build as a
+//! `level_built` event). Records in sparse regions stop at cheap early
+//! levels, so the normals of the deep levels they never reach are never
+//! built.
+
+use std::sync::OnceLock;
+use std::time::Instant;
 
 use adalsh_data::{FieldDistance, RecordFields};
 use adalsh_lsh::mix::{combine, derive_seed, splitmix64};
 use adalsh_lsh::multifield::WeightedSelection;
 use adalsh_lsh::scheme::WzScheme;
-use adalsh_lsh::{HyperplaneFamily, MinHashFamily};
+use adalsh_lsh::{HyperplaneFamily, HyperplanePanel, MinHashFamily};
 use serde::{Deserialize, Serialize};
 
 use crate::stats::Stats;
@@ -97,8 +107,9 @@ impl LevelScheme {
 /// Elementary hash source backing one part of the scheme.
 #[derive(Debug)]
 pub enum HashPart {
-    /// Random hyperplanes over a dense field; one lazily-created family
-    /// per table so hash indices stay dense per table.
+    /// Random hyperplanes over a dense field: function `j` of table `t`
+    /// is normal `j` of the family seeded `derive_seed(seed, t)`. The
+    /// normals live in the level plans, built on first use.
     Dense {
         /// Field index into the record.
         field: usize,
@@ -106,8 +117,6 @@ pub enum HashPart {
         dim: usize,
         /// Part seed; table `t`'s family seed is derived from it.
         seed: u64,
-        /// Per-table hyperplane families, grown on demand.
-        tables: Vec<HyperplaneFamily>,
     },
     /// MinHash over a shingle field (stateless).
     Shingles {
@@ -132,12 +141,7 @@ const TABLE_STRIDE: u64 = 1 << 24;
 impl HashPart {
     /// Builds a dense part.
     pub fn dense(field: usize, dim: usize, seed: u64) -> Self {
-        HashPart::Dense {
-            field,
-            dim,
-            seed,
-            tables: Vec::new(),
-        }
+        HashPart::Dense { field, dim, seed }
     }
 
     /// Builds a shingle part.
@@ -182,40 +186,16 @@ impl HashPart {
         }
     }
 
-    /// Materializes every lazily-created structure needed to evaluate
-    /// functions `0..w` of tables `0..z` (the hyperplane normals). After
-    /// this call, [`HashPart::eval`] is pure and thread-shareable.
-    fn materialize(&mut self, z: u32, w: u32) {
-        match self {
-            HashPart::Dense {
-                dim, seed, tables, ..
-            } => {
-                while tables.len() < z as usize {
-                    let idx = tables.len() as u64;
-                    tables.push(HyperplaneFamily::new(*dim, derive_seed(*seed, idx)));
-                }
-                for fam in tables.iter_mut().take(z as usize) {
-                    fam.ensure_functions(w as usize);
-                }
-            }
-            HashPart::Shingles { .. } => {}
-            HashPart::Weighted { choices, .. } => {
-                for c in choices {
-                    c.materialize(z, w);
-                }
-            }
-        }
-    }
-
-    /// Evaluates hash function `j` of table `t` on a record. Requires the
-    /// function to be materialized (see [`HashPart::materialize`]).
-    ///
-    /// # Panics
-    /// Panics if a dense function was not materialized.
+    /// Evaluates hash function `j` of table `t` on a record, one scalar
+    /// evaluation — the reference the batched plans reproduce. A dense
+    /// function samples its table's normals `0..=j` afresh on every call,
+    /// which is fine for a test oracle and never used on hot paths.
     fn eval<R: RecordFields>(&self, t: u32, j: u32, record: &R) -> u64 {
         match self {
-            HashPart::Dense { field, tables, .. } => {
-                tables[t as usize].hash(j as usize, record.field_ref(*field).as_dense())
+            HashPart::Dense { field, dim, seed } => {
+                let mut table = HyperplaneFamily::new(*dim, derive_seed(*seed, u64::from(t)));
+                table.ensure_functions(j as usize + 1);
+                table.hash(j as usize, record.field_ref(*field).as_dense())
             }
             HashPart::Shingles { field, family } => {
                 let idx = u64::from(t) * TABLE_STRIDE + u64::from(j);
@@ -262,11 +242,28 @@ pub struct RecordHashState {
 /// Precomputed work-list for advancing one level (`lvl−1 → lvl`): the
 /// `(table, function)` tasks of every group/part in the exact canonical
 /// order the scalar fold consumes them, plus per-task data (MinHash keys,
-/// hyperplane function runs, weighted sub-part partitions) derived once
-/// at construction instead of once per record.
+/// weighted sub-part partitions) derived once at construction instead of
+/// once per record, and the hyperplane normals of the level's dense
+/// tasks, built once on first use.
 #[derive(Debug)]
 struct LevelPlan {
     groups: Vec<GroupPlan>,
+    /// Set once every dense panel of the level is built; the first
+    /// record to advance to the level builds them while any other thread
+    /// advancing to it waits.
+    built: OnceLock<LevelBuild>,
+}
+
+/// What building one level's hyperplane normals took.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LevelBuild {
+    /// Hyperplane functions of the level's tasks, over every dense part
+    /// and weighted choice.
+    pub(crate) functions: u64,
+    /// Heap bytes the level's panels hold, zero padding included.
+    pub(crate) bytes: u64,
+    /// Wall time the build took, in microseconds.
+    pub(crate) build_micros: u64,
 }
 
 /// One table group of a level plan (`Shared` has a single group fed by
@@ -307,9 +304,9 @@ enum PartPlanKind {
     /// MinHash: per-task keys (`derive_seed(family_seed, t·STRIDE + j)`)
     /// cached so record hashing never re-derives them.
     Shingles { keys: Vec<u64> },
-    /// Hyperplanes: one `(table, ascending function list)` run per table,
-    /// in task order.
-    Dense { runs: Vec<(u32, Vec<usize>)> },
+    /// Hyperplanes: the normals of the tasks, in task order, as one
+    /// panel (built with its level, see [`LevelPlan::built`]).
+    Dense { panel: OnceLock<HyperplanePanel> },
     /// Weighted selection: tasks partitioned by the selected sub-part,
     /// each remembering its position in the part's value slice so the
     /// fold order is preserved.
@@ -346,18 +343,6 @@ fn canonical_tasks(w_from: u32, w_to: u32, z_from: u32, z_to: u32) -> Vec<(u32, 
     tasks
 }
 
-/// Groups a task list into per-table runs of ascending function indices.
-fn dense_runs(tasks: &[(u32, u32)]) -> Vec<(u32, Vec<usize>)> {
-    let mut runs: Vec<(u32, Vec<usize>)> = Vec::new();
-    for &(t, j) in tasks {
-        match runs.last_mut() {
-            Some((rt, js)) if *rt == t => js.push(j as usize),
-            _ => runs.push((t, vec![j as usize])),
-        }
-    }
-    runs
-}
-
 /// The plan of a simple (shingle or dense) part over `tasks`, aligned
 /// with them — built the same way for a top-level part and a weighted
 /// choice.
@@ -372,10 +357,22 @@ fn simple_plan(part: &HashPart, tasks: &[(u32, u32)]) -> PartPlanKind {
                 .collect(),
         },
         HashPart::Dense { .. } => PartPlanKind::Dense {
-            runs: dense_runs(tasks),
+            panel: OnceLock::new(),
         },
         HashPart::Weighted { .. } => unreachable!("Definition 7 selections are one level deep"),
     }
+}
+
+/// The panel of a dense part's `tasks`: task `(t, j)` is normal `j` of
+/// table `t`'s family, exactly as [`HashPart::eval`] samples it.
+fn dense_panel(part: &HashPart, tasks: impl Iterator<Item = (u32, u32)>) -> HyperplanePanel {
+    let HashPart::Dense { dim, seed, .. } = part else {
+        unreachable!("plan kind matches part kind")
+    };
+    let functions: Vec<(u64, u64)> = tasks
+        .map(|(t, j)| (derive_seed(*seed, u64::from(t)), u64::from(j)))
+        .collect();
+    HyperplanePanel::new(*dim, &functions)
 }
 
 /// Evaluates a simple part's planned tasks on one record into `out`, one
@@ -387,14 +384,10 @@ fn eval_simple<R: RecordFields>(part: &HashPart, kind: &PartPlanKind, record: &R
             let set = record.field_ref(*field).as_shingles();
             MinHashFamily::hash_batch_keys(keys, set, out);
         }
-        (PartPlanKind::Dense { runs }, HashPart::Dense { field, tables, .. }) => {
-            let v = record.field_ref(*field).as_dense();
-            let mut cur = 0usize;
-            for (t, js) in runs {
-                tables[*t as usize].hash_batch(js, v, &mut out[cur..cur + js.len()]);
-                cur += js.len();
-            }
-        }
+        (PartPlanKind::Dense { panel }, HashPart::Dense { field, .. }) => panel
+            .get()
+            .expect("a level's normals are built before its first advance")
+            .hash_all(record.field_ref(*field).as_dense(), out),
         _ => unreachable!("plan kind matches part kind"),
     }
 }
@@ -493,13 +486,56 @@ fn build_plans(parts: &[HashPart], levels: &[LevelScheme]) -> Vec<LevelPlan> {
                 })
                 .collect(),
         };
-        plans.push(LevelPlan { groups });
+        plans.push(LevelPlan {
+            groups,
+            built: OnceLock::new(),
+        });
     }
     plans
 }
 
+/// Builds every dense panel of `plan` (one per dense part and per dense
+/// weighted choice, over that part's or choice's tasks) and reports
+/// what it took.
+fn build_level(parts: &[HashPart], plan: &LevelPlan) -> LevelBuild {
+    let start = Instant::now();
+    let mut built = LevelBuild::default();
+    let mut record = |panel: &HyperplanePanel| {
+        built.functions += panel.len() as u64;
+        built.bytes += panel.bytes() as u64;
+    };
+    for gp in &plan.groups {
+        for pp in &gp.parts {
+            let tasks = || canonical_tasks(pp.w_from, pp.w_to, gp.z_from, gp.z_to);
+            match (&pp.kind, &parts[pp.part]) {
+                (PartPlanKind::Dense { panel }, part) => {
+                    record(panel.get_or_init(|| dense_panel(part, tasks().into_iter())));
+                }
+                (
+                    PartPlanKind::Weighted { choices: cplans },
+                    HashPart::Weighted { choices, .. },
+                ) => {
+                    let tasks = tasks();
+                    for cp in cplans {
+                        if let PartPlanKind::Dense { panel } = &cp.kind {
+                            let routed = cp.positions.iter().map(|&p| tasks[p]);
+                            record(panel.get_or_init(|| dense_panel(&choices[cp.choice], routed)));
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    built.build_micros = start.elapsed().as_micros() as u64;
+    built
+}
+
 /// The full hashing side of a sequence `H₁ … H_L`: elementary parts plus
-/// per-level schemes and the precomputed batch plans.
+/// per-level schemes and the precomputed batch plans. Construction builds
+/// no hyperplane normal; each level's are built when a record first
+/// advances to it, and `advance` stays `&self` throughout, so records can
+/// be hashed from many threads.
 #[derive(Debug)]
 pub struct SequenceHasher {
     parts: Vec<HashPart>,
@@ -530,30 +566,25 @@ impl SequenceHasher {
                 pair[0]
             );
         }
-        let mut hasher = Self {
+        let plans = build_plans(&parts, &levels);
+        Self {
             parts,
             levels,
-            plans: Vec::new(),
-        };
-        // Materialize every hyperplane normal the whole sequence can
-        // touch (the last level dominates, by monotonicity). After this,
-        // evaluation is pure — `advance` takes `&self` and records can be
-        // hashed from multiple threads.
-        let last = hasher.levels.last().expect("non-empty").clone();
-        match last {
-            LevelScheme::Shared { ws, z } => {
-                for (p, part) in hasher.parts.iter_mut().enumerate() {
-                    part.materialize(z, ws[p]);
-                }
-            }
-            LevelScheme::PerPart { parts } => {
-                for (p, part) in hasher.parts.iter_mut().enumerate() {
-                    part.materialize(parts[p].z, parts[p].w);
-                }
-            }
+            plans,
         }
-        hasher.plans = build_plans(&hasher.parts, &hasher.levels);
-        hasher
+    }
+
+    /// What building level `lvl`'s (1-based) hyperplane normals took, or
+    /// `None` while no record has advanced to it yet, or when the level
+    /// has no hyperplane task. Normals are seeded by `(table, function)`
+    /// alone, so the panels do not depend on which thread built them or
+    /// when.
+    ///
+    /// # Panics
+    /// Panics if `lvl` is out of range.
+    pub(crate) fn level_build(&self, lvl: usize) -> Option<LevelBuild> {
+        let built = self.plans[lvl - 1].built.get()?;
+        (built.functions > 0).then_some(*built)
     }
 
     /// Number of sequence functions `L`.
@@ -589,10 +620,11 @@ impl SequenceHasher {
     ///
     /// Evaluation is **batched**: each level dispatches one kernel call
     /// per part ([`MinHashFamily::hash_batch_keys`] /
-    /// [`HyperplaneFamily::hash_batch`]) over the precomputed work-list,
+    /// [`HyperplanePanel::hash_all`]) over the precomputed work-list,
     /// then folds the values in the canonical order — states and
     /// `Stats.hash_evals` are bit-identical to
-    /// [`SequenceHasher::advance_scalar`].
+    /// [`SequenceHasher::advance_scalar`]. The first advance to a level
+    /// builds that level's hyperplane normals.
     ///
     /// # Panics
     /// Panics if `to_level` is out of range.
@@ -643,6 +675,7 @@ impl SequenceHasher {
     ) {
         debug_assert_eq!(state.level as usize + 1, to_level);
         let plan = &self.plans[to_level - 1];
+        plan.built.get_or_init(|| build_level(&self.parts, plan));
         // This level's accumulators start as a copy of the previous
         // level's (existing tables are extended, fresh ones appended);
         // the previous entry stays untouched so its keys remain servable.
@@ -1292,6 +1325,229 @@ mod tests {
             ],
         );
         assert_paths_agree(&h, &rec);
+    }
+
+    /// A two-part AND scheme (shingles + dense) and a dense OR scheme,
+    /// each with four levels whose dense tasks span table boundaries and
+    /// both phases.
+    fn dense_hashers() -> Vec<SequenceHasher> {
+        let shared = SequenceHasher::new(
+            vec![HashPart::shingles(0, 5), HashPart::dense(1, 3, 6)],
+            vec![
+                LevelScheme::Shared {
+                    ws: vec![1, 2],
+                    z: 3,
+                },
+                LevelScheme::Shared {
+                    ws: vec![2, 5],
+                    z: 7,
+                },
+                LevelScheme::Shared {
+                    ws: vec![2, 9],
+                    z: 8,
+                },
+                LevelScheme::Shared {
+                    ws: vec![3, 9],
+                    z: 12,
+                },
+            ],
+        );
+        let per_part = SequenceHasher::new(
+            vec![HashPart::shingles(0, 1), HashPart::dense(1, 3, 2)],
+            vec![
+                LevelScheme::PerPart {
+                    parts: vec![WzScheme::new(1, 2), WzScheme::new(3, 5)],
+                },
+                LevelScheme::PerPart {
+                    parts: vec![WzScheme::new(2, 2), WzScheme::new(7, 9)],
+                },
+                LevelScheme::PerPart {
+                    parts: vec![WzScheme::new(2, 3), WzScheme::new(8, 11)],
+                },
+                LevelScheme::PerPart {
+                    parts: vec![WzScheme::new(2, 3), WzScheme::new(12, 11)],
+                },
+            ],
+        );
+        vec![shared, per_part]
+    }
+
+    fn mixed_record(i: u64) -> Record {
+        Record::new(vec![
+            FieldValue::Shingles(ShingleSet::new(vec![i, i + 3, 40])),
+            FieldValue::Dense(DenseVector::new(vec![0.5 - i as f64, -0.25, 1.5])),
+        ])
+    }
+
+    /// Every lane of level `lvl`'s built panels, as bits, in plan order.
+    fn panel_bits(h: &SequenceHasher, lvl: usize) -> Vec<Vec<u64>> {
+        let mut lanes = Vec::new();
+        let mut push = |kind: &PartPlanKind| {
+            if let PartPlanKind::Dense { panel } = kind {
+                let panel = panel.get().expect("level built");
+                lanes.extend((0..panel.len()).map(|i| panel.normal(i).map(f64::to_bits).collect()));
+            }
+        };
+        for gp in &h.plans[lvl - 1].groups {
+            for pp in &gp.parts {
+                match &pp.kind {
+                    PartPlanKind::Weighted { choices } => {
+                        choices.iter().for_each(|c| push(&c.kind))
+                    }
+                    kind => push(kind),
+                }
+            }
+        }
+        lanes
+    }
+
+    /// A new hasher holds no normals; advancing to `H_l` builds the
+    /// panels of levels `1..=l` and no deeper one.
+    #[test]
+    fn normals_are_built_per_level_on_first_use() {
+        for h in dense_hashers() {
+            let none_built =
+                |h: &SequenceHasher| {
+                    h.plans.iter().all(|plan| {
+                        plan.built.get().is_none()
+                            && plan.groups.iter().flat_map(|gp| &gp.parts).all(|pp| {
+                                match &pp.kind {
+                                    PartPlanKind::Dense { panel } => panel.get().is_none(),
+                                    _ => true,
+                                }
+                            })
+                    })
+                };
+            assert!(none_built(&h), "construction builds no normal");
+            let mut state = RecordHashState::default();
+            h.advance(&mixed_record(1), &mut state, 2, &mut Stats::default());
+            for lvl in 1..=4 {
+                assert_eq!(h.level_build(lvl).is_some(), lvl <= 2, "level {lvl}");
+            }
+            // The built levels hold exactly their own dense tasks.
+            let dense_tasks = |lvl: usize| -> u64 {
+                let (from, to) = ((lvl > 1).then(|| h.level(lvl - 1)), h.level(lvl));
+                let (w_from, z_from, w_to, z_to) = match (from, to) {
+                    (
+                        Some(LevelScheme::Shared { ws, z }),
+                        LevelScheme::Shared { ws: wt, z: zt },
+                    ) => (ws[1], *z, wt[1], *zt),
+                    (None, LevelScheme::Shared { ws, z }) => (0, 0, ws[1], *z),
+                    (Some(LevelScheme::PerPart { parts }), LevelScheme::PerPart { parts: to }) => {
+                        (parts[1].w, parts[1].z, to[1].w, to[1].z)
+                    }
+                    (None, LevelScheme::PerPart { parts }) => (0, 0, parts[1].w, parts[1].z),
+                    _ => unreachable!(),
+                };
+                canonical_tasks(w_from, w_to, z_from, z_to).len() as u64
+            };
+            for lvl in 1..=2 {
+                let build = h.level_build(lvl).unwrap();
+                assert_eq!(build.functions, dense_tasks(lvl), "level {lvl}");
+                assert_eq!(build.bytes, build.functions.div_ceil(32) * 32 * 3 * 8);
+            }
+            // A shingle-only sequence never builds anything.
+            let sh = SequenceHasher::new(vec![HashPart::shingles(0, 11)], shared_levels());
+            sh.advance(
+                &shingle_record(&[1, 2]),
+                &mut RecordHashState::default(),
+                3,
+                &mut Stats::default(),
+            );
+            assert!((1..=3).all(|l| sh.level_build(l).is_none()));
+        }
+    }
+
+    /// Each lane of every level's panel is its task's reference normal —
+    /// normal `j` of table `t`'s [`HyperplaneFamily`] — bit for bit.
+    #[test]
+    fn panel_lanes_are_the_reference_normals() {
+        for h in dense_hashers() {
+            let mut state = RecordHashState::default();
+            h.advance(&mixed_record(2), &mut state, 4, &mut Stats::default());
+            for lvl in 1..=4 {
+                let plan = &h.plans[lvl - 1];
+                let dense_group = plan.groups.len() - 1;
+                let gp = &plan.groups[dense_group];
+                let pp = gp.parts.last().expect("dense part last");
+                let HashPart::Dense { seed, dim, .. } = h.parts[pp.part] else {
+                    panic!("part 1 is dense")
+                };
+                let reference: Vec<Vec<u64>> =
+                    canonical_tasks(pp.w_from, pp.w_to, gp.z_from, gp.z_to)
+                        .into_iter()
+                        .map(|(t, j)| {
+                            let mut family =
+                                HyperplaneFamily::new(dim, derive_seed(seed, u64::from(t)));
+                            family.ensure_functions(j as usize + 1);
+                            family
+                                .normal(j as usize)
+                                .iter()
+                                .map(|x| x.to_bits())
+                                .collect()
+                        })
+                        .collect();
+                assert_eq!(panel_bits(&h, lvl), reference, "level {lvl}");
+            }
+        }
+    }
+
+    /// Levels built in sequence, in reverse (a resumed deep state first),
+    /// or by several threads racing to the same level hold the same
+    /// panels, and hash every record the same.
+    #[test]
+    fn panels_do_not_depend_on_build_order_or_thread() {
+        for (in_order, (reversed, raced)) in dense_hashers()
+            .into_iter()
+            .zip(dense_hashers().into_iter().zip(dense_hashers()))
+        {
+            let top = in_order.num_levels();
+            let mut states = vec![RecordHashState::default(); 4];
+            for lvl in 1..=top {
+                in_order.advance(&mixed_record(0), &mut states[0], lvl, &mut Stats::default());
+            }
+            // Reverse: a state restored one level short of `lvl` builds
+            // that level alone, from the top level down.
+            for lvl in (1..=top).rev() {
+                let mut restored = states[0].clone();
+                restored.history.truncate(lvl - 1);
+                restored.level = lvl as u16 - 1;
+                assert!(reversed.level_build(lvl).is_none());
+                reversed.advance(&mixed_record(0), &mut restored, lvl, &mut Stats::default());
+                assert!((1..lvl).all(|l| reversed.level_build(l).is_none()));
+                let mut reference = states[0].clone();
+                reference.history.truncate(lvl);
+                reference.level = lvl as u16;
+                assert_eq!(restored, reference, "level {lvl}");
+            }
+            // Three threads released together race to build every level.
+            let start = std::sync::Barrier::new(3);
+            std::thread::scope(|scope| {
+                for (i, state) in states.iter_mut().enumerate().skip(1) {
+                    let (raced, start) = (&raced, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        raced.advance(&mixed_record(i as u64), state, top, &mut Stats::default());
+                    });
+                }
+            });
+            for lvl in 1..=top {
+                let bits = panel_bits(&in_order, lvl);
+                assert!(!bits.is_empty());
+                assert_eq!(panel_bits(&reversed, lvl), bits, "reverse, level {lvl}");
+                assert_eq!(panel_bits(&raced, lvl), bits, "threads, level {lvl}");
+            }
+            for (i, state) in states.iter().enumerate().skip(1) {
+                let mut alone = RecordHashState::default();
+                in_order.advance_scalar(
+                    &mixed_record(i as u64),
+                    &mut alone,
+                    top,
+                    &mut Stats::default(),
+                );
+                assert_eq!(*state, alone, "record {i}");
+            }
+        }
     }
 
     #[test]

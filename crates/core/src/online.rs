@@ -744,6 +744,89 @@ mod tests {
         assert_eq!(grown.clusters[0].len(), 10);
     }
 
+    /// A dense record near entity `core`'s direction: a fixed
+    /// pseudo-random center plus a perturbation of about a degree.
+    fn dense_record(core: u64, noise: u64) -> Record {
+        use adalsh_lsh::mix::splitmix64;
+        let v: Vec<f64> = (0..8u64)
+            .map(|d| {
+                let center = (splitmix64(core * 8 + d) % 1000) as f64 / 500.0 - 1.0;
+                center + (splitmix64(noise * 131 + d + 7) % 1000) as f64 / 1e5
+            })
+            .collect();
+        Record::single(FieldValue::Dense(DenseVector::new(v)))
+    }
+
+    /// Hyperplane normals are built per level on first use, so a resolver
+    /// restored from a snapshot starts with none, whatever level its
+    /// states reached. Pushed one level deeper than the snapshot, it must
+    /// still match the resolver that never stopped: same clusters, every
+    /// hash state and every `Stats` counter. The partition memo is not
+    /// part of a snapshot, so under the exact oracle the counters it
+    /// saves are left out; a noisy oracle bypasses the memo, and there
+    /// all of `Stats` must agree.
+    #[test]
+    fn dense_resume_then_deeper_matches_the_uninterrupted_resolver() {
+        use crate::oracle::{NoisyOracleConfig, OracleMode};
+        use crate::stats::Stats;
+        let boot = Dataset::new(
+            Schema::single("hist", FieldKind::Dense),
+            (0..60).map(|i| dense_record(i % 6, i)).collect(),
+            (0..60).map(|i| (i % 6) as u32).collect(),
+        );
+        let deepest = |o: &OnlineAdaLsh| o.states.iter().map(|s| s.level).max().unwrap();
+        let memo_free = |s: Stats| Stats {
+            bucket_inserts: 0,
+            pair_comparisons: 0,
+            distance_evals: 0,
+            transitive_reused: 0,
+            pairwise_reused: 0,
+            ..s
+        };
+        for noisy in [false, true] {
+            let mut config =
+                AdaLshConfig::new(MatchRule::threshold(0, FieldDistance::Angular, 0.05));
+            if noisy {
+                config.oracle = OracleMode::Noisy(NoisyOracleConfig::default());
+            }
+            let mut live = OnlineAdaLsh::new(&boot, config.clone()).unwrap();
+            live.query(2);
+            let snapshot_level = deepest(&live);
+
+            let json = serde_json::to_string(&live.snapshot()).unwrap();
+            let mut resumed =
+                OnlineAdaLsh::from_snapshot(serde_json::from_str(&json).unwrap(), config).unwrap();
+            let hasher = resumed.engine.hasher();
+            assert!(
+                (1..=hasher.num_levels()).all(|l| hasher.level_build(l).is_none()),
+                "a restored resolver holds no normals"
+            );
+
+            let burst: Vec<Record> = (0..120).map(|i| dense_record(0, 1000 + i)).collect();
+            live.extend(burst.clone()).unwrap();
+            resumed.extend(burst).unwrap();
+            let (a, b) = (live.query(2), resumed.query(2));
+            let reached = deepest(&resumed);
+            assert!(
+                reached > snapshot_level,
+                "precondition: the burst drives records past level {snapshot_level}"
+            );
+            assert!(resumed
+                .engine
+                .hasher()
+                .level_build(usize::from(reached))
+                .is_some());
+            assert_eq!(a.clusters, b.clusters);
+            assert_eq!(live.states, resumed.states);
+            if noisy {
+                assert_eq!(a.stats, b.stats);
+                assert_eq!(a.oracle, b.oracle);
+            } else {
+                assert_eq!(memo_free(a.stats), memo_free(b.stats));
+            }
+        }
+    }
+
     #[test]
     fn from_snapshot_rejects_inconsistent_shapes() {
         let boot = bootstrap();

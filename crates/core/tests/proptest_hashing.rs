@@ -3,8 +3,10 @@
 //! [`SequenceHasher::advance_scalar`], over random scheme shapes, random
 //! level ladders, and random records. States must be **bit-identical**
 //! at every level — including the `Stats::hash_evals` count — for all
-//! three scheme structures (Shared, PerPart, Weighted parts) — and
-//! independent of how the caller reuses its [`HashScratch`].
+//! three scheme structures (Shared, PerPart, Weighted parts), each with
+//! hyperplane parts, over ordinary and special (`±0`, subnormal,
+//! overflowing, infinite, NaN) components — and independent of how the
+//! caller reuses its [`HashScratch`].
 
 use adalsh_core::hashing::{HashPart, HashScratch, LevelScheme, RecordHashState, SequenceHasher};
 use adalsh_core::stats::Stats;
@@ -89,6 +91,24 @@ fn dense_field(raw: Vec<u64>, dim: usize) -> FieldValue {
     FieldValue::Dense(DenseVector::new(v))
 }
 
+/// Components that stress the hyperplane kernel's arithmetic: signed
+/// zeros, subnormals, values whose products overflow to `±inf`, and
+/// infinities and NaN, whose sums can be NaN.
+const SPECIAL: [f64; 12] = [
+    0.0,
+    -0.0,
+    f64::MIN_POSITIVE / 16.0,
+    -f64::MIN_POSITIVE / 16.0,
+    f64::MAX,
+    -f64::MAX,
+    1e300,
+    1.0,
+    -0.5,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -128,6 +148,45 @@ proptest! {
             levels,
         );
         let rec = Record::new(vec![shingle_field(sh_a), shingle_field(sh_b)]);
+        check_paths_agree(&h, &rec)?;
+    }
+
+    /// PerPart (OR-rule) scheme with a dense part: each part's table
+    /// group gets its own panel per level.
+    #[test]
+    fn batched_equals_scalar_per_part_dense(
+        increments in prop::collection::vec((0u32..4, 0u32..3), 1..5),
+        shingles in prop::collection::vec(any::<u64>(), 0..16),
+        dense_raw in prop::collection::vec(any::<u64>(), 0..8),
+        dim in 1usize..7,
+        seed in any::<u64>(),
+    ) {
+        let levels = per_part_ladder(&increments, 2);
+        let h = SequenceHasher::new(
+            vec![HashPart::shingles(0, seed), HashPart::dense(1, dim, seed ^ 0x77)],
+            levels,
+        );
+        let rec = Record::new(vec![shingle_field(shingles), dense_field(dense_raw, dim)]);
+        check_paths_agree(&h, &rec)?;
+    }
+
+    /// A dense part whose levels grow by up to ~100 tasks, so panels
+    /// hold full, ragged and several blocks with tables changing inside
+    /// a block, over vectors of special values: every sign the panel
+    /// kernel produces matches the scalar reference.
+    #[test]
+    fn batched_equals_scalar_on_special_dense_values(
+        increments in prop::collection::vec((1u32..6, 1u32..5), 1..4),
+        picks in prop::collection::vec(0usize..SPECIAL.len(), 1..6),
+        seed in any::<u64>(),
+    ) {
+        let dim = picks.len();
+        let v: Vec<f64> = picks.iter().map(|&i| SPECIAL[i]).collect();
+        let h = SequenceHasher::new(
+            vec![HashPart::dense(0, dim, seed)],
+            shared_ladder(&increments, 1, 0),
+        );
+        let rec = Record::single(FieldValue::Dense(DenseVector::new(v)));
         check_paths_agree(&h, &rec)?;
     }
 

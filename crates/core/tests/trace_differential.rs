@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use adalsh_core::{AdaLsh, AdaLshConfig, FilterOutput, OnlineAdaLsh, TraceSink};
 use adalsh_data::{
-    Dataset, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema, ShingleSet,
+    Dataset, DenseVector, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema,
+    ShingleSet,
 };
 use adalsh_lsh::mix::derive_seed;
 use adalsh_obs::{jsonl, schema, summary, JsonlSubscriber, MemorySubscriber, NoopSubscriber};
@@ -164,6 +165,69 @@ fn design_level_events_cover_every_level() {
         assert_eq!(ev.u64("level"), Some(i as u64 + 1));
         assert!(ev.u64("budget").unwrap() > 0);
     }
+}
+
+/// The engine reports each level whose hyperplane normals it builds
+/// with one `level_built` event, after the round that reached it; a
+/// second run on the same engine builds and reports nothing, and a
+/// shingle rule has no normals to report.
+#[test]
+fn dense_level_builds_are_traced_once_per_level() {
+    let records: Vec<Record> = (0..300u64)
+        .map(|i| {
+            let v: Vec<f64> = (0..8u64)
+                .map(|d| {
+                    let center = (derive_seed(i % 12, d) % 1000) as f64 / 500.0 - 1.0;
+                    center + (derive_seed(i, d + 8) % 1000) as f64 / 1e5
+                })
+                .collect();
+            Record::single(FieldValue::Dense(DenseVector::new(v)))
+        })
+        .collect();
+    let gt = (0..300).map(|i| i % 12).collect();
+    let d = Dataset::new(Schema::single("v", FieldKind::Dense), records, gt);
+    let memory = Arc::new(MemorySubscriber::new());
+    let mut cfg = AdaLshConfig::new(MatchRule::threshold(0, FieldDistance::Angular, 0.05));
+    cfg.trace = TraceSink::new(memory.clone());
+    let mut ada = AdaLsh::for_dataset(&d, cfg).unwrap();
+    let first = ada.run(&d, 3);
+    let events = memory.events();
+    schema::validate(&events).unwrap();
+    let reached = events
+        .iter()
+        .filter(|e| e.name == "hash_round")
+        .filter_map(|e| e.u64("level"))
+        .max()
+        .unwrap();
+    let built: Vec<u64> = events
+        .iter()
+        .filter(|e| e.name == "level_built")
+        .map(|e| {
+            assert!(e.u64("functions").unwrap() > 0 && e.u64("bytes").unwrap() > 0);
+            e.u64("level").unwrap()
+        })
+        .collect();
+    assert_eq!(built, (1..=reached).collect::<Vec<_>>());
+    assert!(
+        reached < ada.num_levels() as u64,
+        "precondition: some designed level stays unbuilt"
+    );
+    assert!(summary::summarize(&events).contains(&format!("normals: levels 1–{reached} built")));
+
+    let again = ada.run(&d, 3);
+    assert_eq!((again.clusters, again.stats), (first.clusters, first.stats));
+    let events = memory.events();
+    schema::validate(&events).unwrap();
+    assert_eq!(
+        events.iter().filter(|e| e.name == "level_built").count(),
+        built.len()
+    );
+
+    let shingles = Arc::new(MemorySubscriber::new());
+    let mut cfg = config(1);
+    cfg.trace = TraceSink::new(shingles.clone());
+    run(&planted(&[10, 5, 2], 7), 2, cfg);
+    assert!(shingles.events().iter().all(|e| e.name != "level_built"));
 }
 
 #[test]

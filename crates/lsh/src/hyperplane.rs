@@ -7,35 +7,40 @@
 //! angular distance `x = θ/180`.
 //!
 //! Hyperplane normals are sampled i.i.d. standard Gaussian per component
-//! (any rotation-invariant distribution works). Normals are generated
-//! deterministically from `(seed, function-index)` and memoized, so
-//! function `i` is identical no matter when it is first evaluated.
+//! (any rotation-invariant distribution works). Normal `i` of the family
+//! seeded `s` is drawn from a generator seeded `derive_seed(s, i)` alone,
+//! so it is the same bits whenever, wherever and in whatever order it is
+//! built. Two containers hold normals:
+//!
+//! * [`HyperplaneFamily`] — functions `0..n` of one family, row-major,
+//!   evaluated one at a time. It is the scalar reference.
+//! * [`HyperplanePanel`] — an arbitrary list of `(family seed, function)`
+//!   normals, block-major, evaluated all at once by one fixed-width
+//!   kernel whose signs equal the reference's bit for bit.
 
 use rand::{Rng, SeedableRng};
 
 use crate::mix::derive_seed;
 
-/// Maximum number of dot products accumulated together by the panel
-/// kernel. Sized so the accumulator array lives in registers/L1 (32
-/// lanes = 256 bytes) while still giving the autovectorizer full-width
-/// independent FMA chains.
-const RUN_LANES: usize = 32;
+/// Lanes in one [`HyperplanePanel`] block: one function per lane.
+pub const PANEL_LANES: usize = 32;
 
-/// Minimum contiguous-run length at which [`HyperplaneFamily::hash_batch`]
-/// switches from per-row dot products to the column-panel kernel. Below
-/// this the panel's strided column loads cost more than they save.
-const MIN_RUN: usize = 4;
+/// Lanes the kernel accumulates at once: half a block. Sixteen `f64`
+/// accumulators fill eight SSE2 registers and leave room for the loads;
+/// a full block's 32 would spill on the baseline x86-64 target (the
+/// 16-lane half ran ~1.6x faster there).
+const ACC_LANES: usize = 16;
 
-/// A family of random-hyperplane hash functions over `R^dim`.
-///
-/// Normals are stored twice, both contiguous: a **row-major matrix**
-/// (`row i` = function `i`'s normal) serving single-function evaluation,
-/// and a **column-major panel** (`panel[d·n + i]` = component `d` of
-/// function `i`) serving batched evaluation of contiguous function
-/// ranges with a flat, branch-free, autovectorization-friendly inner
-/// loop. Both are rebuilt together by
-/// [`HyperplaneFamily::ensure_functions`], so they always describe the
-/// same functions.
+/// The components of normal `fn_index` of the family seeded `seed`, in
+/// dimension order — the one sampler behind both containers.
+fn sample_normal(seed: u64, fn_index: u64, dim: usize) -> impl Iterator<Item = f64> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(seed, fn_index));
+    (0..dim).map(move |_| gaussian(&mut rng))
+}
+
+/// A family of random-hyperplane hash functions over `R^dim`, with
+/// functions `0..n` stored row-major and evaluated one at a time. This
+/// is the scalar reference the batched [`HyperplanePanel`] reproduces.
 #[derive(Debug, Clone)]
 pub struct HyperplaneFamily {
     dim: usize,
@@ -43,11 +48,6 @@ pub struct HyperplaneFamily {
     /// Memoized hyperplane normals, row-major: function `i` occupies
     /// `matrix[i*dim .. (i+1)*dim]`.
     matrix: Vec<f64>,
-    /// The same normals, column-major: component `d` of all functions is
-    /// the contiguous slice `panel[d*n .. (d+1)*n]` for
-    /// `n = num_functions()`. Lets the batched kernel accumulate many
-    /// dot products with unit-stride loads.
-    panel: Vec<f64>,
 }
 
 impl HyperplaneFamily {
@@ -61,7 +61,6 @@ impl HyperplaneFamily {
             dim,
             seed,
             matrix: Vec::new(),
-            panel: Vec::new(),
         }
     }
 
@@ -72,29 +71,9 @@ impl HyperplaneFamily {
 
     /// Ensures functions `0..n` are materialized.
     pub fn ensure_functions(&mut self, n: usize) {
-        let before = self.num_functions();
         while self.num_functions() < n {
             let idx = self.num_functions() as u64;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(self.seed, idx));
-            self.matrix
-                .extend((0..self.dim).map(|_| gaussian(&mut rng)));
-        }
-        if self.num_functions() != before {
-            self.rebuild_panel();
-        }
-    }
-
-    /// Rebuilds the column-major panel from the row-major matrix. `O(n·d)`
-    /// per growth step — growth happens once per level transition, far off
-    /// the per-record hot path.
-    fn rebuild_panel(&mut self) {
-        let n = self.num_functions();
-        self.panel.clear();
-        self.panel.resize(n * self.dim, 0.0);
-        for i in 0..n {
-            for d in 0..self.dim {
-                self.panel[d * n + i] = self.matrix[i * self.dim + d];
-            }
+            self.matrix.extend(sample_normal(self.seed, idx, self.dim));
         }
     }
 
@@ -104,13 +83,18 @@ impl HyperplaneFamily {
     }
 
     /// The normal of function `fn_index` (a row of the matrix).
+    ///
+    /// # Panics
+    /// Panics if the function is not materialized.
     #[inline]
-    fn normal(&self, fn_index: usize) -> &[f64] {
+    pub fn normal(&self, fn_index: usize) -> &[f64] {
         &self.matrix[fn_index * self.dim..(fn_index + 1) * self.dim]
     }
 
     /// Evaluates hash function `fn_index` on `v`: returns `1` when `v` lies
-    /// on the positive side of the hyperplane, else `0`.
+    /// on the positive side of the hyperplane, else `0`. The dot product
+    /// is summed in ascending dimension order — the reference order the
+    /// panel kernel reproduces.
     ///
     /// # Panics
     /// Panics if the function is not materialized (call
@@ -118,13 +102,6 @@ impl HyperplaneFamily {
     #[inline]
     pub fn hash(&self, fn_index: usize, v: &[f64]) -> u64 {
         assert_eq!(v.len(), self.dim, "vector dimension mismatch");
-        self.sign_row(fn_index, v)
-    }
-
-    /// One row-major dot product and sign, summed in ascending dimension
-    /// order — the reference order every other evaluation path reproduces.
-    #[inline]
-    fn sign_row(&self, fn_index: usize, v: &[f64]) -> u64 {
         let dot: f64 = self
             .normal(fn_index)
             .iter()
@@ -134,72 +111,116 @@ impl HyperplaneFamily {
         u64::from(dot >= 0.0)
     }
 
-    /// Evaluates many hash functions on one vector. Maximal runs of
-    /// consecutive ascending function indices — the shape every level plan
-    /// requests — are evaluated through the column-major panel:
-    /// `RUN_LANES` dot products accumulate together in a flat array with
-    /// unit-stride loads and no per-element branching, so the compiler
-    /// vectorizes the inner loop. Scattered or descending indices fall
-    /// back to per-row dot products. Each `out[i]` receives exactly what
-    /// `hash(fn_indices[i], v)` would: the panel kernel adds each
-    /// function's terms in the same ascending dimension order as the
-    /// row-major sum, so results are **bit-for-bit** the same.
-    ///
-    /// # Panics
-    /// Panics if lengths differ, the dimension mismatches, or a function
-    /// is not materialized.
-    pub fn hash_batch(&self, fn_indices: &[usize], v: &[f64], out: &mut [u64]) {
-        assert_eq!(fn_indices.len(), out.len(), "output length mismatch");
-        assert_eq!(v.len(), self.dim, "vector dimension mismatch");
-        let mut start = 0;
-        while start < fn_indices.len() {
-            // Extend the maximal consecutive ascending run from `start`.
-            let mut end = start + 1;
-            while end < fn_indices.len() && fn_indices[end] == fn_indices[end - 1] + 1 {
-                end += 1;
-            }
-            if end - start >= MIN_RUN {
-                self.hash_run(fn_indices[start], v, &mut out[start..end]);
-            } else {
-                for (o, &i) in out[start..end].iter_mut().zip(&fn_indices[start..end]) {
-                    *o = self.sign_row(i, v);
-                }
-            }
-            start = end;
-        }
-    }
-
-    /// Panel kernel: hashes functions `first .. first + out.len()` into
-    /// `out`. Processes [`RUN_LANES`] functions at a time; for each block
-    /// the outer loop walks dimensions and the inner loop accumulates one
-    /// multiply per lane from a unit-stride panel slice. Accumulator `i`
-    /// receives `panel[d][first+i] · v[d]` for `d = 0, 1, …` — the exact
-    /// fold order of [`HyperplaneFamily::sign_row`] — so the result is
-    /// bit-identical to the row path.
-    fn hash_run(&self, first: usize, v: &[f64], out: &mut [u64]) {
-        let n = self.num_functions();
-        let mut done = 0;
-        while done < out.len() {
-            let len = (out.len() - done).min(RUN_LANES);
-            let base = first + done;
-            let mut acc = [0.0f64; RUN_LANES];
-            for (d, &x) in v.iter().enumerate() {
-                let col = &self.panel[d * n + base..d * n + base + len];
-                for (a, &m) in acc[..len].iter_mut().zip(col) {
-                    *a += m * x;
-                }
-            }
-            for (o, &a) in out[done..done + len].iter_mut().zip(&acc[..len]) {
-                *o = u64::from(a >= 0.0);
-            }
-            done += len;
-        }
-    }
-
     /// Collision probability `p(x) = 1 − x` at normalized angular distance
     /// `x` (paper Example 6).
     pub fn collision_prob(x: f64) -> f64 {
         1.0 - x
+    }
+}
+
+/// The normals of an ordered list of hyperplane functions, possibly
+/// from many families, stored block-major for one batched kernel.
+///
+/// Function `i` is lane `i % PANEL_LANES` of block `i / PANEL_LANES`.
+/// A block holds, for each dimension `d` in order, one `[f64; 32]` of
+/// component `d` of its 32 normals; the last block's unused lanes are
+/// zero. A sequence level lists its hyperplane tasks in canonical fold
+/// order, so one panel per level turns every table's short function run
+/// into full blocks.
+#[derive(Debug, Clone)]
+pub struct HyperplanePanel {
+    dim: usize,
+    len: usize,
+    /// `blocks[b * dim + d][lane]` = component `d` of function
+    /// `b * PANEL_LANES + lane`.
+    blocks: Vec<[f64; PANEL_LANES]>,
+}
+
+impl HyperplanePanel {
+    /// Builds the panel of `functions`, each a `(family seed, function
+    /// index)` pair naming normal `index` of the family
+    /// [`HyperplaneFamily::new`]`(dim, seed)` would hold.
+    ///
+    /// # Panics
+    /// Panics if `dim == 0`.
+    pub fn new(dim: usize, functions: &[(u64, u64)]) -> Self {
+        assert!(dim > 0, "dimension must be positive");
+        let mut blocks = vec![[0.0; PANEL_LANES]; functions.len().div_ceil(PANEL_LANES) * dim];
+        for (i, &(seed, fn_index)) in functions.iter().enumerate() {
+            let (b, lane) = (i / PANEL_LANES, i % PANEL_LANES);
+            for (col, x) in blocks[b * dim..(b + 1) * dim]
+                .iter_mut()
+                .zip(sample_normal(seed, fn_index, dim))
+            {
+                col[lane] = x;
+            }
+        }
+        Self {
+            dim,
+            len: functions.len(),
+            blocks,
+        }
+    }
+
+    /// Number of functions.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the panel holds no function.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Heap bytes the normals occupy, padding lanes included.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.blocks.as_slice())
+    }
+
+    /// The normal of function `i`, read back from its lane.
+    ///
+    /// # Panics
+    /// Panics if `i >= len()`.
+    pub fn normal(&self, i: usize) -> impl Iterator<Item = f64> + '_ {
+        assert!(i < self.len, "function {i} out of range");
+        let (b, lane) = (i / PANEL_LANES, i % PANEL_LANES);
+        self.blocks[b * self.dim..(b + 1) * self.dim]
+            .iter()
+            .map(move |col| col[lane])
+    }
+
+    /// Hashes `v` with every function: `out[i]` receives exactly what
+    /// [`HyperplaneFamily::hash`] returns for function `i`. Each half
+    /// block accumulates its 16 dot products in a fixed `[f64; 16]`,
+    /// adding one product per lane per dimension in ascending order with
+    /// no fused multiply-add — each lane's fold is the reference sum's,
+    /// so every sign is bit-identical. Blocks are whole whatever tables
+    /// their tasks come from; only the ragged tail of the last block is
+    /// skipped.
+    ///
+    /// # Panics
+    /// Panics if the dimension or the output length mismatches.
+    pub fn hash_all(&self, v: &[f64], out: &mut [u64]) {
+        assert_eq!(v.len(), self.dim, "vector dimension mismatch");
+        assert_eq!(out.len(), self.len, "output length mismatch");
+        for (block, out) in self
+            .blocks
+            .chunks_exact(self.dim)
+            .zip(out.chunks_mut(PANEL_LANES))
+        {
+            for (g, out) in out.chunks_mut(ACC_LANES).enumerate() {
+                let lanes = g * ACC_LANES..(g + 1) * ACC_LANES;
+                let mut acc = [0.0f64; ACC_LANES];
+                for (col, &x) in block.iter().zip(v) {
+                    for (a, &m) in acc.iter_mut().zip(&col[lanes.clone()]) {
+                        *a += m * x;
+                    }
+                }
+                for (o, &a) in out.iter_mut().zip(&acc) {
+                    *o = u64::from(a >= 0.0);
+                }
+            }
+        }
     }
 }
 
@@ -220,7 +241,11 @@ mod tests {
     use super::*;
 
     fn family(dim: usize, n: usize) -> HyperplaneFamily {
-        let mut f = HyperplaneFamily::new(dim, 7);
+        family_with_seed(dim, n, 7)
+    }
+
+    fn family_with_seed(dim: usize, n: usize, seed: u64) -> HyperplaneFamily {
+        let mut f = HyperplaneFamily::new(dim, seed);
         f.ensure_functions(n);
         f
     }
@@ -245,12 +270,6 @@ mod tests {
         for i in 0..10 {
             assert_eq!(f1.hash(i, &v), f2.hash(i, &v));
         }
-    }
-
-    fn family_with_seed(dim: usize, n: usize, seed: u64) -> HyperplaneFamily {
-        let mut f = HyperplaneFamily::new(dim, seed);
-        f.ensure_functions(n);
-        f
     }
 
     #[test]
@@ -320,96 +339,148 @@ mod tests {
         let _ = f.hash(0, &[1.0, 2.0]);
     }
 
+    /// `(seed, index)` tasks drawn from three families the way a level
+    /// plan lists them: runs of ascending functions per table, tables
+    /// changing mid-block, then fresh tables from function 0.
+    fn mixed_tasks(count: usize) -> Vec<(u64, u64)> {
+        let seeds = [11u64, 12, 13];
+        (0..count)
+            .map(|i| (seeds[(i / 7) % 3], (5 + i % 7 + i / 21) as u64))
+            .collect()
+    }
+
+    /// Every lane of a panel holds its reference normal bit for bit, and
+    /// every padding lane is zero. Carries over the property of the
+    /// column panel's `panel_mirrors_matrix_after_growth`.
     #[test]
-    fn batch_matches_scalar() {
-        let f = family(16, 200);
-        let v: Vec<f64> = (0..16).map(|i| (i as f64 * 0.73).sin() - 0.2).collect();
-        // Scattered, repeated, and out-of-order function indices.
-        let idx: Vec<usize> = vec![199, 0, 7, 7, 42, 100, 3, 198, 1];
-        let mut out = vec![9u64; idx.len()];
-        f.hash_batch(&idx, &v, &mut out);
-        for (&i, &o) in idx.iter().zip(&out) {
-            assert_eq!(o, f.hash(i, &v));
+    fn panel_lanes_equal_reference_normals_bitwise() {
+        let dim = 5;
+        let tasks = mixed_tasks(70);
+        let panel = HyperplanePanel::new(dim, &tasks);
+        assert_eq!(panel.len(), 70);
+        assert_eq!(panel.bytes(), 3 * dim * PANEL_LANES * 8);
+        for (i, &(seed, j)) in tasks.iter().enumerate() {
+            // The reference family grown in two steps, as levels grow it.
+            let mut f = HyperplaneFamily::new(dim, seed);
+            f.ensure_functions(j as usize / 2);
+            f.ensure_functions(j as usize + 1);
+            let lane: Vec<u64> = panel.normal(i).map(f64::to_bits).collect();
+            let reference: Vec<u64> = f.normal(j as usize).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(lane, reference, "task {i} = {:?}", (seed, j));
+        }
+        for block in &panel.blocks[2 * dim..] {
+            assert!(block[70 % PANEL_LANES..].iter().all(|&x| x.to_bits() == 0));
         }
     }
 
+    /// A panel's lane `i` depends on task `i` alone, not on the tasks
+    /// around it or the order they are listed in. Carries over
+    /// `flat_matrix_preserves_function_identity`.
     #[test]
-    fn flat_matrix_preserves_function_identity() {
-        // A family grown in two steps agrees with one grown at once for
-        // every function (the matrix layout must not perturb sampling).
-        let mut f1 = HyperplaneFamily::new(6, 9);
-        f1.ensure_functions(3);
-        f1.ensure_functions(40);
-        let f2 = family_with_seed(6, 40, 9);
-        let v: Vec<f64> = (0..6).map(|i| (i as f64) * 0.31 - 1.0).collect();
-        let idx: Vec<usize> = (0..40).collect();
-        let (mut o1, mut o2) = (vec![0u64; 40], vec![0u64; 40]);
-        f1.hash_batch(&idx, &v, &mut o1);
-        f2.hash_batch(&idx, &v, &mut o2);
-        assert_eq!(o1, o2);
+    fn panel_lanes_do_not_depend_on_their_neighbours() {
+        let tasks = mixed_tasks(40);
+        let whole = HyperplanePanel::new(6, &tasks);
+        let mut reversed = tasks.clone();
+        reversed.reverse();
+        let backwards = HyperplanePanel::new(6, &reversed);
+        for i in 0..tasks.len() {
+            let alone = HyperplanePanel::new(6, &tasks[i..=i]);
+            let bits = |p: &HyperplanePanel, k: usize| -> Vec<u64> {
+                p.normal(k).map(f64::to_bits).collect()
+            };
+            assert_eq!(bits(&whole, i), bits(&alone, 0), "task {i}");
+            assert_eq!(bits(&whole, i), bits(&backwards, tasks.len() - 1 - i));
+        }
     }
 
+    /// Asserts the panel kernel's signs equal the scalar reference's for
+    /// every task on `v`.
+    fn assert_panel_matches_scalar(tasks: &[(u64, u64)], v: &[f64]) {
+        let panel = HyperplanePanel::new(v.len(), tasks);
+        let mut out = vec![9u64; tasks.len()];
+        panel.hash_all(v, &mut out);
+        for (i, (&(seed, j), &o)) in tasks.iter().zip(&out).enumerate() {
+            let f = family_with_seed(v.len(), j as usize + 1, seed);
+            assert_eq!(o, f.hash(j as usize, v), "n={} task {i}", tasks.len());
+        }
+    }
+
+    /// Full blocks, ragged last blocks and several blocks, with tasks
+    /// that switch family mid-block: each sign equals the scalar path's.
     #[test]
-    fn panel_runs_match_scalar_bitwise() {
-        // Contiguous runs of every length from 1 (row fallback) through
-        // several RUN_LANES blocks plus a ragged tail, at varied start
-        // offsets: each must reproduce the scalar path bit-for-bit.
-        let f = family(33, 200); // odd dim: exercises non-power-of-two loops
+    fn panel_matches_scalar_at_block_edges() {
         let v: Vec<f64> = (0..33).map(|i| (i as f64 * 0.41).sin() - 0.13).collect();
-        for start in [0usize, 1, 7, 31, 32, 63] {
-            for len in [1usize, 3, 4, 5, 31, 32, 33, 64, 70, 100] {
-                if start + len > 200 {
-                    continue;
-                }
-                let idx: Vec<usize> = (start..start + len).collect();
-                let mut out = vec![9u64; len];
-                f.hash_batch(&idx, &v, &mut out);
-                for (&i, &o) in idx.iter().zip(&out) {
-                    assert_eq!(o, f.hash(i, &v), "start={start} len={len} fn={i}");
-                }
-            }
+        for n in [
+            1usize, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 100, 161,
+        ] {
+            assert_panel_matches_scalar(&mixed_tasks(n), &v);
         }
+        // Phase A (existing tables, new functions) then phase B (fresh
+        // tables from function 0), as a level transition lists them.
+        let mut tasks: Vec<(u64, u64)> = Vec::new();
+        for t in 0..5u64 {
+            tasks.extend((3..9).map(|j| (100 + t, j)));
+        }
+        for t in 5..9u64 {
+            tasks.extend((0..9).map(|j| (100 + t, j)));
+        }
+        assert_panel_matches_scalar(&tasks, &v);
+        assert_panel_matches_scalar(&[], &v);
     }
 
+    /// Signed zeros, subnormals, products that overflow to `±inf` and
+    /// sums that reach NaN (`inf − inf`, `0 · inf`) give the scalar
+    /// path's sign in every lane.
     #[test]
-    fn mixed_runs_and_scattered_indices_match_scalar() {
-        let f = family(16, 128);
-        let v: Vec<f64> = (0..16).map(|i| (i as f64 * 0.9).cos()).collect();
-        // A scattered prefix, a long run, a short run, a descending pair.
-        let mut idx: Vec<usize> = vec![90, 2, 2, 50];
-        idx.extend(10..70); // 60-long contiguous run
-        idx.extend([100, 101, 102]); // below MIN_RUN
-        idx.extend([80, 79]); // descending: two 1-runs
-        let mut out = vec![0u64; idx.len()];
-        f.hash_batch(&idx, &v, &mut out);
-        for (&i, &o) in idx.iter().zip(&out) {
-            assert_eq!(o, f.hash(i, &v));
+    fn panel_matches_scalar_on_special_values() {
+        let tasks = mixed_tasks(65);
+        let tiny = f64::MIN_POSITIVE / 8.0;
+        let vectors: Vec<Vec<f64>> = vec![
+            vec![0.0; 8],
+            vec![-0.0; 8],
+            vec![0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0],
+            vec![tiny, -tiny, tiny, 0.0, -tiny, tiny, -0.0, tiny],
+            vec![
+                f64::MAX,
+                -f64::MAX,
+                1.0,
+                f64::MAX,
+                0.5,
+                -f64::MAX,
+                2.0,
+                1e300,
+            ],
+            vec![f64::MAX; 8],
+            vec![f64::INFINITY, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+            vec![
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                1.0,
+            ],
+            vec![f64::NAN, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+        ];
+        for v in &vectors {
+            assert_panel_matches_scalar(&tasks, v);
         }
-    }
-
-    #[test]
-    fn panel_mirrors_matrix_after_growth() {
-        let mut f = HyperplaneFamily::new(5, 21);
-        f.ensure_functions(7);
-        f.ensure_functions(50);
-        let n = f.num_functions();
-        for i in 0..n {
-            for d in 0..5 {
-                assert_eq!(
-                    f.panel[d * n + i].to_bits(),
-                    f.matrix[i * 5 + d].to_bits(),
-                    "fn {i} dim {d}"
-                );
-            }
-        }
+        // The special vectors do reach every class of sum: some dot is
+        // infinite and some is NaN.
+        let f = family_with_seed(8, 32, 11);
+        let dot =
+            |v: &[f64], j: usize| -> f64 { f.normal(j).iter().zip(v).map(|(n, x)| n * x).sum() };
+        assert!((0..32).any(|j| dot(&vectors[5], j).is_infinite()));
+        assert!((0..32).any(|j| dot(&vectors[7], j).is_nan()));
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
-    fn batch_dimension_mismatch_panics() {
-        let f = family(4, 1);
-        let mut out = [0u64; 1];
-        f.hash_batch(&[0], &[1.0, 2.0], &mut out);
+    fn panel_dimension_mismatch_panics() {
+        let panel = HyperplanePanel::new(4, &[(1, 0)]);
+        panel.hash_all(&[1.0, 2.0], &mut [0u64; 1]);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Locality-sensitive hashing primitives for adaLSH:
 //!
-//! * elementary hash families — [`hyperplane::HyperplaneFamily`] for the
+//! * elementary hash families — [`hyperplane::HyperplaneFamily`] (with its
+//!   batched [`hyperplane::HyperplanePanel`]) for the
 //!   cosine/angular distance (paper Examples 2 and 6) and
 //!   [`minhash::MinHashFamily`] for the Jaccard distance (Appendix C.1);
 //! * AND/OR **amplification** of `(d₁, d₂, p₁, p₂)`-sensitive families
@@ -31,7 +32,7 @@ pub mod prob;
 pub mod scheme;
 
 pub use construction::Sensitivity;
-pub use hyperplane::HyperplaneFamily;
+pub use hyperplane::{HyperplaneFamily, HyperplanePanel};
 pub use minhash::MinHashFamily;
 pub use multifield::{AndScheme, FieldSpec, OrScheme, WeightedSelection};
 pub use optimizer::{OptimizerInput, SchemeOptimizer};

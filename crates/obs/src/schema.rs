@@ -16,6 +16,7 @@
 //! | `design_level` | sequence design picks level `H_i` | `level`, `budget` |
 //! | `run_start` | entering Algorithm 1 | `records`, `k`, `levels`, `threads`, `source` |
 //! | `hash_round` | after a transitive hashing call `H_level` | `level`, `cluster_size`, `hash_evals`, `keys_emitted`, `subclusters`, `reused` (records whose partition came from an online resolver's memo: `cluster_size` on a whole-set hit, the largest earlier-resolved part the cluster holds, else 0; always 0 at level 1), `wall_micros`, `predicted_cost` |
+//! | `level_built` | after the `hash_round` whose records first reached `H_level`, once per engine and level with hyperplane parts | `level`, `functions` (hyperplane normals the level holds), `bytes` (their panels' heap size), `build_micros` (inside that round's `wall_micros`) |
 //! | `gate` | Line-5 decision on a non-final cluster | `level`, `cluster_size`, `predicted_pairwise_cost`, `action` (`hash`\|`pairwise`), `forced` (0\|1), optional `predicted_hash_cost` (absent when forced: no `H_{t+1}` exists to price) |
 //! | `pairwise` | after a pairwise call `P` | `cluster_size`, `pairs`, `distance_evals`, `kernel_checks`, `early_exits`, `blocks`, `reused` (records whose partition came from an online resolver's memo: `cluster_size` on a whole-set hit, the part resolved in an earlier pass on a grown cluster, else 0), `subclusters`, `wall_micros`, `predicted_cost` |
 //! | `pairwise_block` | after each wavefront block inside `P` | `pairs_open`, `pairs_charged`, `kernel_checks`, `early_exits`, `wall_micros` |
@@ -159,6 +160,17 @@ pub const EVENTS: &[EventSpec] = &[
             ("reused", FieldKind::U64),
             ("wall_micros", FieldKind::U64),
             ("predicted_cost", FieldKind::F64),
+        ],
+        optional: &[],
+    },
+    EventSpec {
+        name: "level_built",
+        scope: Scope::Run,
+        required: &[
+            ("level", FieldKind::U64),
+            ("functions", FieldKind::U64),
+            ("bytes", FieldKind::U64),
+            ("build_micros", FieldKind::U64),
         ],
         optional: &[],
     },
@@ -1109,6 +1121,37 @@ mod tests {
         let event = events.iter_mut().find(|e| e.name == name).unwrap();
         let slot = event.fields.iter_mut().find(|(n, _)| n == field).unwrap();
         slot.1 = value;
+    }
+
+    /// `level_built` rides inside a run segment, after the round that
+    /// built the level, and reconciles with nothing: the counters stay
+    /// the hash rounds'.
+    #[test]
+    fn level_built_is_a_run_event() {
+        let built = ev(
+            "level_built",
+            &[
+                ("level", u(1)),
+                ("functions", u(24)),
+                ("bytes", u(6144)),
+                ("build_micros", u(40)),
+            ],
+        );
+        let mut t = valid_trace();
+        let round = t.iter().position(|e| e.name == "hash_round").unwrap();
+        t.insert(round + 1, built.clone());
+        assert!(validate(&t).is_ok(), "{:?}", validate(&t));
+
+        let mut outside = valid_trace();
+        outside.insert(0, built.clone());
+        let err = validate(&outside).unwrap_err();
+        assert!(err.contains("'level_built' outside a run segment"), "{err}");
+
+        let mut missing = built;
+        missing.fields.retain(|(name, _)| name != "bytes");
+        t[round + 1] = missing;
+        let err = validate(&t).unwrap_err();
+        assert!(err.contains("bytes"), "{err}");
     }
 
     #[test]

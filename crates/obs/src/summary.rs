@@ -9,7 +9,7 @@
 //! traces [`crate::schema::validate`] would reject; validate first when
 //! integrity matters.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::trace::OwnedEvent;
 
@@ -50,11 +50,44 @@ struct HashMemoRow {
     reused_records: u64,
 }
 
+/// The levels whose hyperplane normals the trace saw built, and what
+/// the builds held and took.
+#[derive(Default)]
+struct NormalsRow {
+    levels: BTreeSet<u64>,
+    functions: u64,
+    bytes: u64,
+    build_micros: u64,
+}
+
+/// `levels` as ascending ranges: `1–9`, or `3–4, 7`.
+fn level_ranges(levels: &BTreeSet<u64>) -> String {
+    let mut ranges: Vec<(u64, u64)> = Vec::new();
+    for &level in levels {
+        match ranges.last_mut() {
+            Some((_, hi)) if *hi + 1 == level => *hi = level,
+            _ => ranges.push((level, level)),
+        }
+    }
+    ranges
+        .iter()
+        .map(|&(lo, hi)| {
+            if lo == hi {
+                lo.to_string()
+            } else {
+                format!("{lo}–{hi}")
+            }
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
 /// Renders the summary table for a trace.
 pub fn summarize(events: &[OwnedEvent]) -> String {
     let mut levels: BTreeMap<u64, LevelRow> = BTreeMap::new();
     let mut pairwise = PairwiseRow::default();
     let mut hash_memo = HashMemoRow::default();
+    let mut normals = NormalsRow::default();
     let mut gate_hash = 0u64;
     let mut gate_pairwise = 0u64;
     let mut gate_forced = 0u64;
@@ -89,6 +122,12 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
                 hash_memo.records += u(event, "cluster_size");
                 hash_memo.reused_calls += u64::from(u(event, "reused") > 0);
                 hash_memo.reused_records += u(event, "reused");
+            }
+            "level_built" => {
+                normals.levels.insert(u(event, "level"));
+                normals.functions += u(event, "functions");
+                normals.bytes += u(event, "bytes");
+                normals.build_micros += u(event, "build_micros");
             }
             "pairwise" => {
                 pairwise.calls += 1;
@@ -195,6 +234,16 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
         out.push_str(&format!(
             "pairwise kernels: {} checks, {} early exits, {} blocks, {} distance evals\n",
             pairwise.kernel_checks, pairwise.early_exits, pairwise.blocks, pairwise.distance_evals
+        ));
+    }
+    if !normals.levels.is_empty() {
+        out.push_str(&format!(
+            "normals: level{} {} built, {} functions, {:.1} MiB, {} ms\n",
+            if normals.levels.len() == 1 { "" } else { "s" },
+            level_ranges(&normals.levels),
+            normals.functions,
+            normals.bytes as f64 / (1024.0 * 1024.0),
+            ms(normals.build_micros)
         ));
     }
     if queries > 0 || hash_memo.reused_calls > 0 {
@@ -390,6 +439,36 @@ mod tests {
             "{table}"
         );
         assert!(!summarize(&events[3..]).contains("H memo"));
+    }
+
+    #[test]
+    fn level_builds_get_one_line() {
+        let built = |level: u64| {
+            ev(
+                "level_built",
+                &[
+                    ("level", u(level)),
+                    ("functions", u(1000 * level)),
+                    ("bytes", u(1 << 20)),
+                    ("build_micros", u(1500)),
+                ],
+            )
+        };
+        let events: Vec<OwnedEvent> = (1..=9).map(built).collect();
+        let table = summarize(&events);
+        assert!(
+            table.contains("normals: levels 1–9 built, 45000 functions, 9.0 MiB, 13.500 ms\n"),
+            "{table}"
+        );
+        let resumed = vec![built(3), built(4), built(7)];
+        assert!(
+            summarize(&resumed).contains("normals: levels 3–4, 7 built, 14000 functions"),
+            "{}",
+            summarize(&resumed)
+        );
+        assert!(summarize(&[built(2)]).contains("normals: level 2 built"));
+        // A trace without dense parts gets no normals line.
+        assert!(!summarize(&[]).contains("normals"));
     }
 
     #[test]
