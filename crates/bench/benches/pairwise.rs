@@ -1,12 +1,13 @@
 //! Criterion benchmarks of the pairwise computation function `P` at
-//! cluster sizes 256 / 1024 / 4096 in the two regimes of
+//! cluster sizes 256 / 1024 / 4096 in the three regimes of
 //! [`adalsh_bench::pairwise_bench`]: match-dense (transitive skipping
-//! dominates) and match-sparse (every pair runs the distance kernel).
+//! dominates), match-sparse (every pair runs the distance kernel) and
+//! shingle (most pairs fail on the Jaccard bitmap bound).
 //! Each size×regime point benches the scalar oracle and the
 //! block-wavefront path, so `cargo bench -p adalsh-bench --bench
 //! pairwise` directly shows the speedup.
 
-use adalsh_bench::pairwise_bench::{match_dense, match_sparse};
+use adalsh_bench::pairwise_bench::{match_dense, match_shingle, match_sparse};
 use adalsh_core::algorithm::default_threads;
 use adalsh_core::pairwise::{apply_pairwise, apply_pairwise_scalar};
 use adalsh_core::stats::Stats;
@@ -18,7 +19,11 @@ fn bench_pairwise(c: &mut Criterion) {
     let mut g = c.benchmark_group("pairwise_P");
     g.sample_size(10);
     for &n in &[256usize, 1024, 4096] {
-        for (regime, (dataset, rule)) in [("dense", match_dense(n)), ("sparse", match_sparse(n))] {
+        for (regime, (dataset, rule)) in [
+            ("dense", match_dense(n)),
+            ("sparse", match_sparse(n)),
+            ("shingle", match_shingle(n)),
+        ] {
             let ids: Vec<u32> = (0..n as u32).collect();
             g.throughput(Throughput::Elements((n * (n - 1) / 2) as u64));
             g.bench_function(format!("scalar/{regime}/{n}"), |b| {

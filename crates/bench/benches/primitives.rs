@@ -299,6 +299,7 @@ fn bench_transitive_and_pairwise(c: &mut Criterion) {
                     1,
                     &[],
                     None,
+                    None,
                     &mut stats,
                 ))
             },

@@ -2,7 +2,7 @@
 //! used by both the Criterion bench (`benches/pairwise.rs`) and the
 //! one-shot baseline recorder (`bin/bench_pairwise.rs`).
 //!
-//! Two regimes bracket `P`'s behaviour on a cluster of `n` records:
+//! Three regimes bracket `P`'s behaviour on a cluster of `n` records:
 //!
 //! * **match-dense** — one planted entity with high within-entity
 //!   similarity under a Jaccard rule. Early merges transitively close
@@ -14,6 +14,11 @@
 //!   distance kernel; this is the worst case charged by Definition 3 and
 //!   the regime where the cached-norm kernel (one dot product instead of
 //!   three) and multi-threaded evaluation pay off.
+//! * **shingle** — SpotSigs-like sets of ~110 tokens in entities of 8
+//!   under a Jaccard rule, where most pairs share ~10 common tokens and
+//!   fail. The Jaccard threshold kernel's bitmap bound rejects those
+//!   before any merge; this is the shape of `P` on a dense shingle
+//!   region.
 
 use adalsh_data::{
     Dataset, DenseVector, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema,
@@ -79,11 +84,44 @@ pub fn match_sparse(n: usize) -> (Dataset, MatchRule) {
     )
 }
 
+/// Shingle workload: `n` records in entities of 8, under the Jaccard
+/// rule at distance 0.6. Each record keeps about 70 of its entity's 90
+/// core tokens and draws 40 from a 150-token pool every entity shares
+/// (SpotSigs' frequent signatures), so a record has ~110 tokens, pairs
+/// inside an entity share ~65 (similarity ~0.4), and pairs across
+/// entities share ~10 and fail. Returns the dataset and its rule.
+pub fn match_shingle(n: usize) -> (Dataset, MatchRule) {
+    const GROUP: usize = 8;
+    let mut rng = 0x5B1A_6E5Eu64;
+    let schema = Schema::single("s", FieldKind::Shingles);
+    let records: Vec<Record> = (0..n)
+        .map(|i| {
+            let entity = (i / GROUP) as u64;
+            let mut s: Vec<u64> = (0..90)
+                .filter(|_| splitmix(&mut rng) % 9 < 7)
+                .map(|t| ((entity + 1) << 20) | t)
+                .collect();
+            s.extend((0..40).map(|_| splitmix(&mut rng) % 150));
+            Record::single(FieldValue::Shingles(ShingleSet::new(s)))
+        })
+        .collect();
+    let gt = (0..n).map(|i| (i / GROUP) as u32).collect();
+    (
+        Dataset::new(schema, records, gt),
+        MatchRule::threshold(0, FieldDistance::Jaccard, 0.6),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adalsh_core::pairwise::{apply_pairwise, apply_pairwise_scalar};
+    use adalsh_core::oracle::ExactOracle;
+    use adalsh_core::pairwise::{
+        apply_pairwise, apply_pairwise_scalar, apply_pairwise_with, DEFAULT_PAIR_BLOCK,
+    };
     use adalsh_core::stats::Stats;
+    use adalsh_obs::{MemorySubscriber, TraceSink};
+    use std::sync::Arc;
 
     #[test]
     fn regimes_have_the_intended_shape() {
@@ -113,11 +151,45 @@ mod tests {
             st.pair_comparisons > all_pairs * 9 / 10,
             "sparse regime evaluates almost every pair"
         );
+
+        let (d, rule) = match_shingle(n);
+        let sizes: Vec<usize> = d
+            .records()
+            .iter()
+            .map(|r| r.field(0).as_shingles().len())
+            .collect();
+        let mean = sizes.iter().sum::<usize>() / n;
+        assert!((95..=125).contains(&mean), "~110 tokens a set, got {mean}");
+        let mut st = Stats::default();
+        let (out, trace) = apply_pairwise_with(
+            &d,
+            &ExactOracle::new(&rule),
+            &ids,
+            &[],
+            2,
+            DEFAULT_PAIR_BLOCK,
+            None,
+            &TraceSink::new(Arc::new(MemorySubscriber::new())),
+            &mut st,
+        );
+        assert!(
+            out.len() <= n / 8 + n / 16,
+            "shingle regime recovers about one cluster per entity ({} clusters)",
+            out.len()
+        );
+        assert!(
+            st.pair_comparisons > all_pairs * 9 / 10,
+            "most shingle pairs fail, so few are closed transitively"
+        );
+        assert!(
+            trace.bound_rejects > trace.kernel_checks * 9 / 10,
+            "the bitmap bound decides most shingle pairs: {trace:?}"
+        );
     }
 
     #[test]
     fn workloads_are_deterministic_and_match_scalar() {
-        for (d, rule) in [match_dense(48), match_sparse(48)] {
+        for (d, rule) in [match_dense(48), match_sparse(48), match_shingle(48)] {
             let ids: Vec<u32> = (0..48).collect();
             let mut st_a = Stats::default();
             let a = apply_pairwise(&d, &rule, &ids, 3, &mut st_a);

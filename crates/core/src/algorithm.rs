@@ -33,7 +33,7 @@ use crate::oracle::{
 use crate::pairwise::{apply_pairwise_with, DEFAULT_PAIR_BLOCK};
 use crate::sequence::{design, SequenceSpec};
 use crate::stats::Stats;
-use crate::transitive::{apply_transitive, BucketTable};
+use crate::transitive::{apply_transitive, AdvancedRecords, BucketTable};
 
 /// Which cluster to process next. Largest-First is the paper's (provably
 /// optimal) choice; the others exist for the optimality ablation.
@@ -352,7 +352,7 @@ impl AdaLsh {
         on_final: impl FnMut(usize, &[u32]),
     ) -> FilterOutput {
         let mut states: Vec<RecordHashState> = vec![RecordHashState::default(); store.len()];
-        self.run_with_states(store, k, &mut states, None, on_final)
+        self.run_with_states(store, k, &mut states, None, None, on_final)
     }
 
     /// Like [`AdaLsh::run_incremental`], but with caller-owned per-record
@@ -369,8 +369,10 @@ impl AdaLsh {
     /// gate still prices every call at full Definition-3 cost, so
     /// clusters and every `Stats` counter but `bucket_inserts`,
     /// `pair_comparisons`, `distance_evals`, `transitive_reused` and
-    /// `pairwise_reused` are those of a run with an empty memo. Like the states, a memo belongs to one growing
-    /// store and one engine.
+    /// `pairwise_reused` are those of a run with an empty memo. Like the
+    /// states, a memo belongs to one growing store and one engine. An
+    /// `advanced` tally (sized for the store) notes every record the run
+    /// hashes to a deeper level than it found.
     ///
     /// # Panics
     /// Panics if `k == 0`, `states.len() != dataset.len()`, or a `memo`
@@ -382,6 +384,7 @@ impl AdaLsh {
         k: usize,
         states: &mut [RecordHashState],
         mut memo: Option<&mut PartitionMemo>,
+        mut advanced: Option<&mut AdvancedRecords>,
         mut on_final: impl FnMut(usize, &[u32]),
     ) -> FilterOutput {
         assert!(k >= 1, "k must be at least 1");
@@ -436,6 +439,7 @@ impl AdaLsh {
                 threads,
                 seed,
                 table,
+                advanced.as_deref_mut(),
                 &mut stats,
             );
             (subs, ())
@@ -601,6 +605,7 @@ impl AdaLsh {
                             ),
                             ("kernel_checks", Value::U64(ptrace.kernel_checks)),
                             ("early_exits", Value::U64(ptrace.early_exits)),
+                            ("bound_rejects", Value::U64(ptrace.bound_rejects)),
                             ("blocks", Value::U64(ptrace.blocks)),
                             ("reused", Value::U64(reused as u64)),
                             ("subclusters", Value::U64(subs.len() as u64)),
@@ -626,6 +631,7 @@ impl AdaLsh {
                         threads,
                         seed,
                         table,
+                        advanced.as_deref_mut(),
                         &mut stats,
                     );
                     (subs, ())

@@ -44,7 +44,7 @@
 
 use std::time::Instant;
 
-use adalsh_data::{Dataset, ExitCounts, KernelTally, MatchRule, RecordStore};
+use adalsh_data::{Dataset, ExitCounts, KernelTally, MatchRule, RecordStore, RuleSketches};
 use adalsh_obs::{TraceSink, Value};
 
 use crate::oracle::{emit_oracle_call, ExactOracle, PairwiseOracle, SpendLedger};
@@ -73,6 +73,9 @@ pub struct PairwiseTrace {
     pub kernel_checks: u64,
     /// Kernel invocations resolved without an exact distance computation.
     pub early_exits: u64,
+    /// Of those, invocations the Jaccard bitmap overlap bound rejected
+    /// before any merge.
+    pub bound_rejects: u64,
 }
 
 /// Applies `P` to `cluster` (record ids) under `rule`, returning the
@@ -149,8 +152,11 @@ fn wavefront<O: PairwiseOracle, const FUSED: bool>(
     let s = seed.len() as u32;
     assert!(s <= n, "seed covers {s} slots of a {n}-record cluster");
     let mut forest = seeded_forest(cluster.len(), seed);
-    let per_pair_distances = oracle.num_elementary_distances() as u64;
+    let per_pair_distances = oracle.rule().num_elementary_distances() as u64;
     let traced = !FUSED && sink.enabled();
+    // Read-only while blocks fan out; empty unless the rule has a Jaccard
+    // threshold leaf.
+    let sketches = RuleSketches::build(oracle.rule(), store, cluster);
     let fresh = (n - s) as usize;
     let pairs = (s as usize * fresh + fresh * fresh.saturating_sub(1) / 2).max(1);
     let block = block.clamp(1, if FUSED { 1 } else { pairs });
@@ -182,9 +188,9 @@ fn wavefront<O: PairwiseOracle, const FUSED: bool>(
         let (open, verdicts) = (&open[..len], &mut verdicts[..len]);
         // Only traced blocks read the tally; the others run uncounted.
         let counts = if traced {
-            evaluate_block(store, oracle, cluster, open, threads, verdicts)
+            evaluate_block(store, oracle, cluster, &sketches, open, threads, verdicts)
         } else {
-            evaluate_block::<O, ()>(store, oracle, cluster, open, threads, verdicts);
+            evaluate_block::<O, ()>(store, oracle, cluster, &sketches, open, threads, verdicts);
             ExitCounts::default()
         };
 
@@ -219,6 +225,7 @@ fn wavefront<O: PairwiseOracle, const FUSED: bool>(
             trace.blocks += 1;
             trace.kernel_checks += counts.checks;
             trace.early_exits += counts.early_exits;
+            trace.bound_rejects += counts.bound_rejects;
             sink.emit(
                 "pairwise_block",
                 &[
@@ -226,6 +233,7 @@ fn wavefront<O: PairwiseOracle, const FUSED: bool>(
                     ("pairs_charged", Value::U64(charged)),
                     ("kernel_checks", Value::U64(counts.checks)),
                     ("early_exits", Value::U64(counts.early_exits)),
+                    ("bound_rejects", Value::U64(counts.bound_rejects)),
                     ("wall_micros", Value::U64(t0.elapsed().as_micros() as u64)),
                 ],
             );
@@ -236,11 +244,13 @@ fn wavefront<O: PairwiseOracle, const FUSED: bool>(
 
 /// Adjudicates every open pair of a block into `verdicts` and returns
 /// the kernel tally; big blocks split into disjoint chunks of pairs and
-/// buffer across workers, whose tallies merge at join time.
+/// buffer across workers, whose tallies merge at join time. `sketches`
+/// holds one row per cluster slot.
 fn evaluate_block<O: PairwiseOracle, T: KernelTally>(
     store: &dyn RecordStore,
     oracle: &O,
     cluster: &[u32],
+    sketches: &RuleSketches,
     open: &[(u32, u32)],
     threads: usize,
     verdicts: &mut [O::Verdict],
@@ -248,8 +258,9 @@ fn evaluate_block<O: PairwiseOracle, T: KernelTally>(
     let eval = |pairs: &[(u32, u32)], out: &mut [O::Verdict]| {
         let mut tally = T::default();
         for (v, &(a, b)) in out.iter_mut().zip(pairs) {
+            let (sa, sb) = (sketches.row(a as usize), sketches.row(b as usize));
             let (a, b) = (cluster[a as usize], cluster[b as usize]);
-            *v = oracle.adjudicate(store, a, b, &mut tally);
+            *v = oracle.adjudicate(store, a, b, sa, sb, &mut tally);
         }
         tally
     };

@@ -17,7 +17,7 @@
 
 use std::collections::HashSet;
 
-use adalsh_data::{MatchRule, RecordStore};
+use adalsh_data::{MatchRule, RecordStore, RuleSketches};
 use adalsh_obs::TraceSink;
 
 use crate::oracle::{emit_oracle_call, ExactOracle, PairwiseOracle, SpendLedger};
@@ -103,18 +103,26 @@ pub fn rule_recovery_with<O: PairwiseOracle>(
 ) -> Vec<Vec<u32>> {
     let included: HashSet<u32> = clusters.iter().flatten().copied().collect();
     let mut augmented: Vec<Vec<u32>> = clusters.to_vec();
-    let per_pair = oracle.num_elementary_distances() as u64;
+    let rule = oracle.rule();
+    let per_pair = rule.num_elementary_distances() as u64;
+    // One sketch row per cluster member, in member order.
+    let mut member_sketches: Vec<RuleSketches> = augmented
+        .iter()
+        .map(|cluster| RuleSketches::build(rule, store, cluster))
+        .collect();
     let traced = sink.enabled();
     for r in 0..store.len() as u32 {
         if included.contains(&r) {
             continue;
         }
-        'next_record: for cluster in &mut augmented {
+        let own = RuleSketches::build(rule, store, &[r]);
+        'next_record: for (cluster, sketches) in augmented.iter_mut().zip(&mut member_sketches) {
             for i in 0..cluster.len() {
                 let m = cluster[i];
                 stats.pair_comparisons += 1;
                 stats.distance_evals += per_pair;
-                let adjudication = O::adjudication(oracle.adjudicate(store, r, m, &mut ()));
+                let verdict = oracle.adjudicate(store, r, m, own.row(0), sketches.row(i), &mut ());
+                let adjudication = O::adjudication(verdict);
                 let matched = match ledger.as_deref_mut() {
                     None => adjudication.matched,
                     Some(ledger) => {
@@ -127,6 +135,7 @@ pub fn rule_recovery_with<O: PairwiseOracle>(
                 };
                 if matched {
                     cluster.push(r);
+                    sketches.push(store, r);
                     break 'next_record;
                 }
             }

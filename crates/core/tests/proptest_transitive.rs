@@ -139,7 +139,7 @@ proptest! {
 
         let mut stats = Stats::default();
         let got = apply_transitive(
-            &hasher, &mut states, &d, &cluster, to_level, 1, &[], None, &mut stats,
+            &hasher, &mut states, &d, &cluster, to_level, 1, &[], None, None, &mut stats,
         );
         let want = reference_components(&hasher, &states, &cluster, to_level);
         prop_assert_eq!(sorted(got), want);
@@ -200,7 +200,7 @@ proptest! {
             // the rest after it, ascending.
             let mut table = BucketTable::default();
             let parts = apply_transitive(
-                &hasher, &mut states, &d, &part, to_level, threads, &[], Some(&mut table), &mut st,
+                &hasher, &mut states, &d, &part, to_level, threads, &[], Some(&mut table), None, &mut st,
             );
             let labels: Vec<u32> = part
                 .iter()
@@ -213,11 +213,12 @@ proptest! {
             let mut cold_table = BucketTable::default();
             let want = apply_transitive(
                 &hasher, &mut cold_states, &d, &cluster, to_level, threads, &[],
-                Some(&mut cold_table), &mut cold,
+                Some(&mut cold_table), None, &mut cold,
             );
             let mut warm = Stats::default();
             let got = apply_transitive(
                 &hasher, &mut states, &d, &laid, to_level, threads, &labels, Some(&mut table),
+                None,
                 &mut warm,
             );
             prop_assert_eq!(sorted(got), sorted(want), "threads={}", threads);

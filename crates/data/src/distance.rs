@@ -13,26 +13,56 @@
 //!
 //! Each metric has one public entry per operation, over borrowed
 //! [`FieldRef`] payloads: [`FieldDistance::distance`] (exact) and
-//! [`FieldDistance::at_most_counted`] (threshold verdict, bit-identical
-//! to comparing the exact distance). The hash families own `p(x)`.
+//! [`FieldDistance::at_most_counted`] (threshold verdict over
+//! [`Operand`]s, which carry each field's cached norm or bitmap sketch;
+//! bit-identical to comparing the exact distance). The hash families own
+//! `p(x)`.
 
 use serde::{Deserialize, Serialize};
 
 use crate::record::{FieldKind, FieldRef};
+use crate::shingle::Sketch;
 use crate::{shingle, vector};
 
-/// Tally of threshold-kernel invocations and how many of them resolved
-/// on an early-exit path without computing the exact distance: the
-/// Jaccard overlap bound (the verdict fixed before the intersection
-/// count finishes, the size-ratio exit included), the cosine-space
-/// compare, or a degenerate input. Purely observational: verdicts and
-/// cost accounting are identical whether or not anyone counts.
+/// How a threshold kernel reached its verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exit {
+    /// After the exact distance, or an intersection count that ran to
+    /// the end of an input.
+    Complete,
+    /// On an early-exit path: the Jaccard overlap bound (the verdict fixed
+    /// before the intersection count finishes, the size-ratio exit
+    /// included), the cosine-space compare, or a degenerate input.
+    Early,
+    /// On the Jaccard bitmap overlap bound, before any merge; an early
+    /// exit too.
+    Bound,
+}
+
+impl Exit {
+    /// [`Exit::Early`] when `early`, else [`Exit::Complete`].
+    pub fn from_early(early: bool) -> Self {
+        if early {
+            Exit::Early
+        } else {
+            Exit::Complete
+        }
+    }
+}
+
+/// Tally of threshold-kernel invocations, how many of them resolved on
+/// an early-exit path without computing the exact distance, and how many
+/// of those the Jaccard bitmap bound decided. Purely observational:
+/// verdicts and cost accounting are identical whether or not anyone
+/// counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExitCounts {
     /// Threshold-kernel invocations.
     pub checks: u64,
     /// Invocations resolved without the exact distance computation.
     pub early_exits: u64,
+    /// Of those, invocations the bitmap overlap bound rejected.
+    pub bound_rejects: u64,
 }
 
 impl ExitCounts {
@@ -40,6 +70,7 @@ impl ExitCounts {
     pub fn merge(&mut self, other: &ExitCounts) {
         self.checks += other.checks;
         self.early_exits += other.early_exits;
+        self.bound_rejects += other.bound_rejects;
     }
 }
 
@@ -47,17 +78,21 @@ impl ExitCounts {
 /// discards — so the uncounted rule walk is the counted one run with
 /// `()`, and compiles to the same code.
 pub trait KernelTally: Default + Send {
-    /// Records `checks` kernel invocations, `early_exits` of which
-    /// resolved on an early-exit path.
-    fn record(&mut self, checks: u64, early_exits: u64);
+    /// Records `checks` kernel invocations that each resolved by `exit`.
+    fn record(&mut self, checks: u64, exit: Exit);
     /// Folds another tally into this one.
     fn merge(&mut self, other: &Self);
 }
 
 impl KernelTally for ExitCounts {
-    fn record(&mut self, checks: u64, early_exits: u64) {
+    fn record(&mut self, checks: u64, exit: Exit) {
         self.checks += checks;
-        self.early_exits += early_exits;
+        if exit != Exit::Complete {
+            self.early_exits += checks;
+        }
+        if exit == Exit::Bound {
+            self.bound_rejects += checks;
+        }
     }
 
     fn merge(&mut self, other: &Self) {
@@ -66,9 +101,21 @@ impl KernelTally for ExitCounts {
 }
 
 impl KernelTally for () {
-    fn record(&mut self, _: u64, _: u64) {}
+    fn record(&mut self, _: u64, _: Exit) {}
 
     fn merge(&mut self, _: &Self) {}
+}
+
+/// One record's side of a threshold check: the field's payload with the
+/// summary its caller caches for it.
+#[derive(Debug, Clone, Copy)]
+pub enum Operand<'a> {
+    /// A dense vector with its Euclidean norm, as
+    /// [`RecordStore::field_norm`](crate::RecordStore::field_norm) caches
+    /// it.
+    Dense(&'a [f64], f64),
+    /// A shingle set with its bitmap [`Sketch`] ([`shingle::sketch`]).
+    Shingles(&'a [u64], &'a Sketch),
 }
 
 /// A normalized distance metric over one field.
@@ -107,46 +154,45 @@ impl FieldDistance {
         }
     }
 
-    /// Threshold verdict `distance(a, b, norm_a, norm_b) <= dthr`,
-    /// reporting whether it was reached on an early-exit path:
-    /// `(verdict, resolved_early)`. The pairwise verification loop runs
+    /// Threshold verdict `distance(a, b) <= dthr` on two operands,
+    /// reporting how it was reached. The pairwise verification loop runs
     /// this kernel whether the records live in RAM or in a mapped store
     /// file.
     ///
     /// The cheapest safe kernel decides, and each documents its safety
     /// argument:
     /// * angular: a guarded cosine-space compare;
-    /// * Jaccard: an overlap bound. The exact f64 distance is
+    /// * Jaccard: two overlap bounds. The exact f64 distance is
     ///   rounding-monotone in the intersection size, so a binary search
-    ///   finds the smallest overlap `m*` that passes, and the intersection
-    ///   count stops as soon as it reaches `m*` or can no longer reach it.
-    ///   No `m*` exists for a NaN threshold, so that verdict is `false`,
-    ///   like the exact comparison's.
+    ///   finds the smallest overlap `m*` that passes. A pair whose bitmap
+    ///   bound ([`shingle::overlap_bound`], never below the true
+    ///   intersection) falls under `m*` fails with no merge
+    ///   ([`Exit::Bound`]); otherwise the intersection count stops as
+    ///   soon as it reaches `m*` or can no longer reach it. No `m*`
+    ///   exists for a NaN threshold, so that verdict is `false`, like the
+    ///   exact comparison's.
     ///
     /// The verdict is **bit-identical** to computing the exact distance
-    /// and comparing; only the work to reach it shrinks, and the flag
+    /// and comparing, given operands whose norms and sketches are those
+    /// of their payloads; only the work to reach it shrinks, and the exit
     /// feeds the [`ExitCounts`] observability tally only. Cost accounting
     /// is unaffected: callers charge per elementary distance regardless of
     /// early exits (the paper's Definition 3 is conservative).
     ///
     /// # Panics
-    /// Panics if either ref's kind does not match the metric, or if two
-    /// dense refs differ in dimension.
-    pub fn at_most_counted(
-        self,
-        a: FieldRef<'_>,
-        b: FieldRef<'_>,
-        dthr: f64,
-        norm_a: f64,
-        norm_b: f64,
-    ) -> (bool, bool) {
-        match self {
-            FieldDistance::Angular => {
-                vector::angular_at_most_counted(a.as_dense(), b.as_dense(), dthr, norm_a, norm_b)
+    /// Panics if either operand's kind does not match the metric, or if
+    /// two dense operands differ in dimension.
+    #[inline]
+    pub fn at_most_counted(self, a: Operand<'_>, b: Operand<'_>, dthr: f64) -> (bool, Exit) {
+        match (self, a, b) {
+            (FieldDistance::Angular, Operand::Dense(a, norm_a), Operand::Dense(b, norm_b)) => {
+                let (verdict, early) = vector::angular_at_most_counted(a, b, dthr, norm_a, norm_b);
+                (verdict, Exit::from_early(early))
             }
-            FieldDistance::Jaccard => {
-                shingle::jaccard_at_most_counted(a.as_shingles(), b.as_shingles(), dthr)
+            (FieldDistance::Jaccard, Operand::Shingles(a, sa), Operand::Shingles(b, sb)) => {
+                shingle::jaccard_at_most_sketched(a, b, sa, sb, dthr)
             }
+            _ => panic!("{self:?} threshold on an operand of the wrong kind"),
         }
     }
 }
@@ -170,9 +216,22 @@ mod tests {
         metric.distance(a.as_ref(), b.as_ref(), a.norm(), b.norm())
     }
 
+    /// An owned field's threshold operand, with its norm or `sketch`.
+    fn operand<'a>(v: &'a FieldValue, sketch: &'a Sketch) -> Operand<'a> {
+        match v.as_ref() {
+            FieldRef::Dense(x) => Operand::Dense(x, v.norm()),
+            FieldRef::Shingles(x) => Operand::Shingles(x, sketch),
+        }
+    }
+
     fn at_most(metric: FieldDistance, a: &FieldValue, b: &FieldValue, t: f64) -> bool {
+        let sketch_of = |v: &FieldValue| match v.as_ref() {
+            FieldRef::Shingles(x) => shingle::sketch(x),
+            FieldRef::Dense(_) => Sketch::default(),
+        };
+        let (sa, sb) = (sketch_of(a), sketch_of(b));
         metric
-            .at_most_counted(a.as_ref(), b.as_ref(), t, a.norm(), b.norm())
+            .at_most_counted(operand(a, &sa), operand(b, &sb), t)
             .0
     }
 

@@ -1,11 +1,14 @@
 //! Property-based tests for the record model: metric axioms and
 //! representation invariants that must hold for arbitrary inputs.
 
-use adalsh_data::shingle::{intersection_size_galloping, intersection_size_merge, GALLOP_RATIO};
+use adalsh_data::shingle::{
+    intersection_size_galloping, intersection_size_merge, overlap_bound, sketch, sketch_bit,
+    GALLOP_RATIO, SKETCH_BITS,
+};
 use adalsh_data::vector;
 use adalsh_data::{
-    Dataset, DenseVector, FieldDistance, FieldKind, FieldRef, FieldValue, MatchRule, Record,
-    Schema, ShingleSet,
+    Dataset, DenseVector, Exit, ExitCounts, FieldDistance, FieldKind, FieldRef, FieldValue,
+    KernelTally, MatchRule, Operand, Record, Schema, ShingleSet,
 };
 use proptest::prelude::*;
 
@@ -112,18 +115,28 @@ fn overlapping_pair_strategy() -> impl Strategy<Value = (ShingleSet, ShingleSet)
 /// bit-identity.
 fn check_boundary(
     metric: FieldDistance,
-    a: FieldRef<'_>,
-    b: FieldRef<'_>,
-    norm_a: f64,
-    norm_b: f64,
+    a: Operand<'_>,
+    b: Operand<'_>,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let d = metric.distance(a, b, norm_a, norm_b);
+    let d = exact(metric, a, b);
     let thresholds = [d.next_down(), d, d.next_up(), 0.0, 1.0];
     for dthr in thresholds.into_iter().chain([f64::NAN, -0.0, -1.0, 2.0]) {
-        let (verdict, _) = metric.at_most_counted(a, b, dthr, norm_a, norm_b);
+        let (verdict, _) = metric.at_most_counted(a, b, dthr);
         prop_assert_eq!(verdict, d <= dthr, "{:?}: d={} dthr={}", metric, d, dthr);
     }
     Ok(())
+}
+
+/// The exact distance between two operands' payloads.
+fn exact(metric: FieldDistance, a: Operand<'_>, b: Operand<'_>) -> f64 {
+    fn parts(op: Operand<'_>) -> (FieldRef<'_>, f64) {
+        match op {
+            Operand::Dense(x, norm) => (FieldRef::Dense(x), norm),
+            Operand::Shingles(x, _) => (FieldRef::Shingles(x), 0.0),
+        }
+    }
+    let ((fa, na), (fb, nb)) = (parts(a), parts(b));
+    metric.distance(fa, fb, na, nb)
 }
 
 /// Arbitrary well-formed datasets over a two-field (shingles + dense)
@@ -280,38 +293,173 @@ proptest! {
         a in prop::collection::vec(0u64..48, 0..40).prop_map(ShingleSet::new),
         b in prop::collection::vec(0u64..48, 0..40).prop_map(ShingleSet::new),
     ) {
-        let (fa, fb) = (FieldRef::Shingles(a.shingles()), FieldRef::Shingles(b.shingles()));
-        check_boundary(FieldDistance::Jaccard, fa, fb, 0.0, 0.0)?;
+        let (sa, sb) = (sketch(a.shingles()), sketch(b.shingles()));
+        let (fa, fb) = (Operand::Shingles(a.shingles(), &sa), Operand::Shingles(b.shingles(), &sb));
+        check_boundary(FieldDistance::Jaccard, fa, fb)?;
     }
 
     #[test]
     fn jaccard_threshold_exact_on_skewed_sizes((small, large) in skewed_pair_strategy()) {
         prop_assert!(large.len() >= GALLOP_RATIO * small.len());
-        let (fs, fl) = (FieldRef::Shingles(small.shingles()), FieldRef::Shingles(large.shingles()));
-        check_boundary(FieldDistance::Jaccard, fs, fl, 0.0, 0.0)?;
-        check_boundary(FieldDistance::Jaccard, fl, fs, 0.0, 0.0)?;
+        let (ss, sl) = (sketch(small.shingles()), sketch(large.shingles()));
+        let fs = Operand::Shingles(small.shingles(), &ss);
+        let fl = Operand::Shingles(large.shingles(), &sl);
+        check_boundary(FieldDistance::Jaccard, fs, fl)?;
+        check_boundary(FieldDistance::Jaccard, fl, fs)?;
     }
 
     #[test]
     fn jaccard_threshold_exact_on_large_overlaps((a, b) in overlapping_pair_strategy()) {
-        let (fa, fb) = (FieldRef::Shingles(a.shingles()), FieldRef::Shingles(b.shingles()));
-        check_boundary(FieldDistance::Jaccard, fa, fb, 0.0, 0.0)?;
+        let (sa, sb) = (sketch(a.shingles()), sketch(b.shingles()));
+        let (fa, fb) = (Operand::Shingles(a.shingles(), &sa), Operand::Shingles(b.shingles(), &sb));
+        check_boundary(FieldDistance::Jaccard, fa, fb)?;
         // Thresholds either side of the pair's distance, far enough that
         // the merge decides them before it ends.
-        let d = FieldDistance::Jaccard.distance(fa, fb, 0.0, 0.0);
+        let d = exact(FieldDistance::Jaccard, fa, fb);
         for dthr in [d * 0.5, d * 0.9, (d + 1.0) / 2.0] {
-            let (verdict, _) = FieldDistance::Jaccard.at_most_counted(fa, fb, dthr, 0.0, 0.0);
+            let (verdict, _) = FieldDistance::Jaccard.at_most_counted(fa, fb, dthr);
             prop_assert_eq!(verdict, d <= dthr, "d={} dthr={}", d, dthr);
         }
     }
 
     #[test]
     fn angular_threshold_exact_at_the_boundary((a, b) in dense_pair_strategy()) {
-        let (fa, fb) = (FieldRef::Dense(&a), FieldRef::Dense(&b));
-        let (na, nb) = (vector::norm(&a), vector::norm(&b));
-        check_boundary(FieldDistance::Angular, fa, fb, na, nb)?;
-        check_boundary(FieldDistance::Angular, fa, fa, na, na)?;
+        let fa = Operand::Dense(&a, vector::norm(&a));
+        let fb = Operand::Dense(&b, vector::norm(&b));
+        check_boundary(FieldDistance::Angular, fa, fb)?;
+        check_boundary(FieldDistance::Angular, fa, fa)?;
         let zero = vec![0.0; a.len()];
-        check_boundary(FieldDistance::Angular, fa, FieldRef::Dense(&zero), na, 0.0)?;
+        check_boundary(FieldDistance::Angular, fa, Operand::Dense(&zero, 0.0))?;
+    }
+}
+
+/// Test-local SplitMix64 step.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_B9F9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A token whose sketch bit is `bit`, found by a seeded search.
+fn token_on_bit(state: &mut u64, bit: usize) -> u64 {
+    loop {
+        let t = mix(state);
+        if sketch_bit(t) == bit {
+            return t;
+        }
+    }
+}
+
+/// Pairs of sets in the shapes the sketched Jaccard kernel is easiest to
+/// get wrong on, chosen by `shape`: random tokens with a shared core,
+/// small-integer tokens, size ratios of 7x, 8x and 9x around
+/// [`GALLOP_RATIO`], tokens crafted onto a handful of sketch bits,
+/// saturated sketches (more than `SKETCH_BITS` tokens a set), identical
+/// sets, and empty or one-empty sets.
+fn sketched_pair_strategy() -> impl Strategy<Value = (Vec<u64>, Vec<u64>)> {
+    (0u8..7, any::<u64>(), 0usize..160, 0usize..160, 0usize..160).prop_map(
+        |(shape, seed, x, y, z)| {
+            let mut rng = seed;
+            let mut draw = |n: usize, f: &mut dyn FnMut(&mut u64) -> u64| -> Vec<u64> {
+                (0..n).map(|_| f(&mut rng)).collect()
+            };
+            let (core, a_own, b_own): (Vec<u64>, Vec<u64>, Vec<u64>) = match shape {
+                // Random tokens, a shared core of up to 160.
+                0 => (draw(z, &mut mix), draw(x, &mut mix), draw(y, &mut mix)),
+                // Small integers: collide in value, spread by the mixer.
+                1 => {
+                    let mut small = |r: &mut u64| mix(r) % 64;
+                    (
+                        draw(z % 40, &mut small),
+                        draw(x % 40, &mut small),
+                        draw(y % 40, &mut small),
+                    )
+                }
+                // |large| = r · |small| for r ∈ {7, 8, 9}, small half shared.
+                2 => {
+                    let n = 1 + x % 20;
+                    let ratio = 7 + y % 3;
+                    let large = draw(ratio * n, &mut mix);
+                    let shared: Vec<u64> = large.iter().take(n / 2 + z % 2).copied().collect();
+                    let own = draw(n - shared.len(), &mut mix);
+                    (shared, own, large)
+                }
+                // Every token on one of `1 + z % 3` sketch bits.
+                3 => {
+                    let bits: Vec<usize> = (0..1 + z % 3).map(|k| (k * 337 + x) % 1024).collect();
+                    let mut on_bits = |r: &mut u64| {
+                        let bit = bits[(mix(r) % bits.len() as u64) as usize];
+                        token_on_bit(r, bit)
+                    };
+                    (
+                        draw(z % 30, &mut on_bits),
+                        draw(x % 40, &mut on_bits),
+                        draw(y % 40, &mut on_bits),
+                    )
+                }
+                // Saturated: over SKETCH_BITS tokens a set.
+                4 => (
+                    draw(600 + 4 * z, &mut mix),
+                    draw(SKETCH_BITS - 500 + 2 * x, &mut mix),
+                    draw(SKETCH_BITS - 500 + 2 * y, &mut mix),
+                ),
+                // Identical sets.
+                5 => (draw(z, &mut mix), Vec::new(), Vec::new()),
+                // Empty and one-empty sets.
+                _ => (Vec::new(), Vec::new(), draw(x % 3 * y % 50, &mut mix)),
+            };
+            let a = ShingleSet::new(core.iter().chain(&a_own).copied().collect());
+            let b = ShingleSet::new(core.iter().chain(&b_own).copied().collect());
+            (a.shingles().to_vec(), b.shingles().to_vec())
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    /// The sketched threshold kernel equals `jaccard_distance(a, b) <=
+    /// dthr` for out-of-range, non-finite and in-range thresholds, and at
+    /// every `m*` edge: the distance at each overlap `m` near the true
+    /// intersection and near the bound, and one ulp either side. The bound
+    /// is never below the true intersection, and a pair it rejects fails
+    /// and counts as an early exit.
+    #[test]
+    fn sketched_jaccard_kernel_equals_the_exact_check((a, b) in sketched_pair_strategy()) {
+        let (sa, sb) = (sketch(&a), sketch(&b));
+        let inter = intersection_size_merge(&a, &b);
+        let bound = overlap_bound(a.len(), &sa, b.len(), &sb);
+        prop_assert!(bound >= inter, "bound {} below |A ∩ B| = {}", bound, inter);
+        prop_assert!(bound <= a.len().min(b.len()));
+        let (fa, fb) = (Operand::Shingles(&a, &sa), Operand::Shingles(&b, &sb));
+        let d = exact(FieldDistance::Jaccard, fa, fb);
+        let total = a.len() + b.len();
+        let edge = |m: usize| 1.0 - (m as f64 / (total - m) as f64);
+        let small = a.len().min(b.len());
+        let mut thresholds = vec![
+            f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, -0.0, 0.0, 1.0, 1.5, d,
+        ];
+        for m in (0..=small).filter(|&m| {
+            m.abs_diff(inter) <= 3 || m.abs_diff(bound) <= 3 || m % 29 == 0 || m == small
+        }) {
+            if total > m {
+                let e = edge(m);
+                thresholds.extend([e.next_down(), e, e.next_up()]);
+            }
+        }
+        for dthr in thresholds {
+            let (verdict, exit) = FieldDistance::Jaccard.at_most_counted(fa, fb, dthr);
+            prop_assert_eq!(verdict, d <= dthr, "d={} dthr={} exit={:?}", d, dthr, exit);
+            let (swapped, _) = FieldDistance::Jaccard.at_most_counted(fb, fa, dthr);
+            prop_assert_eq!(swapped, verdict);
+            if exit == Exit::Bound {
+                prop_assert!(!verdict, "the bound only rejects");
+                let mut counts = ExitCounts::default();
+                counts.record(1, exit);
+                prop_assert_eq!((counts.early_exits, counts.bound_rejects), (1, 1));
+            }
+        }
     }
 }

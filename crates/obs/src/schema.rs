@@ -18,8 +18,8 @@
 //! | `hash_round` | after a transitive hashing call `H_level` | `level`, `cluster_size`, `hash_evals`, `keys_emitted`, `subclusters`, `reused` (records whose partition came from an online resolver's memo: `cluster_size` on a whole-set hit, the largest earlier-resolved part the cluster holds, else 0; always 0 at level 1), `wall_micros`, `predicted_cost` |
 //! | `level_built` | after the `hash_round` whose records first reached `H_level`, once per engine and level with hyperplane parts | `level`, `functions` (hyperplane normals the level holds), `bytes` (their panels' heap size), `build_micros` (inside that round's `wall_micros`) |
 //! | `gate` | Line-5 decision on a non-final cluster | `level`, `cluster_size`, `predicted_pairwise_cost`, `action` (`hash`\|`pairwise`), `forced` (0\|1), optional `predicted_hash_cost` (absent when forced: no `H_{t+1}` exists to price) |
-//! | `pairwise` | after a pairwise call `P` | `cluster_size`, `pairs`, `distance_evals`, `kernel_checks`, `early_exits`, `blocks`, `reused` (records whose partition came from an online resolver's memo: `cluster_size` on a whole-set hit, the part resolved in an earlier pass on a grown cluster, else 0), `subclusters`, `wall_micros`, `predicted_cost` |
-//! | `pairwise_block` | after each wavefront block inside `P` | `pairs_open`, `pairs_charged`, `kernel_checks`, `early_exits`, `wall_micros` |
+//! | `pairwise` | after a pairwise call `P` | `cluster_size`, `pairs`, `distance_evals`, `kernel_checks`, `early_exits`, `bound_rejects` (early exits the Jaccard bitmap bound decided before any merge), `blocks`, `reused` (records whose partition came from an online resolver's memo: `cluster_size` on a whole-set hit, the part resolved in an earlier pass on a grown cluster, else 0), `subclusters`, `wall_micros`, `predicted_cost` |
+//! | `pairwise_block` | after each wavefront block inside `P` | `pairs_open`, `pairs_charged`, `kernel_checks`, `early_exits`, `bound_rejects`, `wall_micros` |
 //! | `final_cluster` | a cluster is declared final | `rank`, `size`, `origin` (`hashed`\|`pairwise`), `level` (0 when origin is `pairwise`) |
 //! | `oracle_call` | a pairwise-oracle adjudication is settled through the spend ledger | `attempts`, `retries`, `votes`, `timeouts`, `errors`, `spend`, `degraded` (0\|1), `matched` (0\|1), `latency_micros` (modeled) |
 //! | `run_end` | leaving Algorithm 1 | the full `Stats` mirror: `rounds`, `finals`, `hash_evals`, `distance_evals`, `pair_comparisons`, `bucket_inserts`, `transitive_calls`, `transitive_reused`, `pairwise_calls`, `pairwise_reused`, `modeled_cost`, `wall_micros`; under a noisy oracle also the ledger mirror: `oracle_calls`, `oracle_attempts`, `oracle_retries`, `oracle_votes`, `oracle_timeouts`, `oracle_errors`, `oracle_degraded`, `oracle_spent` |
@@ -74,9 +74,11 @@
 //!   either declared final or gated)
 //! * #`final_cluster` = `finals`
 //! * Σ `pairwise_block.pairs_charged` = `pair_comparisons`, and the
-//!   blocks' `kernel_checks` / `early_exits` totals equal their
-//!   `pairwise` parents' (each `pairwise` event is the sum of its
-//!   blocks), with #`pairwise_block` = Σ `pairwise.blocks`
+//!   blocks' `kernel_checks` / `early_exits` / `bound_rejects` totals
+//!   equal their `pairwise` parents' (each `pairwise` event is the sum
+//!   of its blocks), with #`pairwise_block` = Σ `pairwise.blocks`; on
+//!   every `pairwise` and `pairwise_block` event, `bound_rejects` ≤
+//!   `early_exits` ≤ `kernel_checks`
 //! * folding `predicted_cost` over `hash_round` and `pairwise` events in
 //!   order reproduces `modeled_cost` **bit-identically** — the engine
 //!   charges its ledger with the same `f64` additions in the same
@@ -195,6 +197,7 @@ pub const EVENTS: &[EventSpec] = &[
             ("distance_evals", FieldKind::U64),
             ("kernel_checks", FieldKind::U64),
             ("early_exits", FieldKind::U64),
+            ("bound_rejects", FieldKind::U64),
             ("blocks", FieldKind::U64),
             ("reused", FieldKind::U64),
             ("subclusters", FieldKind::U64),
@@ -211,6 +214,7 @@ pub const EVENTS: &[EventSpec] = &[
             ("pairs_charged", FieldKind::U64),
             ("kernel_checks", FieldKind::U64),
             ("early_exits", FieldKind::U64),
+            ("bound_rejects", FieldKind::U64),
             ("wall_micros", FieldKind::U64),
         ],
         optional: &[],
@@ -371,11 +375,13 @@ struct Segment {
     distance_evals: u64,
     kernel_checks: u64,
     early_exits: u64,
+    bound_rejects: u64,
     blocks_declared: u64,
     block_events: u64,
     block_pairs_charged: u64,
     block_kernel_checks: u64,
     block_early_exits: u64,
+    block_bound_rejects: u64,
     gates: u64,
     finals: u64,
     cost_fold: f64,
@@ -533,6 +539,22 @@ fn check_enums(idx: usize, event: &OwnedEvent) -> Result<(), String> {
             ));
         }
     }
+    if matches!(event.name.as_str(), "pairwise" | "pairwise_block") {
+        let (checks, exits, bound) = (
+            event.u64("kernel_checks"),
+            event.u64("early_exits"),
+            event.u64("bound_rejects"),
+        );
+        if let (Some(checks), Some(exits), Some(bound)) = (checks, exits, bound) {
+            if !(bound <= exits && exits <= checks) {
+                return Err(format!(
+                    "event {idx}: '{}' needs bound_rejects <= early_exits <= kernel_checks, \
+                     got {bound}, {exits}, {checks}",
+                    event.name
+                ));
+            }
+        }
+    }
     if event.name == "oracle_call" {
         for flag in ["degraded", "matched"] {
             if let Some(v) = event.u64(flag) {
@@ -571,6 +593,7 @@ fn accumulate(seg: &mut Segment, event: &OwnedEvent) {
             seg.distance_evals += u("distance_evals");
             seg.kernel_checks += u("kernel_checks");
             seg.early_exits += u("early_exits");
+            seg.bound_rejects += u("bound_rejects");
             seg.blocks_declared += u("blocks");
             seg.cost_fold += event.f64("predicted_cost").unwrap_or(0.0);
         }
@@ -579,6 +602,7 @@ fn accumulate(seg: &mut Segment, event: &OwnedEvent) {
             seg.block_pairs_charged += u("pairs_charged");
             seg.block_kernel_checks += u("kernel_checks");
             seg.block_early_exits += u("early_exits");
+            seg.block_bound_rejects += u("bound_rejects");
         }
         "gate" => seg.gates += 1,
         "final_cluster" => seg.finals += 1,
@@ -662,7 +686,7 @@ fn check_segment(run: usize, seg: &Segment, end: &OwnedEvent) -> Result<(), Stri
             ));
         }
     }
-    let block_identities: [(&str, u64, u64); 3] = [
+    let block_identities: [(&str, u64, u64); 4] = [
         (
             "#pairwise_block = Σ pairwise.blocks",
             seg.block_events,
@@ -677,6 +701,11 @@ fn check_segment(run: usize, seg: &Segment, end: &OwnedEvent) -> Result<(), Stri
             "Σ pairwise_block.early_exits = Σ pairwise.early_exits",
             seg.block_early_exits,
             seg.early_exits,
+        ),
+        (
+            "Σ pairwise_block.bound_rejects = Σ pairwise.bound_rejects",
+            seg.block_bound_rejects,
+            seg.bound_rejects,
         ),
     ];
     for (name, got, expected) in block_identities {
@@ -1051,6 +1080,7 @@ mod tests {
                     ("distance_evals", u(1)),
                     ("kernel_checks", u(1)),
                     ("early_exits", u(0)),
+                    ("bound_rejects", u(0)),
                     ("blocks", u(1)),
                     ("reused", u(0)),
                     ("subclusters", u(1)),
@@ -1065,6 +1095,7 @@ mod tests {
                     ("pairs_charged", u(1)),
                     ("kernel_checks", u(1)),
                     ("early_exits", u(0)),
+                    ("bound_rejects", u(0)),
                     ("wall_micros", u(3)),
                 ],
             ),
@@ -1212,6 +1243,39 @@ mod tests {
         let mut t = valid_trace();
         set(&mut t, "run_end", "modeled_cost", f(2.0 + 1e-13));
         assert!(validate(&t).unwrap_err().contains("bit-identical"));
+    }
+
+    #[test]
+    fn bound_rejects_nest_inside_early_exits_inside_checks() {
+        // Bound rejects without early exits, on both events so the block
+        // totals still reconcile.
+        let mut t = valid_trace();
+        for name in ["pairwise", "pairwise_block"] {
+            set(&mut t, name, "bound_rejects", u(1));
+        }
+        let err = validate(&t).unwrap_err();
+        assert!(
+            err.contains("bound_rejects <= early_exits <= kernel_checks"),
+            "{err}"
+        );
+        // More early exits than kernel checks.
+        let mut t = valid_trace();
+        for name in ["pairwise", "pairwise_block"] {
+            set(&mut t, name, "early_exits", u(2));
+        }
+        let err = validate(&t).unwrap_err();
+        assert!(err.contains("kernel_checks"), "{err}");
+        // One check, exited early on the bound: consistent.
+        let mut t = valid_trace();
+        for name in ["pairwise", "pairwise_block"] {
+            set(&mut t, name, "early_exits", u(1));
+            set(&mut t, name, "bound_rejects", u(1));
+        }
+        validate(&t).unwrap();
+        // A block whose bound count disagrees with its parent's.
+        set(&mut t, "pairwise_block", "bound_rejects", u(0));
+        let err = validate(&t).unwrap_err();
+        assert!(err.contains("Σ pairwise_block.bound_rejects"), "{err}");
     }
 
     #[test]

@@ -31,6 +31,7 @@ struct PairwiseRow {
     distance_evals: u64,
     kernel_checks: u64,
     early_exits: u64,
+    bound_rejects: u64,
     blocks: u64,
     /// Calls that started from a memo partition, and the records it
     /// covered.
@@ -136,6 +137,7 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
                 pairwise.distance_evals += u(event, "distance_evals");
                 pairwise.kernel_checks += u(event, "kernel_checks");
                 pairwise.early_exits += u(event, "early_exits");
+                pairwise.bound_rejects += u(event, "bound_rejects");
                 pairwise.blocks += u(event, "blocks");
                 pairwise.reused_calls += u64::from(u(event, "reused") > 0);
                 pairwise.reused_records += u(event, "reused");
@@ -232,8 +234,13 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
     ));
     if pairwise.calls > 0 {
         out.push_str(&format!(
-            "pairwise kernels: {} checks, {} early exits, {} blocks, {} distance evals\n",
-            pairwise.kernel_checks, pairwise.early_exits, pairwise.blocks, pairwise.distance_evals
+            "pairwise kernels: {} checks, {} early exits ({} by the bitmap bound), {} blocks, \
+             {} distance evals\n",
+            pairwise.kernel_checks,
+            pairwise.early_exits,
+            pairwise.bound_rejects,
+            pairwise.blocks,
+            pairwise.distance_evals
         ));
     }
     if !normals.levels.is_empty() {
@@ -366,6 +373,7 @@ mod tests {
                     ("pairs", u(45)),
                     ("kernel_checks", u(50)),
                     ("early_exits", u(25)),
+                    ("bound_rejects", u(20)),
                     ("blocks", u(1)),
                     ("wall_micros", u(100)),
                 ],
@@ -385,6 +393,10 @@ mod tests {
         assert!(table.contains("1200"), "summed hash evals: {table}");
         assert!(table.contains("150"), "summed records: {table}");
         assert!(table.contains("50.0%"), "early-exit rate: {table}");
+        assert!(
+            table.contains("50 checks, 25 early exits (20 by the bitmap bound), 1 blocks"),
+            "bound rejects: {table}"
+        );
         assert!(table.contains("hash=0 pairwise=1"), "{table}");
         assert!(table.contains("rounds=3 finals=1"), "{table}");
         assert!(table.contains("modeled_cost=15.5"), "{table}");

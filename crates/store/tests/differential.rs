@@ -125,3 +125,65 @@ fn streamed_scale_store_is_bit_identical_to_ram() {
     drop(view);
     std::fs::remove_file(&path).ok();
 }
+
+/// `P` itself on a mapped store: the sketched Jaccard kernel reads the
+/// same bytes from the file as from RAM, so clusters, `Stats` and the
+/// kernel tally (bitmap-bound rejects included) are identical at any
+/// thread count and block size, and equal the unsketched scalar
+/// reference.
+#[test]
+fn pairwise_p_is_bit_identical_across_paths() {
+    use adalsh_core::oracle::ExactOracle;
+    use adalsh_core::pairwise::{apply_pairwise_scalar, apply_pairwise_with};
+    use adalsh_core::stats::Stats;
+    use adalsh_obs::{MemorySubscriber, TraceSink};
+    use std::sync::Arc;
+
+    let dataset = spotsigs::generate(&SpotSigsConfig {
+        num_records: 220,
+        num_entities: 25,
+        seed: 5,
+        ..SpotSigsConfig::default()
+    });
+    let rule = spotsigs::match_rule(0.6);
+    let path = tmp_store_path("pairwise");
+    write_store(&path, &dataset).unwrap();
+    let view = StoreView::open(&path).unwrap();
+    let ids: Vec<u32> = (0..dataset.len() as u32).step_by(2).collect();
+    let mut st_scalar = Stats::default();
+    let mut scalar = apply_pairwise_scalar(&dataset, &rule, &ids, &mut st_scalar);
+    scalar.iter_mut().for_each(|c| c.sort_unstable());
+    scalar.sort();
+    for threads in [1, 2] {
+        for block in [1, 7, 4096] {
+            let run = |store: &dyn RecordStore| {
+                let sink = TraceSink::new(Arc::new(MemorySubscriber::new()));
+                let mut st = Stats::default();
+                let (mut out, trace) = apply_pairwise_with(
+                    store,
+                    &ExactOracle::new(&rule),
+                    &ids,
+                    &[],
+                    threads,
+                    block,
+                    None,
+                    &sink,
+                    &mut st,
+                );
+                out.iter_mut().for_each(|c| c.sort_unstable());
+                out.sort();
+                (out, st, trace)
+            };
+            let (ram, mapped) = (run(&dataset), run(&view));
+            assert_eq!(ram, mapped, "t={threads} b={block}");
+            assert_eq!(
+                (&ram.0, ram.1),
+                (&scalar, st_scalar),
+                "t={threads} b={block}"
+            );
+            assert!(ram.2.bound_rejects > 0, "the bound decides pairs here");
+        }
+    }
+    drop(view);
+    std::fs::remove_file(&path).ok();
+}
