@@ -174,9 +174,10 @@ serve_smoke
 
 echo "==> trace smoke"
 # Run the adaptive filter with --trace-out and check the emitted JSONL
-# validates (taxonomy + trace↔Stats reconciliation) and summarizes.
+# validates (taxonomy + trace↔Stats reconciliation), summarizes, and
+# attributes its span tree down to the engine-derived children.
 trace_smoke() {
-    local data trace
+    local data trace out
     data=$(mktemp /tmp/adalsh-trace-smoke-XXXXXX.jsonl)
     trace=$(mktemp /tmp/adalsh-trace-smoke-XXXXXX.trace.jsonl)
     ./target/release/adalsh generate spotsigs --out "$data" \
@@ -187,6 +188,9 @@ trace_smoke() {
         { echo "trace validate failed" >&2; return 1; }
     ./target/release/adalsh trace summarize "$trace" | grep -q 'H1' ||
         { echo "trace summarize missing level table" >&2; return 1; }
+    out=$(./target/release/adalsh trace attribute "$trace")
+    grep -q 'hash_rounds' <<<"$out" ||
+        { echo "trace attribute lost the engine-derived hash_rounds phase" >&2; return 1; }
     rm -f "$data" "$trace"
 }
 trace_smoke
@@ -213,6 +217,9 @@ oracle_smoke() {
         { echo "filter output missing degradation counts" >&2; return 1; }
     ./target/release/adalsh trace validate "$trace" | grep -q 'OK' ||
         { echo "oracle trace validate failed" >&2; return 1; }
+    out=$(./target/release/adalsh trace summarize "$trace")
+    grep -q '^oracle: ' <<<"$out" ||
+        { echo "oracle trace summarize missing the oracle line" >&2; return 1; }
     rm -f "$data" "$trace"
 }
 oracle_smoke

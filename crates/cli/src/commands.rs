@@ -486,36 +486,7 @@ fn run_method(
             // Engine-derived children: exact per-segment sums linked by
             // the `segment` field (a single-run trace has segment 1).
             if let Some(seg) = ctx.collector.take_last_segment() {
-                let hash = ctx
-                    .spans
-                    .begin_at("hash_rounds", resolve.id, resolve.start_micros);
-                ctx.spans.record(
-                    hash,
-                    seg.hash_wall_micros,
-                    &[
-                        ("segment", TraceValue::U64(seg.segment)),
-                        ("hash_evals", TraceValue::U64(seg.hash_evals)),
-                    ],
-                    &ctx.sink,
-                );
-                let pairwise = ctx
-                    .spans
-                    .begin_at("pairwise", resolve.id, resolve.start_micros);
-                ctx.spans.record(
-                    pairwise,
-                    seg.pairwise_wall_micros,
-                    &[
-                        ("segment", TraceValue::U64(seg.segment)),
-                        ("pairs", TraceValue::U64(seg.pairs)),
-                        ("oracle_calls", TraceValue::U64(seg.oracle_calls)),
-                        ("oracle_spend", TraceValue::U64(seg.oracle_spend)),
-                        (
-                            "oracle_latency_micros",
-                            TraceValue::U64(seg.oracle_latency_micros),
-                        ),
-                    ],
-                    &ctx.sink,
-                );
+                ctx.spans.record_segment(&resolve, &seg, &ctx.sink);
             }
             let mut fields: Vec<(&'static str, TraceValue<'static>)> = Vec::new();
             if let (Some(before), Some(after)) = (before, after) {

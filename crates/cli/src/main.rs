@@ -8,7 +8,7 @@
 //! adalsh evaluate <data.jsonl | --store data.store> --k K [--method …] [--khat K2] [--rule …]
 //! adalsh serve <bootstrap.jsonl> [--addr 127.0.0.1:8080] [--rule …] [--snapshot-out s.json]
 //! adalsh serve --resume s.json [--addr …]
-//! adalsh trace <validate|summarize> <trace.jsonl>
+//! adalsh trace <validate|summarize|attribute> <trace.jsonl>
 //! ```
 //!
 //! Rule selection (`--rule`): `jaccard:<dthr>` or `angular:<degrees>`

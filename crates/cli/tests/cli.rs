@@ -278,65 +278,131 @@ fn filter_trace_roundtrip_validates_and_summarizes() {
     assert!(text.contains("level"), "{text}");
 }
 
+/// The `u64` value of `field` in one JSONL trace line.
+fn json_u64(line: &str, field: &str) -> u64 {
+    let key = format!("\"{field}\":");
+    let at = line
+        .find(&key)
+        .unwrap_or_else(|| panic!("no {field} in {line}"))
+        + key.len();
+    let digits: String = line[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("bad {field} in {line}"))
+}
+
 #[test]
 fn filter_trace_carries_spans_and_attributes() {
     let data = tmpfile("sp.jsonl");
-    let trace = tmpfile("sp_trace.jsonl");
     generate(&data);
-    let out = bin()
-        .args([
-            "filter",
-            data.to_str().unwrap(),
-            "--k",
-            "3",
-            "--rule",
-            "jaccard:0.6",
-            "--trace-out",
-            trace.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run filter");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // The trace now carries the filter_run span tree alongside the
-    // engine events: a root with design/resolve phases plus the
-    // engine-derived hash_rounds/pairwise children.
-    let raw = std::fs::read_to_string(&trace).expect("trace file");
-    for op in ["filter_run", "design", "resolve", "hash_rounds", "pairwise"] {
+    // The exact oracle, then a seeded noisy one whose `pairwise` span
+    // carries the segment's oracle calls and spend.
+    let noisy: &[&str] = &["--oracle", "noisy", "--oracle-seed", "11"];
+    for (name, oracle) in [("exact", &[][..]), ("noisy", noisy)] {
+        let trace = tmpfile(&format!("sp_trace_{name}.jsonl"));
+        let out = bin()
+            .args([
+                "filter",
+                data.to_str().unwrap(),
+                "--k",
+                "3",
+                "--rule",
+                "jaccard:0.6",
+                "--trace-out",
+                trace.to_str().unwrap(),
+            ])
+            .args(oracle)
+            .output()
+            .expect("run filter");
         assert!(
-            raw.contains(&format!("\"op\":\"{op}\"")),
-            "missing span op {op} in:\n{raw}"
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+
+        // The trace carries the filter_run span tree alongside the
+        // engine events: a root with design/resolve phases plus the
+        // engine-derived hash_rounds/pairwise children.
+        let raw = std::fs::read_to_string(&trace).expect("trace file");
+        for op in ["filter_run", "design", "resolve", "hash_rounds", "pairwise"] {
+            assert!(
+                raw.contains(&format!("\"op\":\"{op}\"")),
+                "{name}: missing span op {op} in:\n{raw}"
+            );
+        }
+        let pairwise = raw
+            .lines()
+            .find(|l| l.contains("\"ev\":\"span\"") && l.contains("\"op\":\"pairwise\""))
+            .expect("pairwise span");
+        let (calls, spend) = (
+            json_u64(pairwise, "oracle_calls"),
+            json_u64(pairwise, "oracle_spend"),
+        );
+        if oracle.is_empty() {
+            assert_eq!((calls, spend), (0, 0), "{pairwise}");
+        } else {
+            assert!(calls > 0 && spend > 0, "{pairwise}");
+        }
+
+        // `trace validate` checks the span-tree invariants too,
+        // including the pairwise span's oracle sums.
+        let out = bin()
+            .args(["trace", "validate", trace.to_str().unwrap()])
+            .output()
+            .expect("run trace validate");
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+
+        // `trace attribute` renders the per-phase latency breakdown.
+        let out = bin()
+            .args(["trace", "attribute", trace.to_str().unwrap()])
+            .output()
+            .expect("run trace attribute");
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("filter_run"), "{name}: {text}");
+        assert!(text.contains("resolve"), "{name}: {text}");
+    }
+}
+
+/// A crafted span whose window end wraps past `u64::MAX` would pass the
+/// containment check if the end were computed with wrapping arithmetic.
+/// Both trace commands that read span trees reject the file instead.
+#[test]
+fn overflowing_span_windows_are_rejected() {
+    let trace = tmpfile("overflow_trace.jsonl");
+    std::fs::write(
+        &trace,
+        "{\"ev\":\"span\",\"span_id\":1,\"parent_span_id\":0,\"op\":\"filter_run\",\
+         \"start_micros\":0,\"duration_micros\":100}\n\
+         {\"ev\":\"span\",\"span_id\":2,\"parent_span_id\":1,\"op\":\"resolve\",\
+         \"start_micros\":18446744073709551610,\"duration_micros\":10}\n",
+    )
+    .unwrap();
+    for action in ["validate", "attribute"] {
+        let out = bin()
+            .args(["trace", action, trace.to_str().unwrap()])
+            .output()
+            .expect("run trace");
+        assert_eq!(out.status.code(), Some(1), "{action}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(
+                "event 1: span window start 18446744073709551610 + duration 10 overflows u64"
+            ),
+            "{action}: {err}"
         );
     }
-
-    // `trace validate` checks the span-tree invariants too.
-    let out = bin()
-        .args(["trace", "validate", trace.to_str().unwrap()])
-        .output()
-        .expect("run trace validate");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // `trace attribute` renders the per-phase latency breakdown.
-    let out = bin()
-        .args(["trace", "attribute", trace.to_str().unwrap()])
-        .output()
-        .expect("run trace attribute");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("filter_run"), "{text}");
-    assert!(text.contains("resolve"), "{text}");
 }
 
 #[test]

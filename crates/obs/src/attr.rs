@@ -10,8 +10,9 @@
 //! next optimization PR goes hunting for.
 //!
 //! Rendering is read-only and tolerant of dangling parents (it skips
-//! orphans); run [`crate::schema::validate`] first when integrity
-//! matters — the CLI does.
+//! orphans), and its sums saturate rather than wrap; run
+//! [`crate::schema::validate`] first when integrity matters — the CLI
+//! does.
 
 use std::collections::HashMap;
 
@@ -90,7 +91,7 @@ pub fn attribute(events: &[OwnedEvent]) -> String {
             .collect();
         let mut durations: Vec<u64> = roots.iter().map(|&i| spans[i].duration).collect();
         durations.sort_unstable();
-        let total: u64 = durations.iter().sum();
+        let total = durations.iter().fold(0u64, |sum, &d| sum.saturating_add(d));
         out.push_str(&format!(
             "\n{root_op}: {} span(s)  p50 {}  p99 {}  total {}\n",
             roots.len(),
@@ -146,7 +147,7 @@ fn walk(
     };
     let mut child_total = 0u64;
     for &kid in kids {
-        child_total += spans[kid].duration;
+        child_total = child_total.saturating_add(spans[kid].duration);
         let op = spans[kid].op.clone();
         walk(spans, children, kid, depth + 1, &op, rows);
     }
@@ -166,7 +167,7 @@ fn merge(rows: &mut Vec<PathRow>, depth: usize, label: &str, micros: u64) {
         .iter_mut()
         .find(|r| r.depth == depth && r.label == label)
     {
-        row.total_micros += micros;
+        row.total_micros = row.total_micros.saturating_add(micros);
         row.count += 1;
     } else {
         rows.push(PathRow {
@@ -237,6 +238,22 @@ mod tests {
         assert!(report.contains("hash_rounds"), "{report}");
         assert!(report.contains("(self)"), "{report}");
         assert!(report.contains("0.300ms"), "{report}");
+    }
+
+    /// Roots whose durations sum past `u64::MAX` (each window fits, so
+    /// the validator accepts them) saturate instead of wrapping.
+    #[test]
+    fn huge_roots_saturate() {
+        let half = u64::MAX / 2 + 1;
+        let events = vec![
+            span(1, 0, "topk_query", 0, half),
+            span(2, 1, "publish", 0, half),
+            span(3, 0, "topk_query", 0, half),
+            span(4, 3, "publish", 0, half),
+        ];
+        let report = attribute(&events);
+        assert!(report.contains("topk_query: 2 span(s)"), "{report}");
+        assert!(report.contains("100.0%"), "{report}");
     }
 
     #[test]

@@ -46,9 +46,11 @@
 //! [`json`] is a minimal flat-JSON-object parser (the trace schema is
 //! deliberately flat), [`jsonl::read_events`] loads a trace file, and
 //! [`summary`] renders the per-level cost/latency table behind the
-//! CLI's `trace summarize`.
+//! CLI's `trace summarize`. It, [`schema::validate`] and the span layer
+//! sum the engine's events through one fold, [`fold::EngineTotals`].
 
 pub mod attr;
+pub mod fold;
 pub mod json;
 pub mod jsonl;
 pub mod metrics;

@@ -40,6 +40,9 @@
 //!   names a span in the file, and parent chains are acyclic;
 //! * root ops (`ingest_batch`, `topk_query`, `filter_run`) have parent
 //!   0; child ops never do;
+//! * every span's `start + duration` fits in a `u64`, and so does the
+//!   Σ of each parent's direct-children durations (checked, so a
+//!   crafted window cannot wrap past the checks below);
 //! * a child's `[start, start + duration]` window lies inside its
 //!   parent's, and Σ direct-children durations ≤ the parent duration —
 //!   exact, not approximate, because all stamps share one truncation
@@ -59,8 +62,9 @@
 //!
 //! ## Reconciliation identities
 //!
-//! [`validate`] enforces, per segment, that event totals reconcile
-//! **exactly** with the `run_end` `Stats` mirror:
+//! [`validate`] folds each segment through [`crate::fold`] and
+//! enforces that the totals reconcile **exactly** with the `run_end`
+//! `Stats` mirror:
 //!
 //! * Σ `hash_round.hash_evals` = `hash_evals`
 //! * Σ `hash_round.keys_emitted` = `bucket_inserts`
@@ -94,6 +98,7 @@
 //!   `run_end` lacks the mirror is rejected (and the mirror is
 //!   all-or-nothing)
 
+use crate::fold::{EngineEvent, EngineTotals};
 use crate::trace::{OwnedEvent, OwnedValue};
 
 /// The wire type of one schema field.
@@ -360,68 +365,6 @@ pub struct TraceReport {
     pub events: usize,
 }
 
-/// Per-segment accumulators for the reconciliation identities.
-#[derive(Default)]
-struct Segment {
-    hash_rounds: u64,
-    hash_reused: u64,
-    hash_evals: u64,
-    hash_wall_micros: u64,
-    keys_emitted: u64,
-    pairwise_events: u64,
-    pairwise_reused: u64,
-    pairwise_wall_micros: u64,
-    pairs: u64,
-    distance_evals: u64,
-    kernel_checks: u64,
-    early_exits: u64,
-    bound_rejects: u64,
-    blocks_declared: u64,
-    block_events: u64,
-    block_pairs_charged: u64,
-    block_kernel_checks: u64,
-    block_early_exits: u64,
-    block_bound_rejects: u64,
-    gates: u64,
-    finals: u64,
-    cost_fold: f64,
-    oracle_calls: u64,
-    oracle_attempts: u64,
-    oracle_retries: u64,
-    oracle_votes: u64,
-    oracle_timeouts: u64,
-    oracle_errors: u64,
-    oracle_degraded: u64,
-    oracle_spend: u64,
-    oracle_latency_micros: u64,
-}
-
-/// Event sums of one completed segment, kept for span linkage.
-#[derive(Debug, Clone, Copy)]
-struct SegmentSums {
-    hash_wall_micros: u64,
-    hash_evals: u64,
-    pairwise_wall_micros: u64,
-    pairs: u64,
-    oracle_calls: u64,
-    oracle_spend: u64,
-    oracle_latency_micros: u64,
-}
-
-impl Segment {
-    fn sums(&self) -> SegmentSums {
-        SegmentSums {
-            hash_wall_micros: self.hash_wall_micros,
-            hash_evals: self.hash_evals,
-            pairwise_wall_micros: self.pairwise_wall_micros,
-            pairs: self.pairs,
-            oracle_calls: self.oracle_calls,
-            oracle_spend: self.oracle_spend,
-            oracle_latency_micros: self.oracle_latency_micros,
-        }
-    }
-}
-
 /// Validates a trace against the taxonomy: field presence and types,
 /// segment structure, enum values, and every reconciliation identity
 /// listed in the module docs.
@@ -431,8 +374,8 @@ impl Segment {
 /// the violated identity.
 pub fn validate(events: &[OwnedEvent]) -> Result<TraceReport, String> {
     let mut runs = 0usize;
-    let mut segment: Option<Segment> = None;
-    let mut segment_sums: Vec<SegmentSums> = Vec::new();
+    let mut segment: Option<EngineTotals> = None;
+    let mut segments: Vec<EngineTotals> = Vec::new();
     let mut span_indices: Vec<usize> = Vec::new();
     for (idx, event) in events.iter().enumerate() {
         let spec = spec_of(&event.name)
@@ -446,33 +389,34 @@ pub fn validate(events: &[OwnedEvent]) -> Result<TraceReport, String> {
                 event.name
             ));
         }
-        match event.name.as_str() {
-            "run_start" => {
+        match EngineEvent::of(&event.name) {
+            Some(EngineEvent::RunStart) => {
                 if segment.is_some() {
                     return Err(format!("event {idx}: nested run_start"));
                 }
-                segment = Some(Segment::default());
+                segment = Some(EngineTotals::default());
             }
-            "run_end" => {
+            Some(EngineEvent::RunEnd) => {
                 let seg = segment
                     .take()
                     .ok_or_else(|| format!("event {idx}: run_end without run_start"))?;
                 check_segment(runs, &seg, event)?;
-                segment_sums.push(seg.sums());
+                segments.push(seg);
                 runs += 1;
             }
-            "span" => span_indices.push(idx),
-            _ => {
+            Some(kind) => {
                 if let Some(seg) = &mut segment {
-                    accumulate(seg, event);
+                    seg.fold(kind, event);
                 }
             }
+            None if event.name == "span" => span_indices.push(idx),
+            None => {}
         }
     }
     if segment.is_some() {
         return Err("trace ends inside an unterminated run segment".to_string());
     }
-    check_spans(events, &span_indices, &segment_sums)?;
+    check_spans(events, &span_indices, &segments)?;
     Ok(TraceReport {
         runs,
         events: events.len(),
@@ -574,175 +518,135 @@ fn check_enums(idx: usize, event: &OwnedEvent) -> Result<(), String> {
     Ok(())
 }
 
-fn accumulate(seg: &mut Segment, event: &OwnedEvent) {
-    let u = |name: &str| event.u64(name).unwrap_or(0);
-    match event.name.as_str() {
-        "hash_round" => {
-            seg.hash_rounds += 1;
-            seg.hash_reused += u64::from(u("reused") > 0);
-            seg.hash_evals += u("hash_evals");
-            seg.hash_wall_micros += u("wall_micros");
-            seg.keys_emitted += u("keys_emitted");
-            seg.cost_fold += event.f64("predicted_cost").unwrap_or(0.0);
-        }
-        "pairwise" => {
-            seg.pairwise_events += 1;
-            seg.pairwise_reused += u64::from(u("reused") > 0);
-            seg.pairwise_wall_micros += u("wall_micros");
-            seg.pairs += u("pairs");
-            seg.distance_evals += u("distance_evals");
-            seg.kernel_checks += u("kernel_checks");
-            seg.early_exits += u("early_exits");
-            seg.bound_rejects += u("bound_rejects");
-            seg.blocks_declared += u("blocks");
-            seg.cost_fold += event.f64("predicted_cost").unwrap_or(0.0);
-        }
-        "pairwise_block" => {
-            seg.block_events += 1;
-            seg.block_pairs_charged += u("pairs_charged");
-            seg.block_kernel_checks += u("kernel_checks");
-            seg.block_early_exits += u("early_exits");
-            seg.block_bound_rejects += u("bound_rejects");
-        }
-        "gate" => seg.gates += 1,
-        "final_cluster" => seg.finals += 1,
-        "oracle_call" => {
-            seg.oracle_calls += 1;
-            seg.oracle_attempts += u("attempts");
-            seg.oracle_retries += u("retries");
-            seg.oracle_votes += u("votes");
-            seg.oracle_timeouts += u("timeouts");
-            seg.oracle_errors += u("errors");
-            seg.oracle_degraded += u("degraded");
-            seg.oracle_spend += u("spend");
-            seg.oracle_latency_micros += u("latency_micros");
-        }
-        _ => {}
-    }
-}
-
-fn check_segment(run: usize, seg: &Segment, end: &OwnedEvent) -> Result<(), String> {
-    let want = |name: &str| -> Result<u64, String> {
-        end.u64(name)
-            .ok_or_else(|| format!("run {run}: run_end missing '{name}'"))
-    };
-    let identities: [(&str, u64, u64); 11] = [
+fn check_segment(run: usize, seg: &EngineTotals, end: &OwnedEvent) -> Result<(), String> {
+    // Each event total against the `run_end` field it mirrors.
+    for (lhs, got, field) in [
+        ("Σ hash_round.hash_evals", seg.hash_evals, "hash_evals"),
         (
-            "Σ hash_round.hash_evals = hash_evals",
-            seg.hash_evals,
-            want("hash_evals")?,
-        ),
-        (
-            "Σ hash_round.keys_emitted = bucket_inserts",
+            "Σ hash_round.keys_emitted",
             seg.keys_emitted,
-            want("bucket_inserts")?,
+            "bucket_inserts",
         ),
+        ("#hash_round", seg.hash_rounds, "transitive_calls"),
         (
-            "#hash_round = transitive_calls",
-            seg.hash_rounds,
-            want("transitive_calls")?,
-        ),
-        (
-            "#hash_round{reused>0} = transitive_reused",
+            "#hash_round{reused>0}",
             seg.hash_reused,
-            want("transitive_reused")?,
+            "transitive_reused",
         ),
+        ("#pairwise", seg.pairwise_calls, "pairwise_calls"),
         (
-            "#pairwise = pairwise_calls",
-            seg.pairwise_events,
-            want("pairwise_calls")?,
-        ),
-        (
-            "#pairwise{reused>0} = pairwise_reused",
+            "#pairwise{reused>0}",
             seg.pairwise_reused,
-            want("pairwise_reused")?,
+            "pairwise_reused",
         ),
+        ("Σ pairwise.pairs", seg.pairs, "pair_comparisons"),
         (
-            "Σ pairwise.pairs = pair_comparisons",
-            seg.pairs,
-            want("pair_comparisons")?,
-        ),
-        (
-            "Σ pairwise.distance_evals = distance_evals",
+            "Σ pairwise.distance_evals",
             seg.distance_evals,
-            want("distance_evals")?,
+            "distance_evals",
         ),
         (
-            "#gate + #final_cluster = rounds",
-            seg.gates + seg.finals,
-            want("rounds")?,
+            "#gate + #final_cluster",
+            seg.gates_hash + seg.gates_pairwise + seg.final_clusters,
+            "rounds",
         ),
-        ("#final_cluster = finals", seg.finals, want("finals")?),
+        ("#final_cluster", seg.final_clusters, "finals"),
         (
-            "Σ pairwise_block.pairs_charged = pair_comparisons",
+            "Σ pairwise_block.pairs_charged",
             seg.block_pairs_charged,
-            want("pair_comparisons")?,
+            "pair_comparisons",
         ),
-    ];
-    for (name, got, expected) in identities {
-        if got != expected {
-            return Err(format!(
-                "run {run}: identity '{name}' violated: {got} != {expected}"
-            ));
-        }
+    ] {
+        let expected = end
+            .u64(field)
+            .ok_or_else(|| format!("run {run}: run_end missing '{field}'"))?;
+        identity(run, lhs, field, got, expected)?;
     }
-    let block_identities: [(&str, u64, u64); 4] = [
+    // Each `pairwise` total against its blocks'.
+    for (lhs, got, rhs, expected) in [
         (
-            "#pairwise_block = Σ pairwise.blocks",
+            "#pairwise_block",
             seg.block_events,
-            seg.blocks_declared,
+            "Σ pairwise.blocks",
+            seg.blocks,
         ),
         (
-            "Σ pairwise_block.kernel_checks = Σ pairwise.kernel_checks",
+            "Σ pairwise_block.kernel_checks",
             seg.block_kernel_checks,
+            "Σ pairwise.kernel_checks",
             seg.kernel_checks,
         ),
         (
-            "Σ pairwise_block.early_exits = Σ pairwise.early_exits",
+            "Σ pairwise_block.early_exits",
             seg.block_early_exits,
+            "Σ pairwise.early_exits",
             seg.early_exits,
         ),
         (
-            "Σ pairwise_block.bound_rejects = Σ pairwise.bound_rejects",
+            "Σ pairwise_block.bound_rejects",
             seg.block_bound_rejects,
+            "Σ pairwise.bound_rejects",
             seg.bound_rejects,
         ),
-    ];
-    for (name, got, expected) in block_identities {
-        if got != expected {
-            return Err(format!(
-                "run {run}: identity '{name}' violated: {got} != {expected}"
-            ));
-        }
+    ] {
+        identity(run, lhs, rhs, got, expected)?;
     }
     let modeled = end
         .f64("modeled_cost")
         .ok_or_else(|| format!("run {run}: run_end missing 'modeled_cost'"))?;
-    if seg.cost_fold.to_bits() != modeled.to_bits() {
+    if seg.predicted_cost.to_bits() != modeled.to_bits() {
         return Err(format!(
             "run {run}: predicted_cost fold {} is not bit-identical to modeled_cost {}",
-            seg.cost_fold, modeled
+            seg.predicted_cost, modeled
         ));
     }
     check_oracle_ledger(run, seg, end)
+}
+
+/// Checks the reconciliation identity `lhs = rhs` of run `run`, whose
+/// sides read `got` and `expected`.
+fn identity(run: usize, lhs: &str, rhs: &str, got: u64, expected: u64) -> Result<(), String> {
+    if got == expected {
+        return Ok(());
+    }
+    Err(format!(
+        "run {run}: identity '{lhs} = {rhs}' violated: {got} != {expected}"
+    ))
 }
 
 /// Reconciles the optional oracle-ledger mirror on `run_end` against
 /// the segment's `oracle_call` events. The mirror is all-or-nothing:
 /// a `run_end` carrying any `oracle_*` field must carry all eight, and
 /// a segment containing `oracle_call` events must end with the mirror.
-fn check_oracle_ledger(run: usize, seg: &Segment, end: &OwnedEvent) -> Result<(), String> {
-    const MIRROR: [&str; 8] = [
-        "oracle_calls",
-        "oracle_attempts",
-        "oracle_retries",
-        "oracle_votes",
-        "oracle_timeouts",
-        "oracle_errors",
-        "oracle_degraded",
-        "oracle_spent",
+fn check_oracle_ledger(run: usize, seg: &EngineTotals, end: &OwnedEvent) -> Result<(), String> {
+    // The `run_end` mirror, each field beside the event total it holds.
+    let mirror = [
+        ("oracle_calls", "#oracle_call", seg.oracle_calls),
+        (
+            "oracle_attempts",
+            "Σ oracle_call.attempts",
+            seg.oracle_attempts,
+        ),
+        (
+            "oracle_retries",
+            "Σ oracle_call.retries",
+            seg.oracle_retries,
+        ),
+        ("oracle_votes", "Σ oracle_call.votes", seg.oracle_votes),
+        (
+            "oracle_timeouts",
+            "Σ oracle_call.timeouts",
+            seg.oracle_timeouts,
+        ),
+        ("oracle_errors", "Σ oracle_call.errors", seg.oracle_errors),
+        (
+            "oracle_degraded",
+            "Σ oracle_call.degraded",
+            seg.oracle_degraded,
+        ),
+        ("oracle_spent", "Σ oracle_call.spend", seg.oracle_spend),
     ];
-    let present = MIRROR.iter().filter(|f| end.get(f).is_some()).count();
+    let present = mirror.iter().filter(|f| end.get(f.0).is_some()).count();
     if present == 0 {
         if seg.oracle_calls > 0 {
             return Err(format!(
@@ -752,65 +656,18 @@ fn check_oracle_ledger(run: usize, seg: &Segment, end: &OwnedEvent) -> Result<()
         }
         return Ok(());
     }
-    if present != MIRROR.len() {
-        let missing: Vec<&str> = MIRROR
+    if present != mirror.len() {
+        let missing: Vec<&str> = mirror
             .iter()
+            .map(|f| f.0)
             .filter(|f| end.get(f).is_none())
-            .copied()
             .collect();
         return Err(format!(
             "run {run}: run_end oracle ledger is partial, missing {missing:?}"
         ));
     }
-    let want = |name: &str| end.u64(name).unwrap_or(0);
-    let identities: [(&str, u64, u64); 8] = [
-        (
-            "#oracle_call = oracle_calls",
-            seg.oracle_calls,
-            want("oracle_calls"),
-        ),
-        (
-            "Σ oracle_call.attempts = oracle_attempts",
-            seg.oracle_attempts,
-            want("oracle_attempts"),
-        ),
-        (
-            "Σ oracle_call.retries = oracle_retries",
-            seg.oracle_retries,
-            want("oracle_retries"),
-        ),
-        (
-            "Σ oracle_call.votes = oracle_votes",
-            seg.oracle_votes,
-            want("oracle_votes"),
-        ),
-        (
-            "Σ oracle_call.timeouts = oracle_timeouts",
-            seg.oracle_timeouts,
-            want("oracle_timeouts"),
-        ),
-        (
-            "Σ oracle_call.errors = oracle_errors",
-            seg.oracle_errors,
-            want("oracle_errors"),
-        ),
-        (
-            "Σ oracle_call.degraded = oracle_degraded",
-            seg.oracle_degraded,
-            want("oracle_degraded"),
-        ),
-        (
-            "Σ oracle_call.spend = oracle_spent",
-            seg.oracle_spend,
-            want("oracle_spent"),
-        ),
-    ];
-    for (name, got, expected) in identities {
-        if got != expected {
-            return Err(format!(
-                "run {run}: identity '{name}' violated: {got} != {expected}"
-            ));
-        }
+    for (field, lhs, got) in mirror {
+        identity(run, lhs, field, got, end.u64(field).unwrap_or(0))?;
     }
     Ok(())
 }
@@ -822,6 +679,8 @@ struct SpanNode {
     op: String,
     start: u64,
     duration: u64,
+    /// `start + duration`, checked: a window must end inside `u64`.
+    end: u64,
 }
 
 /// Reconciles the file's span events: tree structure (unique ids,
@@ -832,7 +691,7 @@ struct SpanNode {
 fn check_spans(
     events: &[OwnedEvent],
     span_indices: &[usize],
-    segments: &[SegmentSums],
+    segments: &[EngineTotals],
 ) -> Result<(), String> {
     use std::collections::HashMap;
     let mut nodes: HashMap<u64, SpanNode> = HashMap::with_capacity(span_indices.len());
@@ -847,12 +706,17 @@ fn check_spans(
         if id == 0 {
             return Err(format!("event {idx}: span_id must be nonzero"));
         }
+        let (start, duration) = (need("start_micros")?, need("duration_micros")?);
+        let end = start.checked_add(duration).ok_or_else(|| {
+            format!("event {idx}: span window start {start} + duration {duration} overflows u64")
+        })?;
         let node = SpanNode {
             idx,
             parent: need("parent_span_id")?,
             op: event.str("op").unwrap_or_default().to_string(),
-            start: need("start_micros")?,
-            duration: need("duration_micros")?,
+            start,
+            duration,
+            end,
         };
         if let Some(dup) = nodes.insert(id, node) {
             return Err(format!(
@@ -906,14 +770,19 @@ fn check_spans(
             ));
         }
         // Exact window containment (shared-origin truncated stamps).
-        let (child_end, parent_end) = (node.start + node.duration, parent.start + parent.duration);
-        if node.start < parent.start || child_end > parent_end {
+        if node.start < parent.start || node.end > parent.end {
             return Err(format!(
-                "event {}: span {id} window [{}, {child_end}] escapes its parent's [{}, {parent_end}]",
-                node.idx, node.start, parent.start
+                "event {}: span {id} window [{}, {}] escapes its parent's [{}, {}]",
+                node.idx, node.start, node.end, parent.start, parent.end
             ));
         }
-        *child_sums.entry(node.parent).or_insert(0) += node.duration;
+        let sum = child_sums.entry(node.parent).or_insert(0);
+        *sum = sum.checked_add(node.duration).ok_or_else(|| {
+            format!(
+                "event {}: Σ child durations of span {} overflows u64",
+                node.idx, node.parent
+            )
+        })?;
     }
     for (parent_id, sum) in &child_sums {
         let parent = &nodes[parent_id];
@@ -1544,6 +1413,30 @@ mod tests {
         t.push(span_ev(9, 1, "publish", 0, 60));
         t.push(span_ev(10, 1, "queue_wait", 30, 60));
         assert!(validate(&t).unwrap_err().contains("Σ child durations"));
+    }
+
+    /// Windows near `u64::MAX` must not wrap past the containment and
+    /// Σ-children checks: each overflow is an error naming its event.
+    #[test]
+    fn span_window_overflow_is_rejected() {
+        // A child whose end wraps to 4 would sit inside [0, 100].
+        let mut t = valid_span_trace();
+        t.push(span_ev(9, 1, "publish", u64::MAX - 5, 10));
+        let at = t.len() - 1;
+        let err = validate(&t).unwrap_err();
+        assert!(err.starts_with(&format!("event {at}: ")), "{err}");
+        assert!(err.contains("overflows u64"), "{err}");
+        // Two children that each fit a full-range root, whose durations
+        // sum past u64::MAX.
+        let mut t = valid_trace();
+        t.push(span_ev(20, 0, "topk_query", 0, u64::MAX));
+        t.push(span_ev(21, 20, "publish", 0, u64::MAX));
+        t.push(span_ev(22, 20, "queue_wait", 0, u64::MAX));
+        let err = validate(&t).unwrap_err();
+        assert!(
+            err.contains("Σ child durations of span 20 overflows u64"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! sums, RSS/page-fault deltas). Spans are emitted **at completion** as
 //! ordinary `"span"` trace events through the caller's [`TraceSink`] —
 //! so a `--trace-out` file interleaves span events with the engine's
-//! nine-event taxonomy and [`crate::schema::validate`] can reconcile
-//! the two (see the span invariants there). Completed spans are also
-//! kept in a bounded in-memory ring for a live `/debug/spans` surface,
-//! and root spans crossing a slow threshold are logged to stderr.
+//! events and [`crate::schema::validate`] can reconcile the two (see
+//! the span invariants there): [`SpanCollector`] folds each run segment
+//! through [`crate::fold`], and [`Spans::record_segment`] emits the
+//! `hash_rounds` / `pairwise` children from those totals. Completed
+//! spans are also kept in a bounded in-memory ring for a live
+//! `/debug/spans` surface, and root spans crossing a slow threshold are
+//! logged to stderr.
 //!
 //! ## Exact-arithmetic timestamps
 //!
@@ -34,10 +37,12 @@
 
 use std::collections::VecDeque;
 use std::fs::File;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::fold::{EngineEvent, EngineTotals};
 use crate::trace::{Event, OwnedValue, Subscriber, TraceSink, Value};
 
 /// Default capacity of the completed-span ring.
@@ -235,6 +240,41 @@ impl Spans {
         }
     }
 
+    /// Records the engine-derived children of `resolve` from one run
+    /// segment's totals: a `hash_rounds` span lasting
+    /// Σ `hash_round.wall_micros` and a `pairwise` span lasting
+    /// Σ `pairwise.wall_micros`, both from `resolve`'s start, linked to
+    /// the segment by their `segment` field and carrying the sums
+    /// [`crate::schema::validate`] reconciles with that segment's events.
+    pub fn record_segment(&self, resolve: &ActiveSpan, seg: &SegmentAttribution, sink: &TraceSink) {
+        let hash = self.begin_at("hash_rounds", resolve.id, resolve.start_micros);
+        self.record(
+            hash,
+            seg.hash_wall_micros,
+            &[
+                ("segment", Value::U64(seg.segment)),
+                ("hash_evals", Value::U64(seg.hash_evals)),
+            ],
+            sink,
+        );
+        let pairwise = self.begin_at("pairwise", resolve.id, resolve.start_micros);
+        self.record(
+            pairwise,
+            seg.pairwise_wall_micros,
+            &[
+                ("segment", Value::U64(seg.segment)),
+                ("pairs", Value::U64(seg.pairs)),
+                ("oracle_calls", Value::U64(seg.oracle_calls)),
+                ("oracle_spend", Value::U64(seg.oracle_spend)),
+                (
+                    "oracle_latency_micros",
+                    Value::U64(seg.oracle_latency_micros),
+                ),
+            ],
+            sink,
+        );
+    }
+
     /// The completed spans currently in the ring, newest first.
     pub fn recent(&self) -> Vec<CompletedSpan> {
         let ring = self
@@ -362,33 +402,27 @@ impl ProcSample {
     }
 }
 
-/// Per-segment engine attribution, accumulated by [`SpanCollector`]
-/// from the engine's own trace events on the emitting thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// One run segment's engine totals, folded by [`SpanCollector`] from
+/// the engine's own trace events on the emitting thread. Derefs to the
+/// [`EngineTotals`], so `seg.hash_wall_micros` reads the segment's
+/// Σ `hash_round.wall_micros`. Only the `hash_round`, `pairwise`,
+/// `oracle_call` and `run_end` totals are folded; the others stay 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SegmentAttribution {
     /// 1-based index of the run segment in the trace stream — the
     /// `segment` field linking engine-derived spans back to the events
     /// they summarize.
     pub segment: u64,
-    /// Number of `hash_round` events.
-    pub hash_rounds: u64,
-    /// Σ `hash_round.wall_micros`.
-    pub hash_wall_micros: u64,
-    /// Σ `hash_round.hash_evals`.
-    pub hash_evals: u64,
-    /// Number of `pairwise` events.
-    pub pairwise_calls: u64,
-    /// Σ `pairwise.wall_micros`.
-    pub pairwise_wall_micros: u64,
-    /// Σ `pairwise.pairs`.
-    pub pairs: u64,
-    /// Number of in-segment `oracle_call` events.
-    pub oracle_calls: u64,
-    /// Σ `oracle_call.spend`.
-    pub oracle_spend: u64,
-    /// Σ `oracle_call.latency_micros` (modeled, not wall — oracle time
-    /// is attribution on the `pairwise` span, never a span duration).
-    pub oracle_latency_micros: u64,
+    /// The segment's engine events, folded.
+    pub totals: EngineTotals,
+}
+
+impl Deref for SegmentAttribution {
+    type Target = EngineTotals;
+
+    fn deref(&self) -> &EngineTotals {
+        &self.totals
+    }
 }
 
 #[derive(Default)]
@@ -431,50 +465,36 @@ impl SpanCollector {
 
 impl Subscriber for SpanCollector {
     fn event(&self, event: &Event<'_>) {
-        let fold: fn(&mut CollectorInner, &Event<'_>) = match event.name {
-            "run_start" => |inner, _| {
-                let segment = inner.segments_seen + 1;
-                inner.open = Some(SegmentAttribution {
-                    segment,
-                    ..SegmentAttribution::default()
-                });
-            },
-            "run_end" => |inner, _| {
-                inner.segments_seen += 1;
-                inner.last = inner.open.take();
-            },
-            "hash_round" => |inner, event| {
-                if let Some(seg) = &mut inner.open {
-                    seg.hash_rounds += 1;
-                    seg.hash_wall_micros += event.u64("wall_micros").unwrap_or(0);
-                    seg.hash_evals += event.u64("hash_evals").unwrap_or(0);
-                }
-            },
-            "pairwise" => |inner, event| {
-                if let Some(seg) = &mut inner.open {
-                    seg.pairwise_calls += 1;
-                    seg.pairwise_wall_micros += event.u64("wall_micros").unwrap_or(0);
-                    seg.pairs += event.u64("pairs").unwrap_or(0);
-                }
-            },
-            "oracle_call" => |inner, event| {
-                if let Some(seg) = &mut inner.open {
-                    seg.oracle_calls += 1;
-                    seg.oracle_spend += event.u64("spend").unwrap_or(0);
-                    seg.oracle_latency_micros += event.u64("latency_micros").unwrap_or(0);
-                }
-            },
-            // Most of a pass's events (gates, finals, blocks, spans) fold
-            // into nothing: return before taking the lock.
+        // Only the kinds the child spans attribute take the lock; most
+        // of a pass's events (gates, finals, blocks, spans) return here.
+        let kind = match EngineEvent::of(event.name) {
+            Some(
+                kind @ (EngineEvent::RunStart
+                | EngineEvent::HashRound
+                | EngineEvent::Pairwise
+                | EngineEvent::OracleCall
+                | EngineEvent::RunEnd),
+            ) => kind,
             _ => return,
         };
-        fold(
-            &mut self
-                .inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            event,
-        );
+        let mut inner = self
+            .inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if kind == EngineEvent::RunStart {
+            inner.open = Some(SegmentAttribution {
+                segment: inner.segments_seen + 1,
+                totals: EngineTotals::default(),
+            });
+            return;
+        }
+        if let Some(seg) = &mut inner.open {
+            seg.totals.fold(kind, event);
+        }
+        if kind == EngineEvent::RunEnd {
+            inner.segments_seen += 1;
+            inner.last = inner.open.take();
+        }
     }
 }
 
@@ -632,6 +652,59 @@ mod tests {
         sink.emit("run_start", &[]);
         sink.emit("run_end", &[]);
         assert_eq!(collector.take_last_segment().unwrap().segment, 2);
+    }
+
+    /// The collector folds a segment's attributed events through the
+    /// shared fold, and `record_segment` turns the totals into the two
+    /// linked child spans.
+    #[test]
+    fn record_segment_emits_linked_children() {
+        let memory = Arc::new(MemorySubscriber::new());
+        let collector = Arc::new(SpanCollector::new());
+        let sink = TraceSink::new(memory.clone()).with(collector.clone());
+        sink.emit("run_start", &[]);
+        sink.emit(
+            "hash_round",
+            &[
+                ("wall_micros", Value::U64(10)),
+                ("hash_evals", Value::U64(4)),
+            ],
+        );
+        sink.emit("gate", &[("action", Value::Str("pairwise"))]);
+        sink.emit(
+            "pairwise",
+            &[("wall_micros", Value::U64(7)), ("pairs", Value::U64(3))],
+        );
+        sink.emit(
+            "oracle_call",
+            &[("spend", Value::U64(2)), ("latency_micros", Value::U64(99))],
+        );
+        sink.emit("run_end", &[("rounds", Value::U64(1))]);
+        let seg = collector.take_last_segment().unwrap();
+        assert_eq!((seg.runs, seg.rounds), (1, 1));
+        assert_eq!(seg.gates_pairwise, 0, "gates return before the lock");
+
+        let spans = Spans::new(8, 0);
+        let resolve = spans.begin_at("resolve", 1, 50);
+        spans.record_segment(&resolve, &seg, &sink);
+        let events = memory.events();
+        let children: Vec<_> = events.iter().filter(|e| e.name == "span").collect();
+        assert_eq!(children.len(), 2);
+        let (hash, pairwise) = (children[0], children[1]);
+        assert_eq!(hash.str("op"), Some("hash_rounds"));
+        assert_eq!(pairwise.str("op"), Some("pairwise"));
+        for child in [hash, pairwise] {
+            assert_eq!(child.u64("parent_span_id"), Some(resolve.id));
+            assert_eq!(child.u64("start_micros"), Some(50));
+            assert_eq!(child.u64("segment"), Some(1));
+        }
+        assert_eq!(hash.u64("duration_micros"), Some(10));
+        assert_eq!(hash.u64("hash_evals"), Some(4));
+        assert_eq!(pairwise.u64("duration_micros"), Some(7));
+        assert_eq!(pairwise.u64("pairs"), Some(3));
+        assert_eq!(pairwise.u64("oracle_calls"), Some(1));
+        assert_eq!(pairwise.u64("oracle_spend"), Some(2));
+        assert_eq!(pairwise.u64("oracle_latency_micros"), Some(99));
     }
 
     #[test]

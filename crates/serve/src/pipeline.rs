@@ -695,37 +695,7 @@ fn drainer_loop(
                         .as_ref()
                         .and_then(|c| c.take_last_segment())
                     {
-                        let hash = spans.begin_at(
-                            "hash_rounds",
-                            resolve_span.id,
-                            resolve_span.start_micros,
-                        );
-                        spans.record(
-                            hash,
-                            seg.hash_wall_micros,
-                            &[
-                                ("segment", Value::U64(seg.segment)),
-                                ("hash_evals", Value::U64(seg.hash_evals)),
-                            ],
-                            sink,
-                        );
-                        let pairwise =
-                            spans.begin_at("pairwise", resolve_span.id, resolve_span.start_micros);
-                        spans.record(
-                            pairwise,
-                            seg.pairwise_wall_micros,
-                            &[
-                                ("segment", Value::U64(seg.segment)),
-                                ("pairs", Value::U64(seg.pairs)),
-                                ("oracle_calls", Value::U64(seg.oracle_calls)),
-                                ("oracle_spend", Value::U64(seg.oracle_spend)),
-                                (
-                                    "oracle_latency_micros",
-                                    Value::U64(seg.oracle_latency_micros),
-                                ),
-                            ],
-                            sink,
-                        );
+                        spans.record_segment(&resolve_span, &seg, sink);
                     }
                     let mut fields: Vec<(&'static str, Value<'static>)> =
                         vec![("records", Value::U64(batch_len as u64))];
