@@ -1,6 +1,6 @@
 //! `P` baseline recorder: times the block-wavefront path at cluster
-//! sizes 256 / 1024 / 4096 in the match-dense, match-sparse and shingle
-//! regimes and writes wall-clock seconds per `P` application to
+//! sizes 256 / 1024 / 4096 in the match-dense, match-sparse, shingle and
+//! clustered regimes and writes wall-clock seconds per `P` application to
 //! `BENCH_pairwise.json` at the workspace root.
 //!
 //! Like `bench_kernels`, this is a one-shot recorder producing a small
@@ -21,7 +21,7 @@
 //! reference `apply_pairwise_scalar` is compared against in the tests
 //! and the Criterion bench (`benches/pairwise.rs`), not here.
 
-use adalsh_bench::pairwise_bench::{match_dense, match_shingle, match_sparse};
+use adalsh_bench::pairwise_bench::{match_clustered, match_dense, match_shingle, match_sparse};
 use adalsh_bench::recorder::{out_arg, provenance_fields};
 use adalsh_core::algorithm::default_threads;
 use adalsh_core::pairwise::apply_pairwise;
@@ -73,9 +73,10 @@ fn main() {
             ("dense", match_dense(n)),
             ("sparse", match_sparse(n)),
             ("shingle", match_shingle(n)),
+            ("clustered", match_clustered(n)),
         ] {
             let wavefront = time_wavefront(&dataset, &rule, threads);
-            println!("{regime:>6}/{n:<5} wavefront {wavefront:>9.5}s");
+            println!("{regime:>9}/{n:<5} wavefront {wavefront:>9.5}s");
             rows.push((format!("{regime}/{n}"), wavefront));
         }
     }

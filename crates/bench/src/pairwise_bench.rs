@@ -2,7 +2,7 @@
 //! used by both the Criterion bench (`benches/pairwise.rs`) and the
 //! one-shot baseline recorder (`bin/bench_pairwise.rs`).
 //!
-//! Three regimes bracket `P`'s behaviour on a cluster of `n` records:
+//! Four regimes bracket `P`'s behaviour on a cluster of `n` records:
 //!
 //! * **match-dense** — one planted entity with high within-entity
 //!   similarity under a Jaccard rule. Early merges transitively close
@@ -13,12 +13,20 @@
 //!   dense vectors that almost never fires. All `n(n−1)/2` pairs run the
 //!   distance kernel; this is the worst case charged by Definition 3 and
 //!   the regime where the cached-norm kernel (one dot product instead of
-//!   three) and multi-threaded evaluation pay off.
+//!   three) and multi-threaded evaluation pay off. Random 128-d
+//!   directions all sit near 90° from any pivot, so the angular pivot
+//!   bound rejects only pairs that hold a pivot: this is the regime that
+//!   bypasses it.
 //! * **shingle** — SpotSigs-like sets of ~110 tokens in entities of 8
 //!   under a Jaccard rule, where most pairs share ~10 common tokens and
 //!   fail. The Jaccard threshold kernel's bitmap bound rejects those
 //!   before any merge; this is the shape of `P` on a dense shingle
 //!   region.
+//! * **clustered** — PopularImages-like 64-d histograms in entities of 8
+//!   under an angular rule at 3°: records sit within about a degree of
+//!   their entity's direction, entities tens of degrees apart. Most pairs
+//!   fail, and the angular pivot bound rejects them before the dot
+//!   product; this is the shape of `P` on a dense vector region.
 
 use adalsh_data::{
     Dataset, DenseVector, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema,
@@ -112,6 +120,37 @@ pub fn match_shingle(n: usize) -> (Dataset, MatchRule) {
     )
 }
 
+/// Clustered workload: `n` 64-d histograms in entities of 8, under the
+/// angular rule at 3° (`dthr = 3/180`). Each entity's direction has
+/// components uniform in `[0, 1)`, so entities sit tens of degrees
+/// apart; each record adds uniform noise of ±0.01 a component, about
+/// half a degree, so pairs inside an entity match. Returns the dataset
+/// and its rule.
+pub fn match_clustered(n: usize) -> (Dataset, MatchRule) {
+    const GROUP: usize = 8;
+    const DIM: usize = 64;
+    let mut rng = 0xC1A5_7E2Du64;
+    let mut unit = move || (splitmix(&mut rng) >> 11) as f64 / (1u64 << 53) as f64;
+    let bases: Vec<Vec<f64>> = (0..n.div_ceil(GROUP))
+        .map(|_| (0..DIM).map(|_| unit()).collect())
+        .collect();
+    let schema = Schema::single("hist", FieldKind::Dense);
+    let records: Vec<Record> = (0..n)
+        .map(|i| {
+            let v = bases[i / GROUP]
+                .iter()
+                .map(|x| x + 0.02 * unit() - 0.01)
+                .collect();
+            Record::single(FieldValue::Dense(DenseVector::new(v)))
+        })
+        .collect();
+    let gt = (0..n).map(|i| (i / GROUP) as u32).collect();
+    (
+        Dataset::new(schema, records, gt),
+        MatchRule::threshold(0, FieldDistance::Angular, 3.0 / 180.0),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,11 +224,46 @@ mod tests {
             trace.bound_rejects > trace.kernel_checks * 9 / 10,
             "the bitmap bound decides most shingle pairs: {trace:?}"
         );
+
+        // The pivot bound fires on clustered histograms. Random
+        // directions sit near 90° from every pivot, so it rejects only
+        // pairs that hold a pivot itself.
+        let traced = |(d, rule): (Dataset, MatchRule)| {
+            let mut st = Stats::default();
+            let (out, trace) = apply_pairwise_with(
+                &d,
+                &ExactOracle::new(&rule),
+                &ids,
+                &[],
+                2,
+                DEFAULT_PAIR_BLOCK,
+                None,
+                &TraceSink::new(Arc::new(MemorySubscriber::new())),
+                &mut st,
+            );
+            (out.len(), trace)
+        };
+        let (clusters, trace) = traced(match_clustered(n));
+        assert_eq!(clusters, n / 8, "one cluster per entity");
+        assert!(
+            trace.bound_rejects > trace.kernel_checks * 8 / 10,
+            "the pivot bound decides most clustered pairs: {trace:?}"
+        );
+        let (_, trace) = traced(match_sparse(n));
+        assert!(
+            trace.bound_rejects <= 4 * n as u64,
+            "sparse bypasses the bound: {trace:?}"
+        );
     }
 
     #[test]
     fn workloads_are_deterministic_and_match_scalar() {
-        for (d, rule) in [match_dense(48), match_sparse(48), match_shingle(48)] {
+        for (d, rule) in [
+            match_dense(48),
+            match_sparse(48),
+            match_shingle(48),
+            match_clustered(48),
+        ] {
             let ids: Vec<u32> = (0..48).collect();
             let mut st_a = Stats::default();
             let a = apply_pairwise(&d, &rule, &ids, 3, &mut st_a);

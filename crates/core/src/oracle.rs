@@ -54,10 +54,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use adalsh_data::{KernelTally, MatchRule, RecordStore, SketchRow};
+use adalsh_data::{KernelTally, MatchRule, SlotTable};
 use adalsh_lsh::mix::derive_seed;
 use adalsh_obs::{TraceSink, Value};
 use serde::{Deserialize, Serialize};
+
+use crate::stats::Stats;
 
 /// Upper bound on individually-tracked degraded pairs in a ledger (the
 /// counters keep counting past it; only the id list is capped, so a
@@ -176,17 +178,14 @@ pub trait PairwiseOracle: Sync {
     /// it.
     type Verdict: Copy + Default + Send;
 
-    /// Adjudicates the unordered pair `(a, b)` of record ids, given
-    /// their [`RuleSketches`](adalsh_data::RuleSketches) rows under
-    /// [`PairwiseOracle::rule`], tallying the match-rule kernels it ran
-    /// into `counts`.
+    /// Adjudicates the unordered pair of records in slots `a` and `b` of
+    /// `table`, a [`SlotTable`] built for [`PairwiseOracle::rule`],
+    /// tallying the match-rule kernels it ran into `counts`.
     fn adjudicate<T: KernelTally>(
         &self,
-        store: &dyn RecordStore,
-        a: u32,
-        b: u32,
-        sketch_a: SketchRow<'_>,
-        sketch_b: SketchRow<'_>,
+        table: &SlotTable<'_>,
+        a: usize,
+        b: usize,
         counts: &mut T,
     ) -> Self::Verdict;
 
@@ -194,7 +193,7 @@ pub trait PairwiseOracle: Sync {
     /// takes it.
     fn adjudication(verdict: Self::Verdict) -> Adjudication;
 
-    /// The match rule the oracle runs: its sketches are the rows
+    /// The match rule the oracle runs: its [`SlotTable`] is the one
     /// [`PairwiseOracle::adjudicate`] takes, and its elementary distance
     /// count is what each adjudicated pair charges to
     /// `Stats::distance_evals`, exactly like the rule-based path.
@@ -220,15 +219,12 @@ impl PairwiseOracle for ExactOracle<'_> {
 
     fn adjudicate<T: KernelTally>(
         &self,
-        store: &dyn RecordStore,
-        a: u32,
-        b: u32,
-        sketch_a: SketchRow<'_>,
-        sketch_b: SketchRow<'_>,
+        table: &SlotTable<'_>,
+        a: usize,
+        b: usize,
         counts: &mut T,
     ) -> bool {
-        self.rule
-            .matches_in_counted(store, a, b, sketch_a, sketch_b, counts)
+        self.rule.matches_in_counted(table, a, b, counts)
     }
 
     fn adjudication(matched: bool) -> Adjudication {
@@ -344,21 +340,18 @@ impl PairwiseOracle for NoisyOracle<'_> {
 
     fn adjudicate<T: KernelTally>(
         &self,
-        store: &dyn RecordStore,
-        a: u32,
-        b: u32,
-        sketch_a: SketchRow<'_>,
-        sketch_b: SketchRow<'_>,
+        table: &SlotTable<'_>,
+        slot_a: usize,
+        slot_b: usize,
         counts: &mut T,
     ) -> Adjudication {
+        let (a, b) = (table.id(slot_a), table.id(slot_b));
         if let Some(target) = self.cfg.panic_on_record {
             if a == target || b == target {
                 panic!("injected oracle fault: adjudication touching record {target}");
             }
         }
-        let truth = self
-            .rule
-            .matches_in_counted(store, a, b, sketch_a, sketch_b, counts);
+        let truth = self.rule.matches_in_counted(table, slot_a, slot_b, counts);
         let mut adj = Adjudication {
             rule_matched: truth,
             ..Adjudication::default()
@@ -551,6 +544,60 @@ impl SpendLedger {
     }
 }
 
+/// Charges adjudicated pairs to [`Stats`] and settles them through the
+/// ledger, if any, emitting `oracle_call` when traced: the one tail of
+/// every comparison `P` and rule recovery charge.
+pub(crate) struct Settle<'a> {
+    stats: &'a mut Stats,
+    ledger: Option<&'a mut SpendLedger>,
+    /// Set when the call is traced.
+    sink: Option<&'a TraceSink>,
+    per_pair_distances: u64,
+}
+
+impl<'a> Settle<'a> {
+    /// Charges pairs under `rule` to `stats`.
+    pub(crate) fn new(
+        rule: &MatchRule,
+        stats: &'a mut Stats,
+        ledger: Option<&'a mut SpendLedger>,
+        sink: &'a TraceSink,
+    ) -> Self {
+        Self {
+            stats,
+            ledger,
+            sink: sink.enabled().then_some(sink),
+            per_pair_distances: rule.num_elementary_distances() as u64,
+        }
+    }
+
+    /// The sink, when the call is traced.
+    pub(crate) fn sink(&self) -> Option<&'a TraceSink> {
+        self.sink
+    }
+
+    /// Charges the pair of records `a` and `b` and returns whether
+    /// `verdict`, as settled, matches them.
+    pub(crate) fn matched<O: PairwiseOracle>(
+        &mut self,
+        verdict: O::Verdict,
+        a: u32,
+        b: u32,
+    ) -> bool {
+        self.stats.pair_comparisons += 1;
+        self.stats.distance_evals += self.per_pair_distances;
+        let adjudication = O::adjudication(verdict);
+        let Some(ledger) = self.ledger.as_deref_mut() else {
+            return adjudication.matched;
+        };
+        let settled = ledger.settle(a, b, &adjudication);
+        if let Some(sink) = self.sink {
+            emit_oracle_call(sink, &settled);
+        }
+        settled.matched
+    }
+}
+
 /// Emits one `oracle_call` trace event for a settled call. Emission
 /// happens at settle time — the sequential canonical fold — so event
 /// order is deterministic and the per-segment sums reconcile exactly
@@ -632,8 +679,8 @@ impl VerdictOverlay {
 mod tests {
     use super::*;
     use adalsh_data::{
-        Dataset, ExitCounts, FieldDistance, FieldKind, FieldValue, Record, RuleSketches, Schema,
-        ShingleSet,
+        Dataset, ExitCounts, FieldDistance, FieldKind, FieldValue, Record, Schema, ShingleSet,
+        SlotTable,
     };
 
     fn dataset(sets: &[&[u64]]) -> Dataset {
@@ -646,7 +693,7 @@ mod tests {
         Dataset::new(schema, records, gt)
     }
 
-    /// Adjudicates `(a, b)` with the pair's sketches under the oracle's
+    /// Adjudicates `(a, b)` through a two-slot table under the oracle's
     /// rule.
     fn adjudicate<O: PairwiseOracle, T: KernelTally>(
         o: &O,
@@ -655,8 +702,7 @@ mod tests {
         b: u32,
         counts: &mut T,
     ) -> O::Verdict {
-        let sketches = RuleSketches::build(o.rule(), d, &[a, b]);
-        o.adjudicate(d, a, b, sketches.row(0), sketches.row(1), counts)
+        o.adjudicate(&SlotTable::build(o.rule(), d, &[a, b], 1), 0, 1, counts)
     }
 
     fn rule() -> MatchRule {

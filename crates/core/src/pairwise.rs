@@ -25,8 +25,10 @@
 //! `Stats` and the ledger equal [`apply_pairwise_scalar`]'s at any thread
 //! count and block size; a pair closed by an earlier merge of its block
 //! was evaluated *speculatively* and is neither charged nor settled. With
-//! one worker and tracing off the block size is 1: nothing is speculative,
-//! and the loop is the scalar loop through the cached, uncounted kernels.
+//! one worker and tracing off the walk is the fused scalar loop, one pair
+//! at a time through the uncounted kernels: nothing is speculative, and
+//! each slot's root is looked up once a pair. Every operand comes from one
+//! [`SlotTable`] per call, so a pair costs no store dispatch.
 //!
 //! # Seeded runs
 //!
@@ -44,10 +46,10 @@
 
 use std::time::Instant;
 
-use adalsh_data::{Dataset, ExitCounts, KernelTally, MatchRule, RecordStore, RuleSketches};
+use adalsh_data::{Dataset, ExitCounts, KernelTally, MatchRule, RecordStore, SlotTable};
 use adalsh_obs::{TraceSink, Value};
 
-use crate::oracle::{emit_oracle_call, ExactOracle, PairwiseOracle, SpendLedger};
+use crate::oracle::{ExactOracle, PairwiseOracle, Settle, SpendLedger};
 use crate::ppt::{Forest, NodeId};
 use crate::stats::Stats;
 
@@ -73,8 +75,9 @@ pub struct PairwiseTrace {
     pub kernel_checks: u64,
     /// Kernel invocations resolved without an exact distance computation.
     pub early_exits: u64,
-    /// Of those, invocations the Jaccard bitmap overlap bound rejected
-    /// before any merge.
+    /// Of those, invocations an exact bound rejected before touching the
+    /// payloads: the Jaccard bitmap bound before any merge, or the
+    /// angular pivot bound before the dot product.
     pub bound_rejects: u64,
 }
 
@@ -124,42 +127,69 @@ pub fn apply_pairwise_with<O: PairwiseOracle>(
     sink: &TraceSink,
     stats: &mut Stats,
 ) -> (Vec<Vec<u32>>, PairwiseTrace) {
-    if threads <= 1 && !sink.enabled() {
-        wavefront::<O, true>(store, oracle, cluster, seed, 1, 1, ledger, sink, stats)
-    } else {
-        wavefront::<O, false>(
-            store, oracle, cluster, seed, threads, block, ledger, sink, stats,
-        )
-    }
-}
-
-/// The wavefront loop; `FUSED` (one worker, tracing off) compiles it at
-/// block size 1 with the thread and tracing branches folded away.
-#[allow(clippy::too_many_arguments)]
-fn wavefront<O: PairwiseOracle, const FUSED: bool>(
-    store: &dyn RecordStore,
-    oracle: &O,
-    cluster: &[u32],
-    seed: &[u32],
-    threads: usize,
-    block: usize,
-    mut ledger: Option<&mut SpendLedger>,
-    sink: &TraceSink,
-    stats: &mut Stats,
-) -> (Vec<Vec<u32>>, PairwiseTrace) {
     stats.pairwise_calls += 1;
     let n = cluster.len() as u32;
     let s = seed.len() as u32;
     assert!(s <= n, "seed covers {s} slots of a {n}-record cluster");
     let mut forest = seeded_forest(cluster.len(), seed);
-    let per_pair_distances = oracle.rule().num_elementary_distances() as u64;
-    let traced = !FUSED && sink.enabled();
-    // Read-only while blocks fan out; empty unless the rule has a Jaccard
-    // threshold leaf.
-    let sketches = RuleSketches::build(oracle.rule(), store, cluster);
     let fresh = (n - s) as usize;
-    let pairs = (s as usize * fresh + fresh * fresh.saturating_sub(1) / 2).max(1);
-    let block = block.clamp(1, if FUSED { 1 } else { pairs });
+    let pairs = s as usize * fresh + fresh * fresh.saturating_sub(1) / 2;
+    // Read-only while blocks fan out.
+    let table = SlotTable::build(oracle.rule(), store, cluster, pairs);
+    let mut settle = Settle::new(oracle.rule(), stats, ledger, sink);
+    let trace = if threads <= 1 && !sink.enabled() {
+        fused(oracle, &table, &mut forest, s, &mut settle);
+        PairwiseTrace::default()
+    } else {
+        let block = block.clamp(1, pairs.max(1));
+        wavefront(oracle, &table, &mut forest, s, threads, block, &mut settle)
+    };
+    (clusters_of(forest, cluster), trace)
+}
+
+/// The canonical pair sequence one pair at a time (one worker, tracing
+/// off): row `i` holds its root across the row, refreshed only by its
+/// own merges (no other merge can move it), and each `j`'s root is
+/// looked up once. Nothing is speculative.
+fn fused<O: PairwiseOracle>(
+    oracle: &O,
+    table: &SlotTable<'_>,
+    forest: &mut Forest,
+    s: u32,
+    settle: &mut Settle<'_>,
+) {
+    let n = table.len() as u32;
+    for i in 0..n {
+        let mut ri = root(forest, i);
+        for j in (i + 1).max(s)..n {
+            let rj = root(forest, j);
+            if ri == rj {
+                continue;
+            }
+            let (a, b) = (i as usize, j as usize);
+            let verdict = oracle.adjudicate(table, a, b, &mut ());
+            if settle.matched::<O>(verdict, table.id(a), table.id(b)) {
+                ri = forest.merge_roots(ri, rj);
+            }
+        }
+    }
+}
+
+/// The blocked wavefront: blocks of up to `block` pairs open in the
+/// block-start forest, adjudicated on up to `threads` workers and folded
+/// in canonical order.
+fn wavefront<O: PairwiseOracle>(
+    oracle: &O,
+    table: &SlotTable<'_>,
+    forest: &mut Forest,
+    s: u32,
+    threads: usize,
+    block: usize,
+    settle: &mut Settle<'_>,
+) -> PairwiseTrace {
+    let n = table.len() as u32;
+    let sink = settle.sink();
+    let traced = sink.is_some();
     let mut trace = PairwiseTrace::default();
     // A block fills a prefix of both buffers.
     let mut open = vec![(0u32, 0u32); block];
@@ -172,7 +202,7 @@ fn wavefront<O: PairwiseOracle, const FUSED: bool>(
         let block_start = traced.then(Instant::now);
         let mut len = 0;
         while len < block && j < n {
-            if root(&mut forest, i) != root(&mut forest, j) {
+            if root(forest, i) != root(forest, j) {
                 open[len] = (i, j);
                 len += 1;
             }
@@ -188,40 +218,26 @@ fn wavefront<O: PairwiseOracle, const FUSED: bool>(
         let (open, verdicts) = (&open[..len], &mut verdicts[..len]);
         // Only traced blocks read the tally; the others run uncounted.
         let counts = if traced {
-            evaluate_block(store, oracle, cluster, &sketches, open, threads, verdicts)
+            evaluate_block(oracle, table, open, threads, verdicts)
         } else {
-            evaluate_block::<O, ()>(store, oracle, cluster, &sketches, open, threads, verdicts);
+            evaluate_block::<O, ()>(oracle, table, open, threads, verdicts);
             ExitCounts::default()
         };
 
         let mut charged = 0u64;
         for (&(a, b), &verdict) in open.iter().zip(verdicts.iter()) {
-            let (ra, rb) = (root(&mut forest, a), root(&mut forest, b));
+            let (ra, rb) = (root(forest, a), root(forest, b));
             if ra == rb {
                 // Closed by an earlier merge of this block: speculative.
                 continue;
             }
             charged += 1;
-            stats.pair_comparisons += 1;
-            stats.distance_evals += per_pair_distances;
-            let adjudication = O::adjudication(verdict);
-            let matched = match ledger.as_deref_mut() {
-                None => adjudication.matched,
-                Some(ledger) => {
-                    let settled =
-                        ledger.settle(cluster[a as usize], cluster[b as usize], &adjudication);
-                    if traced {
-                        emit_oracle_call(sink, &settled);
-                    }
-                    settled.matched
-                }
-            };
-            if matched {
+            if settle.matched::<O>(verdict, table.id(a as usize), table.id(b as usize)) {
                 forest.merge_roots(ra, rb);
             }
         }
 
-        if let Some(t0) = block_start {
+        if let (Some(t0), Some(sink)) = (block_start, sink) {
             trace.blocks += 1;
             trace.kernel_checks += counts.checks;
             trace.early_exits += counts.early_exits;
@@ -239,18 +255,15 @@ fn wavefront<O: PairwiseOracle, const FUSED: bool>(
             );
         }
     }
-    (clusters_of(forest, cluster), trace)
+    trace
 }
 
 /// Adjudicates every open pair of a block into `verdicts` and returns
 /// the kernel tally; big blocks split into disjoint chunks of pairs and
-/// buffer across workers, whose tallies merge at join time. `sketches`
-/// holds one row per cluster slot.
+/// buffer across workers, whose tallies merge at join time.
 fn evaluate_block<O: PairwiseOracle, T: KernelTally>(
-    store: &dyn RecordStore,
     oracle: &O,
-    cluster: &[u32],
-    sketches: &RuleSketches,
+    table: &SlotTable<'_>,
     open: &[(u32, u32)],
     threads: usize,
     verdicts: &mut [O::Verdict],
@@ -258,9 +271,7 @@ fn evaluate_block<O: PairwiseOracle, T: KernelTally>(
     let eval = |pairs: &[(u32, u32)], out: &mut [O::Verdict]| {
         let mut tally = T::default();
         for (v, &(a, b)) in out.iter_mut().zip(pairs) {
-            let (sa, sb) = (sketches.row(a as usize), sketches.row(b as usize));
-            let (a, b) = (cluster[a as usize], cluster[b as usize]);
-            *v = oracle.adjudicate(store, a, b, sa, sb, &mut tally);
+            *v = oracle.adjudicate(table, a as usize, b as usize, &mut tally);
         }
         tally
     };

@@ -17,10 +17,10 @@
 
 use std::collections::HashSet;
 
-use adalsh_data::{MatchRule, RecordStore, RuleSketches};
+use adalsh_data::{MatchRule, RecordStore, SlotTable};
 use adalsh_obs::TraceSink;
 
-use crate::oracle::{emit_oracle_call, ExactOracle, PairwiseOracle, SpendLedger};
+use crate::oracle::{ExactOracle, PairwiseOracle, Settle, SpendLedger};
 use crate::stats::Stats;
 
 /// The paper's perfect recovery (§6.2.1): for each entity referenced by
@@ -97,50 +97,45 @@ pub fn rule_recovery_with<O: PairwiseOracle>(
     store: &dyn RecordStore,
     oracle: &O,
     clusters: &[Vec<u32>],
-    mut ledger: Option<&mut SpendLedger>,
+    ledger: Option<&mut SpendLedger>,
     sink: &TraceSink,
     stats: &mut Stats,
 ) -> Vec<Vec<u32>> {
     let included: HashSet<u32> = clusters.iter().flatten().copied().collect();
-    let mut augmented: Vec<Vec<u32>> = clusters.to_vec();
     let rule = oracle.rule();
-    let per_pair = rule.num_elementary_distances() as u64;
-    // One sketch row per cluster member, in member order.
-    let mut member_sketches: Vec<RuleSketches> = augmented
+    // One table holds every member, then each excluded record in turn,
+    // so both ends of a comparison share its pivots.
+    let members: Vec<u32> = clusters.iter().flatten().copied().collect();
+    let excluded = store.len().saturating_sub(included.len());
+    let pairs = excluded.saturating_mul(members.len());
+    let mut table = SlotTable::build(rule, store, &members, pairs);
+    // Each cluster as its members' slots, in member order.
+    let mut next = 0..;
+    let mut slots: Vec<Vec<usize>> = clusters
         .iter()
-        .map(|cluster| RuleSketches::build(rule, store, cluster))
+        .map(|c| next.by_ref().take(c.len()).collect())
         .collect();
-    let traced = sink.enabled();
-    for r in 0..store.len() as u32 {
-        if included.contains(&r) {
-            continue;
-        }
-        let own = RuleSketches::build(rule, store, &[r]);
-        'next_record: for (cluster, sketches) in augmented.iter_mut().zip(&mut member_sketches) {
-            for i in 0..cluster.len() {
-                let m = cluster[i];
-                stats.pair_comparisons += 1;
-                stats.distance_evals += per_pair;
-                let verdict = oracle.adjudicate(store, r, m, own.row(0), sketches.row(i), &mut ());
-                let adjudication = O::adjudication(verdict);
-                let matched = match ledger.as_deref_mut() {
-                    None => adjudication.matched,
-                    Some(ledger) => {
-                        let settled = ledger.settle(r, m, &adjudication);
-                        if traced {
-                            emit_oracle_call(sink, &settled);
-                        }
-                        settled.matched
+    let mut settle = Settle::new(rule, stats, ledger, sink);
+    for r in (0..store.len() as u32).filter(|r| !included.contains(r)) {
+        let own = table.len();
+        table.push(r);
+        'next_record: {
+            for cluster in &mut slots {
+                for k in 0..cluster.len() {
+                    let verdict = oracle.adjudicate(&table, own, cluster[k], &mut ());
+                    if settle.matched::<O>(verdict, r, table.id(cluster[k])) {
+                        cluster.push(own);
+                        break 'next_record;
                     }
-                };
-                if matched {
-                    cluster.push(r);
-                    sketches.push(store, r);
-                    break 'next_record;
                 }
             }
+            table.pop();
         }
     }
+    let mut augmented: Vec<Vec<u32>> = slots
+        .into_iter()
+        .map(|c| c.into_iter().map(|slot| table.id(slot)).collect())
+        .collect();
     for c in &mut augmented {
         c.sort_unstable();
     }

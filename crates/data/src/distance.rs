@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::record::{FieldKind, FieldRef};
 use crate::shingle::Sketch;
+use crate::vector::PivotAngles;
 use crate::{shingle, vector};
 
 /// How a threshold kernel reached its verdict.
@@ -34,8 +35,9 @@ pub enum Exit {
     /// before the intersection count finishes, the size-ratio exit
     /// included), the cosine-space compare, or a degenerate input.
     Early,
-    /// On the Jaccard bitmap overlap bound, before any merge; an early
-    /// exit too.
+    /// Rejected by an exact bound before the kernel touched the payloads:
+    /// the Jaccard bitmap overlap bound, before any merge, or the angular
+    /// pivot bound, before the dot product. An early exit too.
     Bound,
 }
 
@@ -52,7 +54,7 @@ impl Exit {
 
 /// Tally of threshold-kernel invocations, how many of them resolved on
 /// an early-exit path without computing the exact distance, and how many
-/// of those the Jaccard bitmap bound decided. Purely observational:
+/// of those an exact bound ([`Exit::Bound`]) decided. Purely observational:
 /// verdicts and cost accounting are identical whether or not anyone
 /// counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,7 +63,8 @@ pub struct ExitCounts {
     pub checks: u64,
     /// Invocations resolved without the exact distance computation.
     pub early_exits: u64,
-    /// Of those, invocations the bitmap overlap bound rejected.
+    /// Of those, invocations an exact bound rejected before touching the
+    /// payloads: the Jaccard bitmap bound or the angular pivot bound.
     pub bound_rejects: u64,
 }
 
@@ -112,8 +115,9 @@ impl KernelTally for () {
 pub enum Operand<'a> {
     /// A dense vector with its Euclidean norm, as
     /// [`RecordStore::field_norm`](crate::RecordStore::field_norm) caches
-    /// it.
-    Dense(&'a [f64], f64),
+    /// it, and its angles to its table's pivots
+    /// ([`vector::NO_PIVOTS`] for none).
+    Dense(&'a [f64], f64, &'a PivotAngles),
     /// A shingle set with its bitmap [`Sketch`] ([`shingle::sketch`]).
     Shingles(&'a [u64], &'a Sketch),
 }
@@ -161,7 +165,10 @@ impl FieldDistance {
     ///
     /// The cheapest safe kernel decides, and each documents its safety
     /// argument:
-    /// * angular: a guarded cosine-space compare;
+    /// * angular: a pivot bound, then a guarded cosine-space compare. A
+    ///   pair whose angles to some pivot differ by more than `dthr` plus
+    ///   [`vector::angular_guard`] fails with no dot product
+    ///   ([`Exit::Bound`]);
     /// * Jaccard: two overlap bounds. The exact f64 distance is
     ///   rounding-monotone in the intersection size, so a binary search
     ///   finds the smallest overlap `m*` that passes. A pair whose bitmap
@@ -185,9 +192,8 @@ impl FieldDistance {
     #[inline]
     pub fn at_most_counted(self, a: Operand<'_>, b: Operand<'_>, dthr: f64) -> (bool, Exit) {
         match (self, a, b) {
-            (FieldDistance::Angular, Operand::Dense(a, norm_a), Operand::Dense(b, norm_b)) => {
-                let (verdict, early) = vector::angular_at_most_counted(a, b, dthr, norm_a, norm_b);
-                (verdict, Exit::from_early(early))
+            (FieldDistance::Angular, Operand::Dense(a, na, pa), Operand::Dense(b, nb, pb)) => {
+                vector::angular_at_most_counted((a, na, pa), (b, nb, pb), dthr)
             }
             (FieldDistance::Jaccard, Operand::Shingles(a, sa), Operand::Shingles(b, sb)) => {
                 shingle::jaccard_at_most_sketched(a, b, sa, sb, dthr)
@@ -219,7 +225,7 @@ mod tests {
     /// An owned field's threshold operand, with its norm or `sketch`.
     fn operand<'a>(v: &'a FieldValue, sketch: &'a Sketch) -> Operand<'a> {
         match v.as_ref() {
-            FieldRef::Dense(x) => Operand::Dense(x, v.norm()),
+            FieldRef::Dense(x) => Operand::Dense(x, v.norm(), &vector::NO_PIVOTS),
             FieldRef::Shingles(x) => Operand::Shingles(x, sketch),
         }
     }

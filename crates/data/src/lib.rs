@@ -16,10 +16,10 @@
 //! [`FieldDistance`]: [`FieldDistance::distance`] for the exact value and
 //! [`FieldDistance::at_most_counted`] for the threshold verdict with how
 //! it exited. Both take borrowed payloads plus what callers cache for
-//! them (norms; for the threshold, a shingle set's bitmap [`Sketch`], which
-//! [`RuleSketches`] builds per rule), so in-RAM records and a
-//! memory-mapped store run the same slice kernels (`shingle.rs`,
-//! `vector.rs`) on the same bytes. [`ShingleSet`] and [`DenseVector`] are
+//! them (norms; for the threshold, a shingle set's bitmap [`Sketch`] or a
+//! dense vector's pivot angles, which a [`SlotTable`] holds per call), so
+//! in-RAM records and a memory-mapped store run the same slice kernels
+//! (`shingle.rs`, `vector.rs`) on the same bytes. [`ShingleSet`] and [`DenseVector`] are
 //! the owned storage and construction types.
 //!
 //! This crate is dependency-light on purpose: it defines the vocabulary
@@ -37,7 +37,7 @@ pub mod vector;
 pub use dataset::{ensure_record_id_capacity, Dataset, EntityId, MAX_RECORDS};
 pub use distance::{Exit, ExitCounts, FieldDistance, KernelTally, Operand};
 pub use record::{FieldKind, FieldRef, FieldValue, Record, Schema};
-pub use rule::{MatchRule, RuleSketches, SketchRow};
+pub use rule::{MatchRule, SlotTable};
 pub use shingle::{ShingleSet, Sketch};
 pub use store::{RecordFields, RecordStore, RecordView};
 pub use vector::DenseVector;

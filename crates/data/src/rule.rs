@@ -11,9 +11,10 @@
 use serde::{Deserialize, Serialize};
 
 use crate::distance::{Exit, FieldDistance, KernelTally, Operand};
-use crate::record::{FieldRef, Record, Schema};
+use crate::record::{FieldKind, FieldRef, Record, Schema};
 use crate::shingle::{self, Sketch};
 use crate::store::RecordStore;
+use crate::vector::{self, PivotAngles, PIVOTS};
 
 /// One component of a weighted-average rule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -86,17 +87,17 @@ impl MatchRule {
         }
     }
 
-    /// Do records `i` and `j` of `store` match under this rule? The one
+    /// Do slots `a` and `b` of `table` match under this rule? The one
     /// walk of the rule that production verdicts take.
     ///
-    /// Semantically identical to [`MatchRule::matches`] on the two
-    /// records — same verdict for every input, bit for bit — but routed
-    /// through the cached norms ([`RecordStore::field_norm`]), the
-    /// records' bitmap sketches and the per-metric threshold kernels
-    /// ([`FieldDistance::at_most_counted`]). `sketch_i` and `sketch_j`
-    /// are the records' [`RuleSketches`] rows, read only at a Jaccard
-    /// threshold leaf. It runs identically whether the store is an in-RAM
-    /// [`crate::Dataset`] or a memory-mapped file.
+    /// Semantically identical to [`MatchRule::matches`] on the two slots'
+    /// records — same verdict for every input, bit for bit — but every
+    /// operand comes from the table: the payload with its cached norm
+    /// ([`RecordStore::field_norm`]) and pivot angles, or its bitmap
+    /// sketch, read by the per-metric threshold kernels
+    /// ([`FieldDistance::at_most_counted`]). It runs identically whether
+    /// the table borrows an in-RAM [`crate::Dataset`] or a memory-mapped
+    /// file.
     ///
     /// Reports to a [`KernelTally`] (an [`ExitCounts`](crate::ExitCounts)
     /// counts, `()` discards and compiles down to the plain walk): every
@@ -107,15 +108,13 @@ impl MatchRule {
     /// they count as checks that never exit early.
     ///
     /// # Panics
-    /// Panics if a Jaccard threshold leaf reads a row of a table built
-    /// for a rule with no Jaccard leaf on its field.
+    /// Panics if `table` was built for a rule that reads fewer fields, or
+    /// if a slot is out of range.
     pub fn matches_in_counted<T: KernelTally>(
         &self,
-        store: &dyn RecordStore,
-        i: u32,
-        j: u32,
-        sketch_i: SketchRow<'_>,
-        sketch_j: SketchRow<'_>,
+        table: &SlotTable<'_>,
+        a: usize,
+        b: usize,
         counts: &mut T,
     ) -> bool {
         match self {
@@ -125,8 +124,8 @@ impl MatchRule {
                 dthr,
             } => {
                 let (verdict, exit) = metric.at_most_counted(
-                    operand(store, i, *field, *metric, sketch_i),
-                    operand(store, j, *field, *metric, sketch_j),
+                    table.operand(a, *field),
+                    table.operand(b, *field),
                     *dthr,
                 );
                 counts.record(1, exit);
@@ -136,42 +135,41 @@ impl MatchRule {
             // are not counted (their kernels never ran).
             MatchRule::And(subs) => subs
                 .iter()
-                .all(|r| r.matches_in_counted(store, i, j, sketch_i, sketch_j, counts)),
+                .all(|r| r.matches_in_counted(table, a, b, counts)),
             MatchRule::Or(subs) => subs
                 .iter()
-                .any(|r| r.matches_in_counted(store, i, j, sketch_i, sketch_j, counts)),
+                .any(|r| r.matches_in_counted(table, a, b, counts)),
             MatchRule::WeightedAverage { parts, dthr } => {
                 // The same fold as `matches` (no early exit: a partial-sum
                 // cutoff could not reproduce the exact sum), only the norm
                 // lookups are cached.
                 counts.record(parts.len() as u64, Exit::Complete);
                 let d = weighted_distance(parts, |f| {
-                    (
-                        store.field(i, f),
-                        store.field(j, f),
-                        store.field_norm(i, f),
-                        store.field_norm(j, f),
-                    )
+                    let ((x, nx), (y, ny)) = (table.field(a, f), table.field(b, f));
+                    (x, y, nx, ny)
                 });
                 d <= *dthr
             }
         }
     }
 
-    /// Appends each field a Jaccard threshold leaf reads and `fields`
-    /// does not yet hold, in walk order. Weighted-average parts take no
-    /// bound, so they add none.
-    fn jaccard_fields(&self, fields: &mut Vec<usize>) {
+    /// Raises `reads[f]` to how the rule reads each field `f`, growing
+    /// `reads` to cover it.
+    fn mark_reads(&self, reads: &mut Vec<Read>) {
+        let mut mark = |field: usize, read: Read| {
+            if reads.len() <= field {
+                reads.resize(field + 1, Read::Not);
+            }
+            reads[field] = reads[field].max(read);
+        };
         match self {
-            MatchRule::Threshold { field, metric, .. } => {
-                if *metric == FieldDistance::Jaccard && !fields.contains(field) {
-                    fields.push(*field);
-                }
-            }
+            MatchRule::Threshold { field, .. } => mark(*field, Read::Bounded),
             MatchRule::And(subs) | MatchRule::Or(subs) => {
-                subs.iter().for_each(|r| r.jaccard_fields(fields));
+                subs.iter().for_each(|r| r.mark_reads(reads));
             }
-            MatchRule::WeightedAverage { .. } => {}
+            MatchRule::WeightedAverage { parts, .. } => {
+                parts.iter().for_each(|p| mark(p.field, Read::Payload));
+            }
         }
     }
 
@@ -228,107 +226,213 @@ impl MatchRule {
     }
 }
 
-/// The bitmap sketches a rule's Jaccard threshold leaves bound overlaps
-/// with, for a list of records: row `k` holds, for the list's `k`-th
-/// record, one [`Sketch`] of each field a Jaccard threshold leaf reads
-/// (once, however many leaves read it). A rule with no Jaccard leaf has
-/// empty rows and allocates nothing.
-#[derive(Debug, Clone)]
-pub struct RuleSketches {
-    /// The sketched fields: column `c` of a row is field `fields[c]`.
-    fields: Vec<usize>,
-    /// Row-major: row `k` is `sketches[k * fields.len()..][..fields.len()]`.
-    sketches: Vec<Sketch>,
+/// How a rule reads one field, weakest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Read {
+    /// Not at all: the field takes no column.
+    Not,
+    /// Only through weighted-average parts: payloads and norms.
+    Payload,
+    /// Through a threshold leaf too, whose kernel takes a bound: a
+    /// shingle column adds bitmap sketches, a dense one pivot angles.
+    Bounded,
 }
 
-impl RuleSketches {
-    /// An empty table for `rule`.
-    pub fn new(rule: &MatchRule) -> Self {
-        let mut fields = Vec::new();
-        rule.jaccard_fields(&mut fields);
-        Self {
-            fields,
-            sketches: Vec::new(),
-        }
-    }
+/// Canonical pairs a call must be able to test per slot before a dense
+/// column takes pivot angles ([`SlotTable::build`]).
+const PIVOT_PAIRS_PER_SLOT: usize = 16;
 
-    /// The table of `ids`' rows, in order.
-    pub fn build(rule: &MatchRule, store: &dyn RecordStore, ids: &[u32]) -> Self {
-        let mut table = Self::new(rule);
-        if !table.fields.is_empty() {
-            table.sketches.reserve(ids.len() * table.fields.len());
-            for &id in ids {
-                table.push(store, id);
-            }
+/// The operands of one `P` call (or one recovery): for each slot, the
+/// record id and, for each field its rule reads, the payload borrowed
+/// from the store with what the kernels cache for it:
+/// * a dense field holds its norm and, when a threshold leaf reads it
+///   and the call is big enough, its angles to [`PIVOTS`] pivot slots;
+/// * a shingle field holds, when a threshold leaf reads it, its bitmap
+///   [`Sketch`].
+///
+/// A rule walk reads operands only from here
+/// ([`MatchRule::matches_in_counted`]), so a pair costs no store
+/// dispatch, and both ends of a pivot bound hold angles to the same
+/// pivots.
+pub struct SlotTable<'s> {
+    store: &'s dyn RecordStore,
+    /// The record id of each slot.
+    ids: Vec<u32>,
+    /// Column `f` holds field `f`.
+    columns: Vec<Column<'s>>,
+}
+
+enum Column<'s> {
+    /// A field the rule does not read.
+    Unread,
+    Dense {
+        slots: Vec<DenseSlot<'s>>,
+        /// The pivots' payloads and norms: up to [`PIVOTS`] distinct
+        /// [`vector::bound_safe`] slots, or none.
+        pivots: Vec<(&'s [f64], f64)>,
+    },
+    Shingles {
+        sets: Vec<&'s [u64]>,
+        /// One per slot when a threshold leaf reads the field.
+        sketches: Option<Vec<Sketch>>,
+    },
+}
+
+struct DenseSlot<'s> {
+    x: &'s [f64],
+    norm: f64,
+    angles: PivotAngles,
+}
+
+impl<'s> SlotTable<'s> {
+    /// The table of `ids`' slots, in order, for a call that may test up
+    /// to `pairs` pairs of them. A dense column read by a threshold leaf
+    /// takes pivot angles only when `pairs` reaches 16 a slot: a slot's
+    /// angles cost [`PIVOTS`] dot products and `acos`es, and a reject
+    /// saves about one dot product. The pivots are the first
+    /// [`vector::bound_safe`] slots at or after slots `0`, `n/4`, `n/2`
+    /// and `3n/4`, deduplicated.
+    pub fn build(rule: &MatchRule, store: &'s dyn RecordStore, ids: &[u32], pairs: usize) -> Self {
+        let mut reads = Vec::new();
+        rule.mark_reads(&mut reads);
+        let n = ids.len();
+        let pivoted = pairs >= PIVOT_PAIRS_PER_SLOT.saturating_mul(n);
+        let columns = reads
+            .iter()
+            .enumerate()
+            .map(|(field, &read)| {
+                let bounded = read == Read::Bounded;
+                match (read, store.schema().fields()[field].kind) {
+                    (Read::Not, _) => Column::Unread,
+                    (_, FieldKind::Dense) => Column::Dense {
+                        slots: Vec::with_capacity(n),
+                        pivots: if bounded && pivoted {
+                            pivots(store, ids, field)
+                        } else {
+                            Vec::new()
+                        },
+                    },
+                    (_, FieldKind::Shingles) => Column::Shingles {
+                        sets: Vec::with_capacity(n),
+                        sketches: bounded.then(|| Vec::with_capacity(n)),
+                    },
+                }
+            })
+            .collect();
+        let mut table = Self {
+            store,
+            ids: Vec::with_capacity(n),
+            columns,
+        };
+        for &id in ids {
+            table.push(id);
         }
         table
     }
 
-    /// Appends record `id`'s row.
-    pub fn push(&mut self, store: &dyn RecordStore, id: u32) {
-        for &field in &self.fields {
-            self.sketches
-                .push(shingle::sketch(store.field(id, field).as_shingles()));
+    /// Appends record `id` as the next slot.
+    pub fn push(&mut self, id: u32) {
+        self.ids.push(id);
+        for (field, column) in self.columns.iter_mut().enumerate() {
+            match column {
+                Column::Unread => {}
+                Column::Dense { slots, pivots } => {
+                    let x = self.store.field(id, field).as_dense();
+                    let norm = self.store.field_norm(id, field);
+                    let mut angles = vector::NO_PIVOTS;
+                    for (angle, &(p, p_norm)) in angles.iter_mut().zip(pivots.iter()) {
+                        *angle = vector::pivot_angle(x, norm, p, p_norm);
+                    }
+                    slots.push(DenseSlot { x, norm, angles });
+                }
+                Column::Shingles { sets, sketches } => {
+                    let set = self.store.field(id, field).as_shingles();
+                    if let Some(sketches) = sketches {
+                        sketches.push(shingle::sketch(set));
+                    }
+                    sets.push(set);
+                }
+            }
         }
     }
 
-    /// Row `k`, the `k`-th record pushed, as a rule walk takes it.
+    /// Removes the last slot.
+    pub fn pop(&mut self) {
+        self.ids.pop();
+        for column in &mut self.columns {
+            match column {
+                Column::Unread => {}
+                Column::Dense { slots, .. } => {
+                    slots.pop();
+                }
+                Column::Shingles { sets, sketches } => {
+                    sets.pop();
+                    sketches.as_mut().map(Vec::pop);
+                }
+            }
+        }
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when the table holds no slot.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// The record id of `slot`.
     #[inline]
-    pub fn row(&self, k: usize) -> SketchRow<'_> {
-        SketchRow {
-            table: self,
-            row: k,
-        }
+    pub fn id(&self, slot: usize) -> u32 {
+        self.ids[slot]
     }
-}
 
-/// One record's row of a [`RuleSketches`] table. Only a Jaccard
-/// threshold leaf looks a sketch up in it, so a rule walk with no such
-/// leaf never touches the table.
-#[derive(Debug, Clone, Copy)]
-pub struct SketchRow<'a> {
-    table: &'a RuleSketches,
-    row: usize,
-}
-
-impl<'a> SketchRow<'a> {
-    /// The sketch of field `field` on this row.
+    /// The threshold operand of field `field` on `slot`.
     ///
     /// # Panics
-    /// Panics if no Jaccard threshold leaf of the table's rule reads
-    /// `field`, or if the row was never pushed.
+    /// Panics if the rule reads no such field, or if it is a shingle
+    /// field no threshold leaf reads.
     #[inline]
-    pub fn sketch(self, field: usize) -> &'a Sketch {
-        let RuleSketches { fields, sketches } = self.table;
-        let column = fields
-            .iter()
-            .position(|&f| f == field)
-            .expect("field read by no Jaccard threshold leaf");
-        &sketches[self.row * fields.len() + column]
+    pub fn operand(&self, slot: usize, field: usize) -> Operand<'_> {
+        match &self.columns[field] {
+            Column::Dense { slots, .. } => {
+                let DenseSlot { x, norm, angles } = &slots[slot];
+                Operand::Dense(x, *norm, angles)
+            }
+            Column::Shingles { sets, sketches } => Operand::Shingles(
+                sets[slot],
+                &sketches.as_ref().expect("field read by no threshold leaf")[slot],
+            ),
+            Column::Unread => panic!("field {field} read by no rule leaf"),
+        }
+    }
+
+    /// Field `field` of `slot` with its norm (0 for shingles), as a
+    /// weighted-average part reads it.
+    fn field(&self, slot: usize, field: usize) -> (FieldRef<'s>, f64) {
+        match &self.columns[field] {
+            Column::Dense { slots, .. } => (FieldRef::Dense(slots[slot].x), slots[slot].norm),
+            Column::Shingles { sets, .. } => (FieldRef::Shingles(sets[slot]), 0.0),
+            Column::Unread => panic!("field {field} read by no rule leaf"),
+        }
     }
 }
 
-/// A threshold operand for field `field` of record `id`: its cached norm
-/// under an angular metric, its sketch on `row` under Jaccard.
-/// Inlined, like [`FieldDistance::at_most_counted`]: as two calls it
-/// cost the angular `P` ~30% a pair (1 500 128-d vectors, one thread).
-#[inline]
-fn operand<'a>(
-    store: &'a dyn RecordStore,
-    id: u32,
-    field: usize,
-    metric: FieldDistance,
-    row: SketchRow<'a>,
-) -> Operand<'a> {
-    match metric {
-        FieldDistance::Angular => Operand::Dense(
-            store.field(id, field).as_dense(),
-            store.field_norm(id, field),
-        ),
-        FieldDistance::Jaccard => {
-            Operand::Shingles(store.field(id, field).as_shingles(), row.sketch(field))
-        }
-    }
+/// The pivots of dense field `field` over the slots of `ids`, as
+/// payloads and norms ([`SlotTable::build`] says which slots).
+fn pivots<'s>(store: &'s dyn RecordStore, ids: &[u32], field: usize) -> Vec<(&'s [f64], f64)> {
+    let n = ids.len();
+    let norm = |k: usize| store.field_norm(ids[k], field);
+    let mut slots: Vec<usize> = (0..PIVOTS)
+        .filter_map(|p| (p * n / PIVOTS..n).find(|&k| vector::bound_safe(norm(k))))
+        .collect();
+    slots.dedup();
+    slots
+        .into_iter()
+        .map(|k| (store.field(ids[k], field).as_dense(), norm(k)))
+        .collect()
 }
 
 /// The weighted-average distance `d̄(a, b) = Σ αᵢ dᵢ` of Appendix C.3,
@@ -503,15 +607,15 @@ mod tests {
             },
         ];
         let ids: Vec<u32> = (0..6).collect();
-        for rule in &rules {
-            let sk = RuleSketches::build(rule, &d, &ids);
-            for i in 0..6u32 {
-                for j in 0..6u32 {
-                    let (si, sj) = (sk.row(i as usize), sk.row(j as usize));
+        // Without and with pivot angles.
+        for (rule, pairs) in rules.iter().flat_map(|r| [(r, 0), (r, usize::MAX)]) {
+            let table = SlotTable::build(rule, &d, &ids, pairs);
+            for i in 0..6 {
+                for j in 0..6 {
                     assert_eq!(
-                        rule.matches_in_counted(&d, i, j, si, sj, &mut ()),
-                        rule.matches(d.record(i), d.record(j)),
-                        "rule {rule:?} pair ({i},{j})"
+                        rule.matches_in_counted(&table, i, j, &mut ()),
+                        rule.matches(d.record(i as u32), d.record(j as u32)),
+                        "rule {rule:?} pair ({i},{j}) pairs={pairs}"
                     );
                 }
             }
@@ -519,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn rule_sketches_hold_one_column_per_jaccard_field() {
+    fn slot_table_holds_a_column_per_read_field() {
         use crate::dataset::Dataset;
         let schema = Schema::new(vec![
             ("title", FieldKind::Shingles),
@@ -535,8 +639,7 @@ mod tests {
         };
         let d = Dataset::new(schema, (0..3).map(record).collect(), vec![0, 1, 2]);
         let ids = [2, 0];
-        // The two leaves on the body field share its column; the angular
-        // leaf takes none.
+        // The two leaves on the body field share its column.
         let rule = MatchRule::Or(vec![
             MatchRule::threshold(2, FieldDistance::Jaccard, 0.1),
             MatchRule::And(vec![
@@ -545,36 +648,96 @@ mod tests {
             ]),
             MatchRule::threshold(2, FieldDistance::Jaccard, 0.9),
         ]);
-        let sk = RuleSketches::build(&rule, &d, &ids);
-        assert_eq!(sk.fields, [2, 0]);
-        assert_eq!(sk.sketches.len(), 4);
+        let table = SlotTable::build(&rule, &d, &ids, 0);
+        assert_eq!(table.columns.len(), 3);
         for (k, &id) in ids.iter().enumerate() {
+            assert_eq!(table.id(k), id);
             for field in [0, 2] {
                 let own = shingle::sketch(d.field(id, field).as_shingles());
-                assert_eq!(*sk.row(k).sketch(field), own, "record {id} field {field}");
+                let Operand::Shingles(set, sketch) = table.operand(k, field) else {
+                    panic!("field {field} is a shingle column");
+                };
+                assert_eq!((set, sketch), (d.field(id, field).as_shingles(), &own));
             }
+            // Too few pairs for pivots: no angles.
+            let Operand::Dense(x, norm, angles) = table.operand(k, 1) else {
+                panic!("field 1 is a dense column");
+            };
+            assert_eq!(
+                (x, norm.to_bits()),
+                (d.field(id, 1).as_dense(), d.field_norm(id, 1).to_bits())
+            );
+            assert!(angles.iter().all(|a| a.is_nan()));
         }
-        let dense_only = MatchRule::Or(vec![
-            MatchRule::threshold(1, FieldDistance::Angular, 0.2),
-            MatchRule::WeightedAverage {
-                parts: vec![WeightedPart {
-                    field: 0,
-                    metric: FieldDistance::Jaccard,
-                    weight: 1.0,
-                }],
-                dthr: 0.5,
-            },
-        ]);
-        // An angular leaf and a weighted part take no column, so the
-        // table allocates nothing.
-        let sk = RuleSketches::build(&dense_only, &d, &ids);
-        assert!(sk.fields.is_empty() && sk.sketches.capacity() == 0);
+        // A weighted part reads payloads only: no sketch, no pivots, and
+        // unread fields take no column.
+        let weighted = MatchRule::WeightedAverage {
+            parts: vec![WeightedPart {
+                field: 1,
+                metric: FieldDistance::Angular,
+                weight: 1.0,
+            }],
+            dthr: 0.5,
+        };
+        let table = SlotTable::build(&weighted, &d, &ids, usize::MAX);
+        assert!(matches!(table.columns[0], Column::Unread));
+        assert_eq!(table.columns.len(), 2);
+        let Column::Dense { pivots, .. } = &table.columns[1] else {
+            panic!("field 1 is a dense column");
+        };
+        assert!(pivots.is_empty());
         for (i, j) in [(0, 1), (1, 1)] {
             assert_eq!(
-                dense_only.matches_in_counted(&d, i, j, sk.row(0), sk.row(1), &mut ()),
-                dense_only.matches(d.record(i), d.record(j)),
+                weighted.matches_in_counted(&table, i, j, &mut ()),
+                weighted.matches(d.record(ids[i]), d.record(ids[j])),
             );
         }
+    }
+
+    /// Pivots skip slots the bound cannot use; those slots hold NaN
+    /// angles, and a pushed slot gets its angles to the same pivots.
+    #[test]
+    fn slot_table_pivots_are_safe_slots_and_pushes_reuse_them() {
+        use crate::dataset::Dataset;
+        let schema = Schema::single("hist", FieldKind::Dense);
+        let vectors = [
+            vec![0.0, 0.0],
+            vec![1.0, 0.0],
+            vec![f64::NAN, 1.0],
+            vec![0.0, 1.0],
+            vec![1.0, 1.0],
+            vec![1e-200, 0.0],
+            vec![-1.0, 0.5],
+            vec![2.0, 1.0],
+        ];
+        let records = vectors
+            .iter()
+            .map(|v| Record::single(FieldValue::Dense(DenseVector::new(v.clone()))))
+            .collect();
+        let d = Dataset::new(schema, records, (0..8).collect());
+        let rule = MatchRule::threshold(0, FieldDistance::Angular, 0.1);
+        let mut table = SlotTable::build(&rule, &d, &[0, 1, 2, 3, 4, 5, 6], usize::MAX);
+        let Column::Dense { pivots, .. } = &table.columns[0] else {
+            panic!("a dense column");
+        };
+        // Starts 0, 1, 3, 5 (n = 7) find slots 1, 1, 3, 6.
+        let expected: Vec<&[f64]> = vec![&vectors[1], &vectors[3], &vectors[6]];
+        assert_eq!(pivots.iter().map(|p| p.0).collect::<Vec<_>>(), expected);
+        let angles = |table: &SlotTable<'_>, k: usize| match table.operand(k, 0) {
+            Operand::Dense(_, _, angles) => *angles,
+            Operand::Shingles(..) => unreachable!(),
+        };
+        for k in [0, 2, 5] {
+            assert!(angles(&table, k).iter().all(|a| a.is_nan()), "slot {k}");
+        }
+        let a = angles(&table, 4);
+        assert!((a[0] - 0.25).abs() < 1e-12 && (a[1] - 0.25).abs() < 1e-12);
+        assert!(a[3].is_nan(), "three pivots");
+        table.push(7);
+        table.push(4);
+        assert_eq!(angles(&table, 8).map(f64::to_bits), a.map(f64::to_bits));
+        table.pop();
+        assert_eq!((table.len(), table.id(7)), (8, 7));
     }
 
     #[test]
@@ -621,16 +784,15 @@ mod tests {
         ];
         let ids: Vec<u32> = (0..6).collect();
         for rule in &rules {
-            let sk = RuleSketches::build(rule, &d, &ids);
+            let table = SlotTable::build(rule, &d, &ids, usize::MAX);
             let mut counts = ExitCounts::default();
             let mut pairs = 0u64;
-            for i in 0..6u32 {
-                for j in 0..6u32 {
+            for i in 0..6 {
+                for j in 0..6 {
                     pairs += 1;
-                    let (si, sj) = (sk.row(i as usize), sk.row(j as usize));
                     assert_eq!(
-                        rule.matches_in_counted(&d, i, j, si, sj, &mut counts),
-                        rule.matches_in_counted(&d, i, j, si, sj, &mut ()),
+                        rule.matches_in_counted(&table, i, j, &mut counts),
+                        rule.matches_in_counted(&table, i, j, &mut ()),
                         "rule {rule:?} pair ({i},{j})"
                     );
                 }

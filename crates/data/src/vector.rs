@@ -13,6 +13,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::distance::Exit;
+
 /// A dense vector of `f64` components.
 ///
 /// Invariant: never empty. Construction normalizes nothing; distances
@@ -73,11 +75,18 @@ pub(crate) fn angular_distance(a: &[f64], b: &[f64], norm_a: f64, norm_b: f64) -
     cos.acos().to_degrees() / 180.0
 }
 
-/// Threshold verdict `angular_distance(a, b, norm_a, norm_b) <= dthr`
-/// with an early-exit flag: `(verdict, resolved_early)`.
+/// Threshold verdict `angular_distance(a, b, norm_a, norm_b) <= dthr`,
+/// with how it was reached, given both operands' [`PivotAngles`].
 ///
-/// The verdict is decided in **cosine space** whenever that is safe.
-/// `acos` is monotone decreasing, so `θ/180 ≤ dthr ⟺ cos θ ≥
+/// The **pivot bound** goes first. The angle is a metric on nonzero
+/// vectors, so `θ(a, b) ≥ |θ(a, p) − θ(b, p)|` for every pivot `p`. When
+/// some pivot's computed angle gap exceeds `dthr + angular_guard(dim)`,
+/// the computed distance exceeds `dthr` too ([`angular_guard`] covers
+/// the rounding of all three angles), and the pair fails with no dot
+/// product ([`Exit::Bound`]). A NaN angle never rejects.
+///
+/// Otherwise the verdict is decided in **cosine space** whenever that
+/// is safe. `acos` is monotone decreasing, so `θ/180 ≤ dthr ⟺ cos θ ≥
 /// cos(dthr·π)`; comparing cosines skips the `acos` that otherwise runs
 /// on every pair of the quadratic verification loop. Within a guard band
 /// of [`COS_GUARD`] around the threshold cosine — where rounding of the
@@ -87,36 +96,101 @@ pub(crate) fn angular_distance(a: &[f64], b: &[f64], norm_a: f64, norm_b: f64) -
 /// comparing. The band is ~10⁵ wider than the few-ulp error of either
 /// transform, and `acos`'s sensitivity near `cos = ±1` only widens the
 /// true angle gap, never narrows it. Zero vectors and thresholds outside
-/// `[0, 1]` resolve early too, with the verdict the exact distance gives.
+/// `[0, 1]` resolve early too ([`Exit::Early`]), with the verdict the
+/// exact distance gives.
 ///
 /// # Panics
 /// Panics if the dimensions differ.
+#[inline]
 pub(crate) fn angular_at_most_counted(
-    a: &[f64],
-    b: &[f64],
+    (a, norm_a, pivots_a): (&[f64], f64, &PivotAngles),
+    (b, norm_b, pivots_b): (&[f64], f64, &PivotAngles),
     dthr: f64,
-    norm_a: f64,
-    norm_b: f64,
-) -> (bool, bool) {
+) -> (bool, Exit) {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
+    // `max` skips NaN, so only angles both operands hold take part.
+    let gap = pivots_a
+        .iter()
+        .zip(pivots_b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(f64::NEG_INFINITY, f64::max);
+    if gap > dthr + angular_guard(a.len()) {
+        return (false, Exit::Bound);
+    }
     let denom = norm_a * norm_b;
     if denom == 0.0 {
         // Zero vectors are at distance 0 (see `angular_distance`).
-        return (0.0 <= dthr, true);
+        return (0.0 <= dthr, Exit::Early);
     }
+    let ratio = dot_kernel(a, b) / denom;
     if !(0.0..=1.0).contains(&dthr) {
-        // Out-of-range thresholds (the distance is always in [0, 1]).
-        return (dthr >= 1.0, true);
+        // Out-of-range thresholds: the distance is in [0, 1], or NaN
+        // exactly when this ratio is (a NaN or ±inf component).
+        return (dthr >= 1.0 && !ratio.is_nan(), Exit::Early);
     }
-    let cos = (dot_kernel(a, b) / denom).clamp(-1.0, 1.0);
+    let cos = ratio.clamp(-1.0, 1.0);
     let cos_thr = (dthr * std::f64::consts::PI).cos();
     if cos >= cos_thr + COS_GUARD {
-        return (true, true);
+        return (true, Exit::Early);
     }
     if cos <= cos_thr - COS_GUARD {
-        return (false, true);
+        return (false, Exit::Early);
     }
-    (angular_distance(a, b, norm_a, norm_b) <= dthr, false)
+    (
+        angular_distance(a, b, norm_a, norm_b) <= dthr,
+        Exit::Complete,
+    )
+}
+
+/// Pivots a dense operand keeps its angles to.
+pub const PIVOTS: usize = 4;
+
+/// A dense operand's normalized angles ([`pivot_angle`]) to the pivots of
+/// the table it sits in; NaN where the table has no such pivot or the
+/// operand's norm is not [`bound_safe`].
+pub type PivotAngles = [f64; PIVOTS];
+
+/// The angles of an operand that takes no pivot bound.
+pub const NO_PIVOTS: PivotAngles = [f64::NAN; PIVOTS];
+
+/// Is a vector of norm `norm` safe to bound by pivot angles? Zero vectors
+/// sit at distance 0 from everything, so the triangle inequality fails
+/// for them. Within `[2⁻²⁵⁰, 2²⁵⁰]` no dot product of two such vectors
+/// overflows, and underflow costs it at most `dim · 2⁻¹⁰⁷⁵` absolutely,
+/// under `dim · 2⁻⁵⁷⁵` of `|a|·|b|`: far below the relative error
+/// [`angular_guard`] budgets. NaN and infinite norms are outside.
+pub fn bound_safe(norm: f64) -> bool {
+    const LIMIT: f64 = 1.8092513943330656e75; // 2^250
+    (1.0 / LIMIT..=LIMIT).contains(&norm)
+}
+
+/// The normalized angle `angular_distance(x, pivot)` that the pivot bound
+/// compares, or NaN unless both norms are [`bound_safe`].
+pub fn pivot_angle(x: &[f64], norm: f64, pivot: &[f64], pivot_norm: f64) -> f64 {
+    if bound_safe(norm) && bound_safe(pivot_norm) {
+        angular_distance(x, pivot, norm, pivot_norm)
+    } else {
+        f64::NAN
+    }
+}
+
+/// The pivot bound's guard at dimension `dim`, in normalized angle:
+/// more than the rounding error of one computed angle gap plus that of
+/// the pair's own computed distance. Derived in DESIGN §7.1:
+/// * the cosine of two [`bound_safe`] vectors is off by at most
+///   `e = 4(dim + 8)u` (`u = 2⁻⁵³`): the dot kernel's sum errs by
+///   `γ_{dim+6} |a||b|`, the norms' product by as much again, plus a few
+///   roundings, and the factor 2 over those covers second-order terms;
+/// * `acos` turns a cosine error `e` into at most `acos(1 − e) ≤
+///   π·sqrt(e/2)` of angle, so a normalized angle is off by at most
+///   `ε = sqrt(e/2) + 8u` (the `8u` for `acos`, `to_degrees` and `/180`);
+/// * a rejected pair's gap is then within `2ε` of a true angle gap, its
+///   computed distance within `ε` of the true angle, and the subtraction
+///   and `dthr + guard` round by `4u` at most, so `4ε` suffices.
+pub fn angular_guard(dim: usize) -> f64 {
+    const U: f64 = f64::EPSILON / 2.0;
+    let e = 4.0 * (dim as f64 + 8.0) * U;
+    4.0 * ((e / 2.0).sqrt() + 8.0 * U)
 }
 
 /// Flat dot-product kernel: four independent partial sums over exact
@@ -203,9 +277,10 @@ mod tests {
     #[test]
     fn zero_vector_is_at_distance_zero() {
         assert_eq!(dist(&[1.0, 2.0], &[0.0, 0.0]), 0.0);
+        let (a, zero) = ([1.0, 2.0], [0.0, 0.0]);
         assert_eq!(
-            angular_at_most_counted(&[1.0, 2.0], &[0.0, 0.0], 0.0, norm(&[1.0, 2.0]), 0.0),
-            (true, true)
+            angular_at_most_counted((&a, norm(&a), &NO_PIVOTS), (&zero, 0.0, &NO_PIVOTS), 0.0),
+            (true, Exit::Early)
         );
     }
 
@@ -268,7 +343,7 @@ mod tests {
                 ];
                 for t in thresholds {
                     assert_eq!(
-                        angular_at_most_counted(a, b, t, na, nb).0,
+                        angular_at_most_counted((a, na, &NO_PIVOTS), (b, nb, &NO_PIVOTS), t).0,
                         exact <= t,
                         "a={a:?} b={b:?} t={t}"
                     );
@@ -328,6 +403,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn threshold_dimension_mismatch_panics() {
-        let _ = angular_at_most_counted(&[1.0], &[1.0, 2.0], 0.5, 1.0, 1.0);
+        let _ = angular_at_most_counted(
+            (&[1.0], 1.0, &NO_PIVOTS),
+            (&[1.0, 2.0], 1.0, &NO_PIVOTS),
+            0.5,
+        );
     }
 }

@@ -5,7 +5,7 @@ use adalsh_data::shingle::{
     intersection_size_galloping, intersection_size_merge, overlap_bound, sketch, sketch_bit,
     GALLOP_RATIO, SKETCH_BITS,
 };
-use adalsh_data::vector;
+use adalsh_data::vector::{self, NO_PIVOTS};
 use adalsh_data::{
     Dataset, DenseVector, Exit, ExitCounts, FieldDistance, FieldKind, FieldRef, FieldValue,
     KernelTally, MatchRule, Operand, Record, Schema, ShingleSet,
@@ -131,7 +131,7 @@ fn check_boundary(
 fn exact(metric: FieldDistance, a: Operand<'_>, b: Operand<'_>) -> f64 {
     fn parts(op: Operand<'_>) -> (FieldRef<'_>, f64) {
         match op {
-            Operand::Dense(x, norm) => (FieldRef::Dense(x), norm),
+            Operand::Dense(x, norm, _) => (FieldRef::Dense(x), norm),
             Operand::Shingles(x, _) => (FieldRef::Shingles(x), 0.0),
         }
     }
@@ -324,12 +324,12 @@ proptest! {
 
     #[test]
     fn angular_threshold_exact_at_the_boundary((a, b) in dense_pair_strategy()) {
-        let fa = Operand::Dense(&a, vector::norm(&a));
-        let fb = Operand::Dense(&b, vector::norm(&b));
+        let fa = Operand::Dense(&a, vector::norm(&a), &NO_PIVOTS);
+        let fb = Operand::Dense(&b, vector::norm(&b), &NO_PIVOTS);
         check_boundary(FieldDistance::Angular, fa, fb)?;
         check_boundary(FieldDistance::Angular, fa, fa)?;
         let zero = vec![0.0; a.len()];
-        check_boundary(FieldDistance::Angular, fa, Operand::Dense(&zero, 0.0))?;
+        check_boundary(FieldDistance::Angular, fa, Operand::Dense(&zero, 0.0, &NO_PIVOTS))?;
     }
 }
 
@@ -462,4 +462,134 @@ proptest! {
             }
         }
     }
+}
+
+/// A pair of vectors and pivots of one dimension, in the shapes the
+/// angular pivot bound is easiest to get wrong on, chosen by `shape`:
+/// random and nearly parallel pairs, zero vectors, every vector scaled
+/// to 1e-160 or 1e150, NaN and ±inf components, a pivot equal to `a`,
+/// antipodal pairs, and 4096-d pairs, where the guard is widest.
+fn pivot_case_strategy() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<Vec<f64>>)> {
+    const NOISE: [f64; 5] = [1e-12, 1e-7, 1e-3, 0.05, 1.0];
+    (0u8..8, any::<u64>(), 1usize..24, 0..NOISE.len()).prop_map(|(shape, seed, dim, noise)| {
+        let mut rng = seed;
+        let dim = if shape == 7 { 4096 } else { dim };
+        let mut unit = move || (mix(&mut rng) >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+        let mut draw = |n: usize| -> Vec<f64> { (0..n).map(|_| unit()).collect() };
+        let a = draw(dim);
+        let near: Vec<f64> = draw(dim)
+            .iter()
+            .zip(&a)
+            .map(|(e, x)| x + NOISE[noise] * e)
+            .collect();
+        let mut pivots: Vec<Vec<f64>> = (0..3).map(|_| draw(dim)).collect();
+        pivots.push(near.iter().zip(&a).map(|(x, y)| x + 0.5 * y).collect());
+        let (mut a, mut b) = (a, near);
+        match shape {
+            // Zero vectors, as either operand and as a pivot.
+            1 => {
+                if noise % 2 == 0 {
+                    a = vec![0.0; dim];
+                } else {
+                    b = vec![0.0; dim];
+                }
+                pivots[0] = vec![0.0; dim];
+            }
+            // Tiny and huge scales: products underflow or norms overflow.
+            2 | 3 => {
+                let scale = if shape == 2 { 1e-160 } else { 1e150 };
+                for v in [&mut a, &mut b].into_iter().chain(pivots.iter_mut()) {
+                    v.iter_mut().for_each(|x| *x *= scale);
+                }
+            }
+            // Non-finite components.
+            4 => {
+                let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][noise % 3];
+                if noise % 2 == 0 {
+                    a[0] = bad;
+                } else {
+                    pivots[1][0] = bad;
+                }
+            }
+            // A pivot equal to `a`.
+            5 => pivots[0] = a.clone(),
+            // Antipodal pairs.
+            6 => b = a.iter().map(|x| -x * (1.0 + noise as f64)).collect(),
+            _ => {}
+        }
+        (a, b, pivots)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    /// The angular kernel with pivot angles equals `angular_distance(a,
+    /// b) <= dthr` at the pair's exact distance, a few ulps either side
+    /// of it, ± the guard around it, around the bound's own edge (the
+    /// largest angle gap less the guard), and at out-of-range and
+    /// non-finite thresholds. A pair the bound rejects fails, counts as
+    /// an early exit, and the bound rejects every pair whose gap clears
+    /// twice the guard.
+    #[test]
+    fn angular_pivot_bound_equals_the_exact_check((a, b, pivots) in pivot_case_strategy()) {
+        let (na, nb) = (vector::norm(&a), vector::norm(&b));
+        let angles = |x: &[f64], norm: f64| {
+            let mut out = NO_PIVOTS;
+            for (angle, p) in out.iter_mut().zip(&pivots) {
+                *angle = vector::pivot_angle(x, norm, p, vector::norm(p));
+            }
+            out
+        };
+        let (pa, pb) = (angles(&a, na), angles(&b, nb));
+        for (x, norm, angles) in [(&a, na, pa), (&b, nb, pb)] {
+            if !vector::bound_safe(norm) {
+                prop_assert!(angles.iter().all(|t| t.is_nan()), "norm {} |x| = {}", norm, x.len());
+            }
+        }
+        let (fa, fb) = (Operand::Dense(&a, na, &pa), Operand::Dense(&b, nb, &pb));
+        let d = exact(FieldDistance::Angular, fa, fb);
+        let guard = vector::angular_guard(a.len());
+        prop_assert!(guard > 0.0 && guard < 1e-5, "guard {} at dim {}", guard, a.len());
+        let gap = pa.iter().zip(&pb).map(|(x, y)| (x - y).abs()).fold(f64::NAN, f64::max);
+        let mut thresholds = vec![
+            f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -0.0, 0.0, 1.0, 2.0,
+            d - guard, d + guard, gap - guard, gap - 2.0 * guard,
+        ];
+        let mut around = |t: f64| {
+            let (mut down, mut up) = (t, t);
+            for _ in 0..3 {
+                (down, up) = (down.next_down(), up.next_up());
+                thresholds.extend([down, up]);
+            }
+            thresholds.push(t);
+        };
+        around(d);
+        around(gap - guard);
+        for dthr in thresholds {
+            let (verdict, exit) = FieldDistance::Angular.at_most_counted(fa, fb, dthr);
+            prop_assert_eq!(verdict, d <= dthr, "d={} gap={} dthr={} exit={:?}", d, gap, dthr, exit);
+            let (swapped, _) = FieldDistance::Angular.at_most_counted(fb, fa, dthr);
+            prop_assert_eq!(swapped, verdict);
+            if exit == Exit::Bound {
+                prop_assert!(!verdict, "the bound only rejects");
+                let mut counts = ExitCounts::default();
+                counts.record(1, exit);
+                prop_assert_eq!((counts.early_exits, counts.bound_rejects), (1, 1));
+            }
+            if gap > dthr + 2.0 * guard {
+                prop_assert_eq!(exit, Exit::Bound, "gap={} dthr={}", gap, dthr);
+            }
+        }
+    }
+}
+
+/// The guard grows with the dimension as `sqrt(dim)`: a 4096-d angle may
+/// err by far more than a 64-d one, so one constant could not serve both.
+#[test]
+fn angular_guard_grows_with_the_dimension() {
+    let (g64, g4096) = (vector::angular_guard(64), vector::angular_guard(4096));
+    assert!(g64 > 4.0 * (2.0 * 72.0 * f64::EPSILON / 2.0).sqrt());
+    assert!(g4096 > 7.0 * g64 && g4096 < 8.0 * g64, "{g64} {g4096}");
+    assert!(g4096 < 1e-5, "far below any threshold a rule holds");
 }

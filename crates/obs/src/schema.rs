@@ -18,7 +18,7 @@
 //! | `hash_round` | after a transitive hashing call `H_level` | `level`, `cluster_size`, `hash_evals`, `keys_emitted`, `subclusters`, `reused` (records whose partition came from an online resolver's memo: `cluster_size` on a whole-set hit, the largest earlier-resolved part the cluster holds, else 0; always 0 at level 1), `wall_micros`, `predicted_cost` |
 //! | `level_built` | after the `hash_round` whose records first reached `H_level`, once per engine and level with hyperplane parts | `level`, `functions` (hyperplane normals the level holds), `bytes` (their panels' heap size), `build_micros` (inside that round's `wall_micros`) |
 //! | `gate` | Line-5 decision on a non-final cluster | `level`, `cluster_size`, `predicted_pairwise_cost`, `action` (`hash`\|`pairwise`), `forced` (0\|1), optional `predicted_hash_cost` (absent when forced: no `H_{t+1}` exists to price) |
-//! | `pairwise` | after a pairwise call `P` | `cluster_size`, `pairs`, `distance_evals`, `kernel_checks`, `early_exits`, `bound_rejects` (early exits the Jaccard bitmap bound decided before any merge), `blocks`, `reused` (records whose partition came from an online resolver's memo: `cluster_size` on a whole-set hit, the part resolved in an earlier pass on a grown cluster, else 0), `subclusters`, `wall_micros`, `predicted_cost` |
+//! | `pairwise` | after a pairwise call `P` | `cluster_size`, `pairs`, `distance_evals`, `kernel_checks`, `early_exits`, `bound_rejects` (early exits an exact bound decided before the kernel touched the payloads: the Jaccard bitmap bound before any merge, the angular pivot bound before the dot product), `blocks`, `reused` (records whose partition came from an online resolver's memo: `cluster_size` on a whole-set hit, the part resolved in an earlier pass on a grown cluster, else 0), `subclusters`, `wall_micros`, `predicted_cost` |
 //! | `pairwise_block` | after each wavefront block inside `P` | `pairs_open`, `pairs_charged`, `kernel_checks`, `early_exits`, `bound_rejects`, `wall_micros` |
 //! | `final_cluster` | a cluster is declared final | `rank`, `size`, `origin` (`hashed`\|`pairwise`), `level` (0 when origin is `pairwise`) |
 //! | `oracle_call` | a pairwise-oracle adjudication is settled through the spend ledger | `attempts`, `retries`, `votes`, `timeouts`, `errors`, `spend`, `degraded` (0\|1), `matched` (0\|1), `latency_micros` (modeled) |

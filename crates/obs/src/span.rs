@@ -89,6 +89,12 @@ pub struct Spans {
     slow_micros: u64,
     cap: usize,
     ring: Mutex<VecDeque<CompletedSpan>>,
+    /// Root spans recorded so far, bumped after the ring push and outside
+    /// its lock: a waiter that polls this never contends the push. The
+    /// `Release` bump pairs with the `Acquire` load in
+    /// [`Spans::roots_completed`], so a reader that sees a root counted
+    /// sees that root's pushes, and its children's, done.
+    roots_completed: AtomicU64,
 }
 
 impl Spans {
@@ -103,6 +109,7 @@ impl Spans {
             slow_micros: slow_ms.saturating_mul(1000),
             cap: cap.max(1),
             ring: Mutex::new(VecDeque::new()),
+            roots_completed: AtomicU64::new(0),
         }
     }
 
@@ -117,6 +124,7 @@ impl Spans {
             slow_micros: 0,
             cap: 1,
             ring: Mutex::new(VecDeque::new()),
+            roots_completed: AtomicU64::new(0),
         }
     }
 
@@ -238,6 +246,17 @@ impl Spans {
                 fields: extra.iter().map(|&(n, v)| (n, own(v))).collect(),
             });
         }
+        if span.parent == 0 {
+            self.roots_completed.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Root spans recorded so far, whether or not the ring kept them.
+    /// Once it counts a root, that root and its children have made their
+    /// ring pushes, so a reader that waits on this and only then calls
+    /// [`Spans::recent`] does not race them for the ring's lock.
+    pub fn roots_completed(&self) -> u64 {
+        self.roots_completed.load(Ordering::Acquire)
     }
 
     /// Records the engine-derived children of `resolve` from one run
@@ -540,6 +559,27 @@ mod tests {
         assert_eq!(recent.len(), 2);
         assert_eq!(recent[0].op, "ingest_batch", "newest first");
         assert_eq!(recent[1].op, "publish");
+    }
+
+    /// A push that meets a held ring lock drops its span, but the root
+    /// counter still counts the root, and children are not counted.
+    #[test]
+    fn roots_are_counted_whether_or_not_the_ring_keeps_them() {
+        let spans = Spans::new(8, 0);
+        let sink = TraceSink::disabled();
+        let root = spans.begin("ingest_batch", 0);
+        let child = spans.begin("publish", root.id);
+        spans.finish(child, &[], &sink);
+        assert_eq!(spans.roots_completed(), 0);
+        {
+            let _held = spans.ring.lock().unwrap();
+            spans.finish(root, &[], &sink);
+        }
+        assert_eq!(spans.roots_completed(), 1);
+        assert_eq!(spans.recent().len(), 1, "the contended root was dropped");
+        let disabled = Spans::disabled();
+        disabled.finish(disabled.begin("topk_query", 0), &[], &sink);
+        assert_eq!(disabled.roots_completed(), 0);
     }
 
     #[test]

@@ -117,7 +117,7 @@ pub fn summarize(events: &[OwnedEvent]) -> String {
     ));
     if t.pairwise_calls > 0 {
         out.push_str(&format!(
-            "pairwise kernels: {} checks, {} early exits ({} by the bitmap bound), {} blocks, \
+            "pairwise kernels: {} checks, {} early exits ({} by an exact bound), {} blocks, \
              {} distance evals\n",
             t.kernel_checks, t.early_exits, t.bound_rejects, t.blocks, t.distance_evals
         ));
@@ -280,7 +280,7 @@ mod tests {
         assert!(table.contains("150"), "summed records: {table}");
         assert!(table.contains("50.0%"), "early-exit rate: {table}");
         assert!(
-            table.contains("50 checks, 25 early exits (20 by the bitmap bound), 1 blocks"),
+            table.contains("50 checks, 25 early exits (20 by an exact bound), 1 blocks"),
             "bound rejects: {table}"
         );
         assert!(table.contains("hash=0 pairwise=1"), "{table}");
@@ -484,7 +484,7 @@ level  rounds  records  hash evals  keys  pairs  exit rate  wall ms  modeled cos
     P       2       14           -     -     43      77.8%    0.500          10.8
 
 gate decisions: hash=2 pairwise=2 (forced=1)
-pairwise kernels: 45 checks, 35 early exits (30 by the bitmap bound), 2 blocks, 43 distance evals
+pairwise kernels: 45 checks, 35 early exits (30 by an exact bound), 2 blocks, 43 distance evals
 normals: level 1 built, 64 functions, 0.5 MiB, 0.310 ms
 H memo: 1 of 5 calls, 20 of 138 records reused
 P memo: 1 of 2 calls, 4 of 14 records reused

@@ -829,17 +829,15 @@ mod tests {
 
         let accepted = pipeline.submit(vec![shingle_record(&[1, 2, 3])]).unwrap();
         assert!(pipeline.wait_until(accepted.visible_epoch, 0));
-        // The root span finishes just after the barrier wakes; poll
-        // briefly instead of racing it.
+        // The root span finishes just after the barrier wakes. Wait on
+        // the root counter, not the ring: polling the ring takes its lock,
+        // and a push that meets a held lock drops its span by design.
         let deadline = Instant::now() + Duration::from_secs(5);
-        let recent = loop {
-            let recent = spans.recent();
-            if recent.iter().any(|s| s.op == "ingest_batch") {
-                break recent;
-            }
+        while spans.roots_completed() == 0 {
             assert!(Instant::now() < deadline, "root span never completed");
             std::thread::sleep(Duration::from_millis(5));
-        };
+        }
+        let recent = spans.recent();
 
         let root = recent.iter().find(|s| s.op == "ingest_batch").unwrap();
         assert_eq!(root.parent, 0);

@@ -126,63 +126,148 @@ fn streamed_scale_store_is_bit_identical_to_ram() {
     std::fs::remove_file(&path).ok();
 }
 
-/// `P` itself on a mapped store: the sketched Jaccard kernel reads the
-/// same bytes from the file as from RAM, so clusters, `Stats` and the
-/// kernel tally (bitmap-bound rejects included) are identical at any
-/// thread count and block size, and equal the unsketched scalar
-/// reference.
+/// `P` itself on a mapped store: the Jaccard kernel's bitmap sketches
+/// and the angular kernel's pivot angles come from the same bytes in
+/// the file as in RAM. So clusters, `Stats`, the ledger and the kernel
+/// tally (bound rejects included) are identical at any thread count,
+/// block size and ledger, traced or not, and clusters and `Stats` equal
+/// the scalar reference's, which takes no bound. On both the shingle
+/// and the clustered dense case the bound decides pairs.
 #[test]
 fn pairwise_p_is_bit_identical_across_paths() {
-    use adalsh_core::oracle::ExactOracle;
+    use adalsh_core::oracle::{ExactOracle, SpendLedger};
     use adalsh_core::pairwise::{apply_pairwise_scalar, apply_pairwise_with};
     use adalsh_core::stats::Stats;
     use adalsh_obs::{MemorySubscriber, TraceSink};
     use std::sync::Arc;
 
-    let dataset = spotsigs::generate(&SpotSigsConfig {
+    let shingles = spotsigs::generate(&SpotSigsConfig {
         num_records: 220,
         num_entities: 25,
         seed: 5,
         ..SpotSigsConfig::default()
     });
-    let rule = spotsigs::match_rule(0.6);
-    let path = tmp_store_path("pairwise");
+    let dense = popimages::generate(&PopImagesConfig {
+        num_records: 240,
+        num_entities: 30,
+        seed: 5,
+        ..PopImagesConfig::default()
+    });
+    let cases = [
+        ("jaccard", shingles, spotsigs::match_rule(0.6)),
+        ("angular", dense, popimages::match_rule(3.0)),
+    ];
+    for (tag, dataset, rule) in &cases {
+        let path = tmp_store_path(&format!("pairwise_{tag}"));
+        write_store(&path, dataset).unwrap();
+        let view = StoreView::open(&path).unwrap();
+        let ids: Vec<u32> = (0..dataset.len() as u32).step_by(2).collect();
+        let mut st_scalar = Stats::default();
+        let mut scalar = apply_pairwise_scalar(dataset, rule, &ids, &mut st_scalar);
+        scalar.iter_mut().for_each(|c| c.sort_unstable());
+        scalar.sort();
+        assert!(scalar.len() < ids.len(), "{tag}: some pairs match");
+        for threads in [1, 2] {
+            for block in [1, 7, 4096] {
+                for settle in [false, true] {
+                    for traced in [false, true] {
+                        let case =
+                            format!("{tag} t={threads} b={block} ledger={settle} traced={traced}");
+                        let run = |store: &dyn RecordStore| {
+                            let sink = if traced {
+                                TraceSink::new(Arc::new(MemorySubscriber::new()))
+                            } else {
+                                TraceSink::disabled()
+                            };
+                            let mut ledger = SpendLedger::new(None);
+                            let mut st = Stats::default();
+                            let (mut out, trace) = apply_pairwise_with(
+                                store,
+                                &ExactOracle::new(rule),
+                                &ids,
+                                &[],
+                                threads,
+                                block,
+                                settle.then_some(&mut ledger),
+                                &sink,
+                                &mut st,
+                            );
+                            out.iter_mut().for_each(|c| c.sort_unstable());
+                            out.sort();
+                            (out, st, trace, ledger.into_spend())
+                        };
+                        let (ram, mapped) = (run(dataset), run(&view));
+                        assert_eq!(ram, mapped, "{case}");
+                        assert_eq!((&ram.0, ram.1), (&scalar, st_scalar), "{case}");
+                        let settled = if settle { ram.1.pair_comparisons } else { 0 };
+                        assert_eq!(ram.3.calls, settled, "{case}");
+                        if traced {
+                            assert!(ram.2.bound_rejects > 0, "the bound decides pairs: {case}");
+                        }
+                    }
+                }
+            }
+        }
+        drop(view);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Rule recovery runs every comparison through one slot table, pivot
+/// angles included: on both backings it pulls in exactly the records a
+/// plain walk over [`MatchRule::matches`] does, and counts the same
+/// comparisons.
+#[test]
+fn rule_recovery_is_bit_identical_across_paths() {
+    use adalsh_core::recovery::rule_recovery;
+    use adalsh_core::stats::Stats;
+
+    let dataset = popimages::generate(&PopImagesConfig {
+        num_records: 240,
+        num_entities: 30,
+        seed: 9,
+        ..PopImagesConfig::default()
+    });
+    let rule = popimages::match_rule(3.0);
+    let path = tmp_store_path("recovery");
     write_store(&path, &dataset).unwrap();
     let view = StoreView::open(&path).unwrap();
-    let ids: Vec<u32> = (0..dataset.len() as u32).step_by(2).collect();
-    let mut st_scalar = Stats::default();
-    let mut scalar = apply_pairwise_scalar(&dataset, &rule, &ids, &mut st_scalar);
-    scalar.iter_mut().for_each(|c| c.sort_unstable());
-    scalar.sort();
-    for threads in [1, 2] {
-        for block in [1, 7, 4096] {
-            let run = |store: &dyn RecordStore| {
-                let sink = TraceSink::new(Arc::new(MemorySubscriber::new()));
-                let mut st = Stats::default();
-                let (mut out, trace) = apply_pairwise_with(
-                    store,
-                    &ExactOracle::new(&rule),
-                    &ids,
-                    &[],
-                    threads,
-                    block,
-                    None,
-                    &sink,
-                    &mut st,
-                );
-                out.iter_mut().for_each(|c| c.sort_unstable());
-                out.sort();
-                (out, st, trace)
-            };
-            let (ram, mapped) = (run(&dataset), run(&view));
-            assert_eq!(ram, mapped, "t={threads} b={block}");
-            assert_eq!(
-                (&ram.0, ram.1),
-                (&scalar, st_scalar),
-                "t={threads} b={block}"
-            );
-            assert!(ram.2.bound_rejects > 0, "the bound decides pairs here");
+    // Half of each of the five largest entities, so the other half is
+    // there to recover.
+    let clusters: Vec<Vec<u32>> = dataset
+        .ground_truth_clusters()
+        .into_iter()
+        .take(5)
+        .map(|c| c[..c.len().div_ceil(2)].to_vec())
+        .collect();
+
+    // The reference: the same scan, one owned-record match at a time.
+    let mut reference = clusters.clone();
+    let mut comparisons = 0u64;
+    let included: std::collections::HashSet<u32> = clusters.iter().flatten().copied().collect();
+    for r in (0..dataset.len() as u32).filter(|r| !included.contains(r)) {
+        'next: for cluster in reference.iter_mut() {
+            for i in 0..cluster.len() {
+                comparisons += 1;
+                if rule.matches(dataset.record(r), dataset.record(cluster[i])) {
+                    cluster.push(r);
+                    break 'next;
+                }
+            }
         }
+    }
+    reference.iter_mut().for_each(|c| c.sort_unstable());
+    reference.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
+    assert!(
+        reference.iter().map(Vec::len).sum::<usize>() > included.len(),
+        "recovery pulls records in"
+    );
+
+    for store in [&dataset as &dyn RecordStore, &view] {
+        let mut stats = Stats::default();
+        let recovered = rule_recovery(store, &rule, &clusters, &mut stats);
+        assert_eq!(recovered, reference, "{}", store.source());
+        assert_eq!(stats.pair_comparisons, comparisons, "{}", store.source());
     }
     drop(view);
     std::fs::remove_file(&path).ok();
