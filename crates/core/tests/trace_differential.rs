@@ -365,3 +365,122 @@ fn online_hash_memo_reuse_is_traced_and_reconciles() {
     let text = summary::summarize(&events);
     assert!(text.contains("H memo:"), "{text}");
 }
+
+/// Renders an event stream one event a line, `name field=value …` in
+/// emission order, leaving out the wall-clock fields (`wall_micros`,
+/// `build_micros`). An `f64` prints in its shortest round-trip form, so
+/// equal text means bit-equal values.
+fn render_stream(events: &[adalsh_obs::trace::OwnedEvent]) -> String {
+    use adalsh_obs::trace::OwnedValue;
+    let mut out = String::new();
+    for event in events {
+        out.push_str(&event.name);
+        for (name, value) in &event.fields {
+            if name == "wall_micros" || name == "build_micros" {
+                continue;
+            }
+            match value {
+                OwnedValue::U64(v) => out.push_str(&format!(" {name}={v}")),
+                OwnedValue::F64(v) => out.push_str(&format!(" {name}={v:?}")),
+                OwnedValue::Str(v) => out.push_str(&format!(" {name}={v}")),
+            }
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// The engine's event streams of three fixed runs: an exact-oracle run on
+/// dense vectors (gates both ways, `P`, level builds), a noisy-oracle run
+/// whose budget forces degraded calls, and an online resolver's second
+/// pass after an arrival, which takes part of both an `H_t` and a `P`
+/// partition from its memo. Every event and field but the wall clocks is
+/// pinned, so a dropped, added or reordered event fails.
+#[test]
+fn engine_event_streams_are_pinned() {
+    let mut text = String::new();
+
+    // Exact oracle, dense rule.
+    let records: Vec<Record> = (0..120u64)
+        .map(|i| {
+            let v: Vec<f64> = (0..8u64)
+                .map(|d| {
+                    let center = (derive_seed(i % 6, d) % 1000) as f64 / 500.0 - 1.0;
+                    center + (derive_seed(i, d + 8) % 1000) as f64 / 1e5
+                })
+                .collect();
+            Record::single(FieldValue::Dense(DenseVector::new(v)))
+        })
+        .collect();
+    let gt = (0..120).map(|i| i % 6).collect();
+    let dense = Dataset::new(Schema::single("v", FieldKind::Dense), records, gt);
+    let memory = Arc::new(MemorySubscriber::new());
+    let mut cfg = AdaLshConfig::new(MatchRule::threshold(0, FieldDistance::Angular, 0.05));
+    cfg.threads = 2;
+    cfg.trace = TraceSink::new(memory.clone());
+    let exact = run(&dense, 3, cfg);
+    assert!(exact.stats.pairwise_calls > 0, "precondition: P ran");
+    let events = memory.events();
+    schema::validate(&events).unwrap();
+    text.push_str("# exact\n");
+    text.push_str(&render_stream(&events));
+
+    // Noisy oracle, degraded by its budget.
+    let memory = Arc::new(MemorySubscriber::new());
+    let mut cfg = config(2);
+    cfg.oracle = adalsh_core::OracleMode::Noisy(adalsh_core::NoisyOracleConfig {
+        false_match_rate: 0.05,
+        false_non_match_rate: 0.05,
+        fault_rate: 0.2,
+        seed: 7,
+        budget: Some(20),
+        ..adalsh_core::NoisyOracleConfig::default()
+    });
+    cfg.trace = TraceSink::new(memory.clone());
+    let noisy = run(&planted(&[14, 9, 6, 3, 1, 1], 29), 3, cfg);
+    let spend = noisy.oracle.expect("noisy run reports spend");
+    assert!(
+        spend.degraded > 0,
+        "precondition: the budget degraded calls"
+    );
+    let events = memory.events();
+    schema::validate(&events).unwrap();
+    text.push_str("# noisy\n");
+    text.push_str(&render_stream(&events));
+
+    // Online: the second pass after one arrival.
+    let memory = Arc::new(MemorySubscriber::new());
+    let mut cfg = AdaLshConfig::new(MatchRule::threshold(0, FieldDistance::Angular, 0.05));
+    cfg.threads = 2;
+    cfg.trace = TraceSink::new(memory.clone());
+    let mut online = OnlineAdaLsh::new(&dense, cfg).unwrap();
+    online.query(2);
+    let first = memory.events().len();
+    online.push(dense.records()[0].clone()).unwrap();
+    let second = online.query(2);
+    assert!(second.stats.transitive_calls > 1, "precondition: H2 ran");
+    assert_eq!(
+        second.stats.transitive_reused, second.stats.transitive_calls,
+        "precondition: every H_t call reused its part"
+    );
+    assert!(second.stats.pairwise_reused > 0, "precondition: P reused");
+    let events = memory.events();
+    schema::validate(&events).unwrap();
+    text.push_str("# online second pass\n");
+    text.push_str(&render_stream(&events[first..]));
+
+    let golden = include_str!("engine_events.golden");
+    if text != golden {
+        let (line, (got, want)) = text
+            .lines()
+            .chain(std::iter::repeat("<end>"))
+            .zip(golden.lines().chain(std::iter::repeat("<end>")))
+            .enumerate()
+            .find(|(_, (got, want))| got != want)
+            .expect("the streams differ in some line");
+        panic!(
+            "engine event stream differs from engine_events.golden at line {}:\n  got:  {got}\n  want: {want}",
+            line + 1
+        );
+    }
+}
