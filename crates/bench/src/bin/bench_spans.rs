@@ -6,11 +6,12 @@
 //! Both arms drive a bare [`adalsh_serve::Pipeline`] — no HTTP in the
 //! way — through the same sequential batch series, measuring
 //! ingest-to-visible wall per batch (`submit` then `wait_until` the
-//! batch's `visible_epoch`). Each arm runs several repetitions on a
-//! fresh pipeline and keeps the fastest, so the ratio compares best
-//! cases instead of scheduler noise. The arms alternate repetition by
-//! repetition, so a host that slows down or speeds up mid-run slows
-//! both arms alike instead of reading as span cost.
+//! batch's `visible_epoch`). Each repetition starts one fresh pipeline
+//! per arm and feeds the two batch by batch, the arm that goes first
+//! alternating per batch, so a host that slows down or speeds up inside
+//! a repetition slows both arms alike instead of reading as span cost.
+//! Each arm keeps its fastest repetition, so the ratio compares best
+//! cases instead of scheduler noise.
 //!
 //! ```sh
 //! cargo run --release -p adalsh-bench --bin bench_spans
@@ -64,11 +65,9 @@ fn fresh_record(i: usize, entities: usize) -> Record {
     Record::single(FieldValue::Shingles(ShingleSet::new(shingles)))
 }
 
-/// Drives one pipeline through `batches` sequential ingest passes and
-/// returns the summed ingest-to-visible wall in seconds. Each pass is
-/// submit → wait for that batch's `visible_epoch`, so every pass pays
-/// the full queue_wait / coalesce / resolve / publish path.
-fn drive(records: usize, entities: usize, batches: usize, per_batch: usize, spans_on: bool) -> f64 {
+/// A pipeline over a fresh resolver, with the full span layer or with
+/// tracing disabled.
+fn pipeline(records: usize, entities: usize, spans_on: bool) -> Pipeline {
     let mut engine = resolver(records, entities);
     let spans = if spans_on {
         engine.set_trace(TraceSink::new(Arc::new(NoopSubscriber)));
@@ -76,51 +75,61 @@ fn drive(records: usize, entities: usize, batches: usize, per_batch: usize, span
     } else {
         Arc::new(Spans::disabled())
     };
-    let pipeline = Pipeline::start(
+    Pipeline::start(
         engine,
         rule(),
         None,
         PipelineConfig::default(),
         Metrics::new().pipeline(),
         spans,
-    );
+    )
+}
+
+/// Submits ingest batch `b` and waits for its `visible_epoch`, so the
+/// pass pays the full queue_wait / coalesce / resolve / publish path.
+/// Returns the ingest-to-visible wall in seconds.
+fn ingest(pipeline: &Pipeline, records: usize, entities: usize, b: usize, per_batch: usize) -> f64 {
+    let batch: Vec<Record> = (0..per_batch)
+        .map(|r| fresh_record(records + b * per_batch + r, entities))
+        .collect();
     let started = Instant::now();
-    for b in 0..batches {
-        let batch: Vec<Record> = (0..per_batch)
-            .map(|r| fresh_record(records + b * per_batch + r, entities))
-            .collect();
-        let accepted = pipeline.submit(batch).expect("submit batch");
-        assert!(
-            pipeline.wait_until(accepted.visible_epoch, 0),
-            "batch {b} never became visible"
-        );
-    }
+    let accepted = pipeline.submit(batch).expect("submit batch");
+    assert!(
+        pipeline.wait_until(accepted.visible_epoch, 0),
+        "batch {b} never became visible"
+    );
     started.elapsed().as_secs_f64()
 }
 
-/// Best-of-`reps` walls of the disabled and the enabled arm, each
-/// repetition on a fresh pipeline. The arms alternate, and which one
-/// goes first alternates too.
-fn best_of_alternated(
+/// Best-of-`reps` summed walls of the disabled and the enabled arm. Each
+/// repetition runs both arms on fresh pipelines, batch by batch; which
+/// arm goes first alternates per batch, and so does the first batch's
+/// first arm per repetition.
+fn best_of_interleaved(
     reps: usize,
     records: usize,
     entities: usize,
     batches: usize,
     per_batch: usize,
 ) -> (f64, f64) {
-    let (mut disabled, mut enabled) = (f64::INFINITY, f64::INFINITY);
+    let mut best = [f64::INFINITY; 2];
     for rep in 0..reps {
-        for spans_on in [rep % 2 == 1, rep % 2 == 0] {
-            let wall = drive(records, entities, batches, per_batch, spans_on);
-            let best = if spans_on {
-                &mut enabled
-            } else {
-                &mut disabled
-            };
+        let arms = [
+            pipeline(records, entities, false),
+            pipeline(records, entities, true),
+        ];
+        let mut walls = [0.0; 2];
+        for b in 0..batches {
+            let first = (rep + b) % 2;
+            for arm in [first, 1 - first] {
+                walls[arm] += ingest(&arms[arm], records, entities, b, per_batch);
+            }
+        }
+        for (best, wall) in best.iter_mut().zip(walls) {
             *best = best.min(wall);
         }
     }
-    (disabled, enabled)
+    (best[0], best[1])
 }
 
 fn main() {
@@ -133,10 +142,9 @@ fn main() {
     let reps = if smoke { 4 } else { 6 };
 
     // Warm both code paths once (page cache, lazy init) before timing.
-    let _ = drive(records, entities, 2, per_batch, false);
-    let _ = drive(records, entities, 2, per_batch, true);
+    let _ = best_of_interleaved(1, records, entities, 2, per_batch);
 
-    let (disabled, enabled) = best_of_alternated(reps, records, entities, batches, per_batch);
+    let (disabled, enabled) = best_of_interleaved(reps, records, entities, batches, per_batch);
     let ratio = enabled / disabled;
     let per_batch_micros = |wall: f64| wall / batches as f64 * 1e6;
 

@@ -28,9 +28,9 @@ use crate::cost::CostModel;
 use crate::hashing::{RecordHashState, SequenceHasher};
 use crate::memo::{Function, PartitionMemo};
 use crate::oracle::{
-    ExactOracle, NoisyOracle, OracleMode, OracleSpend, SpendLedger, VerdictOverlay,
+    ExactOracle, NoisyOracle, OracleMode, OracleSpend, PairwiseOracle, SpendLedger, VerdictOverlay,
 };
-use crate::pairwise::{apply_pairwise_with, DEFAULT_PAIR_BLOCK};
+use crate::pairwise::{apply_pairwise_with, PairwiseTrace, DEFAULT_PAIR_BLOCK};
 use crate::sequence::{design, SequenceSpec};
 use crate::stats::Stats;
 use crate::transitive::{apply_transitive, AdvancedRecords, BucketTable};
@@ -164,18 +164,10 @@ pub trait FilterMethod {
     fn filter(&mut self, store: &dyn RecordStore, k: usize) -> FilterOutput;
 }
 
-/// Tag carried by every cluster in the pool: which function produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ClusterLevel {
-    /// Produced by sequence function `H_t` (1-based).
-    Hashed(u16),
-    /// Produced by the pairwise computation function `P`.
-    Pairwise,
-}
-
+/// A cluster in the pool, tagged with the function that produced it.
 struct ArenaEntry {
     records: Vec<u32>,
-    level: ClusterLevel,
+    function: Function,
 }
 
 /// Cluster pool: Largest-First uses the bin index; other strategies use a
@@ -303,6 +295,12 @@ impl AdaLsh {
         self.config.trace = sink;
     }
 
+    /// The configuration the engine was built with, as updated by
+    /// [`AdaLsh::set_trace`] and [`AdaLsh::set_oracle_overlay`].
+    pub(crate) fn config(&self) -> &AdaLshConfig {
+        &self.config
+    }
+
     /// The engine's trace sink.
     pub fn trace(&self) -> &TraceSink {
         &self.config.trace
@@ -383,9 +381,9 @@ impl AdaLsh {
         store: &dyn RecordStore,
         k: usize,
         states: &mut [RecordHashState],
-        mut memo: Option<&mut PartitionMemo>,
-        mut advanced: Option<&mut AdvancedRecords>,
-        mut on_final: impl FnMut(usize, &[u32]),
+        memo: Option<&mut PartitionMemo>,
+        advanced: Option<&mut AdvancedRecords>,
+        on_final: impl FnMut(usize, &[u32]),
     ) -> FilterOutput {
         assert!(k >= 1, "k must be at least 1");
         assert_eq!(states.len(), store.len(), "one state per record");
@@ -393,76 +391,92 @@ impl AdaLsh {
             memo.is_none() || matches!(self.config.oracle, OracleMode::Exact),
             "the partition memo holds exact-rule partitions only"
         );
+        let Self {
+            config,
+            hasher,
+            cost,
+            builds_traced,
+        } = self;
+        let mut run = Run {
+            config,
+            hasher,
+            cost,
+            builds_traced,
+            store,
+            states,
+            memo,
+            advanced,
+            sink: config.trace.clone(),
+            stats: Stats::default(),
+            ledger: None,
+        };
+        // The oracle is picked once per run. One spend ledger per run: the
+        // budget is a per-run contract, and all charging happens in the
+        // sequential round loop, so the cutoff point replays identically
+        // at any thread count.
+        match &config.oracle {
+            OracleMode::Exact => run.resolve(&ExactOracle::new(&config.rule), k, on_final),
+            OracleMode::Noisy(noisy) => {
+                run.ledger = Some(SpendLedger::new(noisy.budget));
+                let oracle = NoisyOracle::new(&config.rule, noisy.clone())
+                    .with_overlay(config.oracle_overlay.clone());
+                run.resolve(&oracle, k, on_final)
+            }
+        }
+    }
+}
+
+/// One run of Algorithm 1: the engine's parts, the run's inputs, and what
+/// every step charges.
+struct Run<'a> {
+    config: &'a AdaLshConfig,
+    hasher: &'a SequenceHasher,
+    cost: &'a CostModel,
+    /// Levels whose `level_built` event the trace already holds.
+    builds_traced: &'a mut [bool],
+    store: &'a dyn RecordStore,
+    states: &'a mut [RecordHashState],
+    memo: Option<&'a mut PartitionMemo>,
+    advanced: Option<&'a mut AdvancedRecords>,
+    sink: TraceSink,
+    stats: Stats,
+    /// The run's spend ledger: `Some` only under a noisy oracle.
+    ledger: Option<SpendLedger>,
+}
+
+impl Run<'_> {
+    /// Lines 1–14 with verdicts from `oracle`.
+    fn resolve<O: PairwiseOracle>(
+        mut self,
+        oracle: &O,
+        k: usize,
+        mut on_final: impl FnMut(usize, &[u32]),
+    ) -> FilterOutput {
         let start = Instant::now();
-        let mut stats = Stats::default();
-        let n = store.len();
+        let n = self.store.len();
         let num_levels = self.hasher.num_levels();
         let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(self.config.spec.seed, 0xA1));
-        let sink = self.config.trace.clone();
-        sink.emit(
+        self.sink.emit(
             "run_start",
             &[
                 ("records", Value::U64(n as u64)),
                 ("k", Value::U64(k as u64)),
                 ("levels", Value::U64(num_levels as u64)),
                 ("threads", Value::U64(self.config.threads as u64)),
-                ("source", Value::Str(store.source())),
+                ("source", Value::Str(self.store.source())),
             ],
         );
 
         let mut arena: Vec<Option<ArenaEntry>> = Vec::new();
         let mut pool = Pool::new(self.config.selection);
         let mut finals: Vec<Vec<u32>> = Vec::new();
-        // One spend ledger per run: the budget is a per-run contract, and
-        // all charging happens in the sequential round loop, so the cutoff
-        // point replays identically at any thread count.
-        let mut oracle_ledger: Option<SpendLedger> = match &self.config.oracle {
-            OracleMode::Exact => None,
-            OracleMode::Noisy(cfg) => Some(SpendLedger::new(cfg.budget)),
-        };
 
         // Line 1: apply H₁ to the whole dataset (whole-set seeded from the
         // memo after the first pass).
         let all: Vec<u32> = (0..n as u32).collect();
-        let predicted = self.cost.hash_increment_cost(0, n);
-        stats.modeled_cost += predicted;
-        let before = stats;
-        let round_start = sink.enabled().then(Instant::now);
-        let threads = self.config.threads;
-        let run = |cluster: &[u32], seed: &[u32], table: Option<&mut BucketTable>| {
-            let subs = apply_transitive(
-                &self.hasher,
-                states,
-                store,
-                cluster,
-                1,
-                threads,
-                seed,
-                table,
-                advanced.as_deref_mut(),
-                &mut stats,
-            );
-            (subs, ())
-        };
-        let (first, (), reused) =
-            PartitionMemo::resolve(memo.as_deref_mut(), Function::Hash(1), &all, run);
-        stats.transitive_reused += u64::from(reused > 0);
-        if let Some(t0) = round_start {
-            emit_hash_round(
-                &sink,
-                1,
-                n,
-                &before,
-                &stats,
-                first.len(),
-                reused,
-                t0,
-                predicted,
-            );
-            emit_level_builds(&sink, &self.hasher, &mut self.builds_traced);
-        }
-        for c in first {
-            push_cluster(&mut arena, &mut pool, c, ClusterLevel::Hashed(1));
+        let first = Function::Hash(1);
+        for c in self.apply(oracle, first, &all) {
+            push_cluster(&mut arena, &mut pool, c, first);
         }
 
         // Lines 2–14.
@@ -485,22 +499,20 @@ impl AdaLsh {
             let Some((_, handle)) = pool.pop(self.config.selection, &mut rng) else {
                 break; // fewer than k clusters exist
             };
-            stats.rounds += 1;
+            self.stats.rounds += 1;
             let entry = arena[handle as usize].take().expect("handle valid");
             let size = entry.records.len();
-            let is_final = match entry.level {
-                ClusterLevel::Pairwise => true,
-                ClusterLevel::Hashed(t) => {
-                    t as usize == num_levels && !self.config.require_pairwise_final
-                }
+            let is_final = match entry.function {
+                Function::Pairwise => true,
+                Function::Hash(t) => t == num_levels && !self.config.require_pairwise_final,
             };
             if is_final {
-                if sink.enabled() {
-                    let (origin, level) = match entry.level {
-                        ClusterLevel::Pairwise => ("pairwise", 0u64),
-                        ClusterLevel::Hashed(t) => ("hashed", t as u64),
+                if self.sink.enabled() {
+                    let (origin, level) = match entry.function {
+                        Function::Pairwise => ("pairwise", 0),
+                        Function::Hash(t) => ("hashed", t as u64),
                     };
-                    sink.emit(
+                    self.sink.emit(
                         "final_cluster",
                         &[
                             ("rank", Value::U64(finals.len() as u64)),
@@ -514,15 +526,14 @@ impl AdaLsh {
                 finals.push(entry.records);
                 continue;
             }
-            let t = match entry.level {
-                ClusterLevel::Hashed(t) => t as usize,
-                ClusterLevel::Pairwise => unreachable!("pairwise is always final"),
+            let Function::Hash(t) = entry.function else {
+                unreachable!("pairwise is always final")
             };
             // Line 5: jump-ahead gate (forced when no H_{t+1} exists).
             let forced = t == num_levels;
             let use_pairwise =
                 forced || (!self.config.disable_jump_gate && self.cost.jump_to_pairwise(t, size));
-            if sink.enabled() {
+            if self.sink.enabled() {
                 let mut fields = vec![
                     ("level", Value::U64(t as u64)),
                     ("cluster_size", Value::U64(size as u64)),
@@ -544,144 +555,33 @@ impl AdaLsh {
                         Value::F64(self.cost.hash_increment_cost(t, size)),
                     ));
                 }
-                sink.emit("gate", &fields);
+                self.sink.emit("gate", &fields);
             }
-            let (subs, level) = if use_pairwise {
-                let predicted = self.cost.pairwise_cost(size);
-                stats.modeled_cost += predicted;
-                let before = stats;
-                let round_start = sink.enabled().then(Instant::now);
-                let threads = self.config.threads;
-                let run = |cluster: &[u32], seed: &[u32], _: Option<&mut BucketTable>| match &self
-                    .config
-                    .oracle
-                {
-                    OracleMode::Noisy(ocfg) => {
-                        let oracle = NoisyOracle::new(&self.config.rule, ocfg.clone())
-                            .with_overlay(self.config.oracle_overlay.clone());
-                        apply_pairwise_with(
-                            store,
-                            &oracle,
-                            cluster,
-                            seed,
-                            threads,
-                            DEFAULT_PAIR_BLOCK,
-                            oracle_ledger.as_mut(),
-                            &sink,
-                            &mut stats,
-                        )
-                    }
-                    OracleMode::Exact => apply_pairwise_with(
-                        store,
-                        &ExactOracle::new(&self.config.rule),
-                        cluster,
-                        seed,
-                        threads,
-                        DEFAULT_PAIR_BLOCK,
-                        None,
-                        &sink,
-                        &mut stats,
-                    ),
-                };
-                let (subs, ptrace, reused) = PartitionMemo::resolve(
-                    memo.as_deref_mut(),
-                    Function::Pairwise,
-                    &entry.records,
-                    run,
-                );
-                stats.pairwise_reused += u64::from(reused > 0);
-                if let Some(t0) = round_start {
-                    sink.emit(
-                        "pairwise",
-                        &[
-                            ("cluster_size", Value::U64(size as u64)),
-                            (
-                                "pairs",
-                                Value::U64(stats.pair_comparisons - before.pair_comparisons),
-                            ),
-                            (
-                                "distance_evals",
-                                Value::U64(stats.distance_evals - before.distance_evals),
-                            ),
-                            ("kernel_checks", Value::U64(ptrace.kernel_checks)),
-                            ("early_exits", Value::U64(ptrace.early_exits)),
-                            ("bound_rejects", Value::U64(ptrace.bound_rejects)),
-                            ("blocks", Value::U64(ptrace.blocks)),
-                            ("reused", Value::U64(reused as u64)),
-                            ("subclusters", Value::U64(subs.len() as u64)),
-                            ("wall_micros", Value::U64(t0.elapsed().as_micros() as u64)),
-                            ("predicted_cost", Value::F64(predicted)),
-                        ],
-                    );
-                }
-                (subs, ClusterLevel::Pairwise)
+            let function = if use_pairwise {
+                Function::Pairwise
             } else {
-                let predicted = self.cost.hash_increment_cost(t, size);
-                stats.modeled_cost += predicted;
-                let before = stats;
-                let round_start = sink.enabled().then(Instant::now);
-                let threads = self.config.threads;
-                let run = |cluster: &[u32], seed: &[u32], table: Option<&mut BucketTable>| {
-                    let subs = apply_transitive(
-                        &self.hasher,
-                        states,
-                        store,
-                        cluster,
-                        t + 1,
-                        threads,
-                        seed,
-                        table,
-                        advanced.as_deref_mut(),
-                        &mut stats,
-                    );
-                    (subs, ())
-                };
-                let (subs, (), reused) = PartitionMemo::resolve(
-                    memo.as_deref_mut(),
-                    Function::Hash(t + 1),
-                    &entry.records,
-                    run,
-                );
-                stats.transitive_reused += u64::from(reused > 0);
-                if let Some(t0) = round_start {
-                    emit_hash_round(
-                        &sink,
-                        t + 1,
-                        size,
-                        &before,
-                        &stats,
-                        subs.len(),
-                        reused,
-                        t0,
-                        predicted,
-                    );
-                    emit_level_builds(&sink, &self.hasher, &mut self.builds_traced);
-                }
-                (subs, ClusterLevel::Hashed(t as u16 + 1))
+                Function::Hash(t + 1)
             };
-            for c in subs {
-                push_cluster(&mut arena, &mut pool, c, level);
+            for c in self.apply(oracle, function, &entry.records) {
+                push_cluster(&mut arena, &mut pool, c, function);
             }
         }
 
-        // Canonicalize: records ascending within each cluster, clusters by
-        // (size desc, smallest id asc). Cluster record order out of the
-        // forest is leaf-chain order, which is not stable across methods —
-        // without this, equal-size clusters tie-break differently in
-        // adaLSH and Pairs and the outputs spuriously diverge.
-        for c in &mut finals {
-            c.sort_unstable();
-        }
-        finals.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
+        // Cluster record order out of the forest is leaf-chain order,
+        // which is not stable across methods — without the canonical
+        // order, equal-size clusters tie-break differently in adaLSH and
+        // Pairs and the outputs spuriously diverge.
+        canonical_order(&mut finals);
         // `finals` counts final_cluster events — captured before the
         // truncation so the trace reconciles.
         let finals_resolved = finals.len();
         finals.truncate(k);
-        if let Some(memo) = memo {
+        if let Some(memo) = self.memo {
             memo.end_pass(n);
         }
+        let stats = self.stats;
         let wall = start.elapsed();
-        if sink.enabled() {
+        if self.sink.enabled() {
             let mut fields = vec![
                 ("rounds", Value::U64(stats.rounds)),
                 ("finals", Value::U64(finals_resolved as u64)),
@@ -696,7 +596,7 @@ impl AdaLsh {
                 ("modeled_cost", Value::F64(stats.modeled_cost)),
                 ("wall_micros", Value::U64(wall.as_micros() as u64)),
             ];
-            if let Some(ledger) = &oracle_ledger {
+            if let Some(ledger) = &self.ledger {
                 // Ledger mirror: the validator reconciles these against
                 // the segment's oracle_call events bit-for-bit.
                 let s = ledger.spend();
@@ -711,56 +611,136 @@ impl AdaLsh {
                     ("oracle_spent", Value::U64(s.spent)),
                 ]);
             }
-            sink.emit("run_end", &fields);
-            sink.flush();
+            self.sink.emit("run_end", &fields);
+            self.sink.flush();
         }
         FilterOutput {
             clusters: finals,
             stats,
             wall,
-            oracle: oracle_ledger.map(SpendLedger::into_spend),
+            oracle: self.ledger.map(SpendLedger::into_spend),
         }
+    }
+
+    /// One step of Algorithm 1: applies `function` to `cluster`. The step
+    /// adds the call's Definition-3 price to `modeled_cost` before it runs,
+    /// resolves it through the memo (if any), counts a reuse, and traces
+    /// it as `hash_round` plus `level_built`, or as `pairwise`. Returns
+    /// the subclusters.
+    fn apply<O: PairwiseOracle>(
+        &mut self,
+        oracle: &O,
+        function: Function,
+        cluster: &[u32],
+    ) -> Vec<Vec<u32>> {
+        let size = cluster.len();
+        let predicted = match function {
+            Function::Hash(level) => self.cost.hash_increment_cost(level - 1, size),
+            Function::Pairwise => self.cost.pairwise_cost(size),
+        };
+        self.stats.modeled_cost += predicted;
+        let before = self.stats;
+        let round_start = self.sink.enabled().then(Instant::now);
+        let threads = self.config.threads;
+        let run = |cluster: &[u32], seed: &[u32], table: Option<&mut BucketTable>| match function {
+            Function::Hash(level) => {
+                let subs = apply_transitive(
+                    self.hasher,
+                    self.states,
+                    self.store,
+                    cluster,
+                    level,
+                    threads,
+                    seed,
+                    table,
+                    self.advanced.as_deref_mut(),
+                    &mut self.stats,
+                );
+                (subs, PairwiseTrace::default())
+            }
+            Function::Pairwise => apply_pairwise_with(
+                self.store,
+                oracle,
+                cluster,
+                seed,
+                threads,
+                DEFAULT_PAIR_BLOCK,
+                self.ledger.as_mut(),
+                &self.sink,
+                &mut self.stats,
+            ),
+        };
+        let (subs, ptrace, reused) =
+            PartitionMemo::resolve(self.memo.as_deref_mut(), function, cluster, run);
+        let reused_calls = match function {
+            Function::Hash(_) => &mut self.stats.transitive_reused,
+            Function::Pairwise => &mut self.stats.pairwise_reused,
+        };
+        *reused_calls += u64::from(reused > 0);
+        let Some(t0) = round_start else {
+            return subs;
+        };
+        let stats = &self.stats;
+        match function {
+            Function::Hash(level) => {
+                // `keys_emitted` is the bucket-insert delta: one insert per
+                // (record, emitted key) — exactly the paper's "keys
+                // emitted" notion.
+                self.sink.emit(
+                    "hash_round",
+                    &[
+                        ("level", Value::U64(level as u64)),
+                        ("cluster_size", Value::U64(size as u64)),
+                        (
+                            "hash_evals",
+                            Value::U64(stats.hash_evals - before.hash_evals),
+                        ),
+                        (
+                            "keys_emitted",
+                            Value::U64(stats.bucket_inserts - before.bucket_inserts),
+                        ),
+                        ("subclusters", Value::U64(subs.len() as u64)),
+                        ("reused", Value::U64(reused as u64)),
+                        ("wall_micros", Value::U64(t0.elapsed().as_micros() as u64)),
+                        ("predicted_cost", Value::F64(predicted)),
+                    ],
+                );
+                emit_level_builds(&self.sink, self.hasher, self.builds_traced);
+            }
+            Function::Pairwise => self.sink.emit(
+                "pairwise",
+                &[
+                    ("cluster_size", Value::U64(size as u64)),
+                    (
+                        "pairs",
+                        Value::U64(stats.pair_comparisons - before.pair_comparisons),
+                    ),
+                    (
+                        "distance_evals",
+                        Value::U64(stats.distance_evals - before.distance_evals),
+                    ),
+                    ("kernel_checks", Value::U64(ptrace.kernel_checks)),
+                    ("early_exits", Value::U64(ptrace.early_exits)),
+                    ("bound_rejects", Value::U64(ptrace.bound_rejects)),
+                    ("blocks", Value::U64(ptrace.blocks)),
+                    ("reused", Value::U64(reused as u64)),
+                    ("subclusters", Value::U64(subs.len() as u64)),
+                    ("wall_micros", Value::U64(t0.elapsed().as_micros() as u64)),
+                    ("predicted_cost", Value::F64(predicted)),
+                ],
+            ),
+        }
+        subs
     }
 }
 
-/// Emits one `hash_round` event from the `Stats` delta of a transitive
-/// invocation. `keys_emitted` is the bucket-insert delta: one insert per
-/// (record, emitted key) — exactly the paper's "keys emitted" notion.
-/// `reused` counts the records whose partition came from the memo.
-#[allow(clippy::too_many_arguments)]
-fn emit_hash_round(
-    sink: &TraceSink,
-    level: usize,
-    cluster_size: usize,
-    before: &Stats,
-    after: &Stats,
-    subclusters: usize,
-    reused: usize,
-    round_start: Instant,
-    predicted_cost: f64,
-) {
-    sink.emit(
-        "hash_round",
-        &[
-            ("level", Value::U64(level as u64)),
-            ("cluster_size", Value::U64(cluster_size as u64)),
-            (
-                "hash_evals",
-                Value::U64(after.hash_evals - before.hash_evals),
-            ),
-            (
-                "keys_emitted",
-                Value::U64(after.bucket_inserts - before.bucket_inserts),
-            ),
-            ("subclusters", Value::U64(subclusters as u64)),
-            ("reused", Value::U64(reused as u64)),
-            (
-                "wall_micros",
-                Value::U64(round_start.elapsed().as_micros() as u64),
-            ),
-            ("predicted_cost", Value::F64(predicted_cost)),
-        ],
-    );
+/// Sorts each cluster's records ascending and the clusters by (size
+/// desc, smallest id asc): the canonical order of every method's output.
+pub(crate) fn canonical_order(clusters: &mut [Vec<u32>]) {
+    for c in clusters.iter_mut() {
+        c.sort_unstable();
+    }
+    clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
 }
 
 /// Emits one `level_built` event for each level whose hyperplane normals
@@ -788,12 +768,12 @@ fn push_cluster(
     arena: &mut Vec<Option<ArenaEntry>>,
     pool: &mut Pool,
     records: Vec<u32>,
-    level: ClusterLevel,
+    function: Function,
 ) {
     debug_assert!(!records.is_empty());
     let size = records.len() as u32;
     let handle = arena.len() as u32;
-    arena.push(Some(ArenaEntry { records, level }));
+    arena.push(Some(ArenaEntry { records, function }));
     pool.push(size, handle);
 }
 

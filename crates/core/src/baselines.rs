@@ -17,7 +17,9 @@
 
 use adalsh_data::{MatchRule, RecordStore};
 
-use crate::algorithm::{default_threads, AdaLsh, AdaLshConfig, FilterMethod, FilterOutput};
+use crate::algorithm::{
+    canonical_order, default_threads, AdaLsh, AdaLshConfig, FilterMethod, FilterOutput,
+};
 use crate::pairwise::apply_pairwise;
 use crate::sequence::{BudgetStrategy, SequenceSpec};
 use crate::stats::Stats;
@@ -56,11 +58,7 @@ impl FilterMethod for Pairs {
         let mut stats = Stats::default();
         let all: Vec<u32> = (0..store.len() as u32).collect();
         let mut clusters = apply_pairwise(store, &self.rule, &all, self.threads, &mut stats);
-        // Canonical order (see the same normalization in the engine).
-        for c in &mut clusters {
-            c.sort_unstable();
-        }
-        clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
+        canonical_order(&mut clusters);
         clusters.truncate(k);
         FilterOutput {
             clusters,

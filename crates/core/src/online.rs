@@ -58,7 +58,6 @@ const UNKNOWN_ENTITY: u32 = u32::MAX;
 /// An online top-k resolver over a stream of records.
 pub struct OnlineAdaLsh {
     engine: AdaLsh,
-    config: AdaLshConfig,
     /// The first `bootstrap_len` records seeded the engine design.
     bootstrap_len: usize,
     /// Current snapshot, grown in place on every push.
@@ -120,10 +119,9 @@ impl OnlineAdaLsh {
     /// Fails when no feasible sequence design exists for the bootstrap
     /// dataset under `config`.
     pub fn new(bootstrap: &Dataset, config: AdaLshConfig) -> Result<Self, String> {
-        let engine = AdaLsh::for_dataset(bootstrap, config.clone())?;
+        let engine = AdaLsh::for_dataset(bootstrap, config)?;
         Ok(Self {
             engine,
-            config,
             bootstrap_len: bootstrap.len(),
             dataset: bootstrap.clone(),
             states: vec![RecordHashState::default(); bootstrap.len()],
@@ -156,7 +154,7 @@ impl OnlineAdaLsh {
 
     /// The configuration the engine was built with.
     pub fn config(&self) -> &AdaLshConfig {
-        &self.config
+        self.engine.config()
     }
 
     /// Ingests one record, returning its assigned id.
@@ -213,7 +211,8 @@ impl OnlineAdaLsh {
             .enabled()
             .then(|| AdvancedRecords::new(self.dataset.len()));
         let fresh = std::mem::take(&mut self.unhashed);
-        let memo = matches!(self.config.oracle, OracleMode::Exact).then_some(&mut self.memo);
+        let memo =
+            matches!(self.engine.config().oracle, OracleMode::Exact).then_some(&mut self.memo);
         let out = self.engine.run_with_states(
             &self.dataset,
             k,
@@ -273,7 +272,8 @@ impl OnlineAdaLsh {
 
     /// Current version of the installed verdict overlay (0 without one).
     fn overlay_version(&self) -> u64 {
-        self.config
+        self.engine
+            .config()
             .oracle_overlay
             .as_ref()
             .map_or(0, |overlay| overlay.version())
@@ -284,7 +284,6 @@ impl OnlineAdaLsh {
     /// `/adjudicate` endpoint. Any new verdict bumps the overlay version
     /// and invalidates the resolve cache on the next `query_cached`.
     pub fn set_oracle_overlay(&mut self, overlay: Option<std::sync::Arc<VerdictOverlay>>) {
-        self.config.oracle_overlay = overlay.clone();
         self.engine.set_oracle_overlay(overlay);
         self.resolve_cache = None;
     }
@@ -292,7 +291,6 @@ impl OnlineAdaLsh {
     /// Installs (or replaces) the engine's trace sink — e.g. the serving
     /// layer folding engine events into its metrics registry.
     pub fn set_trace(&mut self, sink: TraceSink) {
-        self.config.trace = sink.clone();
         self.engine.set_trace(sink);
     }
 
@@ -359,7 +357,7 @@ impl OnlineAdaLsh {
             records[..bootstrap_len].to_vec(),
             labels[..bootstrap_len].to_vec(),
         );
-        let engine = AdaLsh::for_dataset(&bootstrap, config.clone())?;
+        let engine = AdaLsh::for_dataset(&bootstrap, config)?;
         for (i, state) in states.iter().enumerate() {
             engine.hasher().check_state(state).map_err(|e| {
                 format!(
@@ -371,7 +369,6 @@ impl OnlineAdaLsh {
         let unhashed = states.iter().filter(|s| s.level == 0).count() as u64;
         Ok(Self {
             engine,
-            config,
             bootstrap_len,
             dataset: Dataset::new(schema, records, labels),
             states,

@@ -430,30 +430,6 @@ pub struct OracleSpend {
     pub degraded_pairs: Vec<(u32, u32)>,
 }
 
-/// One settled (budget-applied) oracle call, as folded into the forest
-/// and emitted as an `oracle_call` trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SettledCall {
-    /// The verdict actually applied to the forest.
-    pub matched: bool,
-    /// True when this pair was answered by the cheap-rule fallback.
-    pub degraded: bool,
-    /// Attempts charged (0 when the budget forced a free fallback).
-    pub attempts: u64,
-    /// Retries charged.
-    pub retries: u64,
-    /// Vote calls charged.
-    pub votes: u64,
-    /// Timeouts charged.
-    pub timeouts: u64,
-    /// Transient errors charged.
-    pub transient_errors: u64,
-    /// Spend units charged.
-    pub spend: u64,
-    /// Modeled latency charged in microseconds.
-    pub latency_micros: u64,
-}
-
 /// The per-run spend book. All budget decisions happen here, in the
 /// sequential canonical fold order, which is what makes oracle runs
 /// bit-identical across thread counts (see the module docs).
@@ -482,38 +458,25 @@ impl SpendLedger {
 
     /// Settles one adjudication for the unordered pair `(a, b)`: charges
     /// its spend if the budget allows, otherwise degrades the pair to
-    /// the cheap rule's free verdict. **Must be called in the canonical
-    /// fold order** — the budget cutoff point is order-dependent, and the
-    /// canonical order is what every thread count replays identically.
-    pub fn settle(&mut self, a: u32, b: u32, adj: &Adjudication) -> SettledCall {
+    /// the cheap rule's free verdict. Returns the adjudication as
+    /// settled: over budget, the rule's verdict marked degraded with
+    /// nothing charged. **Must be called in the canonical fold order** —
+    /// the budget cutoff point is order-dependent, and the canonical
+    /// order is what every thread count replays identically.
+    pub fn settle(&mut self, a: u32, b: u32, adj: &Adjudication) -> Adjudication {
         let over_budget = self
             .spend
             .budget
             .is_some_and(|b| self.spend.spent.saturating_add(adj.spend) > b);
         let settled = if over_budget {
-            SettledCall {
+            Adjudication {
                 matched: adj.rule_matched,
+                rule_matched: adj.rule_matched,
                 degraded: true,
-                attempts: 0,
-                retries: 0,
-                votes: 0,
-                timeouts: 0,
-                transient_errors: 0,
-                spend: 0,
-                latency_micros: 0,
+                ..Adjudication::default()
             }
         } else {
-            SettledCall {
-                matched: adj.matched,
-                degraded: adj.degraded,
-                attempts: adj.attempts,
-                retries: adj.retries,
-                votes: adj.votes,
-                timeouts: adj.timeouts,
-                transient_errors: adj.transient_errors,
-                spend: adj.spend,
-                latency_micros: adj.latency_micros,
-            }
+            *adj
         };
         self.spend.calls += 1;
         self.spend.attempts += settled.attempts;
@@ -602,7 +565,7 @@ impl<'a> Settle<'a> {
 /// happens at settle time — the sequential canonical fold — so event
 /// order is deterministic and the per-segment sums reconcile exactly
 /// with the ledger (`Σ oracle_call.spend = run_end.oracle_spent`, etc).
-pub fn emit_oracle_call(sink: &TraceSink, settled: &SettledCall) {
+pub fn emit_oracle_call(sink: &TraceSink, settled: &Adjudication) {
     sink.emit(
         "oracle_call",
         &[

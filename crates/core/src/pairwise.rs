@@ -144,7 +144,7 @@ pub fn apply_pairwise_with<O: PairwiseOracle>(
         let block = block.clamp(1, pairs.max(1));
         wavefront(oracle, &table, &mut forest, s, threads, block, &mut settle)
     };
-    (clusters_of(forest, cluster), trace)
+    (forest.record_clusters(cluster), trace)
 }
 
 /// The canonical pair sequence one pair at a time (one worker, tracing
@@ -323,7 +323,7 @@ pub fn apply_pairwise_scalar(
             }
         }
     }
-    clusters_of(forest, cluster)
+    forest.record_clusters(cluster)
 }
 
 /// A forest holding every slot `0..n` as its own singleton tree.
@@ -344,15 +344,6 @@ fn seeded_forest(n: usize, seed: &[u32]) -> Forest {
 /// The root of `slot`'s tree.
 fn root(forest: &mut Forest, slot: u32) -> NodeId {
     forest.find_root_of_slot(slot).expect("slot added")
-}
-
-/// Maps the forest's slot clusters back to record ids.
-fn clusters_of(forest: Forest, cluster: &[u32]) -> Vec<Vec<u32>> {
-    forest
-        .clusters()
-        .into_iter()
-        .map(|slots| slots.into_iter().map(|s| cluster[s as usize]).collect())
-        .collect()
 }
 
 #[cfg(test)]

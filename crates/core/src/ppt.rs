@@ -236,6 +236,14 @@ impl Forest {
             .map(|r| self.cluster_slots(r))
             .collect()
     }
+
+    /// [`Forest::clusters`] with each slot mapped to `records[slot]`.
+    pub(crate) fn record_clusters(&self, records: &[u32]) -> Vec<Vec<u32>> {
+        self.clusters()
+            .into_iter()
+            .map(|slots| slots.into_iter().map(|s| records[s as usize]).collect())
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@ use std::collections::HashSet;
 use adalsh_data::{MatchRule, RecordStore, SlotTable};
 use adalsh_obs::TraceSink;
 
+use crate::algorithm::canonical_order;
 use crate::oracle::{ExactOracle, PairwiseOracle, Settle, SpendLedger};
 use crate::stats::Stats;
 
@@ -38,7 +39,7 @@ pub fn perfect_recovery(store: &dyn RecordStore, output_records: &[u32]) -> Vec<
         .into_iter()
         .filter(|c| entities.contains(&store.entity_of(c[0])))
         .collect();
-    clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
+    canonical_order(&mut clusters);
     clusters
 }
 
@@ -57,7 +58,7 @@ pub fn perfect_er_on_output(store: &dyn RecordStore, output_records: &[u32]) -> 
         c.sort_unstable();
         c.dedup();
     }
-    clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
+    canonical_order(&mut clusters);
     clusters
 }
 
@@ -136,10 +137,7 @@ pub fn rule_recovery_with<O: PairwiseOracle>(
         .into_iter()
         .map(|c| c.into_iter().map(|slot| table.id(slot)).collect())
         .collect();
-    for c in &mut augmented {
-        c.sort_unstable();
-    }
-    augmented.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a[0].cmp(&b[0])));
+    canonical_order(&mut augmented);
     augmented
 }
 

@@ -466,11 +466,7 @@ pub fn apply_transitive(
         }
     }
 
-    forest
-        .clusters()
-        .into_iter()
-        .map(|slots| slots.into_iter().map(|s| cluster[s as usize]).collect())
-        .collect()
+    forest.record_clusters(cluster)
 }
 
 fn ascending(records: &[u32]) -> bool {
