@@ -297,7 +297,6 @@ fn bench_transitive_and_pairwise(c: &mut Criterion) {
                     &ids,
                     1,
                     1,
-                    &[],
                     None,
                     None,
                     &mut stats,

@@ -204,7 +204,7 @@ mod tests {
             &d,
             &ExactOracle::new(&rule),
             &ids,
-            &[],
+            None,
             2,
             DEFAULT_PAIR_BLOCK,
             None,
@@ -234,7 +234,7 @@ mod tests {
                 &d,
                 &ExactOracle::new(&rule),
                 &ids,
-                &[],
+                None,
                 2,
                 DEFAULT_PAIR_BLOCK,
                 None,

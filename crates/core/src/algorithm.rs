@@ -26,14 +26,14 @@ use rand::{Rng, SeedableRng};
 use crate::bins::BinIndex;
 use crate::cost::CostModel;
 use crate::hashing::{RecordHashState, SequenceHasher};
-use crate::memo::{Function, PartitionMemo};
+use crate::memo::{Function, PartitionMemo, Seed};
 use crate::oracle::{
     ExactOracle, NoisyOracle, OracleMode, OracleSpend, PairwiseOracle, SpendLedger, VerdictOverlay,
 };
 use crate::pairwise::{apply_pairwise_with, PairwiseTrace, DEFAULT_PAIR_BLOCK};
 use crate::sequence::{design, SequenceSpec};
 use crate::stats::Stats;
-use crate::transitive::{apply_transitive, AdvancedRecords, BucketTable};
+use crate::transitive::{apply_transitive, AdvancedRecords};
 
 /// Which cluster to process next. Largest-First is the paper's (provably
 /// optimal) choice; the others exist for the optimality ablation.
@@ -642,7 +642,7 @@ impl Run<'_> {
         let before = self.stats;
         let round_start = self.sink.enabled().then(Instant::now);
         let threads = self.config.threads;
-        let run = |cluster: &[u32], seed: &[u32], table: Option<&mut BucketTable>| match function {
+        let run = |cluster: &[u32], seed: Option<Seed<'_>>| match function {
             Function::Hash(level) => {
                 let subs = apply_transitive(
                     self.hasher,
@@ -652,7 +652,6 @@ impl Run<'_> {
                     level,
                     threads,
                     seed,
-                    table,
                     self.advanced.as_deref_mut(),
                     &mut self.stats,
                 );
@@ -672,11 +671,20 @@ impl Run<'_> {
         };
         let (subs, ptrace, reused) =
             PartitionMemo::resolve(self.memo.as_deref_mut(), function, cluster, run);
-        let reused_calls = match function {
-            Function::Hash(_) => &mut self.stats.transitive_reused,
-            Function::Pairwise => &mut self.stats.pairwise_reused,
+        let (calls, reused_calls) = match function {
+            Function::Hash(_) => (
+                &mut self.stats.transitive_calls,
+                &mut self.stats.transitive_reused,
+            ),
+            Function::Pairwise => (
+                &mut self.stats.pairwise_calls,
+                &mut self.stats.pairwise_reused,
+            ),
         };
+        // A whole-set hit ran nothing, but it is still a call.
+        *calls += u64::from(ptrace.is_none());
         *reused_calls += u64::from(reused > 0);
+        let ptrace = ptrace.unwrap_or_default();
         let Some(t0) = round_start else {
             return subs;
         };

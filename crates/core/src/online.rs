@@ -13,20 +13,23 @@
 //! Every answer equals what the batch algorithm would return on the same
 //! snapshot.
 //!
-//! Partitions and bucket tables are not re-done either. Under the exact
-//! oracle the resolver keeps a [`PartitionMemo`] of the partitions its
-//! last query computed, for `P` and for every `H_t`, `H₁` included, and
-//! of each `H_t` call's bucket table. An input that holds a cluster the
-//! same function resolved last time starts from that cluster's
-//! components: a whole-set hit does no work, and otherwise only the
-//! records outside it have their keys inserted, into the stored table
-//! (the others' keys are never read), or, for `P`, only the pairs that
-//! touch them are evaluated. `H₁`'s input is every record, so a query
-//! inserts only the new records' `H₁` keys. The memo changes how many
-//! bucket inserts and pairs a query performs, never a gate decision or an
-//! answer. It is not part of the snapshot, so a resumed resolver starts
-//! it empty and rebuilds its tables on its first query; under a noisy
-//! oracle it is never used.
+//! Partitions, bucket tables and sketches are not re-done either. Under
+//! the exact oracle the resolver keeps a [`PartitionMemo`] of the
+//! components its last query computed, for `P` and for every `H_t`, `H₁`
+//! included, with each `H_t` call's bucket table and each `P` call's
+//! bitmap sketches. An input that holds a cluster the same function
+//! resolved last time starts from that cluster's components. A whole-set
+//! hit runs nothing and returns them. Otherwise only the records outside
+//! it are hashed and have their keys inserted, into the stored table, or,
+//! for `P`, are sketched and have the pairs that touch them evaluated;
+//! the components they leave alone come back as they were. So a query
+//! costs its new records' work plus one step per stored component, not
+//! one per member. `H₁`'s input is every record, so a query inserts only
+//! the new records' `H₁` keys. The memo changes how many bucket inserts
+//! and pairs a query performs, never a gate decision or an answer. It is
+//! not part of the snapshot, so a resumed resolver starts it empty and
+//! rebuilds its tables on its first query; under a noisy oracle it is
+//! never used.
 //!
 //! The resolver maintains its snapshot [`Dataset`] **incrementally**:
 //! each [`OnlineAdaLsh::push`] appends one record (and its cached field

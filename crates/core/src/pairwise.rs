@@ -32,23 +32,31 @@
 //!
 //! # Seeded runs
 //!
-//! A `seed` gives the components of the cluster's first `seed.len()`
-//! slots (a prefix `S` whose partition is already known), one component
-//! label per slot. The forest starts with each of those components
-//! joined, and the cursor skips every pair inside `S`: for `i < |S|` it
-//! starts at `j = |S|`, otherwise at `i + 1`. The components are those of
-//! the match graph on `S ∪ N` because a pair inside `S` can only merge
-//! two slots `S`'s own partition already joined. A new slot is not
-//! stopped at its first matching component: it may bridge two components
-//! of `S` that do not match each other, so it is tested against every
-//! slot its tree does not yet hold. An empty seed is the unseeded loop,
-//! pair for pair.
+//! An online resolver's memo ([`crate::memo`]) hands a call a [`Seed`]:
+//! the components of a part `S` of the input whose partition is already
+//! known, and the sketches `S`'s last call built. The call's `cluster` is
+//! then the rest `N`, ascending. Slots keep one record each: `S`'s
+//! records first, ascending, then `N`'s, so the pair order is the one an
+//! unseeded run over that layout walks. The forest starts with each of
+//! `S`'s components joined, and the cursor skips every pair inside `S`:
+//! for `i < |S|` it starts at `j = |S|`, otherwise at `i + 1`. The
+//! components are those of the match graph on `S ∪ N` because a pair
+//! inside `S` can only merge two slots `S`'s own partition already
+//! joined. A new slot is not stopped at its first matching component: it
+//! may bridge two components of `S` that do not match each other, so it
+//! is tested against every slot its tree does not yet hold. The
+//! [`SlotTable`] starts from the stored sketches and sketches only `N`;
+//! the call leaves its table's sketches, ascending, in the seed for the
+//! next call. The output keeps each component no slot of `N` joined as it
+//! is (`Forest::splice`), in canonical order. A cold call (an empty
+//! seed) is the unseeded loop, pair for pair.
 
 use std::time::Instant;
 
 use adalsh_data::{Dataset, ExitCounts, KernelTally, MatchRule, RecordStore, SlotTable};
 use adalsh_obs::{TraceSink, Value};
 
+use crate::memo::Seed;
 use crate::oracle::{ExactOracle, PairwiseOracle, Settle, SpendLedger};
 use crate::ppt::{Forest, NodeId};
 use crate::stats::Stats;
@@ -95,7 +103,7 @@ pub fn apply_pairwise(
         store,
         &ExactOracle::new(rule),
         cluster,
-        &[],
+        None,
         threads,
         DEFAULT_PAIR_BLOCK,
         None,
@@ -105,22 +113,20 @@ pub fn apply_pairwise(
     .0
 }
 
-/// Applies `P` to `cluster` (record ids) with verdicts from `oracle`,
-/// starting from `seed`'s components of the cluster's first `seed.len()`
-/// slots (see the module docs; `&[]` for none). `threads` and `block`
-/// (≥ 1) change wall-clock only. A `ledger` settles every charged pair
-/// (budget, degradation, `oracle_call` when traced); an enabled `sink`
-/// gets one `pairwise_block` event per block.
-///
-/// # Panics
-/// Panics if `seed` is longer than `cluster` or a seed label is not
-/// below `seed.len()`.
+/// Applies `P` to `cluster` (record ids) with verdicts from `oracle`.
+/// With a `seed` (an online resolver's memo), `cluster` holds the
+/// input's records outside the seed's components, ascending, and the call
+/// partitions their union, returning canonical components (see the
+/// module docs); without one the components come in leaf-chain order.
+/// `threads` and `block` (≥ 1) change wall-clock only. A `ledger`
+/// settles every charged pair (budget, degradation, `oracle_call` when
+/// traced); an enabled `sink` gets one `pairwise_block` event per block.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_pairwise_with<O: PairwiseOracle>(
     store: &dyn RecordStore,
     oracle: &O,
     cluster: &[u32],
-    seed: &[u32],
+    seed: Option<Seed<'_>>,
     threads: usize,
     block: usize,
     ledger: Option<&mut SpendLedger>,
@@ -128,23 +134,89 @@ pub fn apply_pairwise_with<O: PairwiseOracle>(
     stats: &mut Stats,
 ) -> (Vec<Vec<u32>>, PairwiseTrace) {
     stats.pairwise_calls += 1;
-    let n = cluster.len() as u32;
-    let s = seed.len() as u32;
-    assert!(s <= n, "seed covers {s} slots of a {n}-record cluster");
-    let mut forest = seeded_forest(cluster.len(), seed);
-    let fresh = (n - s) as usize;
-    let pairs = s as usize * fresh + fresh * fresh.saturating_sub(1) / 2;
-    // Read-only while blocks fan out.
-    let table = SlotTable::build(oracle.rule(), store, cluster, pairs);
+    let Some(seed) = seed else {
+        let mut forest = singletons(cluster.len());
+        let pairs = pair_count(cluster.len(), 0);
+        let table = SlotTable::build(oracle.rule(), store, cluster, pairs);
+        let trace = run(
+            oracle,
+            &table,
+            &mut forest,
+            0,
+            threads,
+            block,
+            ledger,
+            sink,
+            stats,
+        );
+        return (forest.record_clusters(cluster), trace);
+    };
+    // Slots: the seed's records ascending, each labelled with its
+    // component, then the rest; `first[c]` is component `c`'s first slot.
+    let c = seed.components.len() as u32;
+    let mut ids = Vec::with_capacity(seed.members.len());
+    let mut labels = Vec::with_capacity(seed.members.len() - cluster.len());
+    let mut first = vec![u32::MAX; c as usize];
+    for &rid in seed.members {
+        let label = seed.slots[rid as usize];
+        if label < c {
+            if first[label as usize] == u32::MAX {
+                first[label as usize] = ids.len() as u32;
+            }
+            ids.push(rid);
+            labels.push(label);
+        }
+    }
+    let s = ids.len();
+    ids.extend_from_slice(cluster);
+    let mut forest = seeded_forest(ids.len(), &labels);
+    let pairs = pair_count(ids.len(), s);
+    let sketches = std::mem::take(seed.sketches);
+    let table = SlotTable::seeded(oracle.rule(), store, &ids, pairs, sketches);
+    let trace = run(
+        oracle,
+        &table,
+        &mut forest,
+        s as u32,
+        threads,
+        block,
+        ledger,
+        sink,
+        stats,
+    );
+    *seed.sketches = table.into_sketches();
+    let nodes: Vec<NodeId> = first
+        .into_iter()
+        .map(|slot| forest.leaf_of(slot).expect("seed slots are added"))
+        .collect();
+    let clusters = forest.splice(seed.components, &nodes, cluster, s as u32);
+    (clusters, trace)
+}
+
+/// Walks the canonical pair sequence of `table`'s slots, minus the pairs
+/// inside the first `s`, into `forest`: the fused loop with one worker
+/// and tracing off, the blocked wavefront otherwise.
+#[allow(clippy::too_many_arguments)]
+fn run<O: PairwiseOracle>(
+    oracle: &O,
+    table: &SlotTable<'_>,
+    forest: &mut Forest,
+    s: u32,
+    threads: usize,
+    block: usize,
+    ledger: Option<&mut SpendLedger>,
+    sink: &TraceSink,
+    stats: &mut Stats,
+) -> PairwiseTrace {
+    let pairs = pair_count(table.len(), s as usize);
     let mut settle = Settle::new(oracle.rule(), stats, ledger, sink);
-    let trace = if threads <= 1 && !sink.enabled() {
-        fused(oracle, &table, &mut forest, s, &mut settle);
+    if threads <= 1 && !sink.enabled() {
+        fused(oracle, table, forest, s, &mut settle);
         PairwiseTrace::default()
     } else {
         let block = block.clamp(1, pairs.max(1));
-        wavefront(oracle, &table, &mut forest, s, threads, block, &mut settle)
-    };
-    (forest.record_clusters(cluster), trace)
+        wavefront(oracle, table, forest, s, threads, block, &mut settle)
+    }
 }
 
 /// The canonical pair sequence one pair at a time (one worker, tracing
@@ -341,6 +413,13 @@ fn seeded_forest(n: usize, seed: &[u32]) -> Forest {
     forest
 }
 
+/// Pairs of the canonical sequence over `n` slots that touch a slot past
+/// the first `s`.
+fn pair_count(n: usize, s: usize) -> usize {
+    let fresh = n - s;
+    s * fresh + fresh * fresh.saturating_sub(1) / 2
+}
+
 /// The root of `slot`'s tree.
 fn root(forest: &mut Forest, slot: u32) -> NodeId {
     forest.find_root_of_slot(slot).expect("slot added")
@@ -350,7 +429,8 @@ fn root(forest: &mut Forest, slot: u32) -> NodeId {
 mod tests {
     use super::*;
     use crate::oracle::{NoisyOracle, NoisyOracleConfig, OracleSpend};
-    use adalsh_data::{FieldDistance, FieldKind, FieldValue, Record, Schema, ShingleSet};
+    use crate::transitive::BucketTable;
+    use adalsh_data::{FieldDistance, FieldKind, FieldValue, Record, Schema, ShingleSet, Sketches};
     use adalsh_obs::MemorySubscriber;
     use std::sync::Arc;
 
@@ -436,7 +516,7 @@ mod tests {
                 &d,
                 &ExactOracle::new(&rule),
                 &[0, 1, 2, 3],
-                &[],
+                None,
                 2,
                 block,
                 None,
@@ -447,6 +527,31 @@ mod tests {
             assert_eq!(st.pair_comparisons, 3, "block {block}");
             assert_eq!(st.distance_evals, 3, "block {block}");
         }
+    }
+
+    /// `P` on `components`' records and `rest` (ascending), seeded with
+    /// `components` as the memo seeds it, with no stored sketches.
+    #[allow(clippy::too_many_arguments)]
+    fn seeded(
+        d: &Dataset,
+        rule: &MatchRule,
+        components: &[Vec<u32>],
+        rest: &[u32],
+        threads: usize,
+        block: usize,
+        sink: &TraceSink,
+        st: &mut Stats,
+    ) -> (Vec<Vec<u32>>, PairwiseTrace) {
+        let (members, slots) = crate::memo::seed_index(components, rest, d.len());
+        let seed = Seed {
+            components,
+            members: &members,
+            slots: &slots,
+            table: &mut BucketTable::default(),
+            sketches: &mut Sketches::default(),
+        };
+        let oracle = ExactOracle::new(rule);
+        apply_pairwise_with(d, &oracle, rest, Some(seed), threads, block, None, sink, st)
     }
 
     /// A new record that matches members of two old components which do
@@ -462,42 +567,76 @@ mod tests {
             &[99],
         ]);
         let rule = jaccard_rule(0.5);
+        let old = [vec![0], vec![1]];
         for (threads, block) in [(1usize, 1usize), (2, 1), (2, 4096)] {
             let (sink, _) = memory_sink(threads == 2);
             let mut st = Stats::default();
-            let (out, _) = apply_pairwise_with(
-                &d,
-                &ExactOracle::new(&rule),
-                &[0, 1, 2, 3],
-                &[0, 1],
-                threads,
-                block,
-                None,
-                &sink,
-                &mut st,
-            );
-            assert_eq!(sorted(out), vec![vec![0, 1, 2], vec![3]]);
+            let (out, _) = seeded(&d, &rule, &old, &[2, 3], threads, block, &sink, &mut st);
+            assert_eq!(out, vec![vec![0, 1, 2], vec![3]]);
             // (0,2) merges, (0,3) fails, (1,2) is still open and merges;
             // (1,3) and (2,3) fail. The old pair (0,1) is never evaluated,
             // which is the one pair an unseeded run adds.
             assert_eq!((st.pairwise_calls, st.pair_comparisons), (1, 5));
         }
-        // Seeding every slot evaluates nothing and returns the seed.
+        // A seed with no rest evaluates nothing and returns its
+        // components.
         let mut st = Stats::default();
-        let (out, trace) = apply_pairwise_with(
+        let old = [vec![0, 2], vec![1]];
+        let (out, trace) = seeded(
             &d,
-            &ExactOracle::new(&rule),
-            &[0, 1, 2],
-            &[0, 1, 0],
+            &rule,
+            &old,
+            &[],
             2,
             DEFAULT_PAIR_BLOCK,
-            None,
             &memory_sink(true).0,
             &mut st,
         );
-        assert_eq!(sorted(out), vec![vec![0, 2], vec![1]]);
+        assert_eq!(out, old);
         assert_eq!((st.pairwise_calls, st.pair_comparisons), (1, 0));
         assert_eq!(trace.blocks, 0);
+    }
+
+    /// A seeded call keeps the stored sketches of its seed, adds the
+    /// rest's, and leaves them ascending, equal to a cold table's.
+    #[test]
+    fn a_seeded_call_leaves_the_sketches_of_its_whole_input() {
+        let d = dataset(&[&[1, 2, 3, 4], &[9], &[1, 2, 3, 5], &[1, 2, 3, 4, 6]]);
+        let rule = jaccard_rule(0.5);
+        let sketches = |ids: &[u32]| {
+            let table = SlotTable::build(&rule, &d, ids, 0);
+            (0..ids.len())
+                .map(|k| match table.operand(k, 0) {
+                    adalsh_data::Operand::Shingles(_, sketch) => *sketch,
+                    _ => unreachable!("a shingle field"),
+                })
+                .collect::<Vec<_>>()
+        };
+        // 0 and 2 match, as do 0 and 3; 1 matches nothing.
+        let (components, rest) = ([vec![0, 2]], [1, 3]);
+        let slots = [0, 1, 0, 2];
+        let mut stored = SlotTable::build(&rule, &d, &[0, 2], 0).into_sketches();
+        let seed = Seed {
+            components: &components,
+            members: &[0, 1, 2, 3],
+            slots: &slots,
+            table: &mut BucketTable::default(),
+            sketches: &mut stored,
+        };
+        let mut st = Stats::default();
+        let oracle = ExactOracle::new(&rule);
+        let sink = TraceSink::disabled();
+        let (out, _) =
+            apply_pairwise_with(&d, &oracle, &rest, Some(seed), 1, 1, None, &sink, &mut st);
+        assert_eq!(out, vec![vec![0, 2, 3], vec![1]]);
+        let table = SlotTable::seeded(&rule, &d, &[0, 1, 2, 3], 0, stored);
+        let kept: Vec<_> = (0..4)
+            .map(|k| match table.operand(k, 0) {
+                adalsh_data::Operand::Shingles(_, sketch) => *sketch,
+                _ => unreachable!("a shingle field"),
+            })
+            .collect();
+        assert_eq!(kept, sketches(&[0, 1, 2, 3]));
     }
 
     #[test]
@@ -579,7 +718,7 @@ mod tests {
                                 &d,
                                 &oracle,
                                 &ids,
-                                &[],
+                                None,
                                 threads,
                                 block,
                                 settle.then_some(&mut ledger),
@@ -673,7 +812,7 @@ mod tests {
                     &d,
                     &exact,
                     &ids,
-                    &[],
+                    None,
                     threads,
                     block,
                     None,
@@ -687,7 +826,7 @@ mod tests {
                     &d,
                     &noisy,
                     &ids,
-                    &[],
+                    None,
                     threads,
                     block,
                     Some(&mut ledger),
@@ -734,7 +873,7 @@ mod tests {
                     &d,
                     &oracle,
                     &ids,
-                    &[],
+                    None,
                     threads,
                     block,
                     Some(&mut ledger),
@@ -779,7 +918,7 @@ mod tests {
             &d,
             &oracle,
             &ids,
-            &[],
+            None,
             1,
             DEFAULT_PAIR_BLOCK,
             Some(&mut ledger),

@@ -21,6 +21,8 @@
 //! `0..n` (the caller maps record ids to positions in the cluster being
 //! processed).
 
+use std::borrow::Cow;
+
 /// Sentinel for "no node".
 const NONE: u32 = u32::MAX;
 
@@ -244,6 +246,96 @@ impl Forest {
             .map(|slots| slots.into_iter().map(|s| records[s as usize]).collect())
             .collect()
     }
+
+    /// The components of a seeded run in canonical order (records
+    /// ascending, components by their smallest record), where
+    /// `components[i]` (canonical) started as the tree of node `nodes[i]`
+    /// and `rest[j]` (ascending) sits at slot `rest_from + j`.
+    ///
+    /// Only a merge through a slot of `rest` joins two components, so a
+    /// tree no such slot reached holds one component unchanged, and the
+    /// output clones it. The other trees number at most `rest.len()`;
+    /// each one's records are merged from its sorted parts, so no record
+    /// is sorted and the cost is O(components + records in those trees).
+    pub(crate) fn splice(
+        &mut self,
+        components: &[Vec<u32>],
+        nodes: &[NodeId],
+        rest: &[u32],
+        rest_from: u32,
+    ) -> Vec<Vec<u32>> {
+        // The trees a rest slot reached, each with its components and its
+        // rest records (ascending, in slot order).
+        let mut joined = vec![NONE; self.nodes.len()];
+        let mut trees: Vec<(Vec<&[u32]>, Vec<u32>)> = Vec::new();
+        for (slot, &record) in (rest_from..).zip(rest) {
+            let root = self.find_root_of_slot(slot).expect("rest slots are added");
+            let tree = &mut joined[root as usize];
+            if *tree == NONE {
+                *tree = trees.len() as u32;
+                trees.push(Default::default());
+            }
+            trees[*tree as usize].1.push(record);
+        }
+        let mut untouched = Vec::with_capacity(components.len());
+        for (component, &node) in components.iter().zip(nodes) {
+            match joined[self.find_root(node) as usize] {
+                NONE => untouched.push(component),
+                tree => trees[tree as usize].0.push(component),
+            }
+        }
+        let mut merged: Vec<Vec<u32>> = trees
+            .into_iter()
+            .map(|(parts, records)| merge_ascending(parts, records))
+            .collect();
+        merged.sort_unstable_by_key(|records| records[0]);
+        let mut out = Vec::with_capacity(untouched.len() + merged.len());
+        let mut merged = merged.into_iter().peekable();
+        for component in untouched {
+            out.extend(std::iter::from_fn(|| {
+                merged.next_if(|records| records[0] < component[0])
+            }));
+            out.push(component.clone());
+        }
+        out.extend(merged);
+        out
+    }
+}
+
+/// The union of the ascending, disjoint `parts` and `records`,
+/// ascending: pairwise merges, so O(len · log(parts)).
+fn merge_ascending(parts: Vec<&[u32]>, records: Vec<u32>) -> Vec<u32> {
+    let mut runs: Vec<Cow<'_, [u32]>> = parts.into_iter().map(Cow::Borrowed).collect();
+    runs.push(Cow::Owned(records));
+    while runs.len() > 1 {
+        let mut pairs = runs.into_iter();
+        let mut next = Vec::new();
+        while let Some(a) = pairs.next() {
+            next.push(match pairs.next() {
+                Some(b) => Cow::Owned(merge_two(&a, &b)),
+                None => a,
+            });
+        }
+        runs = next;
+    }
+    runs.pop().map(Cow::into_owned).unwrap_or_default()
+}
+
+fn merge_two(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 #[cfg(test)]

@@ -401,7 +401,7 @@ mod tests {
                 &d,
                 &oracle,
                 &ids,
-                &[],
+                None,
                 threads,
                 64,
                 Some(&mut ledger),

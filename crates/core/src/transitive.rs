@@ -20,29 +20,34 @@
 //!
 //! # Stored tables and seeded runs
 //!
-//! A call given a [`BucketTable`] keeps its table: bucket → last record
-//! *id*, for every key of its members, so an online resolver's memo can
-//! hand it to the next call over a superset of those members. A `seed`
-//! gives the `H_t` components of the cluster's first `seed.len()` records
-//! (a part `S` an earlier call already partitioned), one label per
-//! record, and the table must be that call's. Every record's state is
-//! advanced as usual, so `hash_evals` does not depend on the seed. The
-//! forest starts with `S`'s components joined, and only the other
-//! records' keys go through the ordinary insert loop, against the stored
-//! table: a bucket a record of `S` occupies joins that record's tree. The
-//! keys of `S`'s records are never read. The components are those of the
-//! whole cluster: two records of `S` share a bucket only inside one of
-//! `S`'s components, and keys persist across calls, so every edge still
-//! to find touches a record outside `S`. An empty seed over an empty
-//! table is the unseeded loop, insert for insert; a seed covering the
-//! cluster inserts nothing and returns its components. The table the
-//! call leaves is the one a cold call on the whole cluster builds, up to
-//! which record each bucket names. Without a table (batch runs) the call
-//! builds a fresh one keyed by slot and drops it.
+//! An online resolver's memo ([`crate::memo`]) hands a call a [`Seed`]:
+//! the `H_t` components of a part `S` of the input that an earlier call
+//! partitioned, that call's [`BucketTable`] (bucket → last record *id*,
+//! for every key of `S`), and a record → slot index. The call's `cluster`
+//! is then the rest of the input, `N`, ascending. Only `N` goes through
+//! phase 1: `S`'s members reached level `t` in the call that stored the
+//! entry, and states never fall back. The forest starts with one slot per
+//! component of `S` and one per record of `N`, and only `N`'s keys go
+//! through the ordinary insert loop, against the stored table: a bucket a
+//! record of `S` occupies joins that record's component, which the index
+//! names in one read. The keys of `S`'s records are never read. The
+//! components are those of the whole input: two records of `S` share a
+//! bucket only inside one of `S`'s components, and keys persist across
+//! calls, so every edge still to find touches a record of `N`. The output
+//! keeps each component no record of `N` joined as it is and merges the
+//! others from their sorted parts (`Forest::splice`), so it is canonical
+//! without a sort, and a call costs O(|N|'s work + components). The
+//! table the call leaves is the one a cold call on the whole input
+//! builds, up to which record each bucket names. A cold call (an empty
+//! seed over an empty table) inserts every key. Without a seed (batch
+//! runs) the call builds a fresh table keyed by slot, drops it, and
+//! returns its components in leaf-chain order.
 //!
 //! Bucket ids are `combine(table_tag, key)` — a SplitMix64 output, already
-//! uniform in every bit — so the bucket map uses them as their own hash
-//! (`PassThroughHasher`) instead of running SipHash over them again.
+//! uniform in every bit — so the batch bucket map uses them as their own
+//! hash (`PassThroughHasher`) instead of running SipHash over them again,
+//! and a stored [`BucketTable`] takes a bucket's home slot from its top
+//! bits.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -52,7 +57,8 @@ use adalsh_data::{RecordStore, RecordView};
 use adalsh_lsh::mix::combine;
 
 use crate::hashing::{HashScratch, RecordHashState, SequenceHasher};
-use crate::ppt::Forest;
+use crate::memo::Seed;
+use crate::ppt::{Forest, NodeId};
 use crate::stats::Stats;
 
 /// Minimum estimated new hash evaluations before phase 1 fans out to
@@ -104,104 +110,111 @@ fn replace_in(map: &mut BucketMap, bucket: u64, record: u32) -> Option<u32> {
 /// the record last inserted there, over every key of the call's members
 /// at its level. Record ids, unlike slots, mean the same in every call.
 ///
-/// Most buckets sit in two sorted, aligned arrays, 12 bytes a bucket,
-/// with a directory of one run start per four buckets: bucket ids are
-/// uniform, so the run a bucket falls in, scaled from its id, holds about
-/// four buckets (on `serve-mixed` this cut `answer_ms` by about a third
-/// against a binary search over the whole array). The buckets added
-/// since the last merge sit in a map beside them, which a seeded call
-/// merges in once it holds more than an eighth as many, so memory stays
-/// near the arrays' and a merge costs O(1) per bucket amortized. An unseeded call leaves its whole table in
-/// the map: only a table some later call takes is ever sorted.
+/// Open addressing with linear probing over two aligned arrays, 12 bytes
+/// a slot, at most three quarters full. Bucket ids are uniform, so a
+/// bucket's home slot is its top bits and a lookup usually reads one
+/// slot. Nothing is ever merged or sorted: a table only grows, doubling
+/// when full, so an insert costs O(1) amortized however large the table
+/// already is. A cold call sizes its table once for all its keys. A call
+/// touches a record's home slots before it inserts the record's keys, so
+/// their cache misses overlap.
 #[derive(Debug, Default)]
 pub struct BucketTable {
-    /// Sorted bucket ids.
-    sorted: Vec<u64>,
-    /// The occupant of each bucket of `sorted`.
+    /// The bucket of each slot; meaningless where the slot is vacant.
+    buckets: Vec<u64>,
+    /// The occupant of each slot, or [`VACANT`].
     records: Vec<u32>,
-    /// `starts[j]..starts[j + 1]` holds the buckets of `sorted` in run
-    /// `j` of `starts.len() - 1` (see [`run_of`]); empty with `sorted`.
-    starts: Vec<u32>,
-    /// Buckets added since the last merge.
-    recent: BucketMap,
+    /// Occupied slots.
+    len: usize,
+    /// `64 − log2(slots)`: a bucket's home slot is `bucket >> shift`.
+    shift: u32,
 }
 
-/// The run of `runs` that `bucket` falls in: its id scaled to `0..runs`,
-/// so a sorted array's runs are consecutive and about equally full.
-fn run_of(bucket: u64, runs: usize) -> usize {
-    ((u128::from(bucket) * runs as u128) >> 64) as usize
-}
+/// A vacant slot of a [`BucketTable`]: no record id reaches it.
+const VACANT: u32 = u32::MAX;
 
 impl BucketTable {
     /// Number of buckets.
     pub fn len(&self) -> usize {
-        self.sorted.len() + self.recent.len()
+        self.len
     }
 
     /// True when no key was inserted.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// The bucket ids, in no particular order.
     pub fn buckets(&self) -> impl Iterator<Item = u64> + '_ {
-        self.sorted.iter().chain(self.recent.keys()).copied()
+        self.buckets
+            .iter()
+            .zip(&self.records)
+            .filter(|&(_, &record)| record != VACANT)
+            .map(|(&bucket, _)| bucket)
+    }
+
+    fn home(&self, bucket: u64) -> usize {
+        (bucket >> self.shift) as usize
     }
 
     /// Makes `record` the occupant of `bucket` and returns the previous
     /// occupant, if any.
     pub(crate) fn replace(&mut self, bucket: u64, record: u32) -> Option<u32> {
-        if let Some(runs) = self.starts.len().checked_sub(1) {
-            let run = run_of(bucket, runs);
-            let lo = self.starts[run] as usize;
-            let hi = self.starts[run + 1] as usize;
-            if let Ok(at) = self.sorted[lo..hi].binary_search(&bucket) {
-                return Some(std::mem::replace(&mut self.records[lo + at], record));
+        debug_assert_ne!(record, VACANT, "record ids stay below u32::MAX");
+        if (self.len + 1) * 4 > self.records.len() * 3 {
+            self.resize((self.records.len() * 2).max(16));
+        }
+        let mask = self.records.len() - 1;
+        let mut slot = self.home(bucket);
+        loop {
+            match self.records[slot] {
+                VACANT => {
+                    self.buckets[slot] = bucket;
+                    self.records[slot] = record;
+                    self.len += 1;
+                    return None;
+                }
+                occupant if self.buckets[slot] == bucket => {
+                    self.records[slot] = record;
+                    return Some(occupant);
+                }
+                _ => slot = (slot + 1) & mask,
             }
         }
-        replace_in(&mut self.recent, bucket, record)
     }
 
-    /// Merges the recent buckets into the sorted arrays once they number
-    /// more than an eighth of them.
-    fn settle(&mut self) {
-        if self.recent.len() * 8 <= self.sorted.len() {
-            return;
+    /// Reads `bucket`'s home slot, so a [`BucketTable::replace`] soon
+    /// after finds it in cache: touching every key of a record first lets
+    /// their cache misses overlap instead of queueing behind each insert.
+    fn touch(&self, bucket: u64) {
+        let home = self.home(bucket);
+        if let (Some(&held), Some(&record)) = (self.buckets.get(home), self.records.get(home)) {
+            std::hint::black_box((held, record));
         }
-        let mut recent: Vec<(u64, u32)> = std::mem::take(&mut self.recent).into_iter().collect();
-        recent.sort_unstable_by_key(|&(bucket, _)| bucket);
-        let len = self.sorted.len() + recent.len();
-        let (mut sorted, mut records) = (Vec::with_capacity(len), Vec::with_capacity(len));
-        let mut old = self
-            .sorted
-            .iter()
-            .copied()
-            .zip(self.records.iter().copied())
-            .peekable();
-        for (bucket, record) in recent {
-            while let Some((b, r)) = old.next_if(|&(b, _)| b < bucket) {
-                sorted.push(b);
-                records.push(r);
+    }
+
+    /// Makes room for `additional` more buckets, so inserting them never
+    /// grows the table.
+    fn reserve(&mut self, additional: usize) {
+        let slots = ((self.len + additional) * 4)
+            .div_ceil(3)
+            .next_power_of_two();
+        if slots > self.records.len() {
+            self.resize(slots.max(16));
+        }
+    }
+
+    /// Moves every bucket into a table of `slots` slots.
+    fn resize(&mut self, slots: usize) {
+        let buckets = std::mem::replace(&mut self.buckets, vec![0; slots]);
+        let records = std::mem::replace(&mut self.records, vec![VACANT; slots]);
+        self.shift = 64 - slots.trailing_zeros();
+        self.len = 0;
+        for (bucket, record) in buckets.into_iter().zip(records) {
+            if record != VACANT {
+                self.replace(bucket, record);
             }
-            sorted.push(bucket);
-            records.push(record);
         }
-        for (b, r) in old {
-            sorted.push(b);
-            records.push(r);
-        }
-        let runs = (len / 4).max(1);
-        let mut starts = Vec::with_capacity(runs + 1);
-        let mut at = 0;
-        for run in 0..=runs {
-            while at < len && run_of(sorted[at], runs) < run {
-                at += 1;
-            }
-            starts.push(at as u32);
-        }
-        self.sorted = sorted;
-        self.records = records;
-        self.starts = starts;
     }
 }
 
@@ -258,19 +271,17 @@ impl AdvancedRecords {
 /// normal incremental-query shape) does not strand all the real work on
 /// one thread.
 ///
-/// `seed` labels the `H_to_level` components of the cluster's first
-/// `seed.len()` records, and `table` is the stored table of their keys,
-/// which the call extends with the rest's (see the module docs). With no
-/// table the seed must be empty.
+/// With a `seed` (an online resolver's memo), `cluster` holds the
+/// input's records outside the seed's components, ascending, and the call
+/// partitions their union, extending the seed's table with `cluster`'s
+/// keys and returning canonical components (see the module docs).
 ///
 /// `advanced`, when given, notes every record whose level this call
 /// raises (see [`AdvancedRecords`]).
 ///
 /// # Panics
-/// Panics if `to_level` is out of range for the hasher, `seed` is longer
-/// than `cluster`, a seed label is not below `seed.len()`, a seed comes
-/// without a table or a non-empty table without a seed, or a seeded
-/// call's seed records or rest are not ascending.
+/// Panics if `to_level` is out of range for the hasher, or a seed with
+/// no component comes with a non-empty table.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_transitive(
     hasher: &SequenceHasher,
@@ -279,14 +290,23 @@ pub fn apply_transitive(
     cluster: &[u32],
     to_level: usize,
     threads: usize,
-    seed: &[u32],
-    table: Option<&mut BucketTable>,
+    seed: Option<Seed<'_>>,
     mut advanced: Option<&mut AdvancedRecords>,
     stats: &mut Stats,
 ) -> Vec<Vec<u32>> {
     stats.transitive_calls += 1;
+    if let Some(seed) = &seed {
+        debug_assert!(
+            seed.components
+                .iter()
+                .flatten()
+                .all(|&rid| usize::from(states[rid as usize].level) >= to_level),
+            "a seed's members reached the level in the call that stored it"
+        );
+    }
 
-    // Phase 1: advance every record's hash state to `to_level`.
+    // Phase 1: advance the hash state of every record of `cluster` to
+    // `to_level`.
     let threads = threads.max(1).min(cluster.len().max(1));
     let target_budget = hasher.level(to_level).budget();
     let remaining = |state: &RecordHashState| -> u64 {
@@ -389,138 +409,89 @@ pub fn apply_transitive(
         }
     }
 
-    // Phase 2: bucket insertion and component maintenance (sequential),
-    // for the records outside the seed.
-    let s = seed.len();
-    assert!(
-        s <= cluster.len(),
-        "seed covers {s} slots of a {}-record cluster",
-        cluster.len()
-    );
-    let mut forest = Forest::seeded(cluster.len(), seed);
-    let inserts = (cluster.len() - s) * 2;
-    match table {
-        // A stored table holds record ids: seed records sit at slots
-        // `0..s` and the rest after them, each part ascending.
-        Some(table) if s > 0 => {
-            let (seeded, rest) = cluster.split_at(s);
-            assert!(
-                ascending(seeded) && ascending(rest),
-                "a stored-table call lays out its seed and its rest ascending"
-            );
-            table.recent.reserve(inserts);
-            let slot_of = |record: u32| match seeded.binary_search(&record) {
-                Ok(slot) => slot as u32,
-                Err(_) => {
-                    let slot = rest.binary_search(&record).expect("occupants are members");
-                    (s + slot) as u32
-                }
-            };
-            insert_keys(
-                hasher,
-                states,
-                cluster,
-                to_level,
-                s,
-                &mut forest,
-                |bucket, slot| table.replace(bucket, cluster[slot as usize]),
-                slot_of,
-                stats,
-            );
-            table.settle();
-        }
-        // Unseeded: a fresh table keyed by slot. A stored one turns its
-        // slots into record ids at the end; it stays unsorted until a
-        // later call takes it, so a table no call takes again is never
-        // sorted.
-        table => {
-            let mut fresh = BucketMap::default();
-            let kept = table.is_some();
-            let buckets = match table {
-                Some(table) => {
-                    assert!(table.is_empty(), "a stored table comes with its seed");
-                    &mut table.recent
-                }
-                None => {
-                    assert!(s == 0, "a seed comes with its stored table");
-                    &mut fresh
-                }
-            };
-            buckets.reserve(inserts);
-            insert_keys(
-                hasher,
-                states,
-                cluster,
-                to_level,
-                0,
-                &mut forest,
-                |bucket, slot| replace_in(buckets, bucket, slot),
-                |slot| slot,
-                stats,
-            );
-            if kept {
-                for occupant in buckets.values_mut() {
-                    *occupant = cluster[*occupant as usize];
-                }
+    // Phase 2: bucket insertion and component maintenance (sequential).
+    let Some(seed) = seed else {
+        // Batch: a fresh table keyed by slot.
+        let mut forest = Forest::new(cluster.len());
+        let mut buckets = BucketMap::default();
+        buckets.reserve(cluster.len() * 2);
+        for (slot, &rid) in (0u32..).zip(cluster) {
+            for (table_tag, key) in hasher.keys(&states[rid as usize], to_level) {
+                stats.bucket_inserts += 1;
+                let occupant = replace_in(&mut buckets, combine(table_tag, key), slot);
+                link(&mut forest, slot, occupant);
             }
+        }
+        return forest.record_clusters(cluster);
+    };
+    // Slots `0..c` are the seed's components, `c..` the rest.
+    let c = seed.components.len() as u32;
+    let table = seed.table;
+    assert!(
+        c > 0 || table.is_empty(),
+        "a stored table comes with its seed"
+    );
+    if c == 0 {
+        // A cold call puts every key in an empty table: size it once for
+        // them all (a level's records emit equally many) instead of
+        // doubling up to it.
+        let keys = cluster.first().map_or(0, |&rid| {
+            hasher.keys(&states[rid as usize], to_level).count()
+        });
+        table.reserve(cluster.len() * keys);
+    }
+    let mut forest = Forest::new(c as usize + cluster.len());
+    let nodes: Vec<NodeId> = (0..c).map(|slot| forest.add_singleton(slot)).collect();
+    let mut buckets = Vec::new();
+    for (slot, &rid) in (c..).zip(cluster) {
+        buckets.clear();
+        buckets.extend(
+            hasher
+                .keys(&states[rid as usize], to_level)
+                .map(|(table_tag, key)| combine(table_tag, key)),
+        );
+        for &bucket in &buckets {
+            table.touch(bucket);
+        }
+        for &bucket in &buckets {
+            stats.bucket_inserts += 1;
+            let occupant = table.replace(bucket, rid);
+            link(&mut forest, slot, occupant.map(|o| seed.slots[o as usize]));
         }
     }
-
-    forest.record_clusters(cluster)
+    forest.splice(seed.components, &nodes, cluster, c)
 }
 
-fn ascending(records: &[u32]) -> bool {
-    records.windows(2).all(|pair| pair[0] < pair[1])
-}
-
-/// Inserts the keys of `cluster[from..]` in slot order, maintaining
-/// `forest` by the four cases of Figure 19. `replace(bucket, slot)` makes
-/// the slot's record the bucket's occupant and returns the previous one,
-/// which `slot_of` maps back to a slot.
-#[allow(clippy::too_many_arguments)]
-fn insert_keys(
-    hasher: &SequenceHasher,
-    states: &[RecordHashState],
-    cluster: &[u32],
-    to_level: usize,
-    from: usize,
-    forest: &mut Forest,
-    mut replace: impl FnMut(u64, u32) -> Option<u32>,
-    slot_of: impl Fn(u32) -> u32,
-    stats: &mut Stats,
-) {
-    for (slot, &rid) in (0u32..).zip(cluster).skip(from) {
-        let state = &states[rid as usize];
-        for (table_tag, key) in hasher.keys(state, to_level) {
-            stats.bucket_inserts += 1;
-            match replace(combine(table_tag, key), slot).map(&slot_of) {
-                // Cases 1 and 2.
-                None => {
-                    if forest.leaf_of(slot).is_none() {
-                        forest.add_singleton(slot);
-                    }
-                }
-                Some(occupant) if occupant != slot => {
-                    let r2 = forest
-                        .find_root_of_slot(occupant)
-                        .expect("bucket occupants are always in a tree");
-                    match forest.leaf_of(slot) {
-                        // Case 3.
-                        None => {
-                            forest.attach_leaf(r2, slot);
-                        }
-                        // Case 4.
-                        Some(leaf) => {
-                            let r1 = forest.find_root(leaf);
-                            if r1 != r2 {
-                                forest.merge_roots(r1, r2);
-                            }
-                        }
-                    }
-                }
-                Some(_) => {}
+/// Maintains `forest` by the four cases of Figure 19 after `slot`'s
+/// record took a bucket whose previous occupant held slot `occupant`.
+#[inline]
+fn link(forest: &mut Forest, slot: u32, occupant: Option<u32>) {
+    match occupant {
+        // Cases 1 and 2.
+        None => {
+            if forest.leaf_of(slot).is_none() {
+                forest.add_singleton(slot);
             }
         }
+        Some(occupant) if occupant != slot => {
+            let r2 = forest
+                .find_root_of_slot(occupant)
+                .expect("bucket occupants are always in a tree");
+            match forest.leaf_of(slot) {
+                // Case 3.
+                None => {
+                    forest.attach_leaf(r2, slot);
+                }
+                // Case 4.
+                Some(leaf) => {
+                    let r1 = forest.find_root(leaf);
+                    if r1 != r2 {
+                        forest.merge_roots(r1, r2);
+                    }
+                }
+            }
+        }
+        Some(_) => {}
     }
 }
 
@@ -528,7 +499,7 @@ fn insert_keys(
 mod tests {
     use super::*;
     use crate::hashing::{HashPart, LevelScheme};
-    use adalsh_data::{Dataset, FieldKind, FieldValue, Record, Schema, ShingleSet};
+    use adalsh_data::{Dataset, FieldKind, FieldValue, Record, Schema, ShingleSet, Sketches};
 
     /// Builds a dataset of shingle records from the raw sets.
     fn dataset(sets: &[&[u64]]) -> Dataset {
@@ -557,18 +528,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(
-            &h,
-            &mut states,
-            &d,
-            &[0, 1, 2],
-            1,
-            1,
-            &[],
-            None,
-            None,
-            &mut st,
-        );
+        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, None, None, &mut st);
         assert_eq!(sorted(out), vec![vec![0, 1], vec![2]]);
         assert_eq!(st.transitive_calls, 1);
         assert!(st.hash_evals > 0 && st.bucket_inserts > 0);
@@ -591,7 +551,6 @@ mod tests {
             &[0, 1, 2, 3, 4],
             1,
             1,
-            &[],
             None,
             None,
             &mut st,
@@ -607,18 +566,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![1], z: 30 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(
-            &h,
-            &mut states,
-            &d,
-            &[0, 1, 2],
-            1,
-            1,
-            &[],
-            None,
-            None,
-            &mut st,
-        );
+        let out = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, None, None, &mut st);
         assert_eq!(sorted(out), vec![vec![0, 1, 2]]);
     }
 
@@ -637,22 +585,11 @@ mod tests {
         let h = hasher(levels);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let coarse = apply_transitive(
-            &h,
-            &mut states,
-            &d,
-            &[0, 1, 2],
-            1,
-            1,
-            &[],
-            None,
-            None,
-            &mut st,
-        );
+        let coarse = apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, None, None, &mut st);
         assert_eq!(sorted(coarse.clone()), vec![vec![0, 1, 2]]);
         // Apply the next level to the merged cluster.
         let merged = &coarse[0];
-        let fine = apply_transitive(&h, &mut states, &d, merged, 2, 1, &[], None, None, &mut st);
+        let fine = apply_transitive(&h, &mut states, &d, merged, 2, 1, None, None, &mut st);
         let fine = sorted(fine);
         assert!(
             fine.contains(&vec![0, 2]),
@@ -670,8 +607,8 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 4 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let a = apply_transitive(&h, &mut states, &d, &[0], 1, 1, &[], None, None, &mut st);
-        let b = apply_transitive(&h, &mut states, &d, &[1], 1, 1, &[], None, None, &mut st);
+        let a = apply_transitive(&h, &mut states, &d, &[0], 1, 1, None, None, &mut st);
+        let b = apply_transitive(&h, &mut states, &d, &[1], 1, 1, None, None, &mut st);
         assert_eq!(a, vec![vec![0]]);
         assert_eq!(b, vec![vec![1]]);
     }
@@ -687,7 +624,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 6 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &ids, 1, 1, &[], None, None, &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &ids, 1, 1, None, None, &mut st);
         let mut all: Vec<u32> = out.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, ids, "output must partition the input exactly");
@@ -720,19 +657,8 @@ mod tests {
             // Pre-advance the even records to level 1 sequentially, so the
             // threaded call finds records at different levels.
             let evens: Vec<u32> = ids.iter().copied().filter(|i| i % 2 == 0).collect();
-            apply_transitive(&h, &mut states, &d, &evens, 1, 1, &[], None, None, &mut st);
-            let out = apply_transitive(
-                &h,
-                &mut states,
-                &d,
-                &ids,
-                2,
-                threads,
-                &[],
-                None,
-                None,
-                &mut st,
-            );
+            apply_transitive(&h, &mut states, &d, &evens, 1, 1, None, None, &mut st);
+            let out = apply_transitive(&h, &mut states, &d, &ids, 2, threads, None, None, &mut st);
             (sorted(out), st, states)
         };
         let (out1, st1, states1) = run(1);
@@ -744,92 +670,88 @@ mod tests {
         }
     }
 
-    /// A stored-table call on `members` (ascending), as a memo entry
-    /// keeps it: one component label per member, and the table.
+    /// A cold memoized call on `members` (ascending): its components and
+    /// the table it leaves.
     fn stored(
         h: &SequenceHasher,
         states: &mut [RecordHashState],
         d: &Dataset,
         members: &[u32],
-    ) -> (Vec<u32>, BucketTable) {
+    ) -> (Vec<Vec<u32>>, BucketTable) {
         let mut table = BucketTable::default();
-        let mut st = Stats::default();
-        let parts = apply_transitive(
+        let parts = seeded(
             h,
             states,
             d,
-            members,
-            1,
-            1,
             &[],
-            Some(&mut table),
-            None,
-            &mut st,
+            members,
+            &mut table,
+            &mut Stats::default(),
         );
-        let labels = members
-            .iter()
-            .map(|r| parts.iter().position(|p| p.contains(r)).unwrap() as u32)
-            .collect();
-        (labels, table)
+        (parts, table)
     }
 
-    /// A seeded call on `cluster` (`seed_part` first, each part
-    /// ascending) over the table `stored` left for `seed_part`: its
-    /// sorted output, its `Stats` and the table it leaves.
+    /// A memoized call on `components`' records and `rest` (ascending)
+    /// over `table`, with the index the memo would build.
+    fn seeded(
+        h: &SequenceHasher,
+        states: &mut [RecordHashState],
+        d: &Dataset,
+        components: &[Vec<u32>],
+        rest: &[u32],
+        table: &mut BucketTable,
+        st: &mut Stats,
+    ) -> Vec<Vec<u32>> {
+        let (members, slots) = crate::memo::seed_index(components, rest, d.len());
+        let seed = Seed {
+            components,
+            members: &members,
+            slots: &slots,
+            table,
+            sketches: &mut Sketches::default(),
+        };
+        apply_transitive(h, states, d, rest, 1, 1, Some(seed), None, st)
+    }
+
+    /// A seeded call on `seed_part ∪ rest` over the table a cold call on
+    /// `seed_part` left: its output, its `Stats` and the table it leaves.
     fn warm(
         h: &SequenceHasher,
         d: &Dataset,
         seed_part: &[u32],
-        cluster: &[u32],
+        rest: &[u32],
     ) -> (Vec<Vec<u32>>, Stats, BucketTable) {
         let mut states = vec![RecordHashState::default(); d.len()];
-        let (seed, mut table) = stored(h, &mut states, d, seed_part);
+        let (components, mut table) = stored(h, &mut states, d, seed_part);
         let mut st = Stats::default();
-        let out = apply_transitive(
-            h,
-            &mut states,
-            d,
-            cluster,
-            1,
-            1,
-            &seed,
-            Some(&mut table),
-            None,
-            &mut st,
-        );
-        (sorted(out), st, table)
+        let out = seeded(h, &mut states, d, &components, rest, &mut table, &mut st);
+        (out, st, table)
     }
 
     #[test]
     fn a_new_record_joins_a_seed_component_through_the_stored_table() {
         // 2 shares buckets with 0 only, and 0's keys live in the stored
-        // table alone: nothing re-inserts them.
+        // table alone: nothing re-inserts them. The untouched component
+        // {1} comes back as it was, after the merged {0, 2}.
         let d = dataset(&[&[1, 2, 3], &[100, 200, 300], &[1, 2, 3]]);
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
-        let (out, st, table) = warm(&h, &d, &[0, 1], &[0, 1, 2]);
+        let (out, st, table) = warm(&h, &d, &[0, 1], &[2]);
         assert_eq!(out, vec![vec![0, 2], vec![1]]);
         let mut states = vec![RecordHashState::default(); d.len()];
-        let mut cold = BucketTable::default();
-        let mut cold_st = Stats::default();
-        apply_transitive(
-            &h,
-            &mut states,
-            &d,
-            &[0, 1, 2],
-            1,
-            1,
-            &[],
-            Some(&mut cold),
-            None,
-            &mut cold_st,
-        );
+        let (cold, cold_table) = stored(&h, &mut states, &d, &[0, 1, 2]);
+        assert_eq!(out, cold);
         assert_eq!(st.bucket_inserts, h.keys(&states[2], 1).count() as u64);
+        assert_eq!(
+            st.hash_evals,
+            h.level(1).budget() as u64,
+            "only 2 is hashed"
+        );
         let buckets = |t: &BucketTable| {
             let mut b: Vec<u64> = t.buckets().collect();
             b.sort_unstable();
             b
         };
-        assert_eq!(buckets(&table), buckets(&cold));
+        assert_eq!(buckets(&table), buckets(&cold_table));
     }
 
     #[test]
@@ -840,40 +762,57 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![1], z: 16 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let (seed, _) = stored(&h, &mut states, &d, &[0, 1]);
-        assert_eq!(seed, vec![0, 1], "two seed components");
-        let (out, st, _) = warm(&h, &d, &[0, 1], &[0, 1, 2]);
+        assert_eq!(seed, vec![vec![0], vec![1]], "two seed components");
+        let (out, st, _) = warm(&h, &d, &[0, 1], &[2]);
         assert_eq!(out, vec![vec![0, 1, 2]]);
         h.advance(&d.records()[2], &mut states[2], 1, &mut Stats::default());
         assert_eq!(st.bucket_inserts, h.keys(&states[2], 1).count() as u64);
     }
 
     #[test]
-    fn a_whole_set_seed_inserts_nothing() {
-        let d = dataset(&[&[1, 2, 3], &[1, 2, 3], &[100, 200, 300]]);
+    fn new_records_apart_from_the_seed_keep_canonical_order() {
+        // 1 and 3 form a new component between the seed's {0, 4} and
+        // {2}, and 5 one after them; the seed's components are untouched.
+        let d = dataset(&[
+            &[1, 2, 3],
+            &[50, 60, 70],
+            &[100, 200, 300],
+            &[50, 60, 70],
+            &[1, 2, 3],
+            &[900, 901, 902],
+        ]);
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
-        let (out, st, _) = warm(&h, &d, &[0, 1, 2], &[0, 1, 2]);
-        assert_eq!(out, vec![vec![0, 1], vec![2]]);
-        assert_eq!((st.bucket_inserts, st.transitive_calls), (0, 1));
+        let (out, _, _) = warm(&h, &d, &[0, 2, 4], &[1, 3, 5]);
+        assert_eq!(out, vec![vec![0, 4], vec![1, 3], vec![2], vec![5]]);
     }
 
     #[test]
-    #[should_panic(expected = "a seed comes with its stored table")]
-    fn a_seed_without_its_table_panics() {
+    fn a_seed_with_no_rest_inserts_nothing() {
+        let d = dataset(&[&[1, 2, 3], &[1, 2, 3], &[100, 200, 300]]);
+        let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
+        let (out, st, _) = warm(&h, &d, &[0, 1, 2], &[]);
+        assert_eq!(out, vec![vec![0, 1], vec![2]]);
+        assert_eq!(
+            (st.bucket_inserts, st.hash_evals, st.transitive_calls),
+            (0, 0, 1)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a stored table comes with its seed")]
+    fn a_stored_table_without_its_seed_panics() {
         let d = dataset(&[&[1, 2, 3], &[1, 2, 3]]);
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
-        let mut st = Stats::default();
-        apply_transitive(
+        let (_, mut table) = stored(&h, &mut states, &d, &[0]);
+        seeded(
             &h,
             &mut states,
             &d,
-            &[0, 1],
-            1,
-            1,
-            &[0],
-            None,
-            None,
-            &mut st,
+            &[],
+            &[1],
+            &mut table,
+            &mut Stats::default(),
         );
     }
 
@@ -883,18 +822,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 8 }]);
         let mut states = vec![RecordHashState::default(); d.len()];
         let mut st = Stats::default();
-        apply_transitive(
-            &h,
-            &mut states,
-            &d,
-            &[0, 1, 2],
-            1,
-            1,
-            &[],
-            None,
-            None,
-            &mut st,
-        );
+        apply_transitive(&h, &mut states, &d, &[0, 1, 2], 1, 1, None, None, &mut st);
         let keys: usize = states.iter().map(|s| h.keys(s, 1).count()).sum();
         assert_eq!(st.bucket_inserts, keys as u64);
     }
@@ -905,7 +833,7 @@ mod tests {
         let h = hasher(vec![LevelScheme::Shared { ws: vec![2], z: 3 }]);
         let mut states = vec![RecordHashState::default(); 1];
         let mut st = Stats::default();
-        let out = apply_transitive(&h, &mut states, &d, &[0], 1, 1, &[], None, None, &mut st);
+        let out = apply_transitive(&h, &mut states, &d, &[0], 1, 1, None, None, &mut st);
         assert_eq!(out, vec![vec![0]]);
     }
 }

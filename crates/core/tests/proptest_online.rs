@@ -27,6 +27,14 @@ fn overlapping(entity: u64, noise: u64) -> Record {
     Record::single(FieldValue::Shingles(ShingleSet::new(s)))
 }
 
+/// A record between entities `entity` and `entity + 1`: 13 shingles of
+/// each core and within the threshold of both (distance 1 − 13/20), so it
+/// joins two components that never match each other.
+fn bridge(entity: u64) -> Record {
+    let s: Vec<u64> = (2..19).map(|i| entity * 6 + i).collect();
+    Record::single(FieldValue::Shingles(ShingleSet::new(s)))
+}
+
 fn rule() -> MatchRule {
     MatchRule::threshold(0, FieldDistance::Jaccard, 0.4)
 }
@@ -108,7 +116,8 @@ proptest! {
         prop_assert_eq!(again.stats.hash_evals, 0);
     }
 
-    /// After any push/query interleaving, a warm resolver's query equals
+    /// After any push/query interleaving, none included, and arrivals
+    /// that bridge two stored components, a warm resolver's query equals
     /// that of a cold one restored from its snapshot (the same hash
     /// states, an empty memo) in clusters, `hash_evals`, `rounds`,
     /// `transitive_calls`, `pairwise_calls` and the modeled-cost bits,
@@ -119,7 +128,10 @@ proptest! {
     /// cold run gives them.
     #[test]
     fn memo_matches_a_cold_resolver(
-        stream in prop::collection::vec((0u64..5, any::<u64>(), prop::bool::ANY), 1..30),
+        stream in prop::collection::vec(
+            (0u64..5, any::<u64>(), prop::bool::ANY, prop::bool::ANY),
+            0..30,
+        ),
         k in 1usize..4,
         deep in prop::bool::ANY,
         strategy in 0usize..3,
@@ -138,9 +150,14 @@ proptest! {
         let mut warm: Vec<OnlineAdaLsh> = [1, 2]
             .map(|threads| OnlineAdaLsh::new(&boot, cfg(threads)).unwrap())
             .into();
-        for (entity, noise, query_now) in stream {
+        for (entity, noise, bridging, query_now) in stream {
+            let record = if bridging {
+                bridge(entity)
+            } else {
+                overlapping(entity, noise)
+            };
             for online in &mut warm {
-                online.push(overlapping(entity, noise)).unwrap();
+                online.push(record.clone()).unwrap();
             }
             if !query_now {
                 continue;

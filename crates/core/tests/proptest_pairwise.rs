@@ -14,21 +14,24 @@
 //! cached-norm / early-exit kernels (`matches_in_counted`), these tests
 //! also pin the kernel fast paths to the naive evaluation.
 //!
-//! A seeded run, which starts from the known components of a prefix `S`
-//! of the cluster, must return the components of the whole cluster, with
+//! A seeded run, which starts from the known components and stored
+//! sketches of a part `S` of the cluster, as the online memo seeds it,
+//! must return the canonical components of the whole cluster, with
 //! `Stats` that do not depend on the thread count or block size either.
 
 use std::sync::Arc;
 
+use adalsh_core::memo::Seed;
 use adalsh_core::oracle::{
     ExactOracle, NoisyOracle, NoisyOracleConfig, OracleSpend, PairwiseOracle, SpendLedger,
 };
 use adalsh_core::pairwise::{apply_pairwise_scalar, apply_pairwise_with};
 use adalsh_core::stats::Stats;
+use adalsh_core::transitive::BucketTable;
 use adalsh_data::rule::WeightedPart;
 use adalsh_data::{
     Dataset, DenseVector, FieldDistance, FieldKind, FieldValue, MatchRule, Record, Schema,
-    ShingleSet,
+    ShingleSet, Sketches, SlotTable,
 };
 use adalsh_obs::{MemorySubscriber, TraceSink};
 use proptest::prelude::*;
@@ -132,33 +135,14 @@ fn wavefront<O: PairwiseOracle>(
     settle: bool,
     traced: bool,
 ) -> (Vec<Vec<u32>>, Stats, OracleSpend) {
-    seeded(dataset, oracle, ids, &[], threads, block, settle, traced)
-}
-
-/// [`wavefront`] starting from `seed`'s components of `ids`' prefix.
-#[allow(clippy::too_many_arguments)]
-fn seeded<O: PairwiseOracle>(
-    dataset: &Dataset,
-    oracle: &O,
-    ids: &[u32],
-    seed: &[u32],
-    threads: usize,
-    block: usize,
-    settle: bool,
-    traced: bool,
-) -> (Vec<Vec<u32>>, Stats, OracleSpend) {
-    let sink = if traced {
-        TraceSink::new(Arc::new(MemorySubscriber::default()))
-    } else {
-        TraceSink::disabled()
-    };
+    let sink = sink(traced);
     let mut ledger = SpendLedger::new(None);
     let mut st = Stats::default();
     let (out, _) = apply_pairwise_with(
         dataset,
         oracle,
         ids,
-        seed,
+        None,
         threads,
         block,
         settle.then_some(&mut ledger),
@@ -166,6 +150,62 @@ fn seeded<O: PairwiseOracle>(
         &mut st,
     );
     (normalized(out), st, ledger.into_spend())
+}
+
+fn sink(traced: bool) -> TraceSink {
+    if traced {
+        TraceSink::new(Arc::new(MemorySubscriber::default()))
+    } else {
+        TraceSink::disabled()
+    }
+}
+
+/// A memoized run as the online memo makes one: `P` on `components`'
+/// records (canonical) and `rest` (ascending), seeded with `components`
+/// and `sketches`, which the run replaces with its own. Returns its
+/// clusters, as they come, and its `Stats`.
+#[allow(clippy::too_many_arguments)]
+fn memoized(
+    dataset: &Dataset,
+    oracle: &ExactOracle<'_>,
+    components: &[Vec<u32>],
+    rest: &[u32],
+    sketches: &mut Sketches,
+    threads: usize,
+    block: usize,
+    traced: bool,
+) -> (Vec<Vec<u32>>, Stats) {
+    let mut slots = vec![u32::MAX; dataset.len()];
+    for (label, component) in (0u32..).zip(components) {
+        for &rid in component {
+            slots[rid as usize] = label;
+        }
+    }
+    for (slot, &rid) in (components.len() as u32..).zip(rest) {
+        slots[rid as usize] = slot;
+    }
+    let mut members: Vec<u32> = components.iter().flatten().chain(rest).copied().collect();
+    members.sort_unstable();
+    let seed = Seed {
+        components,
+        members: &members,
+        slots: &slots,
+        table: &mut BucketTable::default(),
+        sketches,
+    };
+    let mut st = Stats::default();
+    let (out, _) = apply_pairwise_with(
+        dataset,
+        oracle,
+        rest,
+        Some(seed),
+        threads,
+        block,
+        None,
+        &sink(traced),
+        &mut st,
+    );
+    (out, st)
 }
 
 proptest! {
@@ -228,10 +268,11 @@ proptest! {
     }
 
     /// For a cluster split into an old part `S` and new records `N`,
-    /// `P` seeded with `P(S)`'s components equals `P(S ∪ N)`, charges no
-    /// more pairs than an unseeded run over the same slice, and has the
-    /// same `Stats` at threads {1, 2} and blocks {1, 7, 4096}. The empty
-    /// seed reproduces the unseeded `Stats` exactly.
+    /// `P` seeded with a cold memoized run's components and sketches of
+    /// `S` returns the canonical `P(S ∪ N)`, charges no more pairs than
+    /// an unseeded run over the same layout, and has the same `Stats` at
+    /// threads {1, 2} and blocks {1, 7, 4096}. The cold memoized run is
+    /// the unseeded run, pair for pair, in canonical order.
     #[test]
     fn seeded_wavefront_equals_full_p(
         dataset in mixed_dataset(),
@@ -241,20 +282,28 @@ proptest! {
     ) {
         let ids = shuffled(dataset.len(), order);
         let split = split.min(ids.len());
-        let (old, new) = ids.split_at(split);
+        let (mut old, mut new) = (ids[..split].to_vec(), ids[split..].to_vec());
+        old.sort_unstable();
+        new.sort_unstable();
         for rule in rules(dthr) {
             let exact = ExactOracle::new(&rule);
-            let (old_parts, _, _) = wavefront(&dataset, &exact, old, 1, 1, false, false);
-            let seed = labels(old, &old_parts);
-            let layout: Vec<u32> = old.iter().chain(new).copied().collect();
+            let mut stored = Sketches::default();
+            let (old_parts, st_old) = memoized(&dataset, &exact, &[], &old, &mut stored, 1, 1, false);
+            let (unseeded_old, st_unseeded_old, _) = wavefront(&dataset, &exact, &old, 2, 7, false, false);
+            prop_assert_eq!(&old_parts, &unseeded_old, "cold memoized, rule={:?}", rule);
+            prop_assert_eq!(st_old, st_unseeded_old, "cold memoized, rule={:?}", rule);
+
+            let layout: Vec<u32> = old.iter().chain(&new).copied().collect();
             prop_assert_eq!(layout.len(), ids.len());
             let mut st_scalar = Stats::default();
             let full = normalized(apply_pairwise_scalar(&dataset, &rule, &layout, &mut st_scalar));
-            let (unseeded, st_unseeded, _) = seeded(&dataset, &exact, &layout, &[], 2, 7, false, false);
+            let (unseeded, st_unseeded, _) = wavefront(&dataset, &exact, &layout, 2, 7, false, false);
             prop_assert_eq!(&unseeded, &full, "empty seed, rule={:?}", rule);
             prop_assert_eq!(st_unseeded, st_scalar, "empty seed, rule={:?}", rule);
 
-            let (reference, st_reference, _) = seeded(&dataset, &exact, &layout, &seed, 1, 1, false, false);
+            let stored = || SlotTable::build(&rule, &dataset, &old, 0).into_sketches();
+            let (reference, st_reference) =
+                memoized(&dataset, &exact, &old_parts, &new, &mut stored(), 1, 1, false);
             prop_assert_eq!(&reference, &full, "seeded clusters, rule={:?} |S|={}", rule, split);
             prop_assert_eq!(st_reference.pairwise_calls, 1);
             prop_assert!(
@@ -267,8 +316,9 @@ proptest! {
             for threads in [1usize, 2] {
                 for block in [1usize, 7, 4096] {
                     for traced in [false, true] {
-                        let (out, st, _) =
-                            seeded(&dataset, &exact, &layout, &seed, threads, block, false, traced);
+                        let (out, st) = memoized(
+                            &dataset, &exact, &old_parts, &new, &mut stored(), threads, block, traced,
+                        );
                         let case = format!("rule={rule:?} |S|={split} t={threads} b={block} traced={traced}");
                         prop_assert_eq!(&out, &full, "{}", case);
                         prop_assert_eq!(st, st_reference, "{}", case);
@@ -290,14 +340,6 @@ fn shuffled(n: usize, seed: u64) -> Vec<u32> {
         ids.swap(i, (state >> 33) as usize % (i + 1));
     }
     ids
-}
-
-/// One component label per record of `slice`, from `parts`.
-fn labels(slice: &[u32], parts: &[Vec<u32>]) -> Vec<u32> {
-    slice
-        .iter()
-        .map(|r| parts.iter().position(|p| p.contains(r)).unwrap() as u32)
-        .collect()
 }
 
 /// SpotSigs-like records over two shingle fields and a dense one: each
@@ -389,7 +431,7 @@ proptest! {
     /// The sketched `P` equals the unsketched scalar reference, clusters
     /// and `Stats`, on rules whose Jaccard leaves read different fields,
     /// at threads {1, 2} and blocks {1, 7, 4096}, traced or not, seeded
-    /// from a prefix's components or not.
+    /// from a part's components and stored sketches or not.
     #[test]
     fn sketched_wavefront_equals_scalar_on_two_shingle_fields(
         dataset in two_shingle_field_dataset(),
@@ -403,9 +445,13 @@ proptest! {
             let mut st_scalar = Stats::default();
             let full = normalized(apply_pairwise_scalar(&dataset, &rule, &ids, &mut st_scalar));
             let exact = ExactOracle::new(&rule);
-            let (old_parts, _, _) = wavefront(&dataset, &exact, &ids[..split], 1, 1, false, false);
-            let seed = labels(&ids[..split], &old_parts);
-            let (_, st_seeded, _) = seeded(&dataset, &exact, &ids, &seed, 1, 1, false, false);
+            let (mut old, mut new) = (ids[..split].to_vec(), ids[split..].to_vec());
+            old.sort_unstable();
+            new.sort_unstable();
+            let mut stored = Sketches::default();
+            let (old_parts, _) = memoized(&dataset, &exact, &[], &old, &mut stored, 1, 1, false);
+            let (_, st_seeded) = memoized(&dataset, &exact, &old_parts, &new, &mut stored, 1, 1, false);
+            let stored = || SlotTable::build(&rule, &dataset, &old, 0).into_sketches();
             for threads in [1usize, 2] {
                 for block in [1usize, 7, 4096] {
                     for traced in [false, true] {
@@ -414,8 +460,9 @@ proptest! {
                             wavefront(&dataset, &exact, &ids, threads, block, false, traced);
                         prop_assert_eq!(&out, &full, "unseeded: {}", case);
                         prop_assert_eq!(st, st_scalar, "unseeded: {}", case);
-                        let (out, st, _) =
-                            seeded(&dataset, &exact, &ids, &seed, threads, block, false, traced);
+                        let (out, st) = memoized(
+                            &dataset, &exact, &old_parts, &new, &mut stored(), threads, block, traced,
+                        );
                         prop_assert_eq!(&out, &full, "seeded |S|={}: {}", split, case);
                         prop_assert_eq!(st, st_seeded, "seeded |S|={}: {}", split, case);
                     }
@@ -454,7 +501,7 @@ fn noisy_ledger_is_unchanged_on_a_fixed_case() {
                 &dataset,
                 &oracle,
                 &ids,
-                &[],
+                None,
                 threads,
                 block,
                 Some(&mut ledger),

@@ -37,7 +37,7 @@ pub mod vector;
 pub use dataset::{ensure_record_id_capacity, Dataset, EntityId, MAX_RECORDS};
 pub use distance::{Exit, ExitCounts, FieldDistance, KernelTally, Operand};
 pub use record::{FieldKind, FieldRef, FieldValue, Record, Schema};
-pub use rule::{MatchRule, SlotTable};
+pub use rule::{MatchRule, Sketches, SlotTable};
 pub use shingle::{ShingleSet, Sketch};
 pub use store::{RecordFields, RecordStore, RecordView};
 pub use vector::DenseVector;

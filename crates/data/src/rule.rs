@@ -284,6 +284,13 @@ struct DenseSlot<'s> {
     angles: PivotAngles,
 }
 
+/// The bitmap sketch columns a [`SlotTable`] held, one per field (`None`
+/// for a field without sketches), slots in ascending record-id order:
+/// what a memoized `P` call keeps for a later call over a superset of its
+/// records ([`SlotTable::seeded`]). Empty, it covers no slot.
+#[derive(Debug, Default, PartialEq)]
+pub struct Sketches(Vec<Option<Vec<Sketch>>>);
+
 impl<'s> SlotTable<'s> {
     /// The table of `ids`' slots, in order, for a call that may test up
     /// to `pairs` pairs of them. A dense column read by a threshold leaf
@@ -293,6 +300,23 @@ impl<'s> SlotTable<'s> {
     /// [`vector::bound_safe`] slots at or after slots `0`, `n/4`, `n/2`
     /// and `3n/4`, deduplicated.
     pub fn build(rule: &MatchRule, store: &'s dyn RecordStore, ids: &[u32], pairs: usize) -> Self {
+        Self::seeded(rule, store, ids, pairs, Sketches::default())
+    }
+
+    /// [`SlotTable::build`], with each sketch column starting from
+    /// `stored`'s: the sketches a table of the same rule left
+    /// ([`SlotTable::into_sketches`]) for a prefix of `ids`. Only the
+    /// slots past that prefix are sketched.
+    ///
+    /// # Panics
+    /// Panics if a stored column is longer than `ids`.
+    pub fn seeded(
+        rule: &MatchRule,
+        store: &'s dyn RecordStore,
+        ids: &[u32],
+        pairs: usize,
+        mut stored: Sketches,
+    ) -> Self {
         let mut reads = Vec::new();
         rule.mark_reads(&mut reads);
         let n = ids.len();
@@ -314,7 +338,16 @@ impl<'s> SlotTable<'s> {
                     },
                     (_, FieldKind::Shingles) => Column::Shingles {
                         sets: Vec::with_capacity(n),
-                        sketches: bounded.then(|| Vec::with_capacity(n)),
+                        sketches: bounded.then(|| {
+                            let mut sketches = stored
+                                .0
+                                .get_mut(field)
+                                .and_then(Option::take)
+                                .unwrap_or_default();
+                            assert!(sketches.len() <= n, "stored sketches past the table");
+                            sketches.reserve(n - sketches.len());
+                            sketches
+                        }),
                     },
                 }
             })
@@ -330,8 +363,55 @@ impl<'s> SlotTable<'s> {
         table
     }
 
+    /// The table's sketch columns in ascending record-id order. Its ids
+    /// must form at most two ascending runs, as a memoized `P` call lays
+    /// them out: its seed's records, then the rest.
+    ///
+    /// # Panics
+    /// Panics if the ids form more than two ascending runs.
+    pub fn into_sketches(self) -> Sketches {
+        let ids = &self.ids;
+        let split = ids
+            .windows(2)
+            .position(|pair| pair[0] > pair[1])
+            .map_or(ids.len(), |at| at + 1);
+        let (seed, rest) = ids.split_at(split);
+        assert!(
+            rest.windows(2).all(|pair| pair[0] < pair[1]),
+            "a table's ids form at most two ascending runs"
+        );
+        // Slot order of the merged runs.
+        let mut order = Vec::with_capacity(if rest.is_empty() { 0 } else { ids.len() });
+        if !rest.is_empty() {
+            let (mut i, mut j) = (0, 0);
+            while i < seed.len() || j < rest.len() {
+                if j == rest.len() || (i < seed.len() && seed[i] < rest[j]) {
+                    order.push(i);
+                    i += 1;
+                } else {
+                    order.push(split + j);
+                    j += 1;
+                }
+            }
+        }
+        Sketches(
+            self.columns
+                .into_iter()
+                .map(|column| match column {
+                    Column::Shingles {
+                        sketches: Some(sketches),
+                        ..
+                    } if !order.is_empty() => Some(order.iter().map(|&k| sketches[k]).collect()),
+                    Column::Shingles { sketches, .. } => sketches,
+                    _ => None,
+                })
+                .collect(),
+        )
+    }
+
     /// Appends record `id` as the next slot.
     pub fn push(&mut self, id: u32) {
+        let slot = self.ids.len();
         self.ids.push(id);
         for (field, column) in self.columns.iter_mut().enumerate() {
             match column {
@@ -347,7 +427,8 @@ impl<'s> SlotTable<'s> {
                 }
                 Column::Shingles { sets, sketches } => {
                     let set = self.store.field(id, field).as_shingles();
-                    if let Some(sketches) = sketches {
+                    // A stored sketch already covers a seeded slot.
+                    if let Some(sketches) = sketches.as_mut().filter(|s| s.len() == slot) {
                         sketches.push(shingle::sketch(set));
                     }
                     sets.push(set);
@@ -690,6 +771,76 @@ mod tests {
             assert_eq!(
                 weighted.matches_in_counted(&table, i, j, &mut ()),
                 weighted.matches(d.record(ids[i]), d.record(ids[j])),
+            );
+        }
+    }
+
+    /// A table started from the sketches a table over a prefix of its ids
+    /// left equals one built from scratch, column by column, and leaves
+    /// its sketches in ascending record-id order.
+    #[test]
+    fn a_seeded_slot_table_equals_a_built_one() {
+        use crate::dataset::Dataset;
+        let schema = Schema::new(vec![
+            ("title", FieldKind::Shingles),
+            ("hist", FieldKind::Dense),
+            ("body", FieldKind::Shingles),
+        ]);
+        let record = |i: u64| {
+            Record::new(vec![
+                FieldValue::Shingles(ShingleSet::new(vec![i, i + 1, 7 * i])),
+                FieldValue::Dense(DenseVector::new(vec![1.0, i as f64, 2.0])),
+                FieldValue::Shingles(ShingleSet::new(vec![100 + i, 3])),
+            ])
+        };
+        let d = Dataset::new(schema, (0..8).map(record).collect(), vec![0; 8]);
+        let rule = MatchRule::And(vec![
+            MatchRule::threshold(0, FieldDistance::Jaccard, 0.5),
+            MatchRule::threshold(1, FieldDistance::Angular, 0.2),
+            MatchRule::threshold(2, FieldDistance::Jaccard, 0.7),
+        ]);
+        // The layout of a memoized call: its seed's ids, then the rest.
+        let (seed, ids) = ([1, 4, 6], [1, 4, 6, 0, 2, 5, 7]);
+        for pairs in [0, usize::MAX] {
+            let stored = SlotTable::build(&rule, &d, &seed, pairs).into_sketches();
+            let seeded = SlotTable::seeded(&rule, &d, &ids, pairs, stored);
+            let built = SlotTable::build(&rule, &d, &ids, pairs);
+            assert_eq!(seeded.ids, built.ids);
+            for (field, (a, b)) in seeded.columns.iter().zip(&built.columns).enumerate() {
+                match (a, b) {
+                    (
+                        Column::Shingles { sets, sketches },
+                        Column::Shingles {
+                            sets: sets_b,
+                            sketches: sketches_b,
+                        },
+                    ) => assert_eq!((sets, sketches), (sets_b, sketches_b), "field {field}"),
+                    (
+                        Column::Dense { slots, pivots },
+                        Column::Dense {
+                            slots: slots_b,
+                            pivots: pivots_b,
+                        },
+                    ) => {
+                        assert_eq!(pivots, pivots_b, "field {field}");
+                        fn bits<'a>(
+                            slots: &[DenseSlot<'a>],
+                        ) -> Vec<(&'a [f64], u64, [u64; PIVOTS])> {
+                            slots
+                                .iter()
+                                .map(|s| (s.x, s.norm.to_bits(), s.angles.map(f64::to_bits)))
+                                .collect()
+                        }
+                        assert_eq!(bits(slots), bits(slots_b), "field {field}");
+                    }
+                    _ => panic!("field {field}: columns of different kinds"),
+                }
+            }
+            let mut ascending = ids;
+            ascending.sort_unstable();
+            assert_eq!(
+                seeded.into_sketches(),
+                SlotTable::build(&rule, &d, &ascending, pairs).into_sketches()
             );
         }
     }

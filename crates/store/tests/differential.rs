@@ -185,7 +185,7 @@ fn pairwise_p_is_bit_identical_across_paths() {
                                 store,
                                 &ExactOracle::new(rule),
                                 &ids,
-                                &[],
+                                None,
                                 threads,
                                 block,
                                 settle.then_some(&mut ledger),
