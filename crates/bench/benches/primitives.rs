@@ -201,7 +201,7 @@ fn bench_hyperplane_batch(c: &mut Criterion) {
         g.bench_function(format!("batched/{width}"), |b| {
             let mut out = vec![0u64; width];
             b.iter(|| {
-                panel.hash_all(black_box(&v), &mut out);
+                panel.hash_all(&[black_box(&v)], &mut out);
                 black_box(out[width - 1])
             })
         });

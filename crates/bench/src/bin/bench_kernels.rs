@@ -19,10 +19,13 @@
 //! run against the committed file with `adalsh bench diff`. Keys are
 //! `<kernel>_per_sec/<width>` (higher is better). The hyperplane batch
 //! rows time [`HyperplanePanel::hash_all`] over a panel of `width`
-//! functions, the kernel a sequence level runs.
+//! functions, the kernel a sequence level runs, one vector a call; the
+//! hyperplane block rows time the same call on a block of
+//! [`PANEL_RECORDS`] vectors, the shape a blocked level advance uses
+//! (one op is still one function on one vector).
 
 use adalsh_bench::recorder::{out_arg, provenance_fields};
-use adalsh_lsh::{HyperplaneFamily, HyperplanePanel, MinHashFamily};
+use adalsh_lsh::{HyperplaneFamily, HyperplanePanel, MinHashFamily, PANEL_RECORDS};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -59,6 +62,13 @@ fn main() {
     let set: Vec<u64> = (0..SET_SIZE as u64).collect();
     let mh = MinHashFamily::new(3);
     let v: Vec<f64> = (0..DIM).map(|i| (i as f64 * 0.37).sin()).collect();
+    let vs: Vec<Vec<f64>> = (0..PANEL_RECORDS)
+        .map(|r| {
+            (0..DIM)
+                .map(|i| (i as f64 * 0.37 + r as f64).sin())
+                .collect()
+        })
+        .collect();
     let mut hp = HyperplaneFamily::new(DIM, 3);
     hp.ensure_functions(*WIDTHS.iter().max().unwrap());
 
@@ -92,10 +102,18 @@ fn main() {
         let functions: Vec<(u64, u64)> = idx.iter().map(|&i| (3, i as u64)).collect();
         let panel = HyperplanePanel::new(DIM, &functions);
         let ops = measure(width, window, || {
-            panel.hash_all(black_box(&v), &mut out);
+            panel.hash_all(&[black_box(&v)], &mut out);
             black_box(out[width - 1]);
         });
         rows.push((format!("hyperplane_batch_per_sec/{width}"), ops));
+
+        let mut block_out = vec![0u64; PANEL_RECORDS * width];
+        let ops = measure(PANEL_RECORDS * width, window, || {
+            let block: [&[f64]; PANEL_RECORDS] = std::array::from_fn(|r| &vs[r][..]);
+            panel.hash_all(black_box(&block), &mut block_out);
+            black_box(block_out[PANEL_RECORDS * width - 1]);
+        });
+        rows.push((format!("hyperplane_block_per_sec/{width}"), ops));
     }
 
     let mut json = String::from("{\n");

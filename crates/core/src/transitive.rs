@@ -68,6 +68,11 @@ use crate::stats::Stats;
 /// every remaining slot is evaluated.
 const MIN_PARALLEL_EVALS: u64 = 1 << 15;
 
+/// Records whose states the sequential phase 1 takes out of the state
+/// table at once: enough to fill many blocks, few enough that the copy
+/// stays in cache.
+const PHASE1_WINDOW: usize = 256;
+
 /// A `Hasher` that returns its one `u64` input unchanged, for maps keyed
 /// by values that are already well-mixed hashes (the bucket ids here).
 /// The map's bucket index and control bits then come straight from the
@@ -333,22 +338,34 @@ pub fn apply_transitive(
         .collect();
     let est_evals: u64 = costs.iter().sum();
     if threads == 1 || est_evals < MIN_PARALLEL_EVALS {
+        // A window of states at a time, so a huge cluster (the level-1
+        // sweep over every record) never holds a second copy of them all.
         let mut scratch = HashScratch::default();
-        for &rid in cluster {
-            hasher.advance_with_scratch(
-                &RecordView::new(store, rid),
-                &mut states[rid as usize],
+        let mut window = Vec::with_capacity(PHASE1_WINDOW);
+        for rids in cluster.chunks(PHASE1_WINDOW) {
+            window.extend(
+                rids.iter()
+                    .map(|&rid| std::mem::take(&mut states[rid as usize])),
+            );
+            advance_chunk(
+                hasher,
+                store,
+                rids,
+                &mut window,
                 to_level,
                 stats,
                 &mut scratch,
             );
+            for (&rid, state) in rids.iter().zip(window.drain(..)) {
+                states[rid as usize] = state;
+            }
         }
     } else {
         // Pull the touched states out so each worker owns a disjoint
         // chunk; put them back afterwards.
-        let mut owned: Vec<(u32, RecordHashState)> = cluster
+        let mut owned: Vec<RecordHashState> = cluster
             .iter()
-            .map(|&rid| (rid, std::mem::take(&mut states[rid as usize])))
+            .map(|&rid| std::mem::take(&mut states[rid as usize]))
             .collect();
         // Cut `owned` into at most `threads` contiguous chunks carrying a
         // fair share of the remaining estimated work each: chunk `t` takes
@@ -357,7 +374,8 @@ pub fn apply_transitive(
         // targets of later ones instead of starving the last thread).
         let per_thread: Vec<Stats> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(threads);
-            let mut rest: &mut [(u32, RecordHashState)] = &mut owned;
+            let mut rest: &mut [RecordHashState] = &mut owned;
+            let mut rids_rest: &[u32] = cluster;
             let mut cost_rest: &[u64] = &costs;
             let mut left = est_evals;
             for t in 0..threads {
@@ -379,20 +397,22 @@ pub fn apply_transitive(
                     cut
                 };
                 let (chunk, tail) = rest.split_at_mut(cut);
+                let (rids, rids_tail) = rids_rest.split_at(cut);
                 rest = tail;
+                rids_rest = rids_tail;
                 cost_rest = &cost_rest[cut..];
                 handles.push(scope.spawn(move || {
                     let mut local = Stats::default();
                     let mut scratch = HashScratch::default();
-                    for (rid, state) in chunk {
-                        hasher.advance_with_scratch(
-                            &RecordView::new(store, *rid),
-                            state,
-                            to_level,
-                            &mut local,
-                            &mut scratch,
-                        );
-                    }
+                    advance_chunk(
+                        hasher,
+                        store,
+                        rids,
+                        chunk,
+                        to_level,
+                        &mut local,
+                        &mut scratch,
+                    );
                     local
                 }));
             }
@@ -404,7 +424,7 @@ pub fn apply_transitive(
         for s in &per_thread {
             stats.merge(s);
         }
-        for (rid, state) in owned {
+        for (&rid, state) in cluster.iter().zip(owned) {
             states[rid as usize] = state;
         }
     }
@@ -460,6 +480,25 @@ pub fn apply_transitive(
         }
     }
     forest.splice(seed.components, &nodes, cluster, c)
+}
+
+/// Advances the records `rids`, whose states `states` holds in the same
+/// order (taken out of the caller's table), to `to_level` in blocks of
+/// [`adalsh_lsh::PANEL_RECORDS`].
+fn advance_chunk(
+    hasher: &SequenceHasher,
+    store: &dyn RecordStore,
+    rids: &[u32],
+    states: &mut [RecordHashState],
+    to_level: usize,
+    stats: &mut Stats,
+    scratch: &mut HashScratch,
+) {
+    let views: Vec<RecordView<'_>> = rids
+        .iter()
+        .map(|&rid| RecordView::new(store, rid))
+        .collect();
+    hasher.advance_records(&views, states, to_level, stats, scratch);
 }
 
 /// Maintains `forest` by the four cases of Figure 19 after `slot`'s

@@ -6,11 +6,16 @@
 //! three scheme structures (Shared, PerPart, Weighted parts), each with
 //! hyperplane parts, over ordinary and special (`±0`, subnormal,
 //! overflowing, infinite, NaN) components — and independent of how the
-//! caller reuses its [`HashScratch`].
+//! caller reuses its [`HashScratch`]. Blocked advances of whole clusters
+//! (phase 1 of [`apply_transitive`], records at mixed starting levels, on
+//! one and two threads) leave every state equal to the scalar oracle's.
 
 use adalsh_core::hashing::{HashPart, HashScratch, LevelScheme, RecordHashState, SequenceHasher};
 use adalsh_core::stats::Stats;
-use adalsh_data::{DenseVector, FieldDistance, FieldValue, Record, ShingleSet};
+use adalsh_core::transitive::apply_transitive;
+use adalsh_data::{
+    Dataset, DenseVector, FieldDistance, FieldKind, FieldValue, Record, Schema, ShingleSet,
+};
 use adalsh_lsh::scheme::WzScheme;
 use proptest::prelude::*;
 
@@ -109,8 +114,120 @@ const SPECIAL: [f64; 12] = [
     f64::NAN,
 ];
 
+/// The hasher of one rule structure over a shingle field 0 and a dense
+/// field 1 of dimension `dim`: a `Shared` AND rule (0), a `PerPart` OR
+/// rule (1), or one Definition-7 weighted part over both fields (2).
+/// `heavy` appends a level with 600 times the tables, so a cluster of a
+/// few records clears the threshold at which phase 1 fans out to worker
+/// threads.
+fn cluster_hasher(
+    structure: usize,
+    increments: &[(u32, u32)],
+    heavy: bool,
+    dim: usize,
+    seed: u64,
+) -> SequenceHasher {
+    let (parts, mut levels) = match structure {
+        0 => (
+            vec![
+                HashPart::shingles(0, seed),
+                HashPart::dense(1, dim, seed ^ 1),
+            ],
+            shared_ladder(increments, 2, 1),
+        ),
+        1 => (
+            vec![
+                HashPart::shingles(0, seed),
+                HashPart::dense(1, dim, seed ^ 1),
+            ],
+            per_part_ladder(increments, 2),
+        ),
+        _ => (
+            vec![HashPart::weighted(
+                &[
+                    (0, FieldDistance::Jaccard, 0.4),
+                    (1, FieldDistance::Angular, 0.6),
+                ],
+                &[0, dim],
+                seed,
+            )],
+            shared_ladder(increments, 1, 1),
+        ),
+    };
+    if heavy {
+        let top = match levels.last().expect("a ladder has levels") {
+            LevelScheme::Shared { ws, z } => LevelScheme::Shared {
+                ws: ws.clone(),
+                z: z * 600,
+            },
+            LevelScheme::PerPart { parts } => LevelScheme::PerPart {
+                parts: parts
+                    .iter()
+                    .map(|s| WzScheme::new(s.w, s.z * 600))
+                    .collect(),
+            },
+        };
+        levels.push(top);
+    }
+    SequenceHasher::new(parts, levels)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Phase 1 of `apply_transitive` advances a cluster of 0–9 records in
+    /// blocks, on one or two threads, from mixed starting levels (so
+    /// blocks mix records that jump several levels with records that
+    /// step once or not at all): every state and `Stats.hash_evals` equal
+    /// advancing each record alone along the scalar path, for `Shared`
+    /// AND rules, `PerPart` OR rules and weighted dense+shingle parts.
+    #[test]
+    fn blocked_cluster_advance_equals_scalar(
+        structure in 0usize..3,
+        increments in prop::collection::vec((0u32..3, 0u32..3), 1..4),
+        heavy in any::<bool>(),
+        records in prop::collection::vec(
+            (prop::collection::vec(0u64..40, 0..12), prop::collection::vec(any::<u64>(), 0..4)),
+            0..10,
+        ),
+        starts in prop::collection::vec(0usize..8, 10),
+        to in 0usize..8,
+        threads in 1usize..3,
+        seed in any::<u64>(),
+    ) {
+        let dim = 3;
+        let h = cluster_hasher(structure, &increments, heavy, dim, seed);
+        let top = h.num_levels();
+        let schema = Schema::new(vec![("s", FieldKind::Shingles), ("v", FieldKind::Dense)]);
+        // The cluster is records `0..n`; record `n`, outside it, stays
+        // untouched (and keeps the dataset non-empty).
+        let n = records.len();
+        let records: Vec<Record> = records
+            .into_iter()
+            .chain([(vec![1, 2], vec![5])])
+            .map(|(s, v)| Record::new(vec![shingle_field(s), dense_field(v, dim)]))
+            .collect();
+        let d = Dataset::new(schema, records, (0..=n as u32).collect());
+        let mut scalar = vec![RecordHashState::default(); n + 1];
+        for (i, state) in scalar.iter_mut().enumerate() {
+            let start = starts[i] % (top + 1);
+            if start > 0 {
+                h.advance_scalar(&d.records()[i], state, start, &mut Stats::default());
+            }
+        }
+        let mut blocked = scalar.clone();
+        // A heavy ladder's cluster goes to its heavy top level.
+        let to_level = if heavy { top } else { 1 + to % top };
+        let mut stb = Stats::default();
+        let cluster: Vec<u32> = (0..n as u32).collect();
+        apply_transitive(&h, &mut blocked, &d, &cluster, to_level, threads, None, None, &mut stb);
+        let mut sts = Stats::default();
+        for (rec, state) in d.records().iter().zip(&mut scalar[..n]) {
+            h.advance_scalar(rec, state, to_level, &mut sts);
+        }
+        prop_assert_eq!(&blocked, &scalar);
+        prop_assert_eq!(stb.hash_evals, sts.hash_evals);
+    }
 
     /// Shared scheme over a shingle part and a dense part: batched path
     /// is bit-identical to the scalar oracle for random ladders and

@@ -20,16 +20,20 @@
 
 use rand::{Rng, SeedableRng};
 
+use crate::dispatch::{dispatch, Kernel};
 use crate::mix::derive_seed;
 
 /// Lanes in one [`HyperplanePanel`] block: one function per lane.
 pub const PANEL_LANES: usize = 32;
 
-/// Lanes the kernel accumulates at once: half a block. Sixteen `f64`
-/// accumulators fill eight SSE2 registers and leave room for the loads;
-/// a full block's 32 would spill on the baseline x86-64 target (the
-/// 16-lane half ran ~1.6x faster there).
-const ACC_LANES: usize = 16;
+/// Vectors one [`HyperplanePanel::hash_all`] call hashes at once.
+pub const PANEL_RECORDS: usize = 4;
+
+/// Lanes the portable kernel accumulates at once: half a block. Sixteen
+/// `f64` accumulators fill eight SSE2 registers and leave room for the
+/// loads; a full block's 32 would spill on the baseline x86-64 target
+/// (the 16-lane half ran ~1.6x faster there).
+const HALF_LANES: usize = PANEL_LANES / 2;
 
 /// The components of normal `fn_index` of the family seeded `seed`, in
 /// dimension order — the one sampler behind both containers.
@@ -131,10 +135,18 @@ impl HyperplaneFamily {
 pub struct HyperplanePanel {
     dim: usize,
     len: usize,
-    /// `blocks[b * dim + d][lane]` = component `d` of function
+    /// `blocks[b * dim + d].0[lane]` = component `d` of function
     /// `b * PANEL_LANES + lane`.
-    blocks: Vec<[f64; PANEL_LANES]>,
+    blocks: Vec<Column>,
 }
+
+/// Component `d` of a block's 32 normals. Aligned to a cache line, so an
+/// 8-lane load reads exactly one line: at the allocator's 16-byte
+/// alignment every 64-byte load straddled two, and the one-vector
+/// AVX-512 kernel ran at about half speed.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Column([f64; PANEL_LANES]);
 
 impl HyperplanePanel {
     /// Builds the panel of `functions`, each a `(family seed, function
@@ -145,14 +157,15 @@ impl HyperplanePanel {
     /// Panics if `dim == 0`.
     pub fn new(dim: usize, functions: &[(u64, u64)]) -> Self {
         assert!(dim > 0, "dimension must be positive");
-        let mut blocks = vec![[0.0; PANEL_LANES]; functions.len().div_ceil(PANEL_LANES) * dim];
+        let mut blocks =
+            vec![Column([0.0; PANEL_LANES]); functions.len().div_ceil(PANEL_LANES) * dim];
         for (i, &(seed, fn_index)) in functions.iter().enumerate() {
             let (b, lane) = (i / PANEL_LANES, i % PANEL_LANES);
             for (col, x) in blocks[b * dim..(b + 1) * dim]
                 .iter_mut()
                 .zip(sample_normal(seed, fn_index, dim))
             {
-                col[lane] = x;
+                col.0[lane] = x;
             }
         }
         Self {
@@ -186,41 +199,133 @@ impl HyperplanePanel {
         let (b, lane) = (i / PANEL_LANES, i % PANEL_LANES);
         self.blocks[b * self.dim..(b + 1) * self.dim]
             .iter()
-            .map(move |col| col[lane])
+            .map(move |col| col.0[lane])
     }
 
-    /// Hashes `v` with every function: `out[i]` receives exactly what
-    /// [`HyperplaneFamily::hash`] returns for function `i`. Each half
-    /// block accumulates its 16 dot products in a fixed `[f64; 16]`,
-    /// adding one product per lane per dimension in ascending order with
-    /// no fused multiply-add — each lane's fold is the reference sum's,
-    /// so every sign is bit-identical. Blocks are whole whatever tables
-    /// their tasks come from; only the ragged tail of the last block is
-    /// skipped.
+    /// Hashes a block of one to [`PANEL_RECORDS`] vectors with every
+    /// function: `out[r * len() + i]` receives exactly what
+    /// [`HyperplaneFamily::hash`] returns for function `i` on `vs[r]`.
+    /// Each lane adds one product per dimension in ascending order, a
+    /// separate multiply and add with no fused multiply-add, so its sum
+    /// is the reference sum and every sign is bit-identical. Blocks are
+    /// whole whatever tables their tasks come from; only the ragged tail
+    /// of the last block is not written.
+    ///
+    /// The kernel is compiled twice and picked at run time. The portable
+    /// copy walks each block once per vector, 16 lanes at a time, so the
+    /// block stays in L1 across the vectors. On CPUs with AVX-512F/DQ a
+    /// copy holds all 32 lanes for every vector of the block in 16 `zmm`
+    /// accumulators, so each column loaded serves every vector.
     ///
     /// # Panics
-    /// Panics if the dimension or the output length mismatches.
-    pub fn hash_all(&self, v: &[f64], out: &mut [u64]) {
-        assert_eq!(v.len(), self.dim, "vector dimension mismatch");
-        assert_eq!(out.len(), self.len, "output length mismatch");
-        for (block, out) in self
-            .blocks
-            .chunks_exact(self.dim)
-            .zip(out.chunks_mut(PANEL_LANES))
-        {
-            for (g, out) in out.chunks_mut(ACC_LANES).enumerate() {
-                let lanes = g * ACC_LANES..(g + 1) * ACC_LANES;
-                let mut acc = [0.0f64; ACC_LANES];
-                for (col, &x) in block.iter().zip(v) {
-                    for (a, &m) in acc.iter_mut().zip(&col[lanes.clone()]) {
-                        *a += m * x;
+    /// Panics if `vs` holds no vector or more than [`PANEL_RECORDS`], or
+    /// if a dimension or the output length mismatches.
+    pub fn hash_all(&self, vs: &[&[f64]], out: &mut [u64]) {
+        assert!(
+            (1..=PANEL_RECORDS).contains(&vs.len()),
+            "a block holds 1 to {PANEL_RECORDS} vectors, not {}",
+            vs.len()
+        );
+        for v in vs {
+            assert_eq!(v.len(), self.dim, "vector dimension mismatch");
+        }
+        assert_eq!(out.len(), vs.len() * self.len, "output length mismatch");
+        dispatch(PanelBlock {
+            panel: self,
+            vs,
+            out,
+        });
+    }
+}
+
+/// One [`HyperplanePanel::hash_all`] call: the checked operands.
+struct PanelBlock<'a> {
+    panel: &'a HyperplanePanel,
+    vs: &'a [&'a [f64]],
+    out: &'a mut [u64],
+}
+
+impl Kernel for PanelBlock<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<const WIDE: bool>(self) {
+        if !WIDE {
+            return self.portable();
+        }
+        match self.vs.len() {
+            1 => self.wide::<1>(),
+            2 => self.wide::<2>(),
+            3 => self.wide::<3>(),
+            _ => self.wide::<4>(),
+        }
+    }
+}
+
+impl PanelBlock<'_> {
+    /// Each block once per vector, a half block at a time.
+    #[inline(always)]
+    fn portable(self) {
+        let Self { panel, vs, out } = self;
+        let (dim, len) = (panel.dim, panel.len);
+        for (b, block) in panel.blocks.chunks_exact(dim).enumerate() {
+            for (r, &v) in vs.iter().enumerate() {
+                for first in (0..PANEL_LANES).step_by(HALF_LANES) {
+                    let lane = b * PANEL_LANES + first;
+                    if lane >= len {
+                        break;
                     }
-                }
-                for (o, &a) in out.iter_mut().zip(&acc) {
-                    *o = u64::from(a >= 0.0);
+                    let [acc] = accumulate::<HALF_LANES, 1>(block, first, [v]);
+                    write_signs(&acc, &mut out[r * len..(r + 1) * len], lane);
                 }
             }
         }
+    }
+
+    /// Each block once for all `R` vectors, all 32 lanes at a time.
+    #[inline(always)]
+    fn wide<const R: usize>(self) {
+        let Self { panel, vs, out } = self;
+        let (dim, len) = (panel.dim, panel.len);
+        let vs: [&[f64]; R] = std::array::from_fn(|r| vs[r]);
+        for (b, block) in panel.blocks.chunks_exact(dim).enumerate() {
+            let acc = accumulate::<PANEL_LANES, R>(block, 0, vs);
+            for (r, acc) in acc.iter().enumerate() {
+                write_signs(acc, &mut out[r * len..(r + 1) * len], b * PANEL_LANES);
+            }
+        }
+    }
+}
+
+/// The dot products of lanes `first..first + LANES` of `block` with each
+/// of `vs`: `acc[r][l]` adds `block[d][first + l] * vs[r][d]` for `d` in
+/// ascending order, one multiply and one add per term.
+#[inline(always)]
+fn accumulate<const LANES: usize, const R: usize>(
+    block: &[Column],
+    first: usize,
+    vs: [&[f64]; R],
+) -> [[f64; LANES]; R] {
+    let dim = block.len();
+    let vs = vs.map(|v| &v[..dim]);
+    let mut acc = [[0.0f64; LANES]; R];
+    for (d, col) in block.iter().enumerate() {
+        let col: &[f64; LANES] = col.0[first..first + LANES].try_into().expect("LANES lanes");
+        let xs: [f64; R] = std::array::from_fn(|r| vs[r][d]);
+        for r in 0..R {
+            for l in 0..LANES {
+                acc[r][l] += col[l] * xs[r];
+            }
+        }
+    }
+    acc
+}
+
+/// Writes the signs of `acc` to `row[lane..]`, stopping at the row's end.
+#[inline(always)]
+fn write_signs(acc: &[f64], row: &mut [u64], lane: usize) {
+    for (o, &a) in row[lane..].iter_mut().zip(acc) {
+        *o = u64::from(a >= 0.0);
     }
 }
 
@@ -369,7 +474,9 @@ mod tests {
             assert_eq!(lane, reference, "task {i} = {:?}", (seed, j));
         }
         for block in &panel.blocks[2 * dim..] {
-            assert!(block[70 % PANEL_LANES..].iter().all(|&x| x.to_bits() == 0));
+            assert!(block.0[70 % PANEL_LANES..]
+                .iter()
+                .all(|&x| x.to_bits() == 0));
         }
     }
 
@@ -393,27 +500,79 @@ mod tests {
         }
     }
 
-    /// Asserts the panel kernel's signs equal the scalar reference's for
-    /// every task on `v`.
-    fn assert_panel_matches_scalar(tasks: &[(u64, u64)], v: &[f64]) {
-        let panel = HyperplanePanel::new(v.len(), tasks);
-        let mut out = vec![9u64; tasks.len()];
-        panel.hash_all(v, &mut out);
-        for (i, (&(seed, j), &o)) in tasks.iter().zip(&out).enumerate() {
-            let f = family_with_seed(v.len(), j as usize + 1, seed);
-            assert_eq!(o, f.hash(j as usize, v), "n={} task {i}", tasks.len());
+    /// A copy of the panel kernel: what it writes for one block.
+    type Copy = fn(&HyperplanePanel, &[&[f64]], &mut [u64]);
+
+    /// Every copy of the kernel a CPU may run: the dispatched entry point
+    /// (the AVX-512 copy on CPUs that have it), the portable copy, and the
+    /// wide shape compiled for the baseline target, so a CPU without
+    /// AVX-512 still checks the wide arithmetic.
+    const COPIES: [(&str, Copy); 3] = [
+        ("dispatched", |p, vs, out| p.hash_all(vs, out)),
+        ("portable", |panel, vs, out| {
+            PanelBlock { panel, vs, out }.run::<false>()
+        }),
+        ("wide", |panel, vs, out| {
+            PanelBlock { panel, vs, out }.run::<true>()
+        }),
+    ];
+
+    /// Asserts that every copy of the panel kernel, over blocks of one to
+    /// four of `vectors` (taken cyclically from each start), writes each
+    /// vector's row equal to the scalar reference for every task.
+    fn assert_panel_matches_scalar(tasks: &[(u64, u64)], vectors: &[Vec<f64>]) {
+        let dim = vectors[0].len();
+        let panel = HyperplanePanel::new(dim, tasks);
+        let families: Vec<HyperplaneFamily> = tasks
+            .iter()
+            .map(|&(seed, j)| family_with_seed(dim, j as usize + 1, seed))
+            .collect();
+        let reference: Vec<Vec<u64>> = vectors
+            .iter()
+            .map(|v| {
+                tasks
+                    .iter()
+                    .zip(&families)
+                    .map(|(&(_, j), f)| f.hash(j as usize, v))
+                    .collect()
+            })
+            .collect();
+        for k in 1..=PANEL_RECORDS {
+            for start in 0..vectors.len() {
+                let rows: Vec<usize> = (0..k).map(|r| (start + r) % vectors.len()).collect();
+                let block: Vec<&[f64]> = rows.iter().map(|&r| vectors[r].as_slice()).collect();
+                for (copy, kernel) in COPIES {
+                    let mut out = vec![9u64; k * tasks.len()];
+                    kernel(&panel, &block, &mut out);
+                    for (row, &r) in out.chunks(tasks.len().max(1)).zip(&rows) {
+                        assert_eq!(
+                            row,
+                            reference[r].as_slice(),
+                            "{copy} copy, n={}, block of {k} from {start}, vector {r}",
+                            tasks.len()
+                        );
+                    }
+                }
+            }
         }
     }
 
     /// Full blocks, ragged last blocks and several blocks, with tasks
-    /// that switch family mid-block: each sign equals the scalar path's.
+    /// that switch family mid-block, hashed in blocks of one to four
+    /// vectors: each sign equals the scalar path's.
     #[test]
     fn panel_matches_scalar_at_block_edges() {
-        let v: Vec<f64> = (0..33).map(|i| (i as f64 * 0.41).sin() - 0.13).collect();
+        let vectors: Vec<Vec<f64>> = (0..5)
+            .map(|k| {
+                (0..33)
+                    .map(|i| (i as f64 * (0.41 + 0.1 * k as f64)).sin() - 0.13)
+                    .collect()
+            })
+            .collect();
         for n in [
             1usize, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65, 100, 161,
         ] {
-            assert_panel_matches_scalar(&mixed_tasks(n), &v);
+            assert_panel_matches_scalar(&mixed_tasks(n), &vectors);
         }
         // Phase A (existing tables, new functions) then phase B (fresh
         // tables from function 0), as a level transition lists them.
@@ -424,18 +583,20 @@ mod tests {
         for t in 5..9u64 {
             tasks.extend((0..9).map(|j| (100 + t, j)));
         }
-        assert_panel_matches_scalar(&tasks, &v);
-        assert_panel_matches_scalar(&[], &v);
+        assert_panel_matches_scalar(&tasks, &vectors);
+        assert_panel_matches_scalar(&[], &vectors);
     }
 
-    /// Signed zeros, subnormals, products that overflow to `±inf` and
-    /// sums that reach NaN (`inf − inf`, `0 · inf`) give the scalar
-    /// path's sign in every lane.
+    /// Signed zeros, subnormals, products that overflow to `±inf`, sums
+    /// that reach NaN (`inf − inf`, `0 · inf`), and two products that
+    /// cancel exactly (where a fused multiply-add would keep the first
+    /// product's rounding error and could flip the sign) give the scalar
+    /// path's sign in every lane, in every copy and block size.
     #[test]
     fn panel_matches_scalar_on_special_values() {
         let tasks = mixed_tasks(65);
         let tiny = f64::MIN_POSITIVE / 8.0;
-        let vectors: Vec<Vec<f64>> = vec![
+        let mut vectors: Vec<Vec<f64>> = vec![
             vec![0.0; 8],
             vec![-0.0; 8],
             vec![0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0],
@@ -464,23 +625,49 @@ mod tests {
             ],
             vec![f64::NAN, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
         ];
-        for v in &vectors {
-            assert_panel_matches_scalar(&tasks, v);
-        }
+        // Lane i's first two terms are `n₀n₁` and `−n₁n₀`: their rounded
+        // products cancel to exactly 0, a sign of 1 in the reference.
+        let panel = HyperplanePanel::new(8, &tasks);
+        let cancelling = |i: usize| -> Vec<f64> {
+            let n: Vec<f64> = panel.normal(i).collect();
+            let mut v = vec![0.0; 8];
+            (v[0], v[1]) = (n[1], -n[0]);
+            v
+        };
+        vectors.extend((0..16).map(|i| cancelling(i * 4)));
+        assert_panel_matches_scalar(&tasks, &vectors);
         // The special vectors do reach every class of sum: some dot is
-        // infinite and some is NaN.
+        // infinite, some is NaN and some cancels to zero.
         let f = family_with_seed(8, 32, 11);
         let dot =
             |v: &[f64], j: usize| -> f64 { f.normal(j).iter().zip(v).map(|(n, x)| n * x).sum() };
         assert!((0..32).any(|j| dot(&vectors[5], j).is_infinite()));
         assert!((0..32).any(|j| dot(&vectors[7], j).is_nan()));
+        let (seed, j) = tasks[0];
+        let g = family_with_seed(8, j as usize + 1, seed);
+        let sum: f64 = g
+            .normal(j as usize)
+            .iter()
+            .zip(&cancelling(0))
+            .map(|(n, x)| n * x)
+            .sum();
+        assert_eq!(sum, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 4 vectors")]
+    fn panel_rejects_an_empty_or_oversized_block() {
+        let panel = HyperplanePanel::new(2, &[(1, 0)]);
+        let v: &[f64] = &[1.0, 2.0];
+        panel.hash_all(&[v; 5], &mut [0u64; 5]);
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn panel_dimension_mismatch_panics() {
         let panel = HyperplanePanel::new(4, &[(1, 0)]);
-        panel.hash_all(&[1.0, 2.0], &mut [0u64; 1]);
+        let v: &[f64] = &[1.0, 2.0];
+        panel.hash_all(&[v], &mut [0u64; 1]);
     }
 
     #[test]

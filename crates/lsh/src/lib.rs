@@ -23,6 +23,7 @@
 //! reproducible bit-for-bit.
 
 pub mod construction;
+mod dispatch;
 pub mod hyperplane;
 pub mod minhash;
 pub mod mix;
@@ -32,7 +33,7 @@ pub mod prob;
 pub mod scheme;
 
 pub use construction::Sensitivity;
-pub use hyperplane::{HyperplaneFamily, HyperplanePanel};
+pub use hyperplane::{HyperplaneFamily, HyperplanePanel, PANEL_RECORDS};
 pub use minhash::MinHashFamily;
 pub use multifield::{AndScheme, FieldSpec, OrScheme, WeightedSelection};
 pub use optimizer::{OptimizerInput, SchemeOptimizer};

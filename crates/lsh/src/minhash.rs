@@ -11,6 +11,7 @@
 //! indistinguishable from random permutations of the 64-bit universe for
 //! this purpose and far cheaper than explicit permutation tables.
 
+use crate::dispatch::{dispatch, Kernel};
 use crate::mix::{combine, combine_premixed, derive_seed, premix};
 
 /// A family of MinHash functions over shingle sets (`&[u64]`).
@@ -81,15 +82,7 @@ impl MinHashFamily {
     /// Panics if `keys` and `out` lengths differ.
     pub fn hash_batch_keys(keys: &[u64], set: &[u64], out: &mut [u64]) {
         assert_eq!(keys.len(), out.len(), "output length mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512dq") {
-            // SAFETY: the only requirement of a `target_feature` function
-            // is that the CPU supports the enabled features, which the two
-            // run-time checks above establish.
-            unsafe { hash_batch_keys_avx512(keys, set, out) };
-            return;
-        }
-        hash_batch_keys_portable(keys, set, out);
+        dispatch(BatchKeys { keys, set, out });
     }
 
     /// Collision probability `p(x) = 1 − x` at Jaccard distance `x`.
@@ -98,42 +91,44 @@ impl MinHashFamily {
     }
 }
 
-/// The body of [`MinHashFamily::hash_batch_keys`], inlined into each
-/// feature-specific copy so the compiler vectorizes it for that copy's
-/// target features. `keys.len() == out.len()` is checked by the caller.
-#[inline(always)]
-fn hash_batch_keys_body(keys: &[u64], set: &[u64], out: &mut [u64]) {
-    if set.is_empty() {
-        out.fill(EMPTY_SET_HASH);
-        return;
-    }
-    out.fill(u64::MAX);
-    for &s in set {
-        let pre = premix(s);
-        for (o, &key) in out.iter_mut().zip(keys) {
-            let h = combine_premixed(key, pre);
-            if h < *o {
-                *o = h;
+/// The batch kernel of [`MinHashFamily::hash_batch_keys`]; the caller
+/// checks `keys.len() == out.len()`. Both copies run the same loop: in
+/// the AVX-512 one the 64-bit multiplies of [`premix`]/`splitmix64`
+/// become `vpmullq` (AVX-512DQ) and the running minimum `vpminuq`
+/// (AVX-512F), eight lanes at a time.
+struct BatchKeys<'a> {
+    keys: &'a [u64],
+    set: &'a [u64],
+    out: &'a mut [u64],
+}
+
+impl Kernel for BatchKeys<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<const WIDE: bool>(self) {
+        let Self { keys, set, out } = self;
+        if set.is_empty() {
+            out.fill(EMPTY_SET_HASH);
+            return;
+        }
+        out.fill(u64::MAX);
+        for &s in set {
+            let pre = premix(s);
+            for (o, &key) in out.iter_mut().zip(keys) {
+                let h = combine_premixed(key, pre);
+                if h < *o {
+                    *o = h;
+                }
             }
         }
     }
 }
 
 /// The portable copy of the batch kernel: the baseline target features.
+#[cfg(test)]
 fn hash_batch_keys_portable(keys: &[u64], set: &[u64], out: &mut [u64]) {
-    hash_batch_keys_body(keys, set, out);
-}
-
-/// The AVX-512 copy of the batch kernel. The 64-bit multiplies of
-/// [`premix`]/`splitmix64` become `vpmullq` (AVX-512DQ) and the running
-/// minimum `vpminuq` (AVX-512F), eight lanes at a time.
-///
-/// # Safety
-/// The CPU must support AVX-512F and AVX-512DQ.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn hash_batch_keys_avx512(keys: &[u64], set: &[u64], out: &mut [u64]) {
-    hash_batch_keys_body(keys, set, out);
+    BatchKeys { keys, set, out }.run::<false>();
 }
 
 #[cfg(test)]
