@@ -234,37 +234,12 @@ fn bench_incremental_advance(c: &mut Criterion) {
             |(hasher, mut states, mut stats)| {
                 let mut scratch = HashScratch::default();
                 for i in 0..dataset.len() as u32 {
-                    hasher.advance_with_scratch(
-                        dataset.record(i),
-                        &mut states[i as usize],
+                    hasher.advance_records(
+                        std::slice::from_ref(dataset.record(i)),
+                        std::slice::from_mut(&mut states[i as usize]),
                         4,
                         &mut stats,
                         &mut scratch,
-                    );
-                }
-                black_box(stats.hash_evals)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    // The scalar oracle on the identical workload: the in-run control for
-    // the batched path above (same binary, same machine conditions).
-    g.bench_function("level1_to_4_per_record_scalar", |b| {
-        b.iter_batched(
-            || {
-                (
-                    SequenceHasher::new(vec![HashPart::shingles(0, 7)], test_levels()),
-                    vec![RecordHashState::default(); dataset.len()],
-                    Stats::default(),
-                )
-            },
-            |(hasher, mut states, mut stats)| {
-                for i in 0..dataset.len() as u32 {
-                    hasher.advance_scalar(
-                        dataset.record(i),
-                        &mut states[i as usize],
-                        4,
-                        &mut stats,
                     );
                 }
                 black_box(stats.hash_evals)

@@ -11,13 +11,16 @@
 //! table counts are nondecreasing along the sequence (`wᵢ ≤ wᵢ₊₁`,
 //! `zᵢ ≤ zᵢ₊₁`, §4.1) — so advancing a record from level `i−1` to `i`
 //! evaluates only the *new* hash functions. Per-record state is one u64
-//! accumulator per table per completed level ([`RecordHashState`]); the
+//! accumulator per table per completed level, held in one flat array
+//! whose layout the level plans fix ([`RecordHashState`]); the
 //! accumulator folds the table's hash values in a fixed order, so two
 //! records share a bucket at level `i` exactly when all their table-`t`
 //! values agree (up to a 2⁻⁶⁴ mixing collision, which merely merges two
 //! clusters — harmless for a conservative filter). Completed levels stay
 //! addressable ([`SequenceHasher::keys`]) so a later run re-applying an
 //! earlier sequence function to an already-deep record is a free lookup.
+//! The one advance path is [`SequenceHasher::advance_records`]; its
+//! scalar reference lives in the tests (`tests/proptest_hashing.rs`).
 //!
 //! Hyperplane normals follow the same adaptivity: each `lvl−1 → lvl`
 //! plan holds the normals of exactly its own dense tasks, built the first
@@ -186,29 +189,6 @@ impl HashPart {
             HashPart::Weighted { .. } => WeightedSelection::collision_prob(x),
         }
     }
-
-    /// Evaluates hash function `j` of table `t` on a record, one scalar
-    /// evaluation — the reference the batched plans reproduce. A dense
-    /// function samples its table's normals `0..=j` afresh on every call,
-    /// which is fine for a test oracle and never used on hot paths.
-    fn eval<R: RecordFields>(&self, t: u32, j: u32, record: &R) -> u64 {
-        match self {
-            HashPart::Dense { field, dim, seed } => {
-                let mut table = HyperplaneFamily::new(*dim, derive_seed(*seed, u64::from(t)));
-                table.ensure_functions(j as usize + 1);
-                table.hash(j as usize, record.field_ref(*field).as_dense())
-            }
-            HashPart::Shingles { field, family } => {
-                let idx = u64::from(t) * TABLE_STRIDE + u64::from(j);
-                family.hash(idx as usize, record.field_ref(*field).as_shingles())
-            }
-            HashPart::Weighted { selection, choices } => {
-                let idx = u64::from(t) * TABLE_STRIDE + u64::from(j);
-                let c = selection.field_for(idx as usize);
-                choices[c].eval(t, j, record)
-            }
-        }
-    }
 }
 
 /// Per-record incremental hash state: the deepest level applied so far
@@ -223,8 +203,7 @@ impl HashPart {
 /// value" promise has to hold for every level, not just the frontier.
 /// The cost is one `u64` per table per completed level per record.
 ///
-/// `PartialEq` compares the full state (level and every accumulator) —
-/// the equality the batched/scalar differential tests rely on.
+/// `PartialEq` compares the full state (level and every accumulator).
 ///
 /// The state is serde-serializable so a snapshot of an online resolver
 /// carries the raw hash work already spent on each record across a
@@ -234,21 +213,25 @@ impl HashPart {
 pub struct RecordHashState {
     /// Deepest sequence level applied to this record (0 = none).
     pub level: u16,
-    /// `history[l - 1]` holds the accumulators after completing level
-    /// `l`: `history[l - 1][g][t]` for group `g`, table `t`. `Shared`
-    /// schemes use a single group; `PerPart` one per part.
-    history: Vec<Vec<Vec<u64>>>,
+    /// Every completed level's accumulators, level by level, then group
+    /// by group (`Shared` schemes have one group, `PerPart` one per
+    /// part), then table by table. The hasher's level plans fix the
+    /// offsets: each group records where it starts, each level where it
+    /// ends.
+    accs: Vec<u64>,
 }
 
 /// Precomputed work-list for advancing one level (`lvl−1 → lvl`): the
 /// `(table, function)` tasks of every group/part in the exact canonical
-/// order the scalar fold consumes them, plus per-task data (MinHash keys,
+/// order the fold consumes them, plus per-task data (MinHash keys,
 /// weighted sub-part partitions) derived once at construction instead of
 /// once per record, and the hyperplane normals of the level's dense
 /// tasks, built once on first use.
 #[derive(Debug)]
 struct LevelPlan {
     groups: Vec<GroupPlan>,
+    /// Length of a state's accumulator array once this level is complete.
+    end: usize,
     /// Set once every dense panel of the level is built; the first
     /// record to advance to the level builds them while any other thread
     /// advancing to it waits.
@@ -273,6 +256,8 @@ pub(crate) struct LevelBuild {
 struct GroupPlan {
     /// Group tag folded into fresh-table accumulator seeds.
     group: u32,
+    /// Offset of the group's `z_to` accumulators in a state's array.
+    start: usize,
     /// Tables `0..z_from` already exist and are extended; tables
     /// `z_from..z_to` are fresh.
     z_from: u32,
@@ -285,8 +270,9 @@ struct GroupPlan {
 
 /// One part's slice of a group plan. Tasks are ordered phase-A first
 /// (existing tables `t < z_from`, new functions `w_from..w_to`), then
-/// phase-B (fresh tables, functions `0..w_to`) — matching the canonical
-/// fold order of the scalar path.
+/// phase-B (fresh tables, functions `0..w_to`) — the canonical fold
+/// order: each table folds its values parts in order, each part's in
+/// function order.
 #[derive(Debug)]
 struct PartPlan {
     /// Index into `SequenceHasher::parts`.
@@ -365,7 +351,7 @@ fn simple_plan(part: &HashPart, tasks: &[(u32, u32)]) -> PartPlanKind {
 }
 
 /// The panel of a dense part's `tasks`: task `(t, j)` is normal `j` of
-/// table `t`'s family, exactly as [`HashPart::eval`] samples it.
+/// table `t`'s family, `HyperplaneFamily::new(dim, derive_seed(seed, t))`.
 fn dense_panel(part: &HashPart, tasks: impl Iterator<Item = (u32, u32)>) -> HyperplanePanel {
     let HashPart::Dense { dim, seed, .. } = part else {
         unreachable!("plan kind matches part kind")
@@ -409,21 +395,22 @@ fn eval_simple<R: RecordFields>(
 }
 
 /// Folds record `r`'s values of `gp` (laid out in `vals`, the group's
-/// region for a block of `k` records, see [`HashScratch::vals`]) into its
-/// accumulators `accs`,
-/// extending tables `0..z_from` and appending the fresh ones.
+/// region for a block of `k` records, see [`HashScratch::vals`]) into the
+/// group's accumulators, which end `accs`: the `z_from` existing tables,
+/// copied from the previous level, are extended and the fresh ones
+/// appended.
 ///
 /// The tables advance in lockstep: within each part, value `j` of every
 /// table before value `j + 1`. Each table still folds exactly its own
-/// values, parts in order and each part's in function order — the
-/// canonical order [`SequenceHasher::advance_scalar`] folds them in — so
-/// every accumulator is bit-identical; the tables' independent
-/// `splitmix64` chains now overlap instead of running one after another.
+/// values in the canonical order (parts in order, each part's in
+/// function order), so every accumulator is what a table-by-table fold
+/// would give; the tables' independent `splitmix64` chains overlap
+/// instead of running one after another.
 fn fold_group(gp: &GroupPlan, vals: &[u64], k: usize, r: usize, accs: &mut Vec<u64>) {
     let z_from = gp.z_from as usize;
-    debug_assert_eq!(accs.len(), z_from);
+    debug_assert_eq!(accs.len(), gp.start + z_from);
     accs.extend((gp.z_from..gp.z_to).map(|t| splitmix64(u64::from(gp.group) << 32 | u64::from(t))));
-    let (existing, fresh) = accs.split_at_mut(z_from);
+    let (existing, fresh) = accs[gp.start..].split_at_mut(z_from);
     for pp in &gp.parts {
         let region = &vals[k * pp.offset + r * pp.count..][..pp.count];
         // Phase A: table `t` gains functions `w_from..w_to`, at
@@ -499,8 +486,23 @@ fn build_part_plan(
 /// advance level by level, so these cover every transition that occurs).
 fn build_plans(parts: &[HashPart], levels: &[LevelScheme]) -> Vec<LevelPlan> {
     let mut plans = Vec::with_capacity(levels.len());
+    // Each level's accumulators follow the previous level's, group after
+    // group.
+    let mut end = 0usize;
     for (li, level) in levels.iter().enumerate() {
         let prev = if li == 0 { None } else { Some(&levels[li - 1]) };
+        let mut group = |g: usize, z_from: u32, z_to: u32, pps: Vec<PartPlan>| {
+            let start = end;
+            end += z_to as usize;
+            GroupPlan {
+                group: g as u32,
+                start,
+                z_from,
+                z_to,
+                total: pps.iter().map(|pp| pp.count).sum(),
+                parts: pps,
+            }
+        };
         let groups = match level {
             LevelScheme::Shared { ws, z } => {
                 let (ws_from, z_from) = match prev {
@@ -515,13 +517,7 @@ fn build_plans(parts: &[HashPart], levels: &[LevelScheme]) -> Vec<LevelPlan> {
                     offset += pp.count;
                     pps.push(pp);
                 }
-                vec![GroupPlan {
-                    group: 0,
-                    z_from,
-                    z_to: *z,
-                    total: offset,
-                    parts: pps,
-                }]
+                vec![group(0, z_from, *z, pps)]
             }
             LevelScheme::PerPart { parts: tos } => tos
                 .iter()
@@ -533,18 +529,13 @@ fn build_plans(parts: &[HashPart], levels: &[LevelScheme]) -> Vec<LevelPlan> {
                         Some(LevelScheme::Shared { .. }) => unreachable!("structure is uniform"),
                     };
                     let pp = build_part_plan(parts, p, w_from, s.w, z_from, s.z, 0);
-                    GroupPlan {
-                        group: p as u32,
-                        z_from,
-                        z_to: s.z,
-                        total: pp.count,
-                        parts: vec![pp],
-                    }
+                    group(p, z_from, s.z, vec![pp])
                 })
                 .collect(),
         };
         plans.push(LevelPlan {
             groups,
+            end,
             built: OnceLock::new(),
         });
     }
@@ -667,7 +658,7 @@ impl SequenceHasher {
     /// Advances a record's state to `to_level` (1-based), evaluating only
     /// the hash functions not yet applied. No-op if already at or past
     /// `to_level` — re-applying an earlier level costs nothing, its keys
-    /// are served from the state's history.
+    /// are served from the state.
     ///
     /// Levels are applied one at a time so every record folds its table
     /// accumulators in the same canonical order — a record advanced
@@ -678,10 +669,9 @@ impl SequenceHasher {
     /// Evaluation is **batched**: each level dispatches one kernel call
     /// per part ([`MinHashFamily::hash_batch_keys`] /
     /// [`HyperplanePanel::hash_all`]) over the precomputed work-list,
-    /// then folds the values in the canonical order — states and
-    /// `Stats.hash_evals` are bit-identical to
-    /// [`SequenceHasher::advance_scalar`]. The first advance to a level
-    /// builds that level's hyperplane normals.
+    /// then folds the values in the canonical order. This is
+    /// [`SequenceHasher::advance_records`] on a block of one. The first
+    /// advance to a level builds that level's hyperplane normals.
     ///
     /// # Panics
     /// Panics if `to_level` is out of range.
@@ -692,29 +682,12 @@ impl SequenceHasher {
         to_level: usize,
         stats: &mut Stats,
     ) {
-        let mut scratch = HashScratch::default();
-        self.advance_with_scratch(record, state, to_level, stats, &mut scratch);
-    }
-
-    /// Like [`SequenceHasher::advance`], reusing caller-owned scratch
-    /// buffers: [`SequenceHasher::advance_records`] on a block of one.
-    ///
-    /// # Panics
-    /// Panics if `to_level` is out of range.
-    pub fn advance_with_scratch<R: RecordFields>(
-        &self,
-        record: &R,
-        state: &mut RecordHashState,
-        to_level: usize,
-        stats: &mut Stats,
-        scratch: &mut HashScratch,
-    ) {
         self.advance_records(
             std::slice::from_ref(record),
             std::slice::from_mut(state),
             to_level,
             stats,
-            scratch,
+            &mut HashScratch::default(),
         );
     }
 
@@ -743,7 +716,7 @@ impl SequenceHasher {
         );
         assert_eq!(records.len(), states.len(), "one state per record");
         // Records already at or past `to_level` take no slot: their keys
-        // are served from the state's history.
+        // are served from the state.
         let mut block: Vec<(&R, &mut RecordHashState)> = Vec::with_capacity(PANEL_RECORDS);
         let needy = records
             .iter()
@@ -842,188 +815,45 @@ impl SequenceHasher {
         }
         stats.hash_evals += (k * total) as u64;
 
-        // Then each record's new level in one go: its accumulators start
-        // as a copy of the previous level's (existing tables are
-        // extended, fresh ones appended), allocated once at the level's
-        // table count; the previous entry stays untouched so its keys
-        // remain servable. Finishing one record at a time keeps its new
-        // allocations next to each other, as a one-record advance lays
-        // them out: interleaving them across the block slowed the level-1
-        // sweep of 10⁶ records by ~2%.
+        // Then each record's new level: each group's accumulators of the
+        // previous level are copied to the end of the record's array and
+        // extended there, fresh tables appended, so the previous level's
+        // stay servable. One reservation up to the level's end is the
+        // advance's only allocation.
+        let prev = to_level.checked_sub(2).map(|l| &self.plans[l]);
         for (r, &i) in active.iter().enumerate() {
             let state = &mut *block[i].1;
+            state.accs.reserve_exact(plan.end - state.accs.len());
             let mut rest = &scratch.vals[..];
-            let groups = plan
-                .groups
-                .iter()
-                .enumerate()
-                .map(|(g, gp)| {
-                    let mut accs = Vec::with_capacity(gp.z_to as usize);
-                    if let Some(prev) = state.history.last() {
-                        accs.extend_from_slice(&prev[g]);
-                    }
-                    let (vals, tail) = rest.split_at(k * gp.total);
-                    rest = tail;
-                    fold_group(gp, vals, k, r, &mut accs);
-                    accs
-                })
-                .collect();
-            state.history.push(groups);
+            for (g, gp) in plan.groups.iter().enumerate() {
+                if let Some(prev) = prev {
+                    let from = prev.groups[g].start;
+                    state
+                        .accs
+                        .extend_from_within(from..from + gp.z_from as usize);
+                }
+                let (vals, tail) = rest.split_at(k * gp.total);
+                rest = tail;
+                fold_group(gp, vals, k, r, &mut state.accs);
+            }
             state.level = to_level as u16;
         }
     }
 
-    /// Reference implementation of [`SequenceHasher::advance`]: one
-    /// scalar `eval` per hash function, folding as it goes. Kept as the
-    /// differential-test oracle for the batched path; not used on hot
-    /// paths.
-    ///
-    /// # Panics
-    /// Panics if `to_level` is out of range.
-    pub fn advance_scalar<R: RecordFields>(
-        &self,
-        record: &R,
-        state: &mut RecordHashState,
-        to_level: usize,
-        stats: &mut Stats,
-    ) {
-        assert!(
-            (1..=self.levels.len()).contains(&to_level),
-            "level out of range"
-        );
-        let from = state.level as usize;
-        for lvl in (from + 1)..=to_level {
-            self.advance_one(record, state, lvl, stats);
-        }
-    }
-
-    /// Advances exactly one level (from `lvl − 1` to `lvl`), scalar path.
-    fn advance_one<R: RecordFields>(
-        &self,
-        record: &R,
-        state: &mut RecordHashState,
-        to_level: usize,
-        stats: &mut Stats,
-    ) {
-        let from = state.level as usize;
-        debug_assert_eq!(from + 1, to_level);
-        // As in the batched path: extend a copy of the previous level's
-        // accumulators so every completed level stays servable.
-        let mut groups = state.history.last().cloned().unwrap_or_default();
-        match &self.levels[to_level - 1] {
-            LevelScheme::Shared { ws, z } => {
-                let (ws_from, z_from) = if from == 0 {
-                    (vec![0u32; ws.len()], 0u32)
-                } else {
-                    match &self.levels[from - 1] {
-                        LevelScheme::Shared { ws, z } => (ws.clone(), *z),
-                        LevelScheme::PerPart { .. } => unreachable!("structure is uniform"),
-                    }
-                };
-                if groups.is_empty() {
-                    groups.push(Vec::new());
-                }
-                let ws = ws.clone();
-                let z = *z;
-                Self::extend_group(
-                    &self.parts,
-                    &mut groups[0],
-                    record,
-                    &ws_from,
-                    z_from,
-                    &ws,
-                    z,
-                    0,
-                    stats,
-                );
-            }
-            LevelScheme::PerPart { parts: to_parts } => {
-                let from_parts: Vec<WzScheme> = if from == 0 {
-                    to_parts.iter().map(|_| WzScheme::new(1, 1)).collect() // placeholder, unused
-                } else {
-                    match &self.levels[from - 1] {
-                        LevelScheme::PerPart { parts } => parts.clone(),
-                        LevelScheme::Shared { .. } => unreachable!("structure is uniform"),
-                    }
-                };
-                if groups.is_empty() {
-                    groups = vec![Vec::new(); to_parts.len()];
-                }
-                let to_parts = to_parts.clone();
-                for (p, to_s) in to_parts.iter().enumerate() {
-                    let (w_from, z_from) = if from == 0 {
-                        (0, 0)
-                    } else {
-                        (from_parts[p].w, from_parts[p].z)
-                    };
-                    let part = &self.parts[p..=p];
-                    Self::extend_group(
-                        part,
-                        &mut groups[p],
-                        record,
-                        &[w_from],
-                        z_from,
-                        &[to_s.w],
-                        to_s.z,
-                        p as u32,
-                        stats,
-                    );
-                }
-            }
-        }
-        state.history.push(groups);
-        state.level = to_level as u16;
-    }
-
-    /// Extends one table group's accumulators from `(ws_from, z_from)` to
-    /// `(ws_to, z_to)`. `parts` are the elementary sources feeding this
-    /// group (all of them for `Shared`, a single one for `PerPart`).
-    #[allow(clippy::too_many_arguments)]
-    fn extend_group<R: RecordFields>(
-        parts: &[HashPart],
-        accs: &mut Vec<u64>,
-        record: &R,
-        ws_from: &[u32],
-        z_from: u32,
-        ws_to: &[u32],
-        z_to: u32,
-        group: u32,
-        stats: &mut Stats,
-    ) {
-        debug_assert_eq!(accs.len(), z_from as usize);
-        // Extend existing tables with the new function range per part.
-        for t in 0..z_from {
-            let mut acc = accs[t as usize];
-            for (p, part) in parts.iter().enumerate() {
-                for j in ws_from[p]..ws_to[p] {
-                    acc = combine(acc, part.eval(t, j, record));
-                    stats.hash_evals += 1;
-                }
-            }
-            accs[t as usize] = acc;
-        }
-        // Fresh tables get the full widths.
-        for t in z_from..z_to {
-            let mut acc = splitmix64(u64::from(group) << 32 | u64::from(t));
-            for (p, part) in parts.iter().enumerate() {
-                for j in 0..ws_to[p] {
-                    acc = combine(acc, part.eval(t, j, record));
-                    stats.hash_evals += 1;
-                }
-            }
-            accs.push(acc);
-        }
+    /// Length of a state's accumulator array at `level` (0 = none).
+    fn end(&self, level: usize) -> usize {
+        level.checked_sub(1).map_or(0, |l| self.plans[l].end)
     }
 
     /// Checks that `state` has the shape this hasher gives it: a level
-    /// within the sequence, one accumulator entry per completed level,
-    /// and at every completed level `l` the group count and per-group
-    /// table counts of `H_l`. [`SequenceHasher::keys`] and the next
-    /// advance index the accumulators by that shape, so a deserialized
-    /// state (snapshot resume) must pass this before use.
+    /// within the sequence and exactly that level's accumulator count.
+    /// [`SequenceHasher::keys`] and the next advance slice the
+    /// accumulators by the level plans, so a state that passes cannot
+    /// index out of bounds; a deserialized state (snapshot resume) must
+    /// pass this before use.
     ///
     /// # Errors
-    /// Describes the first mismatch found.
+    /// Describes the mismatch.
     pub fn check_state(&self, state: &RecordHashState) -> Result<(), String> {
         let level = usize::from(state.level);
         if level > self.levels.len() {
@@ -1032,31 +862,12 @@ impl SequenceHasher {
                 self.levels.len()
             ));
         }
-        if state.history.len() != level {
+        let end = self.end(level);
+        if state.accs.len() != end {
             return Err(format!(
-                "claims level {level} but holds accumulators for {} levels",
-                state.history.len()
+                "claims level {level} but holds {} accumulators, expected {end}",
+                state.accs.len()
             ));
-        }
-        for (l, (groups, plan)) in state.history.iter().zip(&self.plans).enumerate() {
-            if groups.len() != plan.groups.len() {
-                return Err(format!(
-                    "has {} table groups at level {}, expected {}",
-                    groups.len(),
-                    l + 1,
-                    plan.groups.len()
-                ));
-            }
-            for (g, (accs, gp)) in groups.iter().zip(&plan.groups).enumerate() {
-                if accs.len() != gp.z_to as usize {
-                    return Err(format!(
-                        "has {} tables in group {g} at level {}, expected {}",
-                        accs.len(),
-                        l + 1,
-                        gp.z_to
-                    ));
-                }
-            }
         }
         Ok(())
     }
@@ -1070,7 +881,7 @@ impl SequenceHasher {
     /// # Panics
     /// Panics if `level` is 0 or beyond the record's current level.
     pub fn keys<'s>(
-        &self,
+        &'s self,
         state: &'s RecordHashState,
         level: usize,
     ) -> impl Iterator<Item = (u64, u64)> + 's {
@@ -1079,14 +890,12 @@ impl SequenceHasher {
             "level {level} not yet applied to this record (state at {})",
             state.level
         );
-        state.history[level - 1]
-            .iter()
-            .enumerate()
-            .flat_map(|(g, accs)| {
-                accs.iter()
-                    .enumerate()
-                    .map(move |(t, &acc)| ((g as u64) << 32 | t as u64, acc))
-            })
+        self.plans[level - 1].groups.iter().flat_map(move |gp| {
+            state.accs[gp.start..][..gp.z_to as usize]
+                .iter()
+                .enumerate()
+                .map(move |(t, &acc)| (u64::from(gp.group) << 32 | t as u64, acc))
+        })
     }
 }
 
@@ -1261,7 +1070,13 @@ mod tests {
         let evals = st.hash_evals;
         for lvl in 1..=3 {
             h.advance(&r, &mut s, lvl, &mut st);
-            h.advance_scalar(&r, &mut s, lvl, &mut st);
+            h.advance_records(
+                std::slice::from_ref(&r),
+                std::slice::from_mut(&mut s),
+                lvl,
+                &mut st,
+                &mut HashScratch::default(),
+            );
         }
         assert_eq!(s, frozen, "no-op advances must not mutate the state");
         assert_eq!(st.hash_evals, evals, "and must not evaluate anything");
@@ -1353,103 +1168,6 @@ mod tests {
         h.advance(&rec, &mut s, 1, &mut st);
         assert_eq!(st.hash_evals, 16);
         assert_eq!(h.keys(&s, 1).count(), 2);
-    }
-
-    /// Advances `rec` to every level along both paths and asserts states
-    /// and eval counts stay bit-identical throughout.
-    fn assert_paths_agree(h: &SequenceHasher, rec: &Record) {
-        let mut scratch = HashScratch::default();
-        let mut sb = RecordHashState::default();
-        let mut ss = RecordHashState::default();
-        let (mut stb, mut sts) = (Stats::default(), Stats::default());
-        for lvl in 1..=h.num_levels() {
-            h.advance_with_scratch(rec, &mut sb, lvl, &mut stb, &mut scratch);
-            h.advance_scalar(rec, &mut ss, lvl, &mut sts);
-            assert_eq!(sb, ss, "state mismatch at level {lvl}");
-            assert_eq!(stb.hash_evals, sts.hash_evals, "eval count at level {lvl}");
-        }
-        // A direct jump must also agree.
-        let mut jump = RecordHashState::default();
-        let mut stj = Stats::default();
-        h.advance(rec, &mut jump, h.num_levels(), &mut stj);
-        assert_eq!(jump, sb, "jump state mismatch");
-        assert_eq!(stj.hash_evals, stb.hash_evals);
-    }
-
-    #[test]
-    fn batched_matches_scalar_shared_shingles() {
-        let h = SequenceHasher::new(vec![HashPart::shingles(0, 11)], shared_levels());
-        assert_paths_agree(&h, &shingle_record(&[1, 5, 9, 42, 77, 1000]));
-        assert_paths_agree(&h, &shingle_record(&[3]));
-        assert_paths_agree(&h, &shingle_record(&[]));
-    }
-
-    #[test]
-    fn batched_matches_scalar_multipart_shared() {
-        let rec = Record::new(vec![
-            FieldValue::Shingles(ShingleSet::new(vec![1, 2, 3])),
-            FieldValue::Dense(DenseVector::new(vec![0.5, -0.25, 1.5])),
-        ]);
-        let levels = vec![
-            LevelScheme::Shared {
-                ws: vec![2, 1],
-                z: 2,
-            },
-            LevelScheme::Shared {
-                ws: vec![3, 4],
-                z: 5,
-            },
-        ];
-        let h = SequenceHasher::new(
-            vec![HashPart::shingles(0, 5), HashPart::dense(1, 3, 6)],
-            levels,
-        );
-        assert_paths_agree(&h, &rec);
-    }
-
-    #[test]
-    fn batched_matches_scalar_per_part() {
-        let rec = Record::new(vec![
-            FieldValue::Shingles(ShingleSet::new(vec![1, 2, 3])),
-            FieldValue::Shingles(ShingleSet::new(vec![100, 200])),
-        ]);
-        let levels = vec![
-            LevelScheme::PerPart {
-                parts: vec![WzScheme::new(2, 2), WzScheme::new(1, 3)],
-            },
-            LevelScheme::PerPart {
-                parts: vec![WzScheme::new(2, 4), WzScheme::new(2, 3)],
-            },
-        ];
-        let h = SequenceHasher::new(
-            vec![HashPart::shingles(0, 1), HashPart::shingles(1, 2)],
-            levels,
-        );
-        assert_paths_agree(&h, &rec);
-    }
-
-    #[test]
-    fn batched_matches_scalar_weighted() {
-        let rec = Record::new(vec![
-            FieldValue::Shingles(ShingleSet::new(vec![1, 2, 3, 7])),
-            FieldValue::Dense(DenseVector::new(vec![0.1, -0.9])),
-        ]);
-        let part = HashPart::weighted(
-            &[
-                (0, FieldDistance::Jaccard, 0.6),
-                (1, FieldDistance::Angular, 0.4),
-            ],
-            &[0, 2],
-            9,
-        );
-        let h = SequenceHasher::new(
-            vec![part],
-            vec![
-                LevelScheme::Shared { ws: vec![4], z: 2 },
-                LevelScheme::Shared { ws: vec![8], z: 6 },
-            ],
-        );
-        assert_paths_agree(&h, &rec);
     }
 
     /// A two-part AND scheme (shingles + dense) and a dense OR scheme,
@@ -1635,13 +1353,13 @@ mod tests {
             // that level alone, from the top level down.
             for lvl in (1..=top).rev() {
                 let mut restored = states[0].clone();
-                restored.history.truncate(lvl - 1);
+                restored.accs.truncate(reversed.end(lvl - 1));
                 restored.level = lvl as u16 - 1;
                 assert!(reversed.level_build(lvl).is_none());
                 reversed.advance(&mixed_record(0), &mut restored, lvl, &mut Stats::default());
                 assert!((1..lvl).all(|l| reversed.level_build(l).is_none()));
                 let mut reference = states[0].clone();
-                reference.history.truncate(lvl);
+                reference.accs.truncate(in_order.end(lvl));
                 reference.level = lvl as u16;
                 assert_eq!(restored, reference, "level {lvl}");
             }
@@ -1664,7 +1382,7 @@ mod tests {
             }
             for (i, state) in states.iter().enumerate().skip(1) {
                 let mut alone = RecordHashState::default();
-                in_order.advance_scalar(
+                in_order.advance(
                     &mixed_record(i as u64),
                     &mut alone,
                     top,
@@ -1705,7 +1423,7 @@ mod tests {
         );
     }
 
-    /// A state whose claimed level exceeds its history (corrupt or
+    /// A state whose claimed level exceeds its accumulators (corrupt or
     /// hand-edited) is detectable before use.
     #[test]
     fn corrupt_level_is_not_well_formed() {
@@ -1723,9 +1441,9 @@ mod tests {
         assert!(err.contains("only 3 levels"), "{err}");
     }
 
-    /// Group and table counts are checked at every completed level, not
-    /// just the deepest: a truncated or padded accumulator list, or a
-    /// missing group, is refused.
+    /// The accumulator count must be exactly the claimed level's: a
+    /// truncated or padded array, or one whose length is that of another
+    /// level, is refused.
     #[test]
     fn mis_shaped_history_is_not_well_formed() {
         let r = shingle_record(&[1, 2, 3]);
@@ -1733,30 +1451,33 @@ mod tests {
         let mut good = RecordHashState::default();
         h.advance(&r, &mut good, 3, &mut Stats::default());
         assert_eq!(h.check_state(&good), Ok(()));
+        // Levels hold 3, 5 and 9 tables: the array ends at 3, 8 and 17.
+        assert_eq!(good.accs.len(), 17);
 
         let mut truncated = good.clone();
-        truncated.history[0][0].pop();
+        truncated.accs.pop();
         let err = h.check_state(&truncated).unwrap_err();
         assert!(
-            err.contains("2 tables in group 0 at level 1, expected 3"),
+            err.contains("claims level 3 but holds 16 accumulators, expected 17"),
             "{err}"
         );
 
         let mut padded = good.clone();
-        padded.history[2][0].push(0);
+        padded.accs.push(0);
         let err = h.check_state(&padded).unwrap_err();
-        assert!(err.contains("10 tables in group 0 at level 3"), "{err}");
+        assert!(err.contains("holds 18 accumulators, expected 17"), "{err}");
 
-        let mut extra_group = good.clone();
-        extra_group.history[1].push(Vec::new());
-        let err = h.check_state(&extra_group).unwrap_err();
+        let mut other_level = good.clone();
+        other_level.accs.truncate(8);
+        let err = h.check_state(&other_level).unwrap_err();
         assert!(
-            err.contains("2 table groups at level 2, expected 1"),
+            err.contains("claims level 3 but holds 8 accumulators, expected 17"),
             "{err}"
         );
     }
 
-    /// `PerPart` (OR) schemes check each part's own table count.
+    /// A `PerPart` (OR) level's accumulators are its parts' table counts
+    /// summed.
     #[test]
     fn per_part_history_shape_is_checked() {
         let rec = Record::new(vec![
@@ -1773,10 +1494,11 @@ mod tests {
         let mut s = RecordHashState::default();
         h.advance(&rec, &mut s, 1, &mut Stats::default());
         assert_eq!(h.check_state(&s), Ok(()));
-        s.history[0][1].truncate(3);
+        assert_eq!(s.accs.len(), 3 + 5);
+        s.accs.truncate(3 + 3);
         let err = h.check_state(&s).unwrap_err();
         assert!(
-            err.contains("3 tables in group 1 at level 1, expected 5"),
+            err.contains("claims level 1 but holds 6 accumulators, expected 8"),
             "{err}"
         );
     }

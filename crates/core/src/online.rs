@@ -932,20 +932,20 @@ mod tests {
 
     #[test]
     fn from_snapshot_rejects_truncated_accumulators() {
-        // A hand-edited snapshot whose record 0 lost one level-1 table.
-        // Its level count still matches, so only the per-level shape
-        // check catches it; accepted, the next deeper resolve would index
-        // past the end of the list.
+        // A hand-edited snapshot whose record 0 lost one accumulator. Its
+        // level still reads as before, so only the length check catches
+        // it; accepted, reading its deepest keys would index past the end
+        // of the array.
         let boot = bootstrap();
         let config = AdaLshConfig::new(rule());
         let mut online = OnlineAdaLsh::new(&boot, config.clone()).unwrap();
         online.query(1);
         let mut snap = online.snapshot();
-        assert!(snap.states[0].level >= 1);
-        // `{"level":L,"history":[[[a,b,…,z],…` → drop the last value of
-        // the first (level-1, group-0) accumulator list.
+        let level = snap.states[0].level;
+        assert!(level >= 1);
+        // `{"level":L,"accs":[a,b,…,z]}` → drop the last value.
         let json = serde_json::to_string(&snap.states[0]).unwrap();
-        let start = json.find("[[[").expect("level-1 accumulators") + 3;
+        let start = json.find("\"accs\":[").expect("accumulators") + 8;
         let end = start + json[start..].find(']').unwrap();
         let cut = start + json[start..end].rfind(',').expect("more than one table");
         let edited = format!("{}{}", &json[..cut], &json[end..]);
@@ -955,7 +955,7 @@ mod tests {
             Err(e) => e,
         };
         assert!(
-            err.contains("snapshot state 0") && err.contains("at level 1"),
+            err.contains("snapshot state 0") && err.contains(&format!("claims level {level}")),
             "{err}"
         );
     }

@@ -368,7 +368,8 @@ fn evaluate_block<O: PairwiseOracle, T: KernelTally>(
 /// The scalar reference implementation of `P`: one pair at a time, in
 /// canonical order, through the plain (uncached) [`MatchRule::matches`]
 /// kernels. The differential tests pin [`apply_pairwise_with`] to it —
-/// clusters *and* `Stats` — as `advance_scalar` anchors the hash kernels.
+/// clusters *and* `Stats` — as the scalar reference in
+/// `tests/proptest_hashing.rs` anchors the hash kernels.
 pub fn apply_pairwise_scalar(
     dataset: &Dataset,
     rule: &MatchRule,

@@ -21,7 +21,7 @@ use adalsh_data::MatchRule;
 use serde::{Deserialize, Serialize};
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Everything persisted by `POST /snapshot` / loaded by `--resume`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,12 +56,7 @@ impl ServeSnapshot {
     /// Fails on version or rule mismatch, or on an inconsistent resolver
     /// snapshot (see [`OnlineAdaLsh::from_snapshot`]).
     pub fn restore(self, config: AdaLshConfig) -> Result<OnlineAdaLsh, String> {
-        if self.version != SNAPSHOT_VERSION {
-            return Err(format!(
-                "snapshot version {} unsupported (expected {SNAPSHOT_VERSION})",
-                self.version
-            ));
-        }
+        check_version(self.version)?;
         if self.rule != config.rule {
             return Err(format!(
                 "snapshot was taken under rule {:?} but the server is configured with {:?}; \
@@ -94,15 +89,37 @@ impl ServeSnapshot {
     /// Reads and parses a snapshot file.
     ///
     /// # Errors
-    /// Fails on filesystem or parse errors, and on a snapshot whose hash
-    /// states were computed under a MinHash scheme other than classic.
+    /// Fails on filesystem or parse errors, on a format version other
+    /// than [`SNAPSHOT_VERSION`] (checked before the resolver is
+    /// decoded, so an older file is refused by version, not by its
+    /// shape), and on a snapshot whose hash states were computed under a
+    /// MinHash scheme other than classic.
     pub fn load(path: &Path) -> Result<Self, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         let value: serde::Value =
             serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-        check_scheme(&value).map_err(|e| format!("{}: {e}", path.display()))?;
+        let version = value
+            .get("version")
+            .and_then(|v| u32::from_value(v).ok())
+            .ok_or_else(|| format!("parse {}: missing or malformed version", path.display()))?;
+        check_version(version)
+            .and_then(|()| check_scheme(&value))
+            .map_err(|e| format!("{}: {e}", path.display()))?;
         ServeSnapshot::from_value(&value).map_err(|e| format!("parse {}: {e}", path.display()))
+    }
+}
+
+/// Refuses any format version but [`SNAPSHOT_VERSION`]. Version 2 stores
+/// each record's hash accumulators as one flat array; version 1 nested
+/// them per level and group.
+fn check_version(version: u32) -> Result<(), String> {
+    if version == SNAPSHOT_VERSION {
+        Ok(())
+    } else {
+        Err(format!(
+            "snapshot version {version} unsupported (expected {SNAPSHOT_VERSION})"
+        ))
     }
 }
 
@@ -203,8 +220,8 @@ mod tests {
     /// second MinHash scheme wrote it.
     fn with_scheme(json: &str, scheme: &str) -> String {
         json.replacen(
-            "{\"version\":1,",
-            &format!("{{\"version\":1,\"scheme\":{scheme},"),
+            &format!("{{\"version\":{SNAPSHOT_VERSION},"),
+            &format!("{{\"version\":{SNAPSHOT_VERSION},\"scheme\":{scheme},"),
             1,
         )
     }
@@ -242,6 +259,40 @@ mod tests {
         }
         let err = load_json("malformed", &with_scheme(&json, "7")).unwrap_err();
         assert!(err.contains("malformed MinHash scheme"), "{err}");
+    }
+
+    /// A version-1 file, whose hash states nest their accumulators per
+    /// level and group, is refused by its version before the resolver is
+    /// decoded, not with an error about the states' shape.
+    #[test]
+    fn version_1_snapshot_is_refused() {
+        let snapshot = test_snapshot();
+        let rule = snapshot.rule.clone();
+        let mut resolver = snapshot.restore(AdaLshConfig::new(rule.clone())).unwrap();
+        resolver.query(1);
+        let json = serde_json::to_string(&ServeSnapshot::capture(&resolver, rule)).unwrap();
+        // Version 1 with each state's accumulators as `history`, nested
+        // as one level of one group.
+        let mut v1 = json.replacen(
+            &format!("{{\"version\":{SNAPSHOT_VERSION},"),
+            "{\"version\":1,",
+            1,
+        );
+        while let Some(at) = v1.find("\"accs\":[") {
+            let values = at + "\"accs\":[".len();
+            let end = values + v1[values..].find(']').unwrap();
+            let history = match &v1[values..end] {
+                "" => "[]".to_string(),
+                values => format!("[[[{values}]]]"),
+            };
+            v1 = format!("{}\"history\":{history}{}", &v1[..at], &v1[end + 1..]);
+        }
+        assert!(v1.starts_with("{\"version\":1,") && v1.contains("\"history\":[[["));
+        let err = load_json("v1", &v1).unwrap_err();
+        assert!(
+            err.contains("snapshot version 1 unsupported (expected 2)"),
+            "{err}"
+        );
     }
 
     /// A save that fails after the temp file was written (here: the
